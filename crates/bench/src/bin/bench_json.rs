@@ -57,7 +57,7 @@
 
 use sbgc_bench::{HarnessConfig, QUICK_INSTANCES};
 use sbgc_core::{
-    add_instance_independent_sbps, chromatic_number_by_decision, chromatic_number_incremental,
+    add_instance_independent_sbps, chromatic_number, chromatic_number_by_decision,
     solve_supervised, ColoringEncoding, PreparedColoring, SbpMode, SearchStrategy, SolveOptions,
     SupervisorConfig,
 };
@@ -266,7 +266,7 @@ fn main() {
         let rec = Recorder::new();
         let inc_opts = opts.clone().with_recorder(rec.clone());
         let start = Instant::now();
-        let incremental = chromatic_number_incremental(graph, &inc_opts);
+        let incremental = chromatic_number(graph, &inc_opts);
         let incremental_time = start.elapsed();
         let steps = rec.ladder_steps();
         let retained: u64 = steps.iter().map(|s| s.retained_clauses).sum();
@@ -335,7 +335,7 @@ fn main() {
                 .with_budget(Budget::unlimited().with_timeout(ablation_budget))
                 .without_heuristics();
             let start = Instant::now();
-            let result = chromatic_number_incremental(&inst.graph, &opts);
+            let result = chromatic_number(&inst.graph, &opts);
             let time = start.elapsed();
             let chi = result.exact();
 
@@ -396,12 +396,12 @@ fn main() {
         let base =
             SolveOptions::new(config.k).with_sbp_mode(SbpMode::Nu).with_budget(config.budget());
         let start = Instant::now();
-        let exact = chromatic_number_incremental(&inst.graph, &base.clone().without_heuristics());
+        let exact = chromatic_number(&inst.graph, &base.clone().without_heuristics());
         let exact_time = start.elapsed();
 
         let rec = Recorder::new();
         let start = Instant::now();
-        let hybrid = chromatic_number_incremental(&inst.graph, &base.with_recorder(rec.clone()));
+        let hybrid = chromatic_number(&inst.graph, &base.with_recorder(rec.clone()));
         let hybrid_time = start.elapsed();
         let telemetry = rec.heuristics();
 

@@ -29,13 +29,12 @@ use crate::encode::cnf_decision_formula;
 use crate::flow::SolveOptions;
 use sbgc_formula::{Lit, PbFormula};
 use sbgc_graph::{Coloring, Graph};
-use sbgc_pb::Budget;
+use sbgc_pb::{
+    Budget, CancelToken, PbEngine, SharedClausePool, SharingConfig, SolveOutcome, SolverKind,
+};
 use sbgc_proof::{
     check_drat, AddsOnlyProofLogger, DratProof, FileProofLogger, ProofLogger, SharedProof,
     TeeProofLogger,
-};
-use sbgc_sat::{
-    CancelToken, RestartPolicy, SatSolver, SharedClausePool, SharingConfig, SolveOutcome,
 };
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -156,18 +155,24 @@ pub fn certify_unsat_formula_parallel(
     budget: &Budget,
     workers: usize,
 ) -> (ProofStatus, Option<DratProof>) {
+    match pure_cnf_clauses(formula) {
+        Ok(clauses) => refute_and_check(formula.num_vars(), &clauses, budget, workers),
+        Err(status) => (status, None),
+    }
+}
+
+/// The clauses of `formula`, or the [`ProofStatus::Unchecked`] answer when
+/// it carries PB constraints (the DRAT calculus speaks only CNF).
+fn pure_cnf_clauses(formula: &PbFormula) -> Result<Vec<Vec<Lit>>, ProofStatus> {
     if !formula.is_pure_cnf() {
-        let status = ProofStatus::Unchecked {
+        return Err(ProofStatus::Unchecked {
             reason: format!(
                 "formula has {} PB constraints; DRAT checking covers only pure CNF",
                 formula.pb_constraints().len()
             ),
-        };
-        return (status, None);
+        });
     }
-    let clauses: Vec<Vec<Lit>> =
-        formula.clauses().iter().map(|c| c.iter().copied().collect()).collect();
-    refute_and_check(formula.num_vars(), &clauses, budget, workers)
+    Ok(formula.clauses().iter().map(|c| c.iter().copied().collect()).collect())
 }
 
 /// Owns the archive logger behind a shared slot so it can be reclaimed
@@ -205,32 +210,19 @@ pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
     budget: &Budget,
     archive: FileProofLogger<W>,
 ) -> (ProofStatus, Option<DratProof>) {
-    if !formula.is_pure_cnf() {
-        let status = ProofStatus::Unchecked {
-            reason: format!(
-                "formula has {} PB constraints; DRAT checking covers only pure CNF",
-                formula.pb_constraints().len()
-            ),
-        };
-        return (status, None);
-    }
-    let clauses: Vec<Vec<Lit>> =
-        formula.clauses().iter().map(|c| c.iter().copied().collect()).collect();
+    let clauses = match pure_cnf_clauses(formula) {
+        Ok(clauses) => clauses,
+        Err(status) => return (status, None),
+    };
     let num_vars = formula.num_vars();
 
     let flag = archive.error_flag();
     let slot = Arc::new(Mutex::new(Some(archive)));
     let shared = SharedProof::new();
-    let mut solver = SatSolver::new(num_vars);
-    solver.set_proof_logger(Box::new(TeeProofLogger::new(
-        shared.clone(),
-        StreamHandle(slot.clone()),
-    )));
-    for c in &clauses {
-        solver.add_clause(c.iter().copied());
-    }
+    let logger = TeeProofLogger::new(shared.clone(), StreamHandle(slot.clone()));
+    let mut engine = certifier(num_vars, &clauses, 0, Box::new(logger));
     let solve_start = Instant::now();
-    let outcome = solver.solve_with_budget(budget);
+    let outcome = engine.solve_with_budget(budget);
     let solve_seconds = solve_start.elapsed().as_secs_f64();
     let proof = shared.take();
     // Reclaim and flush the archive; flush failures land in the error flag
@@ -239,10 +231,51 @@ pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
         let _ = logger.into_inner();
     }
 
-    let (status, proof) = match outcome {
+    let (status, proof) = check_outcome(outcome, num_vars, &clauses, proof, solve_seconds);
+    let status = match (flag.get(), status) {
+        (Some(err), ProofStatus::Checked { .. }) => {
+            ProofStatus::Unchecked { reason: format!("proof stream failed: {err}") }
+        }
+        (_, status) => status,
+    };
+    (status, proof)
+}
+
+/// Builds certifying worker `worker`'s engine (worker 0 when solving
+/// sequentially): the PBS II preset with seed 0 and that worker's
+/// modern-CDCL knobs ([`sbgc_pb::EngineConfig::diversified`]), with
+/// `logger` attached before `clauses` are added so root simplifications
+/// enter the proof.
+fn certifier(
+    num_vars: usize,
+    clauses: &[Vec<Lit>],
+    worker: usize,
+    logger: Box<dyn ProofLogger>,
+) -> PbEngine {
+    let config = SolverKind::PbsII.engine_config().expect("PBS II is a CDCL preset");
+    let mut engine = PbEngine::new(num_vars, config.diversified(worker));
+    engine.set_proof_logger(logger);
+    for c in clauses {
+        engine.add_clause(c.iter().copied());
+    }
+    engine
+}
+
+/// Maps a certifying solve's `outcome` to a [`ProofStatus`]: an UNSAT
+/// answer's logged `proof` is replayed against `clauses` through the
+/// independent checker; SAT and budget exhaustion are
+/// [`ProofStatus::Unchecked`] and keep no proof.
+fn check_outcome(
+    outcome: SolveOutcome,
+    num_vars: usize,
+    clauses: &[Vec<Lit>],
+    proof: DratProof,
+    solve_seconds: f64,
+) -> (ProofStatus, Option<DratProof>) {
+    let reason = match outcome {
         SolveOutcome::Unsat => {
             let check_start = Instant::now();
-            let checked = check_drat(num_vars, &clauses, &proof);
+            let checked = check_drat(num_vars, clauses, &proof);
             let check_seconds = check_start.elapsed().as_secs_f64();
             let status = match checked {
                 Ok(stats) => ProofStatus::Checked {
@@ -255,61 +288,18 @@ pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
                 },
                 Err(e) => ProofStatus::Rejected { error: e.to_string() },
             };
-            (status, Some(proof))
+            return (status, Some(proof));
         }
-        SolveOutcome::Sat(_) => {
-            (ProofStatus::Unchecked { reason: "formula is satisfiable".into() }, None)
-        }
-        SolveOutcome::Unknown => {
-            let status = ProofStatus::Unchecked {
-                reason: "budget exhausted before a refutation was found".into(),
-            };
-            (status, None)
-        }
+        SolveOutcome::Sat(_) => "formula is satisfiable",
+        SolveOutcome::Unknown => "budget exhausted before a refutation was found",
     };
-    let status = match (flag.get(), status) {
-        (Some(err), ProofStatus::Checked { .. }) => {
-            ProofStatus::Unchecked { reason: format!("proof stream failed: {err}") }
-        }
-        (_, status) => status,
-    };
-    (status, proof)
-}
-
-/// Applies the modern-CDCL diversification ladder to a certifying worker:
-/// worker 0 is the stock solver, further workers enable adaptive-LBD
-/// restarts, chronological backtracking, rephasing and tiered clause
-/// reduction in distinct combinations (the same ladder as
-/// [`sbgc_pb::portfolio_configs`]).
-fn diversify_certifier(solver: &mut SatSolver, index: usize) {
-    match index {
-        0 => {}
-        1 => {
-            solver.set_restart_policy(RestartPolicy::AdaptiveLbd { min_interval: 100 });
-            solver.set_chrono(true);
-            solver.set_rephase(true);
-            solver.set_tiered_reduce(true);
-        }
-        2 => {
-            solver.set_rephase(true);
-            solver.set_tiered_reduce(true);
-        }
-        3 => {
-            solver.set_restart_policy(RestartPolicy::AdaptiveLbd { min_interval: 50 });
-            solver.set_chrono(true);
-            solver.set_tiered_reduce(true);
-        }
-        _ => {
-            solver.set_restart_policy(RestartPolicy::Luby { base: 50 << ((index / 4).min(10)) });
-            solver.set_tiered_reduce(true);
-        }
-    }
+    (ProofStatus::Unchecked { reason: reason.into() }, None)
 }
 
 /// Solves `clauses` expecting UNSAT, then replays the logged proof through
 /// the independent checker.
 ///
-/// With `workers > 1` this races that many diversified solvers that share
+/// With `workers > 1` this races that many diversified engines that share
 /// learned clauses through a [`SharedClausePool`]; the first definitive
 /// answer cancels the rest. The combined DRAT log stays checkable because
 /// every worker appends *additions only* (deletions are suppressed by
@@ -328,48 +318,15 @@ fn refute_and_check(
     let shared = SharedProof::new();
     let solve_start = Instant::now();
     let outcome = if workers <= 1 {
-        let mut solver = SatSolver::new(num_vars);
-        solver.set_proof_logger(Box::new(shared.clone()));
-        for c in clauses {
-            solver.add_clause(c.iter().copied());
-        }
-        solver.solve_with_budget(budget)
+        certifier(num_vars, clauses, 0, Box::new(shared.clone())).solve_with_budget(budget)
     } else {
         race_refutation(num_vars, clauses, budget, workers, &shared)
     };
     let solve_seconds = solve_start.elapsed().as_secs_f64();
-    let proof = shared.take();
-    match outcome {
-        SolveOutcome::Unsat => {
-            let check_start = Instant::now();
-            let checked = check_drat(num_vars, clauses, &proof);
-            let check_seconds = check_start.elapsed().as_secs_f64();
-            let status = match checked {
-                Ok(stats) => ProofStatus::Checked {
-                    steps: stats.steps,
-                    adds: stats.adds,
-                    deletes: stats.deletes,
-                    literals: proof.total_literals(),
-                    solve_seconds,
-                    check_seconds,
-                },
-                Err(e) => ProofStatus::Rejected { error: e.to_string() },
-            };
-            (status, Some(proof))
-        }
-        SolveOutcome::Sat(_) => {
-            (ProofStatus::Unchecked { reason: "formula is satisfiable".into() }, None)
-        }
-        SolveOutcome::Unknown => {
-            let status = ProofStatus::Unchecked {
-                reason: "budget exhausted before a refutation was found".into(),
-            };
-            (status, None)
-        }
-    }
+    check_outcome(outcome, num_vars, clauses, shared.take(), solve_seconds)
 }
 
-/// The racing half of [`refute_and_check`]: `workers` diversified solvers,
+/// The racing half of [`refute_and_check`]: `workers` diversified engines,
 /// one clause pool, adds-only proof logging into `shared`.
 fn race_refutation(
     num_vars: usize,
@@ -389,14 +346,9 @@ fn race_refutation(
             let logger = AddsOnlyProofLogger::new(shared.clone());
             let (race, first) = (&race, &first);
             s.spawn(move || {
-                let mut solver = SatSolver::new(num_vars);
-                solver.set_proof_logger(Box::new(logger));
-                solver.set_sharing(handle);
-                diversify_certifier(&mut solver, index);
-                for c in clauses {
-                    solver.add_clause(c.iter().copied());
-                }
-                let out = solver.solve_with_budget(&worker_budget);
+                let mut engine = certifier(num_vars, clauses, index, Box::new(logger));
+                engine.set_sharing(handle);
+                let out = engine.solve_with_budget(&worker_budget);
                 if matches!(out, SolveOutcome::Sat(_) | SolveOutcome::Unsat) {
                     let mut w = first.lock().unwrap_or_else(PoisonError::into_inner);
                     if w.is_none() {

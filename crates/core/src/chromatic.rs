@@ -155,11 +155,21 @@ impl ChromaticOutcome {
 /// take the DSATUR upper bound as K (clamped by `options.k` if smaller),
 /// then search. By default the greedy bracket is first tightened by the
 /// heuristic race of [`initial_bounds`] (disable with
-/// [`SolveOptions::without_heuristics`] for the pure paper procedure). For every CDCL-backed configuration the search is the
-/// incremental ladder of [`chromatic_number_incremental`] (encode once,
-/// reuse learned clauses across queries); the CPLEX baseline and
-/// instance-dependent SBPs use one exact-optimization run. The clique
-/// bound can certify optimality without search.
+/// [`SolveOptions::without_heuristics`] for the pure paper procedure).
+///
+/// For every CDCL-backed configuration the search is *incremental*: one
+/// [`ColoringSession`] is built at `K = min(options.k, DSATUR bound − 1)`
+/// and the color budget is tightened by **assuming** the usage indicators
+/// `y[target..K]` false, one step at a time — so clauses learned while
+/// proving "not (target)-colorable-with-these-assumptions" are reused by
+/// every later query (the incremental-SAT refinement of the paper's
+/// Section 4.1 procedure). Instance-independent SBPs are compatible with
+/// the suffix assumptions: they only ever *prefer* low color indices.
+/// [`sbgc_pb::SolverKind::Portfolio`] runs a *persistent* portfolio — one
+/// long-lived engine per worker thread, all racing each ladder query with
+/// clause sharing. Only the CPLEX baseline (no incremental interface) and
+/// instance-dependent (Shatter) SBPs fall back to one exact-optimization
+/// run. The clique bound can certify optimality without search.
 ///
 /// `options.k` acts as a cap (like the paper's K = 20 application bound);
 /// the effective K is `min(options.k, DSATUR bound − 1)` — the
@@ -505,66 +515,6 @@ pub fn chromatic_number_by_decision(
     }
 }
 
-/// Computes the chromatic number *incrementally*: one solver instance is
-/// built at `K = min(options.k, DSATUR bound − 1)` and the color budget is
-/// tightened by **assuming** the usage indicators `y[target..K]` false,
-/// one step at a time — so clauses learned while proving "not
-/// (target)-colorable-with-these-assumptions" are reused by every later
-/// query (the incremental-SAT refinement of the paper's Section 4.1
-/// procedure).
-///
-/// Uses `options.sbp_mode` (instance-independent SBPs are compatible with
-/// the suffix assumptions: they only ever *prefer* low color indices).
-/// [`sbgc_pb::SolverKind::Portfolio`] runs a *persistent* portfolio — one
-/// long-lived engine per worker thread, all racing each ladder query with
-/// clause sharing — rather than falling back to one-shot optimization.
-/// Only the CPLEX baseline (no incremental interface) and
-/// instance-dependent (Shatter) SBPs fall back to [`chromatic_number`]'s
-/// optimization path.
-///
-/// Since the session refactor this *is* [`chromatic_number`]'s default
-/// path; the function remains as the explicit entry point and for its
-/// fallback contract.
-///
-/// # Panics
-///
-/// Panics if the graph has no vertices or `options.k == 0`. Use
-/// [`chromatic_number_incremental_outcome`] for the non-panicking form.
-pub fn chromatic_number_incremental(graph: &Graph, options: &SolveOptions) -> ChromaticResult {
-    chromatic_number_incremental_outcome(graph, options).unwrap_or_else(|e| panic!("{e}")).result
-}
-
-/// [`chromatic_number_incremental`] with typed errors and graceful
-/// degradation, mirroring [`chromatic_number_outcome`]: degenerate inputs
-/// become [`SolveError`]s instead of panics, and budget-starved runs
-/// return the proven bracket plus the [`ExhaustReason`] that stopped
-/// them. Configurations without an incremental interface (CPLEX,
-/// instance-dependent SBPs) fall back to the one-shot optimization run —
-/// a fallback, not an error, so callers can use this unconditionally.
-pub fn chromatic_number_incremental_outcome(
-    graph: &Graph,
-    options: &SolveOptions,
-) -> Result<ChromaticOutcome, SolveError> {
-    if graph.num_vertices() == 0 {
-        return Err(SolveError::EmptyGraph);
-    }
-    if options.k == 0 {
-        return Err(SolveError::ZeroColorBound);
-    }
-    let b = initial_bounds(graph, options)?;
-    if b.lower >= b.upper {
-        return Ok(ChromaticOutcome {
-            result: ChromaticResult::Exact { chromatic_number: b.upper, witness: b.witness },
-            exhaust: None,
-        });
-    }
-    if ColoringSession::supports(options) {
-        chromatic_ladder(graph, options, b)
-    } else {
-        chromatic_number_via_optimization(graph, options, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,11 +638,14 @@ mod tests {
 
     #[test]
     fn incremental_agrees_with_optimization() {
+        use sbgc_pb::SolverKind;
         for g in [Graph::cycle(5), mycielski(3), queens(4, 4), Graph::cycle(6)] {
-            let expected = chromatic_number(&g, &SolveOptions::new(20)).exact();
+            // The CPLEX baseline takes the one-shot optimization path.
+            let oneshot = SolveOptions::new(20).with_solver(SolverKind::Cplex);
+            let expected = chromatic_number(&g, &oneshot).exact();
             for mode in [SbpMode::None, SbpMode::Nu, SbpMode::NuSc] {
                 let opts = SolveOptions::new(20).with_sbp_mode(mode);
-                let result = chromatic_number_incremental(&g, &opts);
+                let result = chromatic_number(&g, &opts);
                 assert_eq!(result.exact(), expected, "{mode}");
                 assert!(result.witness().is_proper(&g), "{mode}");
             }
@@ -702,8 +655,7 @@ mod tests {
     #[test]
     fn incremental_on_queens() {
         let g = queens(5, 5);
-        let result =
-            chromatic_number_incremental(&g, &SolveOptions::new(20).with_sbp_mode(SbpMode::Nu));
+        let result = chromatic_number(&g, &SolveOptions::new(20).with_sbp_mode(SbpMode::Nu));
         assert_eq!(result.exact(), Some(5));
     }
 
@@ -712,7 +664,7 @@ mod tests {
         use sbgc_pb::SolverKind;
         let g = mycielski(3);
         let opts = SolveOptions::new(20).with_solver(SolverKind::Cplex);
-        let result = chromatic_number_incremental(&g, &opts);
+        let result = chromatic_number(&g, &opts);
         assert_eq!(result.exact(), Some(4));
     }
 
@@ -733,7 +685,7 @@ mod tests {
             .with_solver(SolverKind::Portfolio)
             .with_recorder(recorder.clone())
             .without_heuristics();
-        let out = chromatic_number_incremental_outcome(&g, &opts).expect("valid inputs");
+        let out = chromatic_number_outcome(&g, &opts).expect("valid inputs");
         assert_eq!(out.exact(), Some(7));
         let steps = recorder.ladder_steps();
         assert!(!steps.is_empty(), "session path must record ladder telemetry");
@@ -760,20 +712,6 @@ mod tests {
             steps[1..].iter().any(|s| s.retained_clauses > 0),
             "later ladder steps must reuse learned clauses: {steps:?}"
         );
-    }
-
-    #[test]
-    fn incremental_empty_graph_is_a_typed_error() {
-        let g = Graph::empty(0);
-        let err = chromatic_number_incremental_outcome(&g, &SolveOptions::new(5)).unwrap_err();
-        assert_eq!(err, SolveError::EmptyGraph);
-    }
-
-    #[test]
-    fn incremental_zero_k_is_a_typed_error() {
-        let g = Graph::cycle(5);
-        let err = chromatic_number_incremental_outcome(&g, &SolveOptions::new(0)).unwrap_err();
-        assert_eq!(err, SolveError::ZeroColorBound);
     }
 
     #[test]

@@ -80,9 +80,8 @@ pub use certify::{
     certify_unsat_formula_streamed, chromatic_number_certified, OptimalityCertificate, ProofStatus,
 };
 pub use chromatic::{
-    bounds, chromatic_number, chromatic_number_by_decision, chromatic_number_incremental,
-    chromatic_number_incremental_outcome, chromatic_number_outcome, initial_bounds,
-    ChromaticBounds, ChromaticOutcome, ChromaticResult, SearchStrategy,
+    bounds, chromatic_number, chromatic_number_by_decision, chromatic_number_outcome,
+    initial_bounds, ChromaticBounds, ChromaticOutcome, ChromaticResult, SearchStrategy,
 };
 pub use encode::{cnf_decision_formula, ColoringEncoding};
 pub use error::SolveError;

@@ -2,8 +2,6 @@
 
 use crate::explain::ExplainStrategy;
 
-// The restart schedule moved to `sbgc-sat` so both CDCL cores share the
-// same policy type; re-exported here so existing imports keep working.
 pub use sbgc_sat::RestartPolicy;
 
 /// Tunable parameters of the CDCL-PB engine.
@@ -60,6 +58,40 @@ impl EngineConfig {
     /// Returns the same configuration with the given diversification seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Layers the modern-CDCL knobs of racing worker `worker` on top of
+    /// this configuration. Worker 0 is returned unchanged, so a one-worker
+    /// race is the sequential solve. Workers 1–3 switch on adaptive-LBD
+    /// restarts, chronological backtracking, rephasing and tiered clause
+    /// reduction in distinct combinations, ordered by distance from the
+    /// unchanged worker 0. Later workers keep the tiered database and
+    /// double the Luby restart base every four workers. The seed and the
+    /// explanation strategy are left as they are.
+    pub fn diversified(mut self, worker: usize) -> Self {
+        match worker {
+            0 => {}
+            1 => {
+                self.restart = RestartPolicy::AdaptiveLbd { min_interval: 100 };
+                self.chrono = true;
+                self.rephase = true;
+                self.tiered_reduce = true;
+            }
+            2 => {
+                self.rephase = true;
+                self.tiered_reduce = true;
+            }
+            3 => {
+                self.restart = RestartPolicy::AdaptiveLbd { min_interval: 50 };
+                self.chrono = true;
+                self.tiered_reduce = true;
+            }
+            _ => {
+                self.restart = RestartPolicy::Luby { base: 50 << ((worker / 4).min(10)) };
+                self.tiered_reduce = true;
+            }
+        }
         self
     }
 }

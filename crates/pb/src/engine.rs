@@ -1678,18 +1678,107 @@ mod tests {
 
     #[test]
     fn pure_cnf_refutation_proof_checks() {
-        let (n, clauses) = clausal_pigeonhole(4);
-        let shared = sbgc_proof::SharedProof::new();
+        for holes in 2..=4 {
+            let (n, clauses) = clausal_pigeonhole(holes);
+            let shared = sbgc_proof::SharedProof::new();
+            let mut e = PbEngine::new(n, EngineConfig::default());
+            e.set_proof_logger(Box::new(shared.clone()));
+            for c in &clauses {
+                e.add_clause(c.iter().copied());
+            }
+            assert!(e.solve().is_unsat(), "PHP({})", holes + 1);
+            e.check_invariants();
+            let proof = shared.take();
+            assert!(proof.num_adds() > 0, "PHP({}) proof must contain lemmas", holes + 1);
+            sbgc_proof::check_drat(n, &clauses, &proof).expect("engine proof must check");
+        }
+    }
+
+    #[test]
+    fn clausal_edge_cases() {
+        let lit = |i: usize, neg: bool| Var::from_index(i).lit(neg);
+        // The empty clause refutes at once.
+        let mut e = PbEngine::new(1, EngineConfig::default());
+        e.add_clause(std::iter::empty());
+        assert!(e.solve().is_unsat());
+        // x0, x0 -> x1, ..., x8 -> x9: root propagation forces every link.
+        let mut e = PbEngine::new(10, EngineConfig::default());
+        e.add_clause([lit(0, false)]);
+        for i in 0..9 {
+            e.add_clause([lit(i, true), lit(i + 1, false)]);
+        }
+        let m = e.solve().model().cloned().expect("SAT");
+        assert!((0..10).all(|i| m.satisfies(lit(i, false))));
+        // Clauses added between solves keep tightening the same engine.
+        let mut e = PbEngine::new(2, EngineConfig::default());
+        e.add_clause([lit(0, false), lit(1, false)]);
+        assert!(e.solve().is_sat());
+        e.add_clause([lit(0, true)]);
+        assert!(e.solve().is_sat());
+        e.add_clause([lit(1, true)]);
+        assert!(e.solve().is_unsat());
+    }
+
+    #[test]
+    fn conflict_budget_stops_with_reason() {
+        let (n, clauses) = clausal_pigeonhole(7);
         let mut e = PbEngine::new(n, EngineConfig::default());
-        e.set_proof_logger(Box::new(shared.clone()));
+        for c in &clauses {
+            e.add_clause(c.iter().copied());
+        }
+        let b = Budget::unlimited().with_max_conflicts(1);
+        assert!(matches!(e.solve_with_budget(&b), SolveOutcome::Unknown));
+        assert_eq!(e.stats().exhaust, Some(ExhaustReason::Conflicts));
+        // A definitive follow-up answer clears the status.
+        let (n, clauses) = clausal_pigeonhole(4);
+        let mut e = PbEngine::new(n, EngineConfig::default());
+        for c in &clauses {
+            e.add_clause(c.iter().copied());
+        }
+        let _ = e.solve_with_budget(&b);
+        assert!(e.stats().exhaust.is_some());
+        assert!(e.solve().is_unsat());
+        assert_eq!(e.stats().exhaust, None);
+    }
+
+    #[test]
+    fn arena_bytes_track_clause_additions() {
+        let lit = |i: usize| Var::from_index(i).positive();
+        let mut e = PbEngine::new(3, EngineConfig::default());
+        assert_eq!(e.arena_bytes(), 0);
+        e.add_clause([lit(0), lit(1)]);
+        let after_one = e.arena_bytes();
+        assert!(after_one > 0);
+        e.add_clause([!lit(0), lit(2)]);
+        assert!(e.arena_bytes() > after_one);
+    }
+
+    #[test]
+    fn lbd_is_tracked_for_learned_clauses() {
+        let (n, clauses) = clausal_pigeonhole(5);
+        let mut e = PbEngine::new(n, EngineConfig::default());
         for c in &clauses {
             e.add_clause(c.iter().copied());
         }
         assert!(e.solve().is_unsat());
-        e.check_invariants();
-        let proof = shared.take();
-        assert!(proof.num_adds() > 0);
-        sbgc_proof::check_drat(n, &clauses, &proof).expect("engine proof must check");
+        let st = e.stats();
+        assert!(st.learned > 0);
+        assert!(st.lbd_sum >= st.learned, "every learned clause has LBD >= 1");
+        assert!(st.lbd_sum <= st.learned_literals, "LBD never exceeds clause length");
+    }
+
+    #[test]
+    fn activity_heap_pops_in_activity_order() {
+        let mut activity = vec![0.5, 2.0, 1.0, 3.0];
+        let mut h = ActivityHeap::with_capacity(4);
+        for v in 0..4 {
+            h.insert(v, &activity);
+            h.insert(v, &activity); // re-inserting a present variable is a no-op
+        }
+        activity[0] = 10.0;
+        h.increased(0, &activity);
+        let order: Vec<usize> = std::iter::from_fn(|| h.pop_max(&activity)).collect();
+        assert_eq!(order, vec![0, 3, 1, 2]);
     }
 
     /// Mixed CNF+PB pigeonhole (UNSAT), the engine's hardest small case.
@@ -1766,6 +1855,33 @@ mod tests {
         assert!(b.solve().is_unsat());
         assert!(b.stats().imported > 0, "peer clauses must be imported");
         b.check_invariants();
+    }
+
+    #[test]
+    fn sharing_preserves_sat_answers() {
+        use sbgc_sat::{SharedClausePool, SharingConfig};
+        // PHP(n, n) — one pigeon fewer — is satisfiable but conflict-rich,
+        // so engines exchange clauses and must still produce real models.
+        let holes = 5;
+        let var = |p: usize, h: usize| Var::from_index(p * holes + h);
+        let mut f = PbFormula::with_vars(holes * holes);
+        for p in 0..holes {
+            f.add_clause((0..holes).map(|h| var(p, h).positive()));
+        }
+        for h in 0..holes {
+            for p1 in 0..holes {
+                for p2 in p1 + 1..holes {
+                    f.add_clause([var(p1, h).negative(), var(p2, h).negative()]);
+                }
+            }
+        }
+        let pool = SharedClausePool::new();
+        for source in 0..2 {
+            let mut e = default_engine(&f);
+            e.set_sharing(pool.handle(source, SharingConfig::default()));
+            let out = e.solve();
+            assert!(f.is_satisfied_by(out.model().expect("SAT")), "engine {source}");
+        }
     }
 
     #[test]

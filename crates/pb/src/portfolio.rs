@@ -216,52 +216,23 @@ impl CancelMark {
 /// Worker 0 is the plain PBS II preset with seed 0 — *identical* to the
 /// sequential default — so a 1-worker portfolio explores exactly the
 /// sequential search tree. Further workers cycle through the legacy-PBS,
-/// Pueblo and Galena presets (three explanation strategies) and layer
-/// modern-CDCL knobs on top for diversification: adaptive-LBD restarts,
-/// chronological backtracking, rephasing and tiered clause-database
-/// reduction, in distinct combinations per worker. The ladder is ordered
-/// by distance from worker 0's plain PBS II — worker 1 is the *most*
-/// different (legacy-PBS explanations, no phase saving, every modern
-/// knob on), so a narrow 2-worker portfolio on a small host already
-/// spans the extremes of the configuration space. Workers past the
-/// first cycle vary the Luby restart base instead, doubling it every
-/// lap. Every worker carries its index as the diversification seed,
-/// which deterministically perturbs initial phases and VSIDS
-/// tie-breaking. No wall-clock randomness anywhere: the same `n` always
-/// yields the same portfolio.
+/// Pueblo and Galena presets (three explanation strategies) and layer the
+/// per-worker modern-CDCL knobs of [`EngineConfig::diversified`] on top.
+/// The knob ladder is ordered by distance from worker 0's plain PBS II —
+/// worker 1 is the *most* different (legacy-PBS explanations, no phase
+/// saving, every modern knob on), so a narrow 2-worker portfolio on a
+/// small host already spans the extremes of the configuration space.
+/// Every worker carries its index as the diversification seed, which
+/// deterministically perturbs initial phases and VSIDS tie-breaking. No
+/// wall-clock randomness anywhere: the same `n` always yields the same
+/// portfolio.
 pub fn portfolio_configs(n: usize) -> Vec<EngineConfig> {
     const CYCLE: [SolverKind; 4] =
         [SolverKind::PbsII, SolverKind::PbsLegacy, SolverKind::Pueblo, SolverKind::Galena];
     (0..n.max(1))
         .map(|i| {
             let kind = CYCLE[i % CYCLE.len()];
-            let mut c = kind.engine_config().expect("CDCL kind").with_seed(i as u64);
-            match i {
-                // The sequential twin stays byte-identical to the preset.
-                0 => {}
-                1 => {
-                    c.restart = RestartPolicy::AdaptiveLbd { min_interval: 100 };
-                    c.chrono = true;
-                    c.rephase = true;
-                    c.tiered_reduce = true;
-                }
-                2 => {
-                    c.rephase = true;
-                    c.tiered_reduce = true;
-                }
-                3 => {
-                    c.restart = RestartPolicy::AdaptiveLbd { min_interval: 50 };
-                    c.chrono = true;
-                    c.tiered_reduce = true;
-                }
-                _ => {
-                    // Later laps re-run the preset cycle with a doubled Luby
-                    // base per lap and the tiered clause database.
-                    c.restart = RestartPolicy::Luby { base: 50 << ((i / 4).min(10)) };
-                    c.tiered_reduce = true;
-                }
-            }
-            c
+            kind.engine_config().expect("CDCL kind").with_seed(i as u64).diversified(i)
         })
         .collect()
 }

@@ -1,9 +1,9 @@
-//! Clause-arena compaction: equivalence with the lazy-deletion baseline on
-//! a seeded random suite, database invariants, and the bounded-memory
-//! guarantee after many `reduce_db` cycles.
+//! Clause-arena compaction on pure CNF: equivalence with the lazy-deletion
+//! baseline on a seeded random suite, database invariants, and the
+//! bounded-memory guarantee after many `reduce_db` cycles.
 
 use sbgc_formula::{Lit, Var};
-use sbgc_sat::{Budget, SatSolver, SolveOutcome};
+use sbgc_pb::{Budget, EngineConfig, PbEngine, SolveOutcome};
 
 /// SplitMix64 — deterministic seeds without external dependencies.
 struct SplitMix64(u64);
@@ -27,30 +27,25 @@ fn random_3cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Vec<Vec<Lit>> 
     let mut rng = SplitMix64(seed);
     let mut clauses = Vec::with_capacity(num_clauses);
     while clauses.len() < num_clauses {
-        let mut vars = [0usize; 3];
-        vars[0] = rng.below(num_vars as u64) as usize;
-        vars[1] = rng.below(num_vars as u64) as usize;
-        vars[2] = rng.below(num_vars as u64) as usize;
+        let vars = [0; 3].map(|_| rng.below(num_vars as u64) as usize);
         if vars[0] == vars[1] || vars[1] == vars[2] || vars[0] == vars[2] {
             continue;
         }
-        let clause: Vec<Lit> =
-            vars.iter().map(|&v| Var::from_index(v).lit(rng.below(2) == 0)).collect();
-        clauses.push(clause);
+        clauses.push(vars.iter().map(|&v| Var::from_index(v).lit(rng.below(2) == 0)).collect());
     }
     clauses
 }
 
-fn solve_with(num_vars: usize, clauses: &[Vec<Lit>], compact: bool) -> (SolveOutcome, SatSolver) {
-    let mut s = SatSolver::new(num_vars);
-    s.set_compaction(compact);
+fn solve_with(num_vars: usize, clauses: &[Vec<Lit>], compact: bool) -> (SolveOutcome, PbEngine) {
+    let mut e = PbEngine::new(num_vars, EngineConfig::default());
+    e.set_compaction(compact);
     // A tiny reduction limit so even small instances cycle the database.
-    s.set_max_learnts(20.0);
+    e.set_max_learnts(20.0);
     for c in clauses {
-        s.add_clause(c.iter().copied());
+        e.add_clause(c.iter().copied());
     }
-    let out = s.solve();
-    (out, s)
+    let out = e.solve();
+    (out, e)
 }
 
 #[test]
@@ -62,10 +57,10 @@ fn compaction_equivalence_on_seeded_random_suite() {
     let num_clauses = 126;
     for seed in 1..=12u64 {
         let clauses = random_3cnf(num_vars, num_clauses, seed);
-        let (with, s1) = solve_with(num_vars, &clauses, true);
-        let (without, s2) = solve_with(num_vars, &clauses, false);
-        s1.check_invariants();
-        s2.check_invariants();
+        let (with, e1) = solve_with(num_vars, &clauses, true);
+        let (without, e2) = solve_with(num_vars, &clauses, false);
+        e1.check_invariants();
+        e2.check_invariants();
         match (&with, &without) {
             (SolveOutcome::Sat(m1), SolveOutcome::Sat(m2)) => {
                 for (i, c) in clauses.iter().enumerate() {
@@ -76,58 +71,51 @@ fn compaction_equivalence_on_seeded_random_suite() {
             (SolveOutcome::Unsat, SolveOutcome::Unsat) => {}
             (a, b) => panic!("seed {seed}: compaction changed the answer: {a:?} vs {b:?}"),
         }
-        // Compaction keeps the arena free of tombstones.
-        assert_eq!(s1.arena_clauses(), s1.live_clauses(), "seed {seed}");
-        assert_eq!(s1.stats().reclaimed, s1.stats().deleted, "seed {seed}");
+        // Compaction keeps the arena free of tombstones; lazy deletion
+        // keeps every one it made.
+        assert_eq!(e1.arena_clauses(), e1.live_clauses(), "seed {seed}");
+        assert_eq!(e1.stats().reclaimed, e1.stats().deleted, "seed {seed}");
+        assert_eq!(e2.stats().reclaimed, 0, "seed {seed}");
+        if e2.stats().deleted > 0 {
+            assert!(e2.arena_clauses() > e2.live_clauses(), "seed {seed}");
+        }
     }
 }
 
 #[test]
 fn arena_stays_bounded_over_many_reductions() {
     // PHP(9, 8) is far too hard to finish within the conflict budget, so
-    // the solver grinds through ≥ 20 reduce_db cycles; the acceptance
+    // the engine grinds through ≥ 20 reduce_db cycles; the acceptance
     // criterion is that the arena holds no tombstones afterwards (live
     // count == stored count, all deletions physically reclaimed).
     let holes = 8;
     let pigeons = holes + 1;
     let var = |p: usize, h: usize| Var::from_index(p * holes + h);
-    let mut s = SatSolver::new(pigeons * holes);
-    s.set_max_learnts(10.0);
+    let mut e = PbEngine::new(pigeons * holes, EngineConfig::default());
+    e.set_max_learnts(10.0);
     for p in 0..pigeons {
-        s.add_clause((0..holes).map(|h| var(p, h).positive()));
+        e.add_clause((0..holes).map(|h| var(p, h).positive()));
     }
     for h in 0..holes {
         for p1 in 0..pigeons {
             for p2 in p1 + 1..pigeons {
-                s.add_clause([var(p1, h).negative(), var(p2, h).negative()]);
+                e.add_clause([var(p1, h).negative(), var(p2, h).negative()]);
             }
         }
     }
-    let out = s.solve_with_budget(&Budget::unlimited().with_max_conflicts(12_000));
+    let out = e.solve_with_budget(&Budget::unlimited().with_max_conflicts(12_000));
     assert!(!out.is_sat(), "PHP must not be SAT");
-    let st = s.stats();
+    let st = e.stats();
     assert!(st.reductions >= 20, "expected >= 20 reduce_db cycles, got {}", st.reductions);
     assert!(st.deleted > 0);
     assert_eq!(st.reclaimed, st.deleted, "every tombstone must be reclaimed");
-    assert_eq!(s.arena_clauses(), s.live_clauses(), "arena must hold no tombstones");
+    assert_eq!(e.arena_clauses(), e.live_clauses(), "arena must hold no tombstones");
     // Live learned clauses stay within 2x the post-reduction live set.
     let live_learned = (st.learned - st.deleted) as usize;
     assert!(
-        s.live_clauses() <= s.num_vars() * pigeons + 2 * live_learned + 1,
+        e.live_clauses() <= e.num_vars() * pigeons + 2 * live_learned + 1,
         "live {} vs learned-live {live_learned}",
-        s.live_clauses()
+        e.live_clauses()
     );
-    s.check_invariants();
-}
-
-#[test]
-fn lazy_deletion_baseline_accumulates_tombstones() {
-    // Regression guard for the bug this PR fixes: with compaction off the
-    // arena keeps every tombstoned clause.
-    let clauses = random_3cnf(30, 126, 3);
-    let (_, s) = solve_with(30, &clauses, false);
-    if s.stats().deleted > 0 {
-        assert!(s.arena_clauses() > s.live_clauses());
-        assert_eq!(s.stats().reclaimed, 0);
-    }
+    e.check_invariants();
 }

@@ -1,14 +1,54 @@
 //! Randomized cross-checks of the PB engines against brute-force
-//! enumeration: decision agreement, optimization agreement, and agreement
-//! *between* the solver kinds (the paper's "same trends, independent
-//! implementations" premise).
+//! enumeration: decision agreement on pure random k-SAT and on mixed
+//! CNF+PB formulas, optimization agreement, and agreement *between* the
+//! solver kinds (the paper's "same trends, independent implementations"
+//! premise).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sbgc_formula::{Lit, Objective, PbConstraint, PbFormula, Var};
-use sbgc_pb::{optimize, solve_decision, Budget, SolverKind};
+use sbgc_pb::{optimize, solve_decision, Budget, EngineConfig, PbEngine, SolveOutcome, SolverKind};
 use sbgc_sat::naive;
+
+/// A random pure k-CNF formula.
+fn random_ksat(num_vars: usize, num_clauses: usize, k: usize, seed: u64) -> PbFormula {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut f = PbFormula::with_vars(num_vars);
+    for _ in 0..num_clauses {
+        let lits: Vec<Lit> = (0..k)
+            .map(|_| Var::from_index(rng.gen_range(0..num_vars)).lit(rng.gen_bool(0.5)))
+            .collect();
+        f.add_clause(lits);
+    }
+    f
+}
+
+/// Whether the default engine's answer on `f` agrees with enumeration,
+/// with any model it returns checked against `f`.
+fn engine_matches_oracle(f: &PbFormula) -> Result<(), String> {
+    let oracle_sat = naive::solve(f).is_some();
+    match PbEngine::from_formula(f, EngineConfig::default()).solve() {
+        SolveOutcome::Sat(m) if !f.is_satisfied_by(&m) => Err("bogus model".into()),
+        SolveOutcome::Sat(_) if !oracle_sat => Err("engine SAT, oracle UNSAT".into()),
+        SolveOutcome::Unsat if oracle_sat => Err("engine UNSAT, oracle SAT".into()),
+        SolveOutcome::Unknown => Err("unlimited budget returned Unknown".into()),
+        _ => Ok(()),
+    }
+}
+
+#[test]
+fn engine_agrees_with_oracle_on_random_ksat() {
+    // Ratio ~3.75 straddles the 3-SAT threshold; ratio ~8 is
+    // overwhelmingly UNSAT and exercises the conflict-analysis path.
+    let regimes = [(0..200u64, 8, 30), (1000..1060, 7, 56)];
+    for (seeds, num_vars, num_clauses) in regimes {
+        for seed in seeds {
+            let f = random_ksat(num_vars, num_clauses, 3, seed);
+            engine_matches_oracle(&f).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+    }
+}
 
 /// A random mixed CNF+PB formula over `n` variables.
 fn random_pb_formula(n: usize, seed: u64, with_objective: bool) -> PbFormula {
@@ -101,6 +141,38 @@ fn optimization_agrees_with_oracle_for_all_kinds() {
         }
     }
     assert!(optimized > 50, "too few optimization cases exercised: {optimized}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// SAT/UNSAT on small random 3-SAT agrees with enumeration, and any
+    /// model satisfies the formula.
+    #[test]
+    fn prop_engine_matches_enumeration_on_ksat(
+        num_vars in 1usize..8,
+        num_clauses in 0usize..24,
+        seed in any::<u64>(),
+    ) {
+        let f = random_ksat(num_vars, num_clauses, 3, seed);
+        let verdict = engine_matches_oracle(&f);
+        prop_assert!(verdict.is_ok(), "{verdict:?}");
+    }
+
+    /// Adding a clause the oracle's model satisfies never makes a
+    /// satisfiable formula unsatisfiable.
+    #[test]
+    fn prop_adding_model_clause_keeps_sat(
+        num_vars in 2usize..7,
+        num_clauses in 1usize..16,
+        seed in any::<u64>(),
+    ) {
+        let mut f = random_ksat(num_vars, num_clauses, 3, seed);
+        if let Some(model) = naive::solve(&f) {
+            f.add_clause(model.iter_assigned().map(|(v, b)| v.lit(!b)).collect::<Vec<Lit>>());
+            prop_assert!(PbEngine::from_formula(&f, EngineConfig::default()).solve().is_sat());
+        }
+    }
 }
 
 proptest! {

@@ -37,8 +37,8 @@ impl CancelToken {
 
 /// Why a budgeted solve stopped before reaching a definitive answer.
 ///
-/// Solvers record the first reason observed on the stride-64 budget path in
-/// their stats (`SolverStats::exhaust` / `PbStats::exhaust`), and the value
+/// The engine records the first reason observed on the stride-64 budget
+/// path in its stats (`PbStats::exhaust` in `sbgc-pb`), and the value
 /// flows up through portfolio telemetry and run reports so that a timeout,
 /// a memory cap and an external cancellation are distinguishable after the
 /// fact — the paper reports timeouts as *data*, and so do we.
@@ -130,9 +130,9 @@ impl Budget {
 
     /// Caps the clause-arena footprint, in bytes.
     ///
-    /// Both `SatSolver` and `PbEngine` keep a running estimate of the bytes
-    /// held by their constraint arenas and compare it against this cap on
-    /// the same stride-64 path as the other budget checks. Exceeding the
+    /// The engine (`PbEngine` in `sbgc-pb`) keeps a running estimate of the
+    /// bytes held by its constraint arenas and compares it against this cap
+    /// on the same stride-64 path as the other budget checks. Exceeding the
     /// cap ends the solve with [`ExhaustReason::Memory`]; learned-clause
     /// reductions and arena compaction can bring a solver back under the
     /// cap before the next check, so the limit bounds the *steady-state*

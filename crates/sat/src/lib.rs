@@ -1,61 +1,48 @@
-//! A conflict-driven clause-learning (CDCL) SAT solver.
+//! Search-control primitives for the workspace's CDCL engine.
 //!
-//! This crate implements the Chaff-class engine (Moskewicz et al. 2001) the
-//! paper's pseudo-Boolean solvers are built on: Davis–Logemann–Loveland
-//! backtrack search extended with
+//! The Chaff-class engine itself (Moskewicz et al. 2001) is `PbEngine` in
+//! `sbgc-pb`: two-watched-literal propagation, first-UIP learning, VSIDS,
+//! phase saving, restarts and clause-database reduction, extended with
+//! counter-based pseudo-Boolean propagation. It solves pure CNF as the
+//! special case with no PB constraints. This crate holds the pieces around
+//! it that carry no engine state:
 //!
-//! * two-watched-literal Boolean constraint propagation,
-//! * first-UIP conflict analysis with clause learning and non-chronological
-//!   backjumping (optionally chronological for deep jumps, à la recent
-//!   CDCL solvers),
-//! * VSIDS (variable state independent decaying sum) decision heuristic,
-//! * phase saving with an optional rephasing schedule,
-//! * configurable restarts (Luby, geometric, or LBD-adaptive — see
-//!   [`RestartPolicy`]), and
-//! * learned-clause database reduction, by activity or by LBD tiering.
-//!
-//! For parallel portfolios the solver can exchange learned clauses with
-//! peers through a [`SharedClausePool`] (see the [`sharing`] module docs
-//! for the locking discipline).
-//!
-//! It solves pure-CNF decision problems; the mixed CNF+PB optimization
-//! engine lives in `sbgc-pb` and shares the same architecture.
+//! * [`Budget`] and [`CancelToken`] — conflict, wall-clock and memory caps
+//!   plus cooperative cancellation, with [`ExhaustReason`] naming which
+//!   one stopped a solve;
+//! * [`RestartPolicy`], [`GlueEma`] and the [`Luby`] sequence — restart
+//!   schedules;
+//! * [`SharedClausePool`] — learned-clause exchange between portfolio
+//!   workers (see the [`sharing`] module docs for the locking discipline);
+//! * [`SolveOutcome`] — the Sat / Unsat / Unknown answer of a solve;
+//! * [`naive`] — brute-force reference solvers that tests compare the
+//!   engine against.
 //!
 //! # Example
 //!
 //! ```
-//! use sbgc_formula::{PbFormula, Var};
-//! use sbgc_sat::{SatSolver, SolveOutcome};
+//! use sbgc_sat::{Budget, CancelToken, ExhaustReason};
 //!
-//! let mut f = PbFormula::new();
-//! let a = f.new_var().positive();
-//! let b = f.new_var().positive();
-//! f.add_clause([a, b]);
-//! f.add_clause([!a, b]);
-//! f.add_clause([a, !b]);
-//!
-//! let mut solver = SatSolver::from_formula(&f).expect("pure CNF");
-//! match solver.solve() {
-//!     SolveOutcome::Sat(model) => {
-//!         assert!(f.is_satisfied_by(&model));
-//!     }
-//!     other => panic!("expected SAT, got {other:?}"),
-//! }
+//! let race = CancelToken::new();
+//! let budget = Budget::unlimited().with_max_conflicts(1_000).with_cancel_token(race.clone());
+//! assert_eq!(budget.exhaust_reason(10, 0), None);
+//! assert_eq!(budget.exhaust_reason(1_000, 0), Some(ExhaustReason::Conflicts));
+//! race.cancel();
+//! assert_eq!(budget.exhaust_reason(10, 0), Some(ExhaustReason::Cancelled));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod budget;
-mod heap;
 mod luby;
 pub mod naive;
+mod outcome;
 mod restart;
 pub mod sharing;
-mod solver;
 
 pub use budget::{Budget, CancelToken, ExhaustReason};
 pub use luby::Luby;
+pub use outcome::SolveOutcome;
 pub use restart::{GlueEma, RestartPolicy};
 pub use sharing::{SharedClausePool, SharingConfig, SharingHandle};
-pub use solver::{SatSolver, SolveOutcome, SolverStats};

@@ -2,8 +2,8 @@
 //!
 //! These enumerate all `2^n` assignments and are only suitable for tiny
 //! formulas, but they are obviously correct — the property-based tests in
-//! this workspace cross-check the CDCL engine (and the PB engine in
-//! `sbgc-pb`) against them.
+//! this workspace cross-check the CDCL engine in `sbgc-pb` against them,
+//! on pure CNF and on mixed CNF + PB formulas.
 
 use sbgc_formula::{Assignment, PbFormula};
 

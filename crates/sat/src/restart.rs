@@ -1,9 +1,7 @@
-//! Restart schedules shared by the CDCL cores.
+//! Restart schedules for the CDCL engine.
 //!
-//! The policy enum used to live in `sbgc-pb`; it moved here so the plain
-//! SAT solver can be diversified with the same knobs (the portfolio runs
-//! both engines with per-worker restart strategies). `sbgc-pb::config`
-//! re-exports it, so existing imports keep working.
+//! `sbgc-pb::config` re-exports [`RestartPolicy`], so engine users import
+//! it from there.
 
 use crate::luby::Luby;
 

@@ -1,18 +1,16 @@
-//! The four ways this library can pin down a chromatic number, compared on
-//! one instance:
+//! The three ways this library can pin down a chromatic number, compared
+//! on one instance:
 //!
-//! 1. one 0-1 ILP **optimization** run (`chromatic_number`, the paper's
-//!    main flow);
+//! 1. **incremental** search (`chromatic_number`): one solver, color
+//!    budget tightened via assumptions, learned clauses reused (our
+//!    extension of the paper's flow);
 //! 2. repeated **decision** queries, linear search over K (paper §4.1);
-//! 3. repeated decision queries, **binary** search over K (paper §4.1);
-//! 4. **incremental** search: one solver, color budget tightened via
-//!    assumptions, learned clauses reused (our extension).
+//! 3. repeated decision queries, **binary** search over K (paper §4.1).
 //!
 //! Run with: `cargo run --release --example chromatic_search`
 
 use sbgc_core::{
-    chromatic_number, chromatic_number_by_decision, chromatic_number_incremental, SbpMode,
-    SearchStrategy, SolveOptions,
+    chromatic_number, chromatic_number_by_decision, SbpMode, SearchStrategy, SolveOptions,
 };
 use sbgc_graph::gen::queens;
 use std::time::Instant;
@@ -32,17 +30,16 @@ fn main() {
         println!("{name:<28} chi = {chi:?}   in {:?}", start.elapsed());
     };
 
-    timed("optimization (paper flow)", &|| chromatic_number(&graph, &options).exact());
+    timed("incremental (assumptions)", &|| chromatic_number(&graph, &options).exact());
     timed("decision, linear search", &|| {
         chromatic_number_by_decision(&graph, &options, SearchStrategy::Linear).exact()
     });
     timed("decision, binary search", &|| {
         chromatic_number_by_decision(&graph, &options, SearchStrategy::Binary).exact()
     });
-    timed("incremental (assumptions)", &|| chromatic_number_incremental(&graph, &options).exact());
 
     println!(
-        "\nAll four must agree; the incremental variant reuses one solver\n\
+        "\nAll three must agree; the incremental search reuses one solver\n\
          instance across the K-tightening steps, so conflict clauses learned\n\
          while refuting K colors help refute K-1."
     );

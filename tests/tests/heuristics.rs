@@ -12,9 +12,8 @@
 
 use proptest::prelude::*;
 use sbgc_core::{
-    bounds, chromatic_number_by_decision, chromatic_number_incremental_outcome,
-    chromatic_number_outcome, race_heuristics, ChromaticBounds, Coloring, SearchStrategy,
-    SolveOptions,
+    bounds, chromatic_number_by_decision, chromatic_number_outcome, race_heuristics,
+    ChromaticBounds, Coloring, SearchStrategy, SolveOptions,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_graph::{algo, Graph};
@@ -57,11 +56,6 @@ fn backtracking_dsatur_agrees_with_every_exact_path() {
         let exact = chromatic_number_outcome(&g, &SolveOptions::new(20).without_heuristics())
             .expect("valid input");
         assert_eq!(exact.exact(), Some(chi), "{name}: exact-only ladder");
-
-        // Incremental entry point.
-        let incremental =
-            chromatic_number_incremental_outcome(&g, &SolveOptions::new(20)).expect("valid input");
-        assert_eq!(incremental.exact(), Some(chi), "{name}: incremental");
 
         // Decision search (per-K re-encode; ignores the heuristics flag).
         let decision =

@@ -10,8 +10,8 @@
 //! still certify.
 
 use sbgc_core::{
-    chromatic_number_certified, chromatic_number_incremental_outcome, chromatic_number_outcome,
-    ColoringEncoding, ColoringSession, Graph, SessionAnswer, SolveOptions,
+    chromatic_number_certified, chromatic_number_outcome, ColoringEncoding, ColoringSession, Graph,
+    SessionAnswer, SolveOptions,
 };
 use sbgc_formula::Lit;
 use sbgc_graph::gen::{gnp, mycielski, queens};
@@ -45,13 +45,12 @@ fn incremental_portfolio_sequential_and_oneshot_agree() {
         assert_eq!(oneshot.exact(), Some(chi), "{name}: one-shot optimization");
 
         // Sequential incremental ladder.
-        let seq = chromatic_number_incremental_outcome(&graph, &SolveOptions::new(20))
-            .expect("valid inputs");
+        let seq = chromatic_number_outcome(&graph, &SolveOptions::new(20)).expect("valid inputs");
         assert_eq!(seq.exact(), Some(chi), "{name}: sequential incremental");
         assert!(seq.witness().is_proper(&graph), "{name}: sequential witness");
 
         // Persistent-portfolio incremental ladder.
-        let par = chromatic_number_incremental_outcome(
+        let par = chromatic_number_outcome(
             &graph,
             &SolveOptions::new(20).with_solver(SolverKind::Portfolio),
         )

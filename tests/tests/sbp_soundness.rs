@@ -12,8 +12,8 @@
 //! certification.
 
 use sbgc_core::{
-    chromatic_number_certified, chromatic_number_incremental_outcome, ColoringSession, Graph,
-    SbpMode, SessionAnswer, SolveOptions,
+    chromatic_number_certified, chromatic_number_outcome, ColoringSession, Graph, SbpMode,
+    SessionAnswer, SolveOptions,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_pb::{Budget, SolverKind};
@@ -38,15 +38,11 @@ fn orbitope_and_value_prec_preserve_chi_on_the_quick_suite() {
     // only symmetric duplicates, never a whole color-class partition, so
     // χ under Orbitope/ValPrec must equal χ under no SBPs at all.
     for (name, graph, chi) in quick_graphs() {
-        let baseline =
-            chromatic_number_incremental_outcome(&graph, &SolveOptions::new(20)).expect("valid");
+        let baseline = chromatic_number_outcome(&graph, &SolveOptions::new(20)).expect("valid");
         assert_eq!(baseline.exact(), Some(chi), "{name}: baseline");
         for mode in [SbpMode::Orbitope, SbpMode::ValuePrec] {
-            let out = chromatic_number_incremental_outcome(
-                &graph,
-                &SolveOptions::new(20).with_sbp_mode(mode),
-            )
-            .expect("valid");
+            let out = chromatic_number_outcome(&graph, &SolveOptions::new(20).with_sbp_mode(mode))
+                .expect("valid");
             assert_eq!(out.exact(), Some(chi), "{name} under {}", mode.display_name());
             assert!(
                 out.witness().is_proper(&graph),
@@ -66,11 +62,8 @@ fn every_extended_mode_agrees_on_chi() {
         [("myciel3", mycielski(3), 4usize), ("gnp16", gnp(16, 0.5, 7), 5usize)]
     {
         for mode in SbpMode::EXTENDED {
-            let out = chromatic_number_incremental_outcome(
-                &graph,
-                &SolveOptions::new(20).with_sbp_mode(mode),
-            )
-            .expect("valid");
+            let out = chromatic_number_outcome(&graph, &SolveOptions::new(20).with_sbp_mode(mode))
+                .expect("valid");
             assert_eq!(out.exact(), Some(chi), "{name} under {}", mode.display_name());
         }
     }
@@ -90,17 +83,13 @@ fn incremental_ladder_under_orbitope_matches_portfolio_and_oneshot() {
             "{} must route through the persistent session",
             mode.display_name()
         );
-        let seq = chromatic_number_incremental_outcome(&graph, &opts).expect("valid");
-        let par = chromatic_number_incremental_outcome(
-            &graph,
-            &opts.clone().with_solver(SolverKind::Portfolio),
-        )
-        .expect("valid");
-        let oneshot = chromatic_number_incremental_outcome(
-            &graph,
-            &opts.clone().with_solver(SolverKind::Cplex),
-        )
-        .expect("valid");
+        let seq = chromatic_number_outcome(&graph, &opts).expect("valid");
+        let par =
+            chromatic_number_outcome(&graph, &opts.clone().with_solver(SolverKind::Portfolio))
+                .expect("valid");
+        let oneshot =
+            chromatic_number_outcome(&graph, &opts.clone().with_solver(SolverKind::Cplex))
+                .expect("valid");
         assert_eq!(seq.exact(), Some(7), "{}: sequential ladder", mode.display_name());
         assert_eq!(par.exact(), Some(7), "{}: portfolio ladder", mode.display_name());
         assert_eq!(oneshot.exact(), Some(7), "{}: one-shot fallback", mode.display_name());
