@@ -682,6 +682,38 @@ mod tests {
     }
 
     #[test]
+    fn certifier_worker_zero_runs_the_pbs2_preset() {
+        let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
+        let engine = certifier(num_vars, &clauses, 0, Box::new(SharedProof::new()));
+        assert_eq!(Some(engine.config()), SolverKind::PbsII.engine_config());
+        assert_eq!(engine.num_vars(), num_vars);
+        let racer = certifier(num_vars, &clauses, 1, Box::new(SharedProof::new()));
+        assert_ne!(racer.config(), engine.config(), "racing workers are diversified");
+    }
+
+    #[test]
+    fn unsat_outcome_with_a_non_refuting_log_is_rejected() {
+        // An engine claiming UNSAT whose log does not derive the empty
+        // clause must not be certified.
+        let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
+        let (status, proof) =
+            check_outcome(SolveOutcome::Unsat, num_vars, &clauses, DratProof::new(), 0.0);
+        assert!(matches!(status, ProofStatus::Rejected { .. }), "{status}");
+        assert!(proof.is_some(), "the rejected log is kept for inspection");
+    }
+
+    #[test]
+    fn sequential_sat_formula_stays_unchecked() {
+        let f = unsat_cnf(&Graph::cycle(6), 2); // even cycle IS 2-colorable
+        let (status, proof) = certify_unsat_formula(&f, &Budget::unlimited());
+        match status {
+            ProofStatus::Unchecked { reason } => assert!(reason.contains("satisfiable")),
+            other => panic!("expected Unchecked, got {other}"),
+        }
+        assert!(proof.is_none());
+    }
+
+    #[test]
     fn budget_exhaustion_reports_unchecked() {
         let (num_vars, clauses) = cnf_decision_formula(&queens(6, 6), 6);
         let mut f = PbFormula::with_vars(num_vars);

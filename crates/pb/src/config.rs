@@ -218,6 +218,49 @@ mod tests {
     }
 
     #[test]
+    fn diversified_worker_zero_is_unchanged() {
+        for kind in SolverKind::APPENDIX {
+            if let Some(config) = kind.engine_config() {
+                assert_eq!(config.diversified(0), config, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn diversified_first_workers_are_distinct() {
+        let base = EngineConfig::default();
+        let configs: Vec<_> = (0..5).map(|w| base.diversified(w)).collect();
+        for i in 0..configs.len() {
+            for j in i + 1..configs.len() {
+                assert_ne!(configs[i], configs[j], "workers {i} and {j} identical");
+            }
+        }
+    }
+
+    #[test]
+    fn diversified_keeps_seed_and_explanation() {
+        let base = EngineConfig {
+            explain: ExplainStrategy::GreedyRecency,
+            ..EngineConfig::default().with_seed(42)
+        };
+        for worker in 0..12 {
+            let config = base.diversified(worker);
+            assert_eq!(config.seed, 42, "worker {worker}");
+            assert_eq!(config.explain, ExplainStrategy::GreedyRecency, "worker {worker}");
+        }
+    }
+
+    #[test]
+    fn diversified_luby_base_doubles_every_four_workers() {
+        let base = EngineConfig::default();
+        for (worker, expected) in [(4, 100), (7, 100), (8, 200), (12, 400), (1000, 50 << 10)] {
+            let config = base.diversified(worker);
+            assert_eq!(config.restart, RestartPolicy::Luby { base: expected }, "worker {worker}");
+            assert!(config.tiered_reduce, "worker {worker}");
+        }
+    }
+
+    #[test]
     fn display_names_are_unique() {
         let mut names: Vec<_> = SolverKind::APPENDIX.iter().map(|k| k.display_name()).collect();
         names.sort_unstable();

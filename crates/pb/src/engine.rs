@@ -369,6 +369,26 @@ impl PbEngine {
     /// deltas to it every 64 conflicts (the budget-check stride) and on
     /// solve exit. The default disabled recorder costs one branch per
     /// stride.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sbgc_formula::PbFormula;
+    /// use sbgc_obs::{Counter, Recorder};
+    /// use sbgc_pb::{EngineConfig, PbEngine};
+    ///
+    /// let mut f = PbFormula::new();
+    /// let a = f.new_var().positive();
+    /// let b = f.new_var().positive();
+    /// f.add_clause([a, b]);
+    /// f.add_clause([!a, b]);
+    ///
+    /// let recorder = Recorder::new();
+    /// let mut engine = PbEngine::from_formula(&f, EngineConfig::default());
+    /// engine.set_recorder(recorder.clone());
+    /// engine.solve();
+    /// assert_eq!(recorder.counter(Counter::Propagations), engine.stats().propagations);
+    /// ```
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -1676,31 +1696,49 @@ mod tests {
         (pigeons * holes, clauses)
     }
 
-    #[test]
-    fn pure_cnf_refutation_proof_checks() {
-        for holes in 2..=4 {
-            let (n, clauses) = clausal_pigeonhole(holes);
-            let shared = sbgc_proof::SharedProof::new();
-            let mut e = PbEngine::new(n, EngineConfig::default());
-            e.set_proof_logger(Box::new(shared.clone()));
-            for c in &clauses {
-                e.add_clause(c.iter().copied());
-            }
-            assert!(e.solve().is_unsat(), "PHP({})", holes + 1);
-            e.check_invariants();
-            let proof = shared.take();
-            assert!(proof.num_adds() > 0, "PHP({}) proof must contain lemmas", holes + 1);
-            sbgc_proof::check_drat(n, &clauses, &proof).expect("engine proof must check");
+    /// A pure-CNF engine with `config`, loaded with `clauses`.
+    fn clausal_engine(num_vars: usize, clauses: &[Vec<Lit>], config: EngineConfig) -> PbEngine {
+        let mut e = PbEngine::new(num_vars, config);
+        for c in clauses {
+            e.add_clause(c.iter().copied());
         }
+        e
+    }
+
+    fn lit(i: usize, neg: bool) -> Lit {
+        Var::from_index(i).lit(neg)
     }
 
     #[test]
-    fn clausal_edge_cases() {
-        let lit = |i: usize, neg: bool| Var::from_index(i).lit(neg);
-        // The empty clause refutes at once.
+    fn trivially_sat() {
+        let mut e = PbEngine::new(1, EngineConfig::default());
+        e.add_clause([lit(0, false)]);
+        assert!(e.solve().is_sat());
+    }
+
+    #[test]
+    fn trivially_unsat() {
+        let mut e = PbEngine::new(1, EngineConfig::default());
+        e.add_clause([lit(0, false)]);
+        e.add_clause([lit(0, true)]);
+        assert!(e.solve().is_unsat());
+    }
+
+    #[test]
+    fn empty_clause_is_unsat() {
         let mut e = PbEngine::new(1, EngineConfig::default());
         e.add_clause(std::iter::empty());
         assert!(e.solve().is_unsat());
+    }
+
+    #[test]
+    fn no_clauses_is_sat() {
+        let mut e = PbEngine::new(3, EngineConfig::default());
+        assert!(e.solve().is_sat());
+    }
+
+    #[test]
+    fn chain_of_implications() {
         // x0, x0 -> x1, ..., x8 -> x9: root propagation forces every link.
         let mut e = PbEngine::new(10, EngineConfig::default());
         e.add_clause([lit(0, false)]);
@@ -1709,6 +1747,55 @@ mod tests {
         }
         let m = e.solve().model().cloned().expect("SAT");
         assert!((0..10).all(|i| m.satisfies(lit(i, false))));
+    }
+
+    #[test]
+    fn unsat_xor_chain() {
+        // x0 != x1, x1 != x2, x2 != x0 (an odd cycle of XORs): UNSAT.
+        let mut e = PbEngine::new(3, EngineConfig::default());
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            e.add_clause([lit(a, false), lit(b, false)]);
+            e.add_clause([lit(a, true), lit(b, true)]);
+        }
+        assert!(e.solve().is_unsat());
+    }
+
+    #[test]
+    fn pigeonhole_unsat() {
+        for holes in 2..=5 {
+            let (n, clauses) = clausal_pigeonhole(holes);
+            let mut e = clausal_engine(n, &clauses, EngineConfig::default());
+            assert!(e.solve().is_unsat(), "PHP({}) must be UNSAT", holes + 1);
+        }
+    }
+
+    #[test]
+    fn model_satisfies_formula() {
+        // A small satisfiable 3-SAT instance; any model returned must hold.
+        let mut f = PbFormula::with_vars(8);
+        let cls: [[i64; 3]; 10] = [
+            [1, -2, 3],
+            [-1, 2, 4],
+            [2, -3, -4],
+            [5, 6, -7],
+            [-5, -6, 8],
+            [1, 7, -8],
+            [-2, -7, 8],
+            [3, -5, 7],
+            [-3, 4, -6],
+            [-1, -4, 6],
+        ];
+        for c in cls {
+            f.add_clause(c.iter().map(|&d| Lit::from_dimacs(d)));
+        }
+        match default_engine(&f).solve() {
+            SolveOutcome::Sat(m) => assert!(f.is_satisfied_by(&m)),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn incremental_clause_addition() {
         // Clauses added between solves keep tightening the same engine.
         let mut e = PbEngine::new(2, EngineConfig::default());
         e.add_clause([lit(0, false), lit(1, false)]);
@@ -1720,46 +1807,71 @@ mod tests {
     }
 
     #[test]
-    fn conflict_budget_stops_with_reason() {
+    fn assumptions_work_incrementally() {
+        let mut e = PbEngine::new(3, EngineConfig::default());
+        e.add_clause([lit(0, false), lit(1, false), lit(2, false)]);
+        // Assume all false: UNSAT, but only relative to the assumptions.
+        let all_false = [lit(0, true), lit(1, true), lit(2, true)];
+        assert!(e.solve_with_assumptions(&all_false, &Budget::unlimited()).is_unsat());
+        // Drop one assumption: SAT, with the remaining literal true.
+        let out = e.solve_with_assumptions(&all_false[..2], &Budget::unlimited());
+        assert!(out.model().expect("SAT").satisfies(lit(2, false)));
+        assert!(e.solve().is_sat());
+    }
+
+    #[test]
+    fn budget_returns_unknown() {
         let (n, clauses) = clausal_pigeonhole(7);
-        let mut e = PbEngine::new(n, EngineConfig::default());
-        for c in &clauses {
-            e.add_clause(c.iter().copied());
-        }
+        let mut e = clausal_engine(n, &clauses, EngineConfig::default());
+        let b = Budget::unlimited().with_max_conflicts(1);
+        assert!(matches!(e.solve_with_budget(&b), SolveOutcome::Unknown));
+    }
+
+    #[test]
+    fn budget_exhaust_reason_conflicts() {
+        let (n, clauses) = clausal_pigeonhole(7);
+        let mut e = clausal_engine(n, &clauses, EngineConfig::default());
         let b = Budget::unlimited().with_max_conflicts(1);
         assert!(matches!(e.solve_with_budget(&b), SolveOutcome::Unknown));
         assert_eq!(e.stats().exhaust, Some(ExhaustReason::Conflicts));
-        // A definitive follow-up answer clears the status.
+    }
+
+    #[test]
+    fn definitive_answer_clears_exhaust() {
         let (n, clauses) = clausal_pigeonhole(4);
-        let mut e = PbEngine::new(n, EngineConfig::default());
-        for c in &clauses {
-            e.add_clause(c.iter().copied());
-        }
-        let _ = e.solve_with_budget(&b);
+        let mut e = clausal_engine(n, &clauses, EngineConfig::default());
+        let _ = e.solve_with_budget(&Budget::unlimited().with_max_conflicts(1));
         assert!(e.stats().exhaust.is_some());
         assert!(e.solve().is_unsat());
         assert_eq!(e.stats().exhaust, None);
     }
 
     #[test]
-    fn arena_bytes_track_clause_additions() {
-        let lit = |i: usize| Var::from_index(i).positive();
+    fn stats_accumulate() {
+        let (n, clauses) = clausal_pigeonhole(4);
+        let mut e = clausal_engine(n, &clauses, EngineConfig::default());
+        let _ = e.solve();
+        let st = e.stats();
+        assert!(st.conflicts > 0);
+        assert!(st.propagations > 0);
+        assert_eq!(st.pb_conflicts, 0, "pure CNF never resolves on a PB constraint");
+    }
+
+    #[test]
+    fn arena_bytes_tracks_additions_and_compaction() {
         let mut e = PbEngine::new(3, EngineConfig::default());
         assert_eq!(e.arena_bytes(), 0);
-        e.add_clause([lit(0), lit(1)]);
+        e.add_clause([lit(0, false), lit(1, false)]);
         let after_one = e.arena_bytes();
         assert!(after_one > 0);
-        e.add_clause([!lit(0), lit(2)]);
+        e.add_clause([lit(0, true), lit(2, false)]);
         assert!(e.arena_bytes() > after_one);
     }
 
     #[test]
     fn lbd_is_tracked_for_learned_clauses() {
         let (n, clauses) = clausal_pigeonhole(5);
-        let mut e = PbEngine::new(n, EngineConfig::default());
-        for c in &clauses {
-            e.add_clause(c.iter().copied());
-        }
+        let mut e = clausal_engine(n, &clauses, EngineConfig::default());
         assert!(e.solve().is_unsat());
         let st = e.stats();
         assert!(st.learned > 0);
@@ -1768,17 +1880,67 @@ mod tests {
     }
 
     #[test]
-    fn activity_heap_pops_in_activity_order() {
-        let mut activity = vec![0.5, 2.0, 1.0, 3.0];
+    fn chrono_backjumps_stay_correct_with_tiny_threshold() {
+        // The shipped threshold is high; the machinery itself is exercised
+        // by forcing frequent reductions + restarts on a larger instance.
+        let (n, clauses) = clausal_pigeonhole(6);
+        let config = EngineConfig {
+            chrono: true,
+            restart: RestartPolicy::Luby { base: 8 },
+            ..EngineConfig::default()
+        };
+        let mut e = clausal_engine(n, &clauses, config);
+        e.set_max_learnts(20.0);
+        assert!(e.solve().is_unsat());
+        e.check_invariants();
+    }
+
+    #[test]
+    fn tiered_reduction_protects_core_clauses() {
+        let (n, clauses) = clausal_pigeonhole(6);
+        let config = EngineConfig { tiered_reduce: true, ..EngineConfig::default() };
+        let mut e = clausal_engine(n, &clauses, config);
+        e.set_max_learnts(20.0);
+        assert!(e.solve().is_unsat());
+        assert!(e.stats().reductions > 0, "reduction must have run");
+        // The invariant check covers the surviving learned clauses with
+        // LBD <= 2: no core clause was ever tombstoned.
+        e.check_invariants();
+    }
+
+    #[test]
+    fn pops_in_activity_order() {
+        let activity = vec![0.5, 2.0, 1.0, 3.0];
         let mut h = ActivityHeap::with_capacity(4);
         for v in 0..4 {
             h.insert(v, &activity);
-            h.insert(v, &activity); // re-inserting a present variable is a no-op
+        }
+        let order: Vec<usize> = std::iter::from_fn(|| h.pop_max(&activity)).collect();
+        assert_eq!(order, vec![3, 1, 2, 0]);
+    }
+
+    #[test]
+    fn insert_is_idempotent() {
+        let activity = vec![1.0, 2.0];
+        let mut h = ActivityHeap::with_capacity(2);
+        h.insert(0, &activity);
+        h.insert(0, &activity);
+        h.insert(1, &activity);
+        assert_eq!(h.pop_max(&activity), Some(1));
+        assert_eq!(h.pop_max(&activity), Some(0));
+        assert_eq!(h.pop_max(&activity), None);
+    }
+
+    #[test]
+    fn increased_restores_order() {
+        let mut activity = vec![1.0, 2.0, 3.0];
+        let mut h = ActivityHeap::with_capacity(3);
+        for v in 0..3 {
+            h.insert(v, &activity);
         }
         activity[0] = 10.0;
         h.increased(0, &activity);
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop_max(&activity)).collect();
-        assert_eq!(order, vec![0, 3, 1, 2]);
+        assert_eq!(h.pop_max(&activity), Some(0));
     }
 
     /// Mixed CNF+PB pigeonhole (UNSAT), the engine's hardest small case.
@@ -1854,6 +2016,25 @@ mod tests {
         b.set_sharing(pool.handle(1, SharingConfig::default()));
         assert!(b.solve().is_unsat());
         assert!(b.stats().imported > 0, "peer clauses must be imported");
+        b.check_invariants();
+    }
+
+    #[test]
+    fn sharing_relays_clauses_between_solvers() {
+        // The pure-CNF counterpart of the mixed test above: every conflict
+        // is clausal, so exports and imports go through clause analysis only.
+        use sbgc_sat::{SharedClausePool, SharingConfig};
+        let (n, clauses) = clausal_pigeonhole(5);
+        let pool = SharedClausePool::new();
+        let mut a = clausal_engine(n, &clauses, EngineConfig::default());
+        a.set_sharing(pool.handle(0, SharingConfig::default()));
+        assert!(a.solve().is_unsat());
+        assert!(a.stats().exported > 0, "refuting PHP(6,5) must export glue clauses");
+        assert_eq!(a.stats().imported, 0, "own exports are never re-imported");
+        let mut b = clausal_engine(n, &clauses, EngineConfig::default());
+        b.set_sharing(pool.handle(1, SharingConfig::default()));
+        assert!(b.solve().is_unsat());
+        assert!(b.stats().imported > 0, "peer clauses must be imported at solve start");
         b.check_invariants();
     }
 

@@ -50,20 +50,36 @@ fn refute(num_vars: usize, clauses: &[Vec<Lit>], setup: impl Fn(&mut PbEngine)) 
 }
 
 #[test]
+fn pigeonhole_proofs_check() {
+    for holes in 2..=4 {
+        let (n, clauses) = pigeonhole(holes);
+        let proof = refute(n, &clauses, |_| {});
+        let stats = check_drat(n, &clauses, &proof)
+            .unwrap_or_else(|e| panic!("PHP({}) proof rejected: {e}", holes + 1));
+        assert!(stats.adds > 0, "PHP({}) proof must contain lemmas", holes + 1);
+    }
+}
+
+#[test]
 fn proof_with_deletions_checks() {
     // Force aggressive database reduction so the proof carries `d` lines,
-    // exercising deletion replay in the checker; with compaction off the
-    // same deletions must replay against the lazily tombstoned arena.
+    // exercising deletion replay in the checker.
     let (n, clauses) = pigeonhole(5);
-    for compact in [true, false] {
-        let proof = refute(n, &clauses, |e| {
-            e.set_max_learnts(10.0);
-            e.set_compaction(compact);
-        });
-        assert!(proof.num_deletes() > 0, "reduction should have produced deletions");
-        check_drat(n, &clauses, &proof)
-            .unwrap_or_else(|e| panic!("compact={compact}: proof with deletions rejected: {e}"));
-    }
+    let proof = refute(n, &clauses, |e| e.set_max_learnts(10.0));
+    assert!(proof.num_deletes() > 0, "reduction should have produced deletions");
+    check_drat(n, &clauses, &proof).expect("proof with deletions must check");
+}
+
+#[test]
+fn proof_checks_with_compaction_disabled() {
+    // The same deletions must replay against the lazily tombstoned arena.
+    let (n, clauses) = pigeonhole(5);
+    let proof = refute(n, &clauses, |e| {
+        e.set_max_learnts(10.0);
+        e.set_compaction(false);
+    });
+    assert!(proof.num_deletes() > 0, "reduction should have produced deletions");
+    check_drat(n, &clauses, &proof).expect("lazy-deletion proof must check");
 }
 
 #[test]
@@ -129,14 +145,18 @@ fn incremental_solving_keeps_proof_valid() {
 }
 
 #[test]
-fn sat_and_budget_truncated_logs_do_not_refute() {
-    // A satisfiable instance logs no refutation.
+fn sat_outcome_leaves_proof_unrefuting() {
+    // On a satisfiable instance the log holds lemmas but no refutation.
     let clauses: Vec<Vec<Lit>> =
         vec![vec![Var::from_index(0).positive(), Var::from_index(1).positive()]];
     let (mut engine, shared) = logged(2, &clauses, |_| {});
     assert!(engine.solve().is_sat());
     assert_eq!(check_drat(2, &clauses, &shared.take()), Err(CheckError::NotUnsat));
-    // Neither does an UNSAT instance cut short by its budget.
+}
+
+#[test]
+fn budget_timeout_proof_is_partial_not_refuting() {
+    // An UNSAT instance cut short by its budget logs no refutation either.
     let (n, clauses) = pigeonhole(7);
     let (mut engine, shared) = logged(n, &clauses, |_| {});
     let out = engine.solve_with_budget(&Budget::unlimited().with_max_conflicts(50));

@@ -32,3 +32,22 @@ impl SolveOutcome {
         matches!(self, SolveOutcome::Unsat)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accessors_match_the_variant() {
+        let model = Assignment::from_bools([true, false]);
+        let sat = SolveOutcome::Sat(model.clone());
+        assert!(sat.is_sat() && !sat.is_unsat());
+        assert_eq!(sat.model(), Some(&model));
+        for undecided in [SolveOutcome::Unsat, SolveOutcome::Unknown] {
+            assert!(!undecided.is_sat());
+            assert!(undecided.model().is_none());
+        }
+        assert!(SolveOutcome::Unsat.is_unsat());
+        assert!(!SolveOutcome::Unknown.is_unsat(), "a budget stop is not a refutation");
+    }
+}
