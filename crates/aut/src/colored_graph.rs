@@ -114,19 +114,24 @@ impl ColoredGraph {
 
     /// Returns `true` if `perm` (an image table) is a color- and
     /// adjacency-preserving automorphism.
+    ///
+    /// Only moved vertices are examined, so checking a sparse permutation
+    /// costs time in its support's degrees: an edge between two fixed
+    /// vertices maps to itself, and one with a moved end is checked there.
     pub fn is_automorphism(&self, perm: &crate::Permutation) -> bool {
         if perm.len() != self.num_vertices() {
             return false;
         }
         for v in 0..self.num_vertices() {
-            if self.colors[perm.apply(v)] != self.colors[v] {
-                return false;
+            let image = perm.apply(v);
+            if image == v {
+                continue;
             }
-            if self.degree(perm.apply(v)) != self.degree(v) {
+            if self.colors[image] != self.colors[v] || self.degree(image) != self.degree(v) {
                 return false;
             }
             for &w in self.neighbors(v) {
-                if !self.has_edge(perm.apply(v), perm.apply(w as usize)) {
+                if !self.has_edge(image, perm.apply(w as usize)) {
                     return false;
                 }
             }

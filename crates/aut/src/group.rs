@@ -1,7 +1,7 @@
 //! The automorphism group driver: stabilizer chain, generators, order.
 
-use crate::refine::{first_non_singleton, individualize, initial_cells, refine};
-use crate::search::{find_automorphism, SearchResult};
+use crate::refine::Refiner;
+use crate::search::{BasePath, SearchResult};
 use crate::{ColoredGraph, Permutation};
 use std::fmt;
 
@@ -28,9 +28,9 @@ pub struct AutomorphismGroup {
     generators: Vec<Permutation>,
     /// Base points of the stabilizer chain, in order.
     base: Vec<usize>,
-    /// `level_gens[i]` — indices into `generators` of the generators found
-    /// at level `i` (they fix `base[..i]` pointwise).
-    level_gens: Vec<Vec<usize>>,
+    /// `generators[..level_end[i]]` generate the pointwise stabilizer of
+    /// `base[..i]` (the chain is searched from the deepest level up).
+    level_end: Vec<usize>,
     orbit_sizes: Vec<usize>,
     exact: bool,
 }
@@ -125,14 +125,8 @@ impl AutomorphismGroup {
             }
             // Transversal element u with u(b) = target, from the level's
             // stabilizer generators.
-            let gens: Vec<&Permutation> = self
-                .level_gens
-                .iter()
-                .skip(level)
-                .flatten()
-                .map(|&i| &self.generators[i])
-                .collect();
-            match transversal_to(&gens, b, target, residue.len()) {
+            let gens = &self.generators[..self.level_end[level]];
+            match transversal_to(gens, b, target, residue.len()) {
                 Some(u) => residue = u.inverse().compose(&residue),
                 None => return false,
             }
@@ -144,7 +138,7 @@ impl AutomorphismGroup {
 /// BFS from `b` through the generators, returning a group element mapping
 /// `b` to `target` (or `None` if `target` is outside the orbit).
 fn transversal_to(
-    gens: &[&Permutation],
+    gens: &[Permutation],
     b: usize,
     target: usize,
     degree: usize,
@@ -210,56 +204,85 @@ pub fn automorphisms(g: &ColoredGraph) -> AutomorphismGroup {
 
 /// Computes the automorphism group with explicit options.
 pub fn automorphisms_with(g: &ColoredGraph, opts: &AutomorphismOptions) -> AutomorphismGroup {
-    let mut pins: Vec<(usize, usize)> = Vec::new();
+    let mut refiner = Refiner::new(g.num_vertices());
+    let path = BasePath::new(g, &mut refiner);
+    let depth = path.depth();
+    let mut orbits = Orbits::new(g.num_vertices());
     let mut generators: Vec<Permutation> = Vec::new();
-    let mut base: Vec<usize> = Vec::new();
-    let mut level_gens_table: Vec<Vec<usize>> = Vec::new();
-    let mut orbit_sizes: Vec<usize> = Vec::new();
+    let mut orbit_sizes = vec![1; depth];
+    let mut level_end = vec![0; depth];
     let mut exact = true;
 
-    loop {
-        // Refine under the current base prefix (each base point pinned).
-        let mut cells = initial_cells(g);
-        for &(b, _) in &pins {
-            individualize(&mut cells, b);
-        }
-        refine(g, &mut cells);
-        let Some((_, members)) = first_non_singleton(&cells) else {
-            break;
-        };
-        let base_point = members[0];
-        // Generators found at *this* level (they fix all current pins).
-        let mut level_gens: Vec<Permutation> = Vec::new();
-        let mut orbit: std::collections::BTreeSet<usize> =
-            orbit_closure(&level_gens, base_point).into_iter().collect();
-        for &w in &members[1..] {
-            if orbit.contains(&w) {
+    // Every generator found so far fixes the first `level` base points, so
+    // a cell member already in the base point's orbit under them needs no
+    // search, and neither does one in the orbit of a member whose search
+    // failed (the two answers are the same).
+    for level in (0..depth).rev() {
+        let b = path.point(level);
+        let mut failed: Vec<usize> = Vec::new();
+        for w in path.cell(level) {
+            if orbits.same(w, b) || failed.iter().any(|&f| orbits.same(w, f)) {
                 continue;
             }
-            let mut search_pins = pins.clone();
-            search_pins.push((base_point, w));
-            match find_automorphism(g, &search_pins, opts.max_nodes_per_search) {
+            match path.find_automorphism(g, &mut refiner, level, w, opts.max_nodes_per_search) {
                 SearchResult::Found(p) => {
                     debug_assert!(g.is_automorphism(&p));
-                    debug_assert!(pins.iter().all(|&(b, _)| p.apply(b) == b));
-                    level_gens.push(p);
-                    orbit = orbit_closure(&level_gens, base_point).into_iter().collect();
+                    debug_assert!((0..level).all(|i| p.apply(path.point(i)) == path.point(i)));
+                    orbits.join(&p);
+                    generators.push(p);
                 }
-                SearchResult::None => {}
-                SearchResult::Exhausted => {
-                    exact = false;
-                }
+                SearchResult::None => failed.push(w),
+                SearchResult::Exhausted => exact = false,
             }
         }
-        orbit_sizes.push(orbit.len());
-        let start = generators.len();
-        generators.extend(level_gens);
-        level_gens_table.push((start..generators.len()).collect());
-        base.push(base_point);
-        pins.push((base_point, base_point));
+        orbit_sizes[level] = orbits.size(b);
+        level_end[level] = generators.len();
     }
 
-    AutomorphismGroup { generators, base, level_gens: level_gens_table, orbit_sizes, exact }
+    let base = (0..depth).map(|level| path.point(level)).collect();
+    AutomorphismGroup { generators, base, level_end, orbit_sizes, exact }
+}
+
+/// The orbits of the group generated so far, as a union–find forest: each
+/// generator joins the orbits of every point and its image.
+struct Orbits {
+    parent: Vec<u32>,
+    size: Vec<u32>,
+}
+
+impl Orbits {
+    fn new(n: usize) -> Self {
+        Orbits { parent: (0..n as u32).collect(), size: vec![1; n] }
+    }
+
+    fn root(&mut self, mut v: usize) -> usize {
+        while self.parent[v] as usize != v {
+            let up = self.parent[self.parent[v] as usize];
+            self.parent[v] = up;
+            v = up as usize;
+        }
+        v
+    }
+
+    fn same(&mut self, a: usize, b: usize) -> bool {
+        self.root(a) == self.root(b)
+    }
+
+    fn size(&mut self, v: usize) -> usize {
+        let r = self.root(v);
+        self.size[r] as usize
+    }
+
+    fn join(&mut self, p: &Permutation) {
+        for v in 0..p.len() {
+            let (a, b) = (self.root(v), self.root(p.apply(v)));
+            if a != b {
+                let (small, big) = if self.size[a] < self.size[b] { (a, b) } else { (b, a) };
+                self.parent[small] = big as u32;
+                self.size[big] += self.size[small];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -293,6 +316,8 @@ mod tests {
         for n in [2usize, 3, 4, 5, 6] {
             let group = automorphisms(&complete(n));
             assert_eq!(group.order_u128(), Some(factorial(n as u128)), "K{n}");
+            // Each generator joins two orbits of the group found so far.
+            assert_eq!(group.num_generators(), n - 1, "K{n}");
         }
     }
 

@@ -6,14 +6,22 @@
 //! color-preserving automorphism group together with the exact group order,
 //! computed along a stabilizer chain by the orbit–stabilizer theorem:
 //!
-//! 1. the vertex partition is refined to equitability (1-dimensional
-//!    Weisfeiler–Leman with the input colors as the initial partition);
-//! 2. a base point is chosen in the first non-singleton cell; for every
-//!    other vertex of its cell not yet known to be in its orbit, a
-//!    backtracking search (individualization–refinement on a source/target
-//!    partition pair) looks for an automorphism mapping base → candidate;
-//! 3. the base point is pinned and the process recurses into its
-//!    stabilizer; `|Aut| = Π |orbit(bᵢ)|`.
+//! 1. refinement: the vertex partition (initially by color) is kept as an
+//!    ordered partition whose cells are contiguous ranges, and made
+//!    equitable by exact count-based splitting driven by a splitter queue;
+//! 2. the base: the first vertex of the first non-singleton cell is
+//!    individualized and the partition refined, level after level, until it
+//!    is discrete; each level keeps its cell and its refinement trace;
+//! 3. the search, from the deepest level up: for every member of the base
+//!    point's cell outside the base point's orbit under all generators
+//!    found so far (they all fix the earlier base points), a pinned search
+//!    starts from that level's partition, individualizes the member, and
+//!    refines the target side against the first path's traces. A search
+//!    ends at a verified automorphism: the map fixing everything the two
+//!    partitions agree on, or a leaf;
+//! 4. each found automorphism joins at least two orbits, so there are at
+//!    most `n − 1` generators; the orbit of base point `bᵢ` is complete when
+//!    its level is done, and `|Aut| = Π |orbit(bᵢ)|`.
 //!
 //! The search is exact by default and can be budgeted (see
 //! [`AutomorphismOptions`]); Table 2 of the paper reports group orders as

@@ -58,6 +58,19 @@ proptest! {
         prop_assert_eq!(group.order_u128(), Some(brute_force_order(&g)));
     }
 
+    /// Each generator joins two orbits of the group the earlier ones
+    /// generate, so there are never more than n − 1 of them.
+    #[test]
+    fn at_most_n_minus_one_generators(
+        n in 1usize..12,
+        m in 0usize..40,
+        colors in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        let g = random_colored_graph(n, m, colors, seed);
+        prop_assert!(automorphisms(&g).num_generators() <= n.saturating_sub(1));
+    }
+
     /// Every returned generator is a genuine automorphism.
     #[test]
     fn generators_are_automorphisms(n in 2usize..10, m in 0usize..20, seed in any::<u64>()) {

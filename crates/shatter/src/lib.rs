@@ -58,6 +58,8 @@ pub use sbp::{add_sbps, sbp_for_permutation, SbpConstruction, SbpStats};
 
 pub use sbgc_aut::AutomorphismOptions;
 
+use std::collections::HashSet;
+
 /// How many group elements to break (Crawford et al. break the *whole*
 /// group — exponentially many SBPs; Aloul et al. show breaking only the
 /// generators is usually enough and far cheaper; Section 2.4).
@@ -116,7 +118,10 @@ pub fn shatter(formula: &mut sbgc_formula::PbFormula, opts: &ShatterOptions) -> 
             }
         }
         pairs.sort_by_key(|p| p.support().len());
-        pairs.dedup();
+        // a∘b and b∘a coincide for commuting generators but need not be
+        // adjacent after the sort.
+        let mut seen = HashSet::new();
+        pairs.retain(|p| seen.insert(p.clone()));
         perms.extend(pairs);
     }
     let sbp = add_sbps(formula, &perms, opts.construction);

@@ -127,6 +127,24 @@ fn generator_pair_scope_preserves_satisfiability() {
     }
 }
 
+#[test]
+fn generator_pair_scope_breaks_each_composition_once() {
+    // Four disjoint transpositions (a_k b_k), kept apart by giving each
+    // pair's clause its own coefficient: the group is Z2^4, every two
+    // generators commute, so the 12 ordered compositions are 6 distinct
+    // permutations, and 4 + 6 predicates are added.
+    let mut f = PbFormula::new();
+    for k in 1..=4i64 {
+        let a = f.new_var().positive();
+        let b = f.new_var().positive();
+        f.add_pb(PbConstraint::at_least([(k, a), (k, b)], k));
+    }
+    let opts = ShatterOptions { scope: SbpScope::GeneratorsAndPairs, ..Default::default() };
+    let report = shatter(&mut f, &opts);
+    assert_eq!(report.num_generators, 4);
+    assert_eq!(report.sbp.permutations, 10);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

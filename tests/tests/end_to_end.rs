@@ -133,6 +133,28 @@ fn shatter_finds_the_color_symmetry_group() {
 }
 
 #[test]
+fn shatter_finds_exact_groups_at_twenty_colors() {
+    // At K = 20 the formula graph has Aut = S_20 × Aut(G): 20!·10 for
+    // myciel3 (its automorphism group is dihedral of order 10), and 20!
+    // for a G(10, 0.45) graph without automorphisms, where S_20 takes one
+    // generator per level of its 19-level stabilizer chain.
+    use sbgc_core::ColoringEncoding;
+    use sbgc_shatter::{detect_symmetries, AutomorphismOptions};
+    let twenty_factorial: u128 = (1..=20).product();
+    let detect = |g: &sbgc_graph::Graph| {
+        let enc = ColoringEncoding::new(g, 20);
+        detect_symmetries(enc.formula(), &AutomorphismOptions::default())
+    };
+    let (_, myciel3) = detect(&gen::mycielski(3));
+    assert!(myciel3.exact);
+    assert_eq!(myciel3.order, Some(twenty_factorial * 10));
+    let (_, gnp) = detect(&gen::gnp(10, 0.45, 3));
+    assert!(gnp.exact);
+    assert_eq!(gnp.order, Some(twenty_factorial));
+    assert_eq!(gnp.num_generators, 19);
+}
+
+#[test]
 fn li_kills_all_symmetries() {
     // After LI, the encoding has no symmetries at all (paper Table 2).
     use sbgc_core::{add_instance_independent_sbps, ColoringEncoding};
