@@ -57,14 +57,13 @@
 
 use sbgc_bench::{HarnessConfig, QUICK_INSTANCES};
 use sbgc_core::{
-    add_instance_independent_sbps, chromatic_number, chromatic_number_by_decision,
-    solve_supervised, ColoringEncoding, PreparedColoring, SbpMode, SearchStrategy, SolveOptions,
-    SupervisorConfig,
+    add_instance_independent_sbps, bounds, chromatic_number, solve_supervised, ColoringEncoding,
+    PreparedColoring, SbpMode, SolveOptions, SupervisorConfig,
 };
 use sbgc_graph::{gen, suite, Graph};
 use sbgc_pb::{
-    optimize_portfolio_recorded, portfolio_configs, Budget, OptOutcome, Optimizer, Recorder,
-    SolverKind, WorkerTelemetry,
+    optimize_portfolio, portfolio_configs, solve_decision, Budget, FaultPlan, OptOutcome,
+    Optimizer, Recorder, SolveOutcome, SolverKind, WorkerTelemetry,
 };
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -108,6 +107,33 @@ fn worker_json(w: &WorkerTelemetry) -> String {
         w.search.mean_lbd().map_or("null".to_string(), |m| format!("{m:.3}")),
         w.won,
     )
+}
+
+/// The ladder section's baseline: χ by per-k re-encoding, the way a pure
+/// decision solver is driven (the paper's §4.1 linear search). Each rung
+/// builds a fresh encoding at k, drops the objective, adds the configured
+/// instance-independent SBPs and runs a sequential decision solve under
+/// `options.budget` (armed afresh per rung), stepping k down from the
+/// greedy DSATUR bound until a rung is refuted or the clique bound is met.
+/// `None` when a rung ran out of budget.
+fn reencode_chromatic(graph: &Graph, options: &SolveOptions) -> Option<usize> {
+    let b = bounds(graph);
+    let mut upper = b.upper;
+    while b.lower < upper {
+        let k = upper - 1;
+        let mut enc = ColoringEncoding::new(graph, k);
+        enc.formula_mut().clear_objective();
+        add_instance_independent_sbps(&mut enc, graph, options.sbp_mode);
+        match solve_decision(enc.formula(), options.solver, &options.budget) {
+            SolveOutcome::Sat(model) => {
+                let coloring = enc.decode(&model).filter(|c| c.is_proper(graph))?;
+                upper = coloring.compacted().num_colors().min(k);
+            }
+            SolveOutcome::Unsat => break,
+            SolveOutcome::Unknown => return None,
+        }
+    }
+    Some(upper)
 }
 
 impl RunRecord {
@@ -176,8 +202,14 @@ fn main() {
             let configs = portfolio_configs(workers);
             let rec = Recorder::new();
             let start = Instant::now();
-            let par_out = optimize_portfolio_recorded(formula, &configs, &config.budget(), &rec)
-                .expect("portfolio_configs is non-empty and the formula has an objective");
+            let par_out = optimize_portfolio(
+                formula,
+                &configs,
+                &config.budget(),
+                &rec,
+                &FaultPlan::default(),
+            )
+            .expect("portfolio_configs is non-empty and the formula has an objective");
             let elapsed = start.elapsed();
             let mut telemetry = rec.workers();
             telemetry.sort_by_key(|w| w.index);
@@ -260,7 +292,7 @@ fn main() {
             .with_budget(config.budget())
             .without_heuristics();
         let start = Instant::now();
-        let reencode = chromatic_number_by_decision(graph, &opts, SearchStrategy::Linear);
+        let reencode = reencode_chromatic(graph, &opts);
         let reencode_time = start.elapsed();
 
         let rec = Recorder::new();
@@ -271,7 +303,7 @@ fn main() {
         let steps = rec.ladder_steps();
         let retained: u64 = steps.iter().map(|s| s.retained_clauses).sum();
 
-        let decided = reencode.exact().is_some() && incremental.exact().is_some();
+        let decided = reencode.is_some() && incremental.exact().is_some();
         if decided {
             ladder_reencode_total += reencode_time;
             ladder_incremental_total += incremental_time;
@@ -281,11 +313,11 @@ fn main() {
             if reencode_time + incremental_time >= Duration::from_millis(5) {
                 ladder_ratios.push(reencode_time.as_secs_f64() / incremental_time.as_secs_f64());
             }
-            if reencode.exact() != incremental.exact() {
+            if reencode != incremental.exact() {
                 ladder_agree = false;
                 eprintln!(
                     "LADDER DISAGREEMENT on {name}: re-encode {:?} vs incremental {:?}",
-                    reencode.exact(),
+                    reencode,
                     incremental.exact()
                 );
             }
@@ -662,5 +694,38 @@ fn main() {
             std::process::exit(1);
         }
         println!("heuristics gate passed: {heur_skipped_total} ladder rungs skipped");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbgc_graph::gen::{mycielski, queens};
+
+    #[test]
+    fn reencode_baseline_agrees_with_the_chromatic_ladder() {
+        for g in [Graph::cycle(5), mycielski(3), queens(4, 4), Graph::complete(4)] {
+            let options = SolveOptions::new(20);
+            let expected = chromatic_number(&g, &options).exact();
+            assert!(expected.is_some());
+            assert_eq!(reencode_chromatic(&g, &options), expected);
+        }
+    }
+
+    #[test]
+    fn reencode_baseline_with_nu_sc_sbps() {
+        // Every rung carries the NU+SC predicates; they must not cut the
+        // optimal 5-colouring of queen5_5.
+        let options = SolveOptions::new(20).with_sbp_mode(SbpMode::NuSc);
+        assert_eq!(reencode_chromatic(&queens(5, 5), &options), Some(5));
+    }
+
+    #[test]
+    fn reencode_baseline_budget_exhaustion_is_undecided() {
+        // One conflict per rung cannot walk myciel4 (χ = 5) down to a
+        // refuted rung; an exhausted rung reports no χ rather than a wrong one.
+        let options = SolveOptions::new(20).with_budget(Budget::unlimited().with_max_conflicts(1));
+        let result = reencode_chromatic(&mycielski(4), &options);
+        assert!(matches!(result, None | Some(5)), "got {result:?}");
     }
 }

@@ -3,7 +3,7 @@
 //! cargo run --release -p sbgc-core --example probe -- queen6_6 SC 3 120
 
 use sbgc_core::{PreparedColoring, SbpMode, SolveOptions};
-use sbgc_pb::{optimize_portfolio, portfolio_configs, Budget};
+use sbgc_pb::{optimize_portfolio, portfolio_configs, Budget, FaultPlan, Recorder};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -30,7 +30,14 @@ fn main() {
     let configs: Vec<_> = workers.iter().map(|&i| all[i]).collect();
     let budget = Budget::unlimited().with_timeout(Duration::from_secs(timeout));
     let start = Instant::now();
-    let out = optimize_portfolio(formula, &configs, &budget).unwrap();
+    let out = optimize_portfolio(
+        formula,
+        &configs,
+        &budget,
+        &Recorder::disabled(),
+        &FaultPlan::default(),
+    )
+    .unwrap();
     println!(
         "{name} {mode:?} workers {workers:?}: {:?} in {:.2}s, {} conflicts, exported {}, imported {}",
         out.outcome.value(),

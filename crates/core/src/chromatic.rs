@@ -401,120 +401,6 @@ fn chromatic_ladder(
     })
 }
 
-/// How [`chromatic_number_by_decision`] walks the K range — the two
-/// options of the paper's Section 4.1 procedure ("perform linear search by
-/// incrementally tightening the color constraint, otherwise perform binary
-/// search").
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum SearchStrategy {
-    /// Tighten K one color at a time from the DSATUR bound downwards.
-    Linear,
-    /// Bisect between the clique bound and the DSATUR bound.
-    Binary,
-}
-
-/// Computes the chromatic number with repeated *decision* queries ("is G
-/// K-colorable?"), the way a pure CNF-SAT solver would be driven (paper
-/// Section 2.3 / 4.1), instead of one optimization run.
-///
-/// Uses `options` for the per-query SBP/solver/budget configuration; the
-/// objective is dropped from each query. Returns bounds if the budget runs
-/// out mid-search.
-///
-/// # Panics
-///
-/// Panics if the graph has no vertices.
-pub fn chromatic_number_by_decision(
-    graph: &Graph,
-    options: &SolveOptions,
-    strategy: SearchStrategy,
-) -> ChromaticResult {
-    use crate::encode::ColoringEncoding;
-    use crate::sbp::add_instance_independent_sbps;
-    use sbgc_obs::Phase;
-    use sbgc_pb::solve_decision_recorded;
-
-    assert!(graph.num_vertices() > 0, "chromatic number of the empty graph is undefined here");
-    let recorder = &options.recorder;
-    let b = bounds(graph);
-    if b.lower >= b.upper {
-        return ChromaticResult::Exact { chromatic_number: b.upper, witness: b.witness };
-    }
-    // Query: is the graph k-colorable? Some(witness) / None, or Err on
-    // budget exhaustion.
-    let query = |k: usize| -> Result<Option<Coloring>, ()> {
-        let mut enc = {
-            let _span = recorder.span(Phase::Encode);
-            ColoringEncoding::new(graph, k)
-        };
-        enc.formula_mut().clear_objective();
-        {
-            let _span = recorder.span(Phase::Sbp);
-            let _ = add_instance_independent_sbps(&mut enc, graph, options.sbp_mode);
-        }
-        if matches!(options.symmetry, crate::flow::SymmetryHandling::WithInstanceDependent) {
-            let _span = recorder.span(Phase::Detect);
-            let _ = sbgc_shatter::shatter(enc.formula_mut(), &options.shatter);
-        }
-        // Each K-query is an independent decision problem, so parallelism
-        // applies per query: race a diversified portfolio when requested.
-        let out = {
-            let _span = recorder.span(Phase::Solve);
-            match options.portfolio_workers() {
-                Some(n) => {
-                    let configs = sbgc_pb::portfolio_configs(n);
-                    sbgc_pb::solve_portfolio_recorded(
-                        enc.formula(),
-                        &configs,
-                        &options.budget,
-                        recorder,
-                    )
-                    .unwrap_or_else(|e| panic!("{e}"))
-                    .outcome
-                }
-                None => solve_decision_recorded(
-                    enc.formula(),
-                    options.solver,
-                    &options.budget,
-                    recorder,
-                ),
-            }
-        };
-        let _span = recorder.span(Phase::Verify);
-        match out {
-            out if out.is_unsat() => Ok(None),
-            out => match out.model() {
-                Some(m) => {
-                    let c = enc.decode(m).filter(|c| c.is_proper(graph)).ok_or(())?;
-                    Ok(Some(c.compacted()))
-                }
-                None => Err(()),
-            },
-        }
-    };
-
-    let mut lo = b.lower; // known: χ >= lo
-    let mut hi = b.upper; // known: χ <= hi, witnessed
-    let mut witness = b.witness;
-    loop {
-        if lo >= hi {
-            return ChromaticResult::Exact { chromatic_number: hi, witness };
-        }
-        let k = match strategy {
-            SearchStrategy::Linear => hi - 1,
-            SearchStrategy::Binary => (lo + hi - 1) / 2,
-        };
-        match query(k) {
-            Ok(Some(c)) => {
-                hi = c.num_colors().min(k);
-                witness = c;
-            }
-            Ok(None) => lo = k + 1,
-            Err(()) => return ChromaticResult::Bounded { lower: lo, upper: hi, witness },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,44 +481,6 @@ mod tests {
         for mode in SbpMode::ALL {
             let result = chromatic_number(&g, &SolveOptions::new(20).with_sbp_mode(mode));
             assert_eq!(result.exact(), Some(5), "{mode}");
-        }
-    }
-
-    #[test]
-    fn decision_search_agrees_with_optimization() {
-        for g in [Graph::cycle(5), mycielski(3), queens(4, 4), Graph::complete(4)] {
-            let expected = chromatic_number(&g, &SolveOptions::new(20)).exact();
-            for strategy in [SearchStrategy::Linear, SearchStrategy::Binary] {
-                let result = chromatic_number_by_decision(&g, &SolveOptions::new(20), strategy);
-                assert_eq!(result.exact(), expected, "{strategy:?}");
-                assert!(result.witness().is_proper(&g));
-            }
-        }
-    }
-
-    #[test]
-    fn decision_search_with_sbps_and_shatter() {
-        let g = queens(5, 5);
-        let opts =
-            SolveOptions::new(20).with_sbp_mode(SbpMode::NuSc).with_instance_dependent_sbps();
-        let result = chromatic_number_by_decision(&g, &opts, SearchStrategy::Binary);
-        assert_eq!(result.exact(), Some(5));
-    }
-
-    #[test]
-    fn decision_search_budget_exhaustion_gives_bounds() {
-        use sbgc_pb::Budget;
-        let g = mycielski(4);
-        let opts = SolveOptions::new(20).with_budget(Budget::unlimited().with_max_conflicts(1));
-        let result = chromatic_number_by_decision(&g, &opts, SearchStrategy::Linear);
-        match result {
-            ChromaticResult::Bounded { lower, upper, ref witness } => {
-                assert!(lower <= 5 && upper >= 5);
-                assert!(witness.is_proper(&g));
-            }
-            ChromaticResult::Exact { chromatic_number, .. } => {
-                assert_eq!(chromatic_number, 5)
-            }
         }
     }
 

@@ -15,7 +15,7 @@ use crate::error::SolveError;
 use crate::sbp::{add_instance_independent_sbps, SbpMode, SbpSizeStats};
 use sbgc_formula::FormulaStats;
 use sbgc_graph::{Coloring, Graph};
-use sbgc_obs::{Phase, Recorder};
+use sbgc_obs::{FaultPlan, Phase, Recorder};
 use sbgc_pb::{optimize_recorded_with_stats, Budget, ExhaustReason, OptOutcome, SolverKind};
 use sbgc_shatter::{shatter, ShatterOptions, ShatterReport};
 use std::time::{Duration, Instant};
@@ -51,8 +51,9 @@ pub struct SolveOptions {
     /// Number of parallel solver workers. `1` (the default) runs exactly
     /// the sequential path of the paper reproduction; larger values race a
     /// diversified portfolio of that many CDCL workers with cooperative
-    /// cancellation (see [`sbgc_pb::solve_portfolio`]). Ignored by the
-    /// branch-and-bound [`SolverKind::Cplex`] baseline.
+    /// cancellation (see [`sbgc_pb::PortfolioSession`] and
+    /// [`sbgc_pb::optimize_portfolio`]). Ignored by the branch-and-bound
+    /// [`SolverKind::Cplex`] baseline.
     pub parallelism: usize,
     /// Observability sink: an enabled [`Recorder`] receives phase spans
     /// (encode/sbp/detect/solve/verify), solver counters, and per-worker
@@ -67,6 +68,12 @@ pub struct SolveOptions {
     /// re-validated at the trust boundary, so this flag trades wall-clock,
     /// not soundness (see `DESIGN.md` §4i).
     pub heuristics: bool,
+    /// Deterministic fault injection for chaos tests, read by every race
+    /// these options drive: the portfolio optimization race, the
+    /// persistent ladder session, the heuristic race and the supervisor
+    /// (see `docs/ROBUSTNESS.md` for which layer reads which field). The
+    /// default empty plan injects nothing.
+    pub fault: FaultPlan,
 }
 
 impl SolveOptions {
@@ -83,6 +90,7 @@ impl SolveOptions {
             parallelism: 1,
             recorder: Recorder::disabled(),
             heuristics: true,
+            fault: FaultPlan::default(),
         }
     }
 
@@ -136,22 +144,35 @@ impl SolveOptions {
         self.with_heuristics(false)
     }
 
+    /// Schedules the faults of `plan` in every race these options drive
+    /// (chaos testing; see [`SolveOptions::fault`]).
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.fault = plan;
+        self
+    }
+
     /// The portfolio worker count implied by these options: `Some(n)` when
     /// the solve should race a portfolio (explicit
     /// [`SolverKind::Portfolio`], or `parallelism > 1` with a CDCL
     /// solver), `None` for the sequential path. The CPLEX baseline never
     /// uses the portfolio — it is the paper's non-CDCL control.
     pub fn portfolio_workers(&self) -> Option<usize> {
-        match self.solver {
-            SolverKind::Portfolio => Some(if self.parallelism > 1 {
-                self.parallelism
-            } else {
-                SolverKind::DEFAULT_PORTFOLIO_WORKERS
-            }),
-            SolverKind::Cplex => None,
-            _ if self.parallelism > 1 => Some(self.parallelism),
-            _ => None,
-        }
+        portfolio_workers(self.solver, self.parallelism)
+    }
+}
+
+/// The worker-count policy behind [`SolveOptions::portfolio_workers`]:
+/// an explicit [`SolverKind::Portfolio`] races `parallelism` workers, or
+/// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] when `parallelism ≤ 1`; any
+/// other CDCL solver races only when `parallelism > 1`; the CPLEX
+/// baseline never does.
+fn portfolio_workers(solver: SolverKind, parallelism: usize) -> Option<usize> {
+    match solver {
+        SolverKind::Portfolio if parallelism <= 1 => Some(SolverKind::DEFAULT_PORTFOLIO_WORKERS),
+        SolverKind::Portfolio => Some(parallelism),
+        SolverKind::Cplex => None,
+        _ if parallelism > 1 => Some(parallelism),
+        _ => None,
     }
 }
 
@@ -241,6 +262,8 @@ pub struct PreparedColoring {
     prepare_time: Duration,
     /// Recorder captured at prepare time; solve calls log into it too.
     recorder: Recorder,
+    /// Fault plan captured at prepare time; the portfolio race reads it.
+    fault: FaultPlan,
 }
 
 impl PreparedColoring {
@@ -280,6 +303,7 @@ impl PreparedColoring {
             shatter: shatter_report,
             prepare_time: start.elapsed(),
             recorder,
+            fault: options.fault.clone(),
         }
     }
 
@@ -304,37 +328,19 @@ impl PreparedColoring {
     /// # Panics
     ///
     /// Panics if `graph` is not the graph this instance was prepared from
-    /// (detected via vertex count).
-    pub fn solve(&self, graph: &Graph, solver: SolverKind, budget: &Budget) -> SolveReport {
-        self.solve_with_parallelism(graph, solver, budget, 1)
-    }
-
-    /// Like [`PreparedColoring::solve`], but racing `parallelism`
-    /// diversified portfolio workers when `parallelism > 1` (or when
-    /// `solver` is [`SolverKind::Portfolio`], which uses
-    /// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] if `parallelism ≤ 1`).
-    /// With `parallelism = 1` and a non-portfolio solver this is exactly
-    /// the sequential path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` is not the graph this instance was prepared from
     /// (detected via vertex count), or if the portfolio race could not
     /// start. Use [`PreparedColoring::try_solve_with_parallelism`] for the
     /// non-panicking form.
-    pub fn solve_with_parallelism(
-        &self,
-        graph: &Graph,
-        solver: SolverKind,
-        budget: &Budget,
-        parallelism: usize,
-    ) -> SolveReport {
-        self.try_solve_with_parallelism(graph, solver, budget, parallelism)
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn solve(&self, graph: &Graph, solver: SolverKind, budget: &Budget) -> SolveReport {
+        self.try_solve_with_parallelism(graph, solver, budget, 1).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`PreparedColoring::solve_with_parallelism`], but reporting
-    /// pipeline misuse as a typed [`SolveError`] instead of panicking.
+    /// Like [`PreparedColoring::solve`], but racing `parallelism`
+    /// diversified portfolio workers when [`SolveOptions::portfolio_workers`]
+    /// would (`parallelism > 1`, or `solver` is [`SolverKind::Portfolio`]),
+    /// and reporting pipeline misuse as a typed [`SolveError`] instead of
+    /// panicking. With `parallelism = 1` and a non-portfolio solver this is
+    /// exactly the sequential path.
     ///
     /// # Panics
     ///
@@ -353,26 +359,18 @@ impl PreparedColoring {
             self.encoding.num_vertices(),
             "graph does not match the prepared encoding"
         );
-        let workers = match solver {
-            SolverKind::Portfolio if parallelism <= 1 => {
-                Some(SolverKind::DEFAULT_PORTFOLIO_WORKERS)
-            }
-            SolverKind::Portfolio => Some(parallelism),
-            SolverKind::Cplex => None,
-            _ if parallelism > 1 => Some(parallelism),
-            _ => None,
-        };
         let start = Instant::now();
         let (result, exhaust) = {
             let _span = self.recorder.span(Phase::Solve);
-            match workers {
+            match portfolio_workers(solver, parallelism) {
                 Some(n) => {
                     let configs = sbgc_pb::portfolio_configs(n);
-                    let race = sbgc_pb::optimize_portfolio_recorded(
+                    let race = sbgc_pb::optimize_portfolio(
                         self.encoding.formula(),
                         &configs,
                         budget,
                         &self.recorder,
+                        &self.fault,
                     )?;
                     (race.outcome, race.stats.exhaust)
                 }

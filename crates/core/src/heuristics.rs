@@ -49,7 +49,7 @@ use crate::chromatic::ChromaticBounds;
 use crate::flow::SolveOptions;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_heur::{clique_search, derive_seed, partialcol, tabucol_from, SplitMix64};
-use sbgc_obs::{FaultPlan, HeuristicsTelemetry, SearchCounters, WorkerTelemetry};
+use sbgc_obs::{HeuristicsTelemetry, SearchCounters, WorkerTelemetry};
 use sbgc_sat::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -87,7 +87,7 @@ pub struct HeuristicOutcome {
     pub failed_workers: usize,
     /// Offers rejected at the trust boundary (improper colorings,
     /// non-cliques). Always `0` unless a worker is buggy or a
-    /// [`FaultPlan`] injected a corruption.
+    /// [`SolveOptions::fault`] injected a corruption.
     pub rejected_witnesses: u64,
 }
 
@@ -122,9 +122,9 @@ fn panic_summary(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Corrupts a coloring the way a buggy heuristic would: merge the two
 /// endpoints of the first edge into one class, producing a monochromatic
-/// edge. Used only under [`FaultPlan::improper_witness`] to prove the
-/// trust boundary rejects it. Edge-free graphs are returned unchanged
-/// (there is no way to make their colorings improper).
+/// edge. Used only under [`sbgc_obs::FaultPlan::improper_witness`] to
+/// prove the trust boundary rejects it. Edge-free graphs are returned
+/// unchanged (there is no way to make their colorings improper).
 fn corrupt_coloring(graph: &Graph, coloring: Coloring) -> Coloring {
     let mut colors = coloring.colors().to_vec();
     for u in 0..graph.num_vertices() {
@@ -169,26 +169,19 @@ fn collapse_to_k(colors: &[usize], k: usize, rng: &mut SplitMix64) -> Vec<usize>
 
 /// Races the heuristic workers against each other to tighten `seed`
 /// (the one-shot greedy bracket from [`crate::chromatic::bounds`]).
-/// Equivalent to [`race_heuristics_instrumented`] without fault
-/// injection.
+///
+/// The chaos suite schedules faults through [`SolveOptions::fault`] to
+/// prove that panicking workers and improper witnesses are contained (see
+/// `docs/ROBUSTNESS.md`). Worker indices for the plan: `0` = TabuCol,
+/// `1` = PartialCol, `2` = clique search. A scheduled worker panic fires
+/// when the worker starts a descent level (or its clique search); its
+/// count is ignored.
 pub fn race_heuristics(
     graph: &Graph,
     options: &SolveOptions,
     seed: &ChromaticBounds,
 ) -> HeuristicOutcome {
-    race_heuristics_instrumented(graph, options, seed, None)
-}
-
-/// [`race_heuristics`] with a deterministic [`FaultPlan`], used by the
-/// chaos suite to prove that panicking workers and improper witnesses
-/// are contained (see `docs/ROBUSTNESS.md`). Worker indices for the
-/// plan: `0` = TabuCol, `1` = PartialCol, `2` = clique search.
-pub fn race_heuristics_instrumented(
-    graph: &Graph,
-    options: &SolveOptions,
-    seed: &ChromaticBounds,
-    fault: Option<&FaultPlan>,
-) -> HeuristicOutcome {
+    let fault = &options.fault;
     let start = Instant::now();
     let token = CancelToken::new();
     let shared = Mutex::new(SharedBracket {
@@ -208,9 +201,10 @@ pub fn race_heuristics_instrumented(
     // at the boundary between untrusted worker output and trusted state;
     // an invalid offer is counted and reported back as a fatal error.
     let offer_coloring = |worker: usize, coloring: Coloring| -> Result<(), String> {
-        let coloring = match fault {
-            Some(plan) if plan.improper_witness(worker) => corrupt_coloring(graph, coloring),
-            _ => coloring,
+        let coloring = if fault.improper_witness(worker) {
+            corrupt_coloring(graph, coloring)
+        } else {
+            coloring
         };
         let coloring = coloring.compacted();
         if coloring.num_vertices() != graph.num_vertices() || !coloring.is_proper(graph) {
@@ -288,10 +282,8 @@ pub fn race_heuristics_instrumented(
                         let mut rng = SplitMix64::new(worker_seed);
                         let mut current = witness.colors().to_vec();
                         descend(index, &mut |target| {
-                            if let Some(plan) = fault {
-                                if plan.worker_panic(index).is_some() {
-                                    panic!("fault injection: heuristic worker {index} panics");
-                                }
+                            if fault.worker_panic(index).is_some() {
+                                panic!("fault injection: heuristic worker {index} panics");
                             }
                             let start = collapse_to_k(&current, target, &mut rng);
                             let found =
@@ -305,10 +297,8 @@ pub fn race_heuristics_instrumented(
                     1 => {
                         let mut stream = 0u64;
                         descend(index, &mut |target| {
-                            if let Some(plan) = fault {
-                                if plan.worker_panic(index).is_some() {
-                                    panic!("fault injection: heuristic worker {index} panics");
-                                }
+                            if fault.worker_panic(index).is_some() {
+                                panic!("fault injection: heuristic worker {index} panics");
                             }
                             let level_seed = derive_seed(worker_seed, stream);
                             stream += 1;
@@ -316,10 +306,8 @@ pub fn race_heuristics_instrumented(
                         })
                     }
                     _ => {
-                        if let Some(plan) = fault {
-                            if plan.worker_panic(index).is_some() {
-                                panic!("fault injection: heuristic worker {index} panics");
-                            }
+                        if fault.worker_panic(index).is_some() {
+                            panic!("fault injection: heuristic worker {index} panics");
                         }
                         let clique =
                             clique_search(graph, worker_seed, clique_restarts(graph), || {
@@ -402,6 +390,7 @@ mod tests {
     use super::*;
     use crate::chromatic::bounds;
     use sbgc_graph::gen;
+    use sbgc_obs::FaultPlan;
 
     fn options() -> SolveOptions {
         SolveOptions::new(8)
@@ -468,8 +457,8 @@ mod tests {
         let g = cycle(5);
         let b = ChromaticBounds { lower: 2, upper: 5, witness: Coloring::new((0..5).collect()) };
         assert!(b.witness.is_proper(&g));
-        let plan = FaultPlan::new(7).with_improper_witness(0);
-        let out = race_heuristics_instrumented(&g, &options(), &b, Some(&plan));
+        let opts = options().with_fault_plan(FaultPlan::new(7).with_improper_witness(0));
+        let out = race_heuristics(&g, &opts, &b);
         assert!(out.rejected_witnesses >= 1, "the corrupted offer must be rejected");
         assert!(out.failed_workers >= 1, "an untrustworthy worker is retired");
         // The bracket stays sound: the surviving workers' bounds hold.
@@ -482,8 +471,8 @@ mod tests {
     fn panicking_worker_dies_alone() {
         let g = gen::mycielski(3);
         let b = bounds(&g);
-        let plan = FaultPlan::new(3).with_worker_panic(2, 1);
-        let out = race_heuristics_instrumented(&g, &options(), &b, Some(&plan));
+        let opts = options().with_fault_plan(FaultPlan::new(3).with_worker_panic(2, 1));
+        let out = race_heuristics(&g, &opts, &b);
         assert_eq!(out.failed_workers, 1);
         assert!(out.witness.is_proper(&g), "coloring workers keep racing");
         assert!(out.upper <= b.upper);

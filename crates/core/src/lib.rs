@@ -71,17 +71,15 @@ pub mod session;
 pub mod supervisor;
 
 pub use checkpoint::{CheckpointError, GraphFingerprint, SolveCheckpoint};
-pub use supervisor::{
-    solve_supervised, solve_supervised_instrumented, SupervisedOutcome, SupervisorConfig,
-};
+pub use supervisor::{solve_supervised, SupervisedOutcome, SupervisorConfig};
 
 pub use certify::{
     certify_result, certify_result_parallel, certify_unsat_formula, certify_unsat_formula_parallel,
     certify_unsat_formula_streamed, chromatic_number_certified, OptimalityCertificate, ProofStatus,
 };
 pub use chromatic::{
-    bounds, chromatic_number, chromatic_number_by_decision, chromatic_number_outcome,
-    initial_bounds, ChromaticBounds, ChromaticOutcome, ChromaticResult, SearchStrategy,
+    bounds, chromatic_number, chromatic_number_outcome, initial_bounds, ChromaticBounds,
+    ChromaticOutcome, ChromaticResult,
 };
 pub use encode::{cnf_decision_formula, ColoringEncoding};
 pub use error::SolveError;
@@ -89,7 +87,7 @@ pub use flow::{
     solve_coloring, try_solve_coloring, ColoringOutcome, PreparedColoring, SolveOptions,
     SolveReport, SymmetryHandling,
 };
-pub use heuristics::{race_heuristics, race_heuristics_instrumented, HeuristicOutcome};
+pub use heuristics::{race_heuristics, HeuristicOutcome};
 pub use sbp::{add_instance_independent_sbps, SbpMode, SbpSizeStats};
 pub use session::{ColoringSession, SessionAnswer, SessionStep};
 

@@ -49,7 +49,7 @@ use crate::flow::{SolveOptions, SymmetryHandling};
 use crate::sbp::add_instance_independent_sbps;
 use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
-use sbgc_obs::{FaultPlan, Phase, Recorder};
+use sbgc_obs::{Phase, Recorder};
 use sbgc_pb::{
     portfolio_configs, Budget, ExhaustReason, PbEngine, PortfolioSession, SharingConfig,
     SolveOutcome, SolverKind,
@@ -153,7 +153,10 @@ impl<'g> ColoringSession<'g> {
     /// is already witnessed), adds
     /// the configured instance-independent SBPs, and builds the
     /// long-lived solver backend (a persistent portfolio when the options
-    /// imply one, a single persistent engine otherwise).
+    /// imply one, a single persistent engine otherwise). The portfolio
+    /// workers read [`SolveOptions::fault`]: a scheduled worker panic
+    /// fires at that 0-based query index, and stalled workers burn
+    /// wall-clock from their scheduled query on.
     ///
     /// # Errors
     ///
@@ -161,26 +164,20 @@ impl<'g> ColoringSession<'g> {
     /// degenerate inputs, [`SolveError::UnsupportedIncremental`] when
     /// [`ColoringSession::supports`] is false for `options`.
     pub fn new(graph: &'g Graph, options: &SolveOptions) -> Result<Self, SolveError> {
-        Self::new_with(graph, options, 0, None)
+        Self::new_with(graph, options, 0)
     }
 
-    /// [`ColoringSession::new`] plus a worker **seed offset** and
-    /// deterministic fault injection — the supervisor's rebuild interface.
+    /// [`ColoringSession::new`] plus a worker **seed offset** — the
+    /// supervisor's rebuild interface.
     ///
     /// A retry after a watchdog trip rebuilds the session with a non-zero
     /// `seed_offset`, shifting every backend engine's diversification seed
     /// so the restarted search explores differently from the stalled one
-    /// ("cancel, reseed, restart"). `fault` flows to the portfolio workers
-    /// for chaos tests; production callers pass `None`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ColoringSession::new`].
-    pub fn new_with(
+    /// ("cancel, reseed, restart").
+    pub(crate) fn new_with(
         graph: &'g Graph,
         options: &SolveOptions,
         seed_offset: u64,
-        fault: Option<&FaultPlan>,
     ) -> Result<Self, SolveError> {
         if graph.num_vertices() == 0 {
             return Err(SolveError::EmptyGraph);
@@ -215,13 +212,8 @@ impl<'g> ColoringSession<'g> {
                     .iter()
                     .map(|c| c.with_seed(c.seed.wrapping_add(seed_offset)))
                     .collect();
-                let session = PortfolioSession::with_instrumentation(
-                    encoding.formula(),
-                    &configs,
-                    &recorder,
-                    fault,
-                    Some(SharingConfig::default()),
-                )?;
+                let session =
+                    PortfolioSession::new(encoding.formula(), &configs, &recorder, &options.fault)?;
                 SessionBackend::Portfolio(session)
             }
             None => {

@@ -189,6 +189,13 @@ pub struct SupervisedOutcome {
 /// `config` is all-default, plus crash safety and stall recovery when it
 /// is not.
 ///
+/// Besides the faults every ladder reads, [`SolveOptions::fault`]
+/// schedules the supervisor's own chaos: mid-rung kills (a panic at a
+/// scheduled rung start, after the previous rung's checkpoint is on disk),
+/// checkpoint bit-flips and artifact write failures. Session faults
+/// (panicking or stalled workers — the watchdog's prey) and mid-rung kills
+/// apply to the first attempt only, so retries genuinely recover.
+///
 /// # Errors
 ///
 /// [`SolveError::InvalidConfig`] for invalid knobs,
@@ -200,25 +207,6 @@ pub fn solve_supervised(
     graph: &Graph,
     options: &SolveOptions,
     config: &SupervisorConfig,
-) -> Result<SupervisedOutcome, SolveError> {
-    solve_supervised_instrumented(graph, options, config, None)
-}
-
-/// [`solve_supervised`] plus deterministic fault injection for the chaos
-/// suite: mid-rung kills (a panic at a scheduled rung start, after the
-/// previous rung's checkpoint is on disk), stalled session workers (the
-/// watchdog's prey), checkpoint bit-flips and artifact write failures.
-/// Production callers pass `None`; injected faults apply to the first
-/// attempt only, so retries genuinely recover.
-///
-/// # Errors
-///
-/// As [`solve_supervised`].
-pub fn solve_supervised_instrumented(
-    graph: &Graph,
-    options: &SolveOptions,
-    config: &SupervisorConfig,
-    fault: Option<&FaultPlan>,
 ) -> Result<SupervisedOutcome, SolveError> {
     config.validate()?;
     if graph.num_vertices() == 0 {
@@ -268,6 +256,7 @@ pub fn solve_supervised_instrumented(
         final_escalation: 1,
         config,
         recorder: recorder.clone(),
+        fault: options.fault.clone(),
     };
 
     if state.lower >= state.upper {
@@ -276,7 +265,7 @@ pub fn solve_supervised_instrumented(
         // checkpoint is still written so a `--checkpoint` run always
         // leaves a resumable artifact behind.
         supervision.attempts = 1;
-        supervision.write_checkpoint(graph, &options, &state, None, fault)?;
+        supervision.write_checkpoint(graph, &options, &state, None)?;
         let outcome = ChromaticOutcome {
             result: ChromaticResult::Exact {
                 chromatic_number: state.upper,
@@ -287,7 +276,7 @@ pub fn solve_supervised_instrumented(
         return Ok(supervision.finish(outcome, resumed));
     }
 
-    supervision.write_checkpoint(graph, &options, &state, None, fault)?;
+    supervision.write_checkpoint(graph, &options, &state, None)?;
 
     let mut rungs_done: u64 = 0;
     loop {
@@ -311,10 +300,12 @@ pub fn solve_supervised_instrumented(
         // Reseed: shift every engine seed per attempt (and once more for
         // a resume, diversifying away from the dead run's seeds).
         let seed_offset = SEED_STRIDE.wrapping_mul(attempt - 1 + u64::from(resumed));
-        // Injected faults hit the first attempt only: retries must
-        // demonstrate genuine recovery.
-        let session_fault = if attempt == 1 { fault } else { None };
-        let mut session = ColoringSession::new_with(graph, &options, seed_offset, session_fault)?;
+        // Injected session faults hit the first attempt only: retries
+        // must demonstrate genuine recovery.
+        if attempt > 1 {
+            options.fault = FaultPlan::default();
+        }
+        let mut session = ColoringSession::new_with(graph, &options, seed_offset)?;
         // Order matters: committing the restored/learned upper bound
         // first makes every carried clause entailed by the strengthened
         // formula, so the import below is sound.
@@ -334,7 +325,7 @@ pub fn solve_supervised_instrumented(
 
         let mut attempt_exhaust: Option<ExhaustReason> = None;
         while state.lower < state.upper {
-            if fault.and_then(FaultPlan::mid_rung_kill) == Some(rungs_done) && attempt == 1 {
+            if supervision.fault.mid_rung_kill() == Some(rungs_done) && attempt == 1 {
                 panic!("injected fault: solve killed at ladder rung {rungs_done}");
             }
             let target = (state.upper - 1).min(session.k());
@@ -370,13 +361,13 @@ pub fn solve_supervised_instrumented(
                     state.witness = c;
                     session.commit_upper_bound(state.upper);
                     state.clauses = session.export_learned();
-                    supervision.write_checkpoint(graph, &options, &state, Some(&session), fault)?;
+                    supervision.write_checkpoint(graph, &options, &state, Some(&session))?;
                 }
                 SessionAnswer::NotColorable { .. } => {
                     rungs_done += 1;
                     state.lower = (target + 1).max(state.lower);
                     state.clauses = session.export_learned();
-                    supervision.write_checkpoint(graph, &options, &state, Some(&session), fault)?;
+                    supervision.write_checkpoint(graph, &options, &state, Some(&session))?;
                     if target == session.k() && state.lower < state.upper {
                         // K-cap bracket: final, not retryable.
                         let outcome = ChromaticOutcome {
@@ -449,6 +440,9 @@ struct Supervision<'a> {
     final_escalation: u64,
     config: &'a SupervisorConfig,
     recorder: Recorder,
+    /// The caller's fault plan, kept whole for checkpoint writes and
+    /// mid-rung kills after retries clear it from the session options.
+    fault: FaultPlan,
 }
 
 impl Supervision<'_> {
@@ -462,7 +456,6 @@ impl Supervision<'_> {
         options: &SolveOptions,
         state: &SolveState,
         session: Option<&ColoringSession<'_>>,
-        fault: Option<&FaultPlan>,
     ) -> Result<(), SolveError> {
         let Some(path) = &self.config.checkpoint_path else {
             return Ok(());
@@ -477,7 +470,7 @@ impl Supervision<'_> {
             worker_seeds: session.map(ColoringSession::worker_seeds).unwrap_or_default(),
             clauses: state.clauses.clone(),
         };
-        ckpt.save(path, fault)?;
+        ckpt.save(path, Some(&self.fault))?;
         self.checkpoints_written += 1;
         Ok(())
     }

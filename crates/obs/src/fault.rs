@@ -1,15 +1,17 @@
 //! Deterministic fault injection for chaos testing.
 //!
 //! A [`FaultPlan`] describes *when and where* the pipeline should fail:
-//! which portfolio worker panics after how many conflicts, and which proof
-//! write reports an I/O error. Plans are plain data — seeded, cloneable and
-//! free of wall-clock or RNG state at trigger time — so a chaos test that
-//! fails replays identically under `--test-threads=1` or in a debugger.
+//! which portfolio worker panics and when (after a conflict count in an
+//! optimization race, at a query index in a persistent session), and
+//! which proof write reports an I/O error. Plans are plain data — seeded,
+//! cloneable and free of wall-clock or RNG state at trigger time — so a
+//! chaos test that fails replays identically under `--test-threads=1` or
+//! in a debugger.
 //!
-//! Production entry points accept no plan (the portfolio's
-//! `*_instrumented` functions take `Option<&FaultPlan>` and every public
-//! wrapper passes `None`), so the injection machinery compiles away to a
-//! single `is_none` branch outside the solver hot path.
+//! Production runs carry the empty plan (`FaultPlan::default()`): the
+//! portfolio entry points take a plan argument and `sbgc-core` carries one
+//! in `SolveOptions::fault`, and an empty plan injects nothing, so the
+//! machinery costs a few branches outside the solver hot path.
 //!
 //! # Example
 //!
@@ -28,8 +30,9 @@
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
-    /// `(worker index, conflict count)`: the worker panics once its solver
-    /// has spent this many conflicts.
+    /// `(worker index, count)`: the worker panics; the count is a conflict
+    /// count in an optimization race and a 0-based query index in a
+    /// persistent session, and the heuristic race ignores it.
     worker_panic: Option<(usize, u64)>,
     /// 1-based index of the first proof write that fails; all later writes
     /// fail too (a full disk stays full).
@@ -66,7 +69,9 @@ impl FaultPlan {
     }
 
     /// Schedules worker `worker` to panic after `after_conflicts`
-    /// conflicts.
+    /// conflicts. A persistent portfolio session reads the count as the
+    /// 0-based query index at which the worker panics instead, and the
+    /// heuristic race panics the worker whatever the count.
     pub fn with_worker_panic(mut self, worker: usize, after_conflicts: u64) -> Self {
         self.worker_panic = Some((worker, after_conflicts));
         self
@@ -90,8 +95,9 @@ impl FaultPlan {
         self
     }
 
-    /// If worker `worker` is scheduled to die: the conflict count after
-    /// which it must panic.
+    /// If worker `worker` is scheduled to die: the count at which it must
+    /// panic (conflicts, or a session query index; see
+    /// [`FaultPlan::with_worker_panic`]).
     pub fn worker_panic(&self, worker: usize) -> Option<u64> {
         match self.worker_panic {
             Some((w, n)) if w == worker => Some(n),

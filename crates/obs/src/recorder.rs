@@ -214,8 +214,8 @@ pub struct SpanRecord {
 }
 
 /// Per-worker telemetry of one portfolio race, recorded by
-/// `sbgc-pb::solve_portfolio` / `optimize_portfolio` when given an enabled
-/// recorder.
+/// `sbgc-pb::optimize_portfolio` and by every `sbgc-pb::PortfolioSession`
+/// query when given an enabled recorder.
 #[derive(Clone, Debug)]
 pub struct WorkerTelemetry {
     /// Worker index into the portfolio's config slice.

@@ -122,11 +122,12 @@ pub enum SolverKind {
     /// (CPLEX stand-in).
     Cplex,
     /// Parallel portfolio racing diversified CDCL configurations (see
-    /// [`crate::solve_portfolio`]); not part of the paper's line-up. When
-    /// reached through the sequential [`crate::optimize`] /
-    /// [`crate::solve_decision`] interface (which carries no worker count)
-    /// it runs [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] workers; the
-    /// end-to-end flow passes its `parallelism` option explicitly.
+    /// [`crate::PortfolioSession`] and [`crate::optimize_portfolio`]); not
+    /// part of the paper's line-up. When reached through the sequential
+    /// [`crate::optimize`] / [`crate::solve_decision`] interface (which
+    /// carries no worker count) it runs
+    /// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] workers; the end-to-end
+    /// flow passes its `parallelism` option explicitly.
     Portfolio,
 }
 

@@ -50,14 +50,10 @@ pub use bnb::BnbSolver;
 pub use config::{EngineConfig, RestartPolicy, SolverKind};
 pub use engine::{PbEngine, PbStats};
 pub use explain::ExplainStrategy;
-pub use optimize::{
-    optimize, optimize_recorded, optimize_recorded_with_stats, solve_decision,
-    solve_decision_recorded, OptOutcome, Optimizer,
-};
+pub use optimize::{optimize, optimize_recorded_with_stats, solve_decision, OptOutcome, Optimizer};
 pub use portfolio::{
-    optimize_portfolio, optimize_portfolio_instrumented, optimize_portfolio_recorded,
-    portfolio_configs, solve_portfolio, solve_portfolio_instrumented, solve_portfolio_recorded,
-    PortfolioError, PortfolioOptOutcome, PortfolioOutcome, PortfolioSession, SessionQueryOutcome,
+    optimize_portfolio, portfolio_configs, PortfolioError, PortfolioOptOutcome, PortfolioSession,
+    SessionQueryOutcome,
 };
 
 pub use sbgc_obs::{FaultPlan, Recorder, WorkerTelemetry};

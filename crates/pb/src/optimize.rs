@@ -8,8 +8,9 @@
 use crate::bnb::BnbSolver;
 use crate::config::SolverKind;
 use crate::engine::PbEngine;
+use crate::portfolio::PortfolioSession;
 use sbgc_formula::{Assignment, PbConstraint, PbFormula};
-use sbgc_obs::Recorder;
+use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_sat::{Budget, SolveOutcome};
 
 /// Result of an optimization run.
@@ -162,26 +163,16 @@ impl Optimizer {
 ///
 /// Panics if the formula has no objective.
 pub fn optimize(formula: &PbFormula, kind: SolverKind, budget: &Budget) -> OptOutcome {
-    optimize_recorded(formula, kind, budget, &Recorder::disabled())
+    optimize_recorded_with_stats(formula, kind, budget, &Recorder::disabled()).0
 }
 
-/// [`optimize`] with observability: CDCL engines (including every
-/// portfolio worker) flush their search counters into `recorder`.
-/// The branch-and-bound [`SolverKind::Cplex`] baseline records no
-/// counters — it has no CDCL events to report.
-pub fn optimize_recorded(
-    formula: &PbFormula,
-    kind: SolverKind,
-    budget: &Budget,
-    recorder: &Recorder,
-) -> OptOutcome {
-    optimize_recorded_with_stats(formula, kind, budget, recorder).0
-}
-
-/// [`optimize_recorded`] that also returns the engine statistics of the
-/// run — for the CDCL kinds the optimizer's own counters, for the
-/// portfolio the sum over all workers, and for the branch-and-bound
-/// baseline (which has no CDCL counters) the default all-zero stats.
+/// [`optimize`] with observability, also returning the engine statistics
+/// of the run. CDCL engines (including every portfolio worker) flush their
+/// search counters into `recorder`; the branch-and-bound
+/// [`SolverKind::Cplex`] baseline records nothing. The returned stats are
+/// the optimizer's own counters for the CDCL kinds, the sum over all
+/// workers for the portfolio, and the default all-zero stats for the
+/// branch-and-bound baseline (which has no CDCL counters).
 ///
 /// The `exhaust` field of the returned stats is the budget-exhaustion
 /// reason when the run ended undecided, which is how callers distinguish
@@ -197,8 +188,14 @@ pub fn optimize_recorded_with_stats(
         SolverKind::Cplex => (BnbSolver::new(formula).run(budget), crate::PbStats::default()),
         SolverKind::Portfolio => {
             let configs = crate::portfolio_configs(SolverKind::DEFAULT_PORTFOLIO_WORKERS);
-            let race = crate::optimize_portfolio_recorded(formula, &configs, budget, recorder)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let race = crate::optimize_portfolio(
+                formula,
+                &configs,
+                budget,
+                recorder,
+                &FaultPlan::default(),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
             (race.outcome, race.stats)
         }
         _ => {
@@ -213,19 +210,11 @@ pub fn optimize_recorded_with_stats(
 
 /// Solves the decision problem (ignoring any objective) with the given
 /// solver under `budget`.
+///
+/// [`SolverKind::Portfolio`] races
+/// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] workers as a
+/// [`PortfolioSession`] answering one query without assumptions.
 pub fn solve_decision(formula: &PbFormula, kind: SolverKind, budget: &Budget) -> SolveOutcome {
-    solve_decision_recorded(formula, kind, budget, &Recorder::disabled())
-}
-
-/// [`solve_decision`] with observability: CDCL engines (including every
-/// portfolio worker) flush their search counters into `recorder`; the
-/// branch-and-bound baseline records nothing.
-pub fn solve_decision_recorded(
-    formula: &PbFormula,
-    kind: SolverKind,
-    budget: &Budget,
-    recorder: &Recorder,
-) -> SolveOutcome {
     match kind {
         SolverKind::Cplex => {
             let mut f = formula.clone();
@@ -234,15 +223,18 @@ pub fn solve_decision_recorded(
         }
         SolverKind::Portfolio => {
             let configs = crate::portfolio_configs(SolverKind::DEFAULT_PORTFOLIO_WORKERS);
-            crate::solve_portfolio_recorded(formula, &configs, budget, recorder)
-                .unwrap_or_else(|e| panic!("{e}"))
-                .outcome
+            let mut session = PortfolioSession::new(
+                formula,
+                &configs,
+                &Recorder::disabled(),
+                &FaultPlan::default(),
+            )
+            .expect("the default portfolio has workers");
+            session.query(&[], budget).outcome
         }
         _ => {
             let config = kind.engine_config().expect("CDCL kind");
-            let mut engine = PbEngine::from_formula(formula, config);
-            engine.set_recorder(recorder.clone());
-            engine.solve_with_budget(budget)
+            PbEngine::from_formula(formula, config).solve_with_budget(budget)
         }
     }
 }

@@ -10,28 +10,30 @@
 //! losing worker stops at its next stride-64 budget check, i.e. within
 //! ~64 conflicts).
 //!
-//! Two entry points mirror the sequential API:
+//! Each race has exactly one entry point:
 //!
-//! * [`solve_portfolio`] races decision solves ([`PbEngine`] workers);
+//! * [`PortfolioSession`] races decision solves: one long-lived
+//!   [`PbEngine`] per worker thread, raced on every assumption query. A
+//!   one-shot decision race is a session answering a single query with
+//!   no assumptions, which is what [`crate::solve_decision`] runs for
+//!   [`SolverKind::Portfolio`];
 //! * [`optimize_portfolio`] races iterated-strengthening optimization
 //!   loops that share their incumbent bound through an `AtomicU64`, so any
 //!   worker's improvement immediately tightens every other worker's
 //!   objective cut.
 //!
-//! Everything is built on `std::thread::scope` — no dependencies beyond
-//! `std`.
+//! No dependencies beyond `std`.
 //!
 //! # Learned-clause sharing
 //!
 //! Workers in one race cooperate, not just compete: every race creates a
 //! [`SharedClausePool`] and hands each worker a [`SharingHandle`], so
-//! learned clauses that pass the glue filter (low LBD, short — see
-//! [`SharingConfig`]) are exported to the pool and imported by every peer
-//! at its next restart. Import happens only at restart boundaries, where
-//! the trail is at the root level anyway, which keeps the propagation hot
-//! loop free of locks (see `docs/DESIGN.md` §4f). The `*_instrumented`
-//! entry points accept `Option<SharingConfig>` so tests can race with
-//! sharing disabled; the production wrappers always share.
+//! learned clauses that pass the default glue filter (low LBD, short —
+//! see [`SharingConfig`]) are exported to the pool and imported by every
+//! peer at its next restart. Import happens only at restart boundaries,
+//! where the trail is at the root level anyway, which keeps the
+//! propagation hot loop free of locks (see `docs/DESIGN.md` §4f). Sharing
+//! is always on.
 //!
 //! # Fault tolerance
 //!
@@ -40,11 +42,11 @@
 //! returns the first definitive answer. All shared state (winner slot,
 //! summed stats, cancel mark, incumbent) is locked poison-tolerantly, so
 //! a panic inside a critical section cannot wedge the surviving workers.
-//! Dead workers are counted in [`PortfolioOutcome::failed_workers`] and —
-//! with an enabled [`Recorder`] — recorded as [`WorkerTelemetry`] entries
-//! whose `failed` field summarizes the panic payload. The deterministic
-//! [`FaultPlan`] accepted by the `*_instrumented` entry points exists to
-//! test exactly this machinery (see `docs/ROBUSTNESS.md`).
+//! Dead workers are counted in the outcome's `failed_workers` and — with
+//! an enabled [`Recorder`] — recorded as [`WorkerTelemetry`] entries whose
+//! `failed` field summarizes the panic payload. Both entry points take a
+//! deterministic [`FaultPlan`] to test exactly this machinery; the empty
+//! plan injects nothing (see `docs/ROBUSTNESS.md`).
 
 use crate::config::{EngineConfig, RestartPolicy, SolverKind};
 use crate::engine::{PbEngine, PbStats};
@@ -82,23 +84,6 @@ impl std::fmt::Display for PortfolioError {
 }
 
 impl std::error::Error for PortfolioError {}
-
-/// Result of a [`solve_portfolio`] race.
-#[derive(Clone, Debug)]
-pub struct PortfolioOutcome {
-    /// The decision answer (first definitive one, else `Unknown`).
-    pub outcome: SolveOutcome,
-    /// Index (into the `configs` slice) and configuration of the worker
-    /// that produced the definitive answer, when there was one.
-    pub winner: Option<(usize, EngineConfig)>,
-    /// Engine statistics summed over *all* workers — the total work spent,
-    /// not just the winner's share.
-    pub stats: PbStats,
-    /// Number of workers that died (panicked) during the race. The race
-    /// result comes from the survivors; a non-zero count alongside a
-    /// definitive `outcome` means the portfolio degraded gracefully.
-    pub failed_workers: usize,
-}
 
 /// Result of an [`optimize_portfolio`] race.
 #[derive(Clone, Debug)]
@@ -190,6 +175,28 @@ fn config_label(config: &EngineConfig) -> String {
     format!("{config:?}")
 }
 
+/// The telemetry record of CDCL worker `index` that neither won nor
+/// failed and has no counters yet; callers fill in what they know.
+fn cdcl_telemetry(
+    index: usize,
+    config: &EngineConfig,
+    run_time: Duration,
+    query: Option<u64>,
+) -> WorkerTelemetry {
+    WorkerTelemetry {
+        index,
+        kind: "cdcl".to_string(),
+        seed: config.seed,
+        config: config_label(config),
+        search: SearchCounters::default(),
+        won: false,
+        cancel_latency: None,
+        run_time,
+        failed: None,
+        query,
+    }
+}
+
 /// Shared cancel-time mark for measuring cooperative-cancellation latency:
 /// the winner stamps it immediately before tripping the [`CancelToken`];
 /// losers subtract it from their own finish time.
@@ -235,186 +242,6 @@ pub fn portfolio_configs(n: usize) -> Vec<EngineConfig> {
             kind.engine_config().expect("CDCL kind").with_seed(i as u64).diversified(i)
         })
         .collect()
-}
-
-/// Races one [`PbEngine`] per config on the decision problem; the first
-/// worker to answer Sat or Unsat cancels the rest.
-///
-/// With a single config this degenerates to the sequential solve (plus one
-/// scoped thread). All workers share the caller's `budget` — its deadline
-/// is armed once, here, so setup and losing workers don't extend it.
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty.
-pub fn solve_portfolio(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    solve_portfolio_recorded(formula, configs, budget, &Recorder::disabled())
-}
-
-/// [`solve_portfolio`] with observability: each worker flushes its search
-/// counters into `recorder` and records a [`WorkerTelemetry`] entry
-/// (configuration, own counters, whether it won, cancellation latency,
-/// run time) on exit. A disabled recorder makes this identical to
-/// [`solve_portfolio`].
-///
-/// # Example
-///
-/// ```
-/// use sbgc_formula::PbFormula;
-/// use sbgc_obs::Recorder;
-/// use sbgc_pb::{portfolio_configs, solve_portfolio_recorded, Budget};
-///
-/// let mut f = PbFormula::new();
-/// let a = f.new_var().positive();
-/// let b = f.new_var().positive();
-/// f.add_clause([a, b]);
-///
-/// let recorder = Recorder::new();
-/// let out =
-///     solve_portfolio_recorded(&f, &portfolio_configs(2), &Budget::unlimited(), &recorder)
-///         .expect("non-empty portfolio");
-/// assert!(out.outcome.is_sat());
-/// let workers = recorder.workers();
-/// assert_eq!(workers.len(), 2);
-/// assert_eq!(workers.iter().filter(|w| w.won).count(), 1);
-/// ```
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty.
-pub fn solve_portfolio_recorded(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-    recorder: &Recorder,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    solve_portfolio_instrumented(
-        formula,
-        configs,
-        budget,
-        recorder,
-        None,
-        Some(SharingConfig::default()),
-    )
-}
-
-/// [`solve_portfolio_recorded`] plus deterministic fault injection and a
-/// sharing override: when `fault` schedules a panic for a worker, that
-/// worker's solve is capped at the scheduled conflict count and then
-/// panics — exercising the panic-isolation path on purpose. `sharing`
-/// selects the learned-clause export filter (`None` disables clause
-/// sharing entirely, for A/B tests). Production callers pass `None` for
-/// `fault` and `Some(SharingConfig::default())` for `sharing`.
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty.
-pub fn solve_portfolio_instrumented(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-    recorder: &Recorder,
-    fault: Option<&FaultPlan>,
-    sharing: Option<SharingConfig>,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    if configs.is_empty() {
-        return Err(PortfolioError::NoWorkers);
-    }
-    let budget = budget.started();
-    let race = CancelToken::new();
-    let cancel_mark = CancelMark::new();
-    let pool = SharedClausePool::new();
-    let winner: Mutex<Option<(usize, SolveOutcome)>> = Mutex::new(None);
-    let stats: Mutex<PbStats> = Mutex::new(PbStats::default());
-    let failed = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for (index, &config) in configs.iter().enumerate() {
-            let worker_budget = budget.clone().with_cancel_token(race.clone());
-            let sharing_handle = sharing.map(|cfg| pool.handle(index, cfg));
-            let (race, winner, stats, cancel_mark, failed) =
-                (&race, &winner, &stats, &cancel_mark, &failed);
-            s.spawn(move || {
-                let run_start = Instant::now();
-                let injected = fault.and_then(|p| p.worker_panic(index));
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    let worker_budget = match injected {
-                        Some(n) => worker_budget.clone().with_max_conflicts(n),
-                        None => worker_budget,
-                    };
-                    let mut engine = PbEngine::from_formula(formula, config);
-                    engine.set_recorder(recorder.clone());
-                    if let Some(handle) = sharing_handle {
-                        engine.set_sharing(handle);
-                    }
-                    let out = engine.solve_with_budget(&worker_budget);
-                    if let Some(n) = injected {
-                        panic!("injected fault: worker {index} panicked after {n} conflicts");
-                    }
-                    let finish = Instant::now();
-                    add_stats(&mut lock_tolerant(stats), engine.stats());
-                    let mut won = false;
-                    if matches!(out, SolveOutcome::Sat(_) | SolveOutcome::Unsat) {
-                        let mut w = lock_tolerant(winner);
-                        if w.is_none() {
-                            *w = Some((index, out));
-                            cancel_mark.stamp();
-                            race.cancel();
-                            won = true;
-                        }
-                    }
-                    if recorder.is_enabled() {
-                        engine.flush_recorder();
-                        recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: engine.stats().into(),
-                            won,
-                            cancel_latency: if won { None } else { cancel_mark.latency(finish) },
-                            run_time: finish.duration_since(run_start),
-                            failed: None,
-                            query: None,
-                        });
-                    }
-                }));
-                if let Err(payload) = body {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    if recorder.is_enabled() {
-                        recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: SearchCounters::default(),
-                            won: false,
-                            cancel_latency: None,
-                            run_time: run_start.elapsed(),
-                            failed: Some(panic_summary(payload.as_ref())),
-                            query: None,
-                        });
-                    }
-                }
-            });
-        }
-    });
-
-    let (winner, outcome) = match lock_tolerant(&winner).take() {
-        Some((index, out)) => (Some((index, configs[index])), out),
-        None => (None, SolveOutcome::Unknown),
-    };
-    let mut stats = *lock_tolerant(&stats);
-    if !matches!(outcome, SolveOutcome::Unknown) {
-        // The race was decided; the losers' budget exhaustion is not the
-        // outcome's exhaustion.
-        stats.exhaust = None;
-    }
-    Ok(PortfolioOutcome { outcome, winner, stats, failed_workers: failed.load(Ordering::Relaxed) })
 }
 
 /// The shared incumbent of an optimization race: the best objective value
@@ -485,13 +312,49 @@ fn strengthen(
 /// (UNSAT with no cut) cancels the rest. If the budget runs out first, the
 /// best shared incumbent is returned as `Feasible`.
 ///
-/// Soundness of the UNSAT case: every clause in every worker's database —
-/// including clauses imported from peers via the shared pool — is entailed
-/// by the formula plus the tightest objective cut any worker ever held,
-/// and every cut is backed by a genuine incumbent model. A refutation
-/// therefore proves the shared incumbent optimal; with no incumbent it
-/// proves the formula infeasible (see
-/// [`optimize_portfolio_instrumented`] for the full argument).
+/// Each worker flushes its search counters into `recorder` and records a
+/// [`WorkerTelemetry`] entry (configuration, own counters, whether it won,
+/// cancellation latency, run time) on exit; a disabled recorder records
+/// nothing. When `fault` schedules a panic for a worker, that worker's
+/// solve is capped at the scheduled *conflict count* and then panics,
+/// exercising the panic-isolation path on purpose. Production callers
+/// pass an empty plan.
+///
+/// Clause sharing stays sound across the iterated-strengthening loop even
+/// though workers transiently carry *different* objective cuts. Every cut
+/// anywhere is `obj ≤ b − 1` for some published incumbent bound `b`, and
+/// the bound only decreases, so every clause in every database — including
+/// clauses imported from peers via the shared pool — is entailed by
+/// `formula ∧ (obj ≤ bound − 1)` for the *current* shared bound. A
+/// refutation therefore proves the incumbent optimal — and is read that
+/// way (the UNSAT branch consults the incumbent, not just the local cut).
+/// Only when no incumbent was ever published (hence no cut ever existed
+/// and all shared clauses are formula-entailed) does UNSAT mean
+/// infeasible.
+///
+/// # Example
+///
+/// ```
+/// use sbgc_formula::{Objective, PbFormula};
+/// use sbgc_pb::{optimize_portfolio, portfolio_configs, Budget, FaultPlan, Recorder};
+///
+/// // minimize a + b subject to a ∨ b
+/// let mut f = PbFormula::new();
+/// let a = f.new_var().positive();
+/// let b = f.new_var().positive();
+/// f.add_clause([a, b]);
+/// f.set_objective(Objective::minimize([(1, a), (1, b)]));
+///
+/// let recorder = Recorder::new();
+/// let configs = portfolio_configs(2);
+/// let out =
+///     optimize_portfolio(&f, &configs, &Budget::unlimited(), &recorder, &FaultPlan::default())
+///         .expect("non-empty portfolio with an objective");
+/// assert_eq!(out.outcome.value(), Some(1));
+/// let workers = recorder.workers();
+/// assert_eq!(workers.len(), 2);
+/// assert_eq!(workers.iter().filter(|w| w.won).count(), 1);
+/// ```
 ///
 /// # Errors
 ///
@@ -501,62 +364,8 @@ pub fn optimize_portfolio(
     formula: &PbFormula,
     configs: &[EngineConfig],
     budget: &Budget,
-) -> Result<PortfolioOptOutcome, PortfolioError> {
-    optimize_portfolio_recorded(formula, configs, budget, &Recorder::disabled())
-}
-
-/// [`optimize_portfolio`] with observability: each worker flushes its
-/// search counters into `recorder` and records a [`WorkerTelemetry`]
-/// entry on exit. A disabled recorder makes this identical to
-/// [`optimize_portfolio`].
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty,
-/// [`PortfolioError::MissingObjective`] if the formula has no objective.
-pub fn optimize_portfolio_recorded(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
     recorder: &Recorder,
-) -> Result<PortfolioOptOutcome, PortfolioError> {
-    optimize_portfolio_instrumented(
-        formula,
-        configs,
-        budget,
-        recorder,
-        None,
-        Some(SharingConfig::default()),
-    )
-}
-
-/// [`optimize_portfolio_recorded`] plus deterministic fault injection and
-/// a sharing override (see [`solve_portfolio_instrumented`]). Production
-/// callers pass `None` for `fault` and `Some(SharingConfig::default())`
-/// for `sharing`.
-///
-/// Clause sharing stays sound across the iterated-strengthening loop even
-/// though workers transiently carry *different* objective cuts. Every cut
-/// anywhere is `obj ≤ b − 1` for some published incumbent bound `b`, and
-/// the bound only decreases, so every clause in every database is entailed
-/// by `formula ∧ (obj ≤ bound − 1)` for the *current* shared bound. A
-/// refutation therefore proves the incumbent optimal — and is read that
-/// way (the UNSAT branch consults the incumbent, not just the local cut).
-/// Only when no incumbent was ever published (hence no cut ever existed
-/// and all shared clauses are formula-entailed) does UNSAT mean
-/// infeasible.
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty,
-/// [`PortfolioError::MissingObjective`] if the formula has no objective.
-pub fn optimize_portfolio_instrumented(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-    recorder: &Recorder,
-    fault: Option<&FaultPlan>,
-    sharing: Option<SharingConfig>,
+    fault: &FaultPlan,
 ) -> Result<PortfolioOptOutcome, PortfolioError> {
     if configs.is_empty() {
         return Err(PortfolioError::NoWorkers);
@@ -574,12 +383,12 @@ pub fn optimize_portfolio_instrumented(
     std::thread::scope(|s| {
         for (index, &config) in configs.iter().enumerate() {
             let worker_budget = budget.clone().with_cancel_token(race.clone());
-            let sharing_handle = sharing.map(|cfg| pool.handle(index, cfg));
+            let sharing_handle = pool.handle(index, SharingConfig::default());
             let (race, winner, stats, incumbent, objective, cancel_mark, failed) =
                 (&race, &winner, &stats, &incumbent, &objective, &cancel_mark, &failed);
             s.spawn(move || {
                 let run_start = Instant::now();
-                let injected = fault.and_then(|p| p.worker_panic(index));
+                let injected = fault.worker_panic(index);
                 let body = catch_unwind(AssertUnwindSafe(|| {
                     let worker_budget = match injected {
                         Some(n) => worker_budget.clone().with_max_conflicts(n),
@@ -587,9 +396,7 @@ pub fn optimize_portfolio_instrumented(
                     };
                     let mut engine = PbEngine::from_formula(formula, config);
                     engine.set_recorder(recorder.clone());
-                    if let Some(handle) = sharing_handle {
-                        engine.set_sharing(handle);
-                    }
+                    engine.set_sharing(sharing_handle);
                     // Tightest objective cut this worker's engine carries.
                     let mut local_cut: Option<u64> = None;
                     let decided = loop {
@@ -654,17 +461,12 @@ pub fn optimize_portfolio_instrumented(
                     }
                     if recorder.is_enabled() {
                         engine.flush_recorder();
+                        let run_time = finish.duration_since(run_start);
                         recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
                             search: engine.stats().into(),
                             won,
                             cancel_latency: if won { None } else { cancel_mark.latency(finish) },
-                            run_time: finish.duration_since(run_start),
-                            failed: None,
-                            query: None,
+                            ..cdcl_telemetry(index, &config, run_time, None)
                         });
                     }
                 }));
@@ -672,16 +474,8 @@ pub fn optimize_portfolio_instrumented(
                     failed.fetch_add(1, Ordering::Relaxed);
                     if recorder.is_enabled() {
                         recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: SearchCounters::default(),
-                            won: false,
-                            cancel_latency: None,
-                            run_time: run_start.elapsed(),
                             failed: Some(panic_summary(payload.as_ref())),
-                            query: None,
+                            ..cdcl_telemetry(index, &config, run_start.elapsed(), None)
                         });
                     }
                 }
@@ -802,8 +596,8 @@ fn session_worker(
     config: EngineConfig,
     formula: Arc<PbFormula>,
     recorder: Recorder,
-    fault: Option<FaultPlan>,
-    sharing_handle: Option<SharingHandle>,
+    fault: FaultPlan,
+    sharing_handle: SharingHandle,
     rx: Receiver<Command>,
     reply_tx: Sender<Reply>,
 ) {
@@ -812,17 +606,15 @@ fn session_worker(
     let mut engine = catch_unwind(AssertUnwindSafe(|| {
         let mut e = PbEngine::from_formula(&formula, config);
         e.set_recorder(recorder.clone());
-        if let Some(handle) = sharing_handle {
-            e.set_sharing(handle);
-        }
+        e.set_sharing(sharing_handle);
         e
     }))
     .map_err(|payload| panic_summary(payload.as_ref()));
     // In a session the fault plan's `after_conflicts` value is reinterpreted
     // as the 0-based *query index* at which this worker panics, modeling a
     // worker dying between ladder steps (see `docs/ROBUSTNESS.md`).
-    let injected = fault.as_ref().and_then(|p| p.worker_panic(index));
-    let stalled_from = fault.as_ref().and_then(|p| p.stalled_worker(index));
+    let injected = fault.worker_panic(index);
+    let stalled_from = fault.stalled_worker(index);
     while let Ok(command) = rx.recv() {
         let (id, assumptions, budget) = match command {
             Command::Query { id, assumptions, budget } => (id, assumptions, budget),
@@ -950,7 +742,7 @@ pub struct SessionQueryOutcome {
 /// axioms), so everything retained or shared is entailed by the formula
 /// itself and stays valid for every later query, whatever its assumptions.
 ///
-/// Fault tolerance matches the one-shot races: a worker that panics dies
+/// Fault tolerance matches the optimization race: a worker that panics dies
 /// alone (its possibly-corrupt engine is never reused), later queries race
 /// the survivors, and a session whose workers have all died answers
 /// `Unknown`. With an enabled [`Recorder`], every query records one
@@ -965,13 +757,18 @@ pub struct PortfolioSession {
     next_query: u64,
     failed_total: usize,
     pool: Arc<SharedClausePool>,
-    sharing: Option<SharingConfig>,
 }
 
 impl PortfolioSession {
     /// Spawns one persistent worker per config on `formula`, with clause
-    /// sharing on and no fault injection. Workers build their engines
-    /// concurrently; the call returns without waiting for them.
+    /// sharing on. Workers build their engines concurrently; the call
+    /// returns without waiting for them.
+    ///
+    /// `fault` schedules deterministic failures for chaos tests; the empty
+    /// plan injects nothing. In a session a [`FaultPlan`] worker panic's
+    /// count is the 0-based **query index** at which the worker panics (a
+    /// worker dying *between* ladder steps), and a stalled worker burns
+    /// wall-clock from its scheduled query on.
     ///
     /// # Errors
     ///
@@ -980,26 +777,7 @@ impl PortfolioSession {
         formula: &PbFormula,
         configs: &[EngineConfig],
         recorder: &Recorder,
-    ) -> Result<Self, PortfolioError> {
-        Self::with_instrumentation(formula, configs, recorder, None, Some(SharingConfig::default()))
-    }
-
-    /// [`PortfolioSession::new`] plus deterministic fault injection and a
-    /// sharing override. In a session, a [`FaultPlan`] worker panic's
-    /// `after_conflicts` value is reinterpreted as the 0-based **query
-    /// index** at which the worker panics (a worker dying *between* ladder
-    /// steps); the conflict-count reading only makes sense for one-shot
-    /// races. Production callers use [`PortfolioSession::new`].
-    ///
-    /// # Errors
-    ///
-    /// [`PortfolioError::NoWorkers`] if `configs` is empty.
-    pub fn with_instrumentation(
-        formula: &PbFormula,
-        configs: &[EngineConfig],
-        recorder: &Recorder,
-        fault: Option<&FaultPlan>,
-        sharing: Option<SharingConfig>,
+        fault: &FaultPlan,
     ) -> Result<Self, PortfolioError> {
         if configs.is_empty() {
             return Err(PortfolioError::NoWorkers);
@@ -1014,8 +792,8 @@ impl PortfolioSession {
                 let (tx, rx) = mpsc::channel();
                 let formula = Arc::clone(&formula);
                 let recorder = recorder.clone();
-                let fault = fault.cloned();
-                let sharing_handle = sharing.map(|cfg| pool.handle(index, cfg));
+                let fault = fault.clone();
+                let sharing_handle = pool.handle(index, SharingConfig::default());
                 let reply_tx = reply_tx.clone();
                 let handle = std::thread::spawn(move || {
                     session_worker(
@@ -1039,7 +817,6 @@ impl PortfolioSession {
             next_query: 0,
             failed_total: 0,
             pool,
-            sharing,
         })
     }
 
@@ -1051,7 +828,7 @@ impl PortfolioSession {
     /// query (cancelled losers included) before returning, so the workers
     /// are quiescent — and their engines intact — when the next query
     /// starts. The budget's deadline is armed on first use, exactly like
-    /// the one-shot races; conflict caps compare against each engine's
+    /// the optimization race; conflict caps compare against each engine's
     /// *cumulative* conflict count, so a `with_max_conflicts` budget caps
     /// the session's total work, not each query's.
     pub fn query(&mut self, assumptions: &[Lit], budget: &Budget) -> SessionQueryOutcome {
@@ -1096,16 +873,8 @@ impl PortfolioSession {
                     self.workers[reply.worker].retire();
                     if self.recorder.is_enabled() {
                         self.recorder.record_worker(WorkerTelemetry {
-                            index: reply.worker,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: SearchCounters::default(),
-                            won: false,
-                            cancel_latency: None,
-                            run_time,
                             failed: Some(summary),
-                            query: Some(id),
+                            ..cdcl_telemetry(reply.worker, &config, run_time, Some(id))
                         });
                     }
                 }
@@ -1123,16 +892,10 @@ impl PortfolioSession {
                     }
                     if self.recorder.is_enabled() {
                         self.recorder.record_worker(WorkerTelemetry {
-                            index: reply.worker,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
                             search: delta.into(),
                             won,
                             cancel_latency: if won { None } else { cancel_mark.latency(finish) },
-                            run_time,
-                            failed: None,
-                            query: Some(id),
+                            ..cdcl_telemetry(reply.worker, &config, run_time, Some(id))
                         });
                     }
                 }
@@ -1211,16 +974,14 @@ impl PortfolioSession {
 
     /// Seeds the shared pool with externally supplied learned clauses (a
     /// resumed checkpoint's lemmas); every worker imports them at its next
-    /// restart boundary. Clauses are re-filtered through the session's
-    /// sharing config. Returns the number accepted; a session built with
-    /// sharing disabled accepts none.
+    /// restart boundary. Clauses are re-filtered through the default
+    /// share filter. Returns the number accepted.
     ///
     /// Only sound when each clause is entailed by the current formula —
     /// the resume path re-commits the checkpoint's bounds as root units
     /// *before* importing (see `docs/ROBUSTNESS.md`).
     pub fn import_clauses(&mut self, clauses: &[(Vec<Lit>, u32)]) -> usize {
-        let Some(config) = self.sharing else { return 0 };
-        self.pool.seed(clauses, config)
+        self.pool.seed(clauses, SharingConfig::default())
     }
 }
 
@@ -1267,6 +1028,29 @@ mod tests {
         f
     }
 
+    /// The optimization race with telemetry off and no injected faults.
+    fn race_optimum(
+        f: &PbFormula,
+        configs: &[EngineConfig],
+        budget: &Budget,
+    ) -> Result<PortfolioOptOutcome, PortfolioError> {
+        optimize_portfolio(f, configs, budget, &Recorder::disabled(), &FaultPlan::default())
+    }
+
+    /// A one-shot decision race: a fresh session of `n` workers answering
+    /// one query without assumptions.
+    fn race_decision(
+        f: &PbFormula,
+        n: usize,
+        budget: &Budget,
+        recorder: &Recorder,
+        fault: &FaultPlan,
+    ) -> SessionQueryOutcome {
+        PortfolioSession::new(f, &portfolio_configs(n), recorder, fault)
+            .expect("non-empty portfolio")
+            .query(&[], budget)
+    }
+
     #[test]
     fn configs_are_deterministic_and_start_sequential() {
         let a = portfolio_configs(4);
@@ -1285,8 +1069,13 @@ mod tests {
     fn decision_race_agrees_with_sequential() {
         let f = covering();
         for n in 1..=4 {
-            let out = solve_portfolio(&f, &portfolio_configs(n), &Budget::unlimited())
-                .expect("non-empty portfolio");
+            let out = race_decision(
+                &f,
+                n,
+                &Budget::unlimited(),
+                &Recorder::disabled(),
+                &FaultPlan::default(),
+            );
             assert!(matches!(out.outcome, SolveOutcome::Sat(_)), "n={n}");
             assert!(out.winner.is_some());
             assert!(out.stats.decisions > 0);
@@ -1298,7 +1087,7 @@ mod tests {
     fn optimization_race_finds_the_optimum() {
         let f = covering();
         for n in 1..=4 {
-            let out = optimize_portfolio(&f, &portfolio_configs(n), &Budget::unlimited())
+            let out = race_optimum(&f, &portfolio_configs(n), &Budget::unlimited())
                 .expect("non-empty portfolio");
             match out.outcome {
                 OptOutcome::Optimal { value, ref model } => {
@@ -1318,7 +1107,7 @@ mod tests {
         f.add_unit(a);
         f.add_unit(!a);
         f.set_objective(Objective::minimize([(1, a)]));
-        let out = optimize_portfolio(&f, &portfolio_configs(3), &Budget::unlimited())
+        let out = race_optimum(&f, &portfolio_configs(3), &Budget::unlimited())
             .expect("non-empty portfolio");
         assert!(out.outcome.is_infeasible());
     }
@@ -1327,11 +1116,7 @@ mod tests {
     fn empty_portfolio_is_a_typed_error() {
         let f = covering();
         assert_eq!(
-            solve_portfolio(&f, &[], &Budget::unlimited()).unwrap_err(),
-            PortfolioError::NoWorkers
-        );
-        assert_eq!(
-            optimize_portfolio(&f, &[], &Budget::unlimited()).unwrap_err(),
+            race_optimum(&f, &[], &Budget::unlimited()).unwrap_err(),
             PortfolioError::NoWorkers
         );
     }
@@ -1341,7 +1126,7 @@ mod tests {
         let mut f = PbFormula::new();
         let a = f.new_var().positive();
         f.add_unit(a);
-        let err = optimize_portfolio(&f, &portfolio_configs(2), &Budget::unlimited()).unwrap_err();
+        let err = race_optimum(&f, &portfolio_configs(2), &Budget::unlimited()).unwrap_err();
         assert_eq!(err, PortfolioError::MissingObjective);
         assert!(err.to_string().contains("objective"));
     }
@@ -1350,7 +1135,7 @@ mod tests {
     fn zero_budget_cancels_cleanly() {
         let f = covering();
         let b = Budget::unlimited().with_max_conflicts(0);
-        let out = optimize_portfolio(&f, &portfolio_configs(4), &b).expect("non-empty portfolio");
+        let out = race_optimum(&f, &portfolio_configs(4), &b).expect("non-empty portfolio");
         assert!(!out.outcome.is_infeasible());
     }
 
@@ -1358,8 +1143,9 @@ mod tests {
     fn recorded_race_captures_worker_telemetry() {
         let f = covering();
         let rec = Recorder::new();
+        let configs = portfolio_configs(3);
         let out =
-            optimize_portfolio_recorded(&f, &portfolio_configs(3), &Budget::unlimited(), &rec)
+            optimize_portfolio(&f, &configs, &Budget::unlimited(), &rec, &FaultPlan::default())
                 .expect("non-empty portfolio");
         assert!(out.winner.is_some());
         let workers = rec.workers();
@@ -1379,8 +1165,7 @@ mod tests {
     fn disabled_recorder_keeps_portfolio_silent() {
         let f = covering();
         let rec = Recorder::disabled();
-        let out = solve_portfolio_recorded(&f, &portfolio_configs(2), &Budget::unlimited(), &rec)
-            .expect("non-empty portfolio");
+        let out = race_decision(&f, 2, &Budget::unlimited(), &rec, &FaultPlan::default());
         assert!(matches!(out.outcome, SolveOutcome::Sat(_)));
         assert!(rec.workers().is_empty());
         assert_eq!(rec.counter(sbgc_obs::Counter::Decisions), 0);
@@ -1409,7 +1194,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let b = Budget::unlimited().with_cancel_token(token);
-        let out = solve_portfolio(&f, &portfolio_configs(4), &b).expect("non-empty portfolio");
+        let out = race_decision(&f, 4, &b, &Recorder::disabled(), &FaultPlan::default());
         assert!(matches!(out.outcome, SolveOutcome::Unknown));
         assert!(out.winner.is_none());
     }
@@ -1420,15 +1205,8 @@ mod tests {
         let rec = Recorder::new();
         // Kill worker 1 immediately; workers 0 and 2 survive and decide.
         let plan = FaultPlan::new(0).with_worker_panic(1, 0);
-        let out = optimize_portfolio_instrumented(
-            &f,
-            &portfolio_configs(3),
-            &Budget::unlimited(),
-            &rec,
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let out = optimize_portfolio(&f, &portfolio_configs(3), &Budget::unlimited(), &rec, &plan)
+            .expect("non-empty portfolio");
         match out.outcome {
             OptOutcome::Optimal { value, .. } => assert_eq!(value, 2),
             ref other => panic!("survivors must decide, got {other:?}"),
@@ -1448,16 +1226,10 @@ mod tests {
     #[test]
     fn injected_panic_in_decision_race_is_survivable() {
         let f = covering();
+        // In a session the panic count is a query index: worker 0 dies at
+        // the first (and only) query.
         let plan = FaultPlan::new(7).with_worker_panic(0, 0);
-        let out = solve_portfolio_instrumented(
-            &f,
-            &portfolio_configs(2),
-            &Budget::unlimited(),
-            &Recorder::disabled(),
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let out = race_decision(&f, 2, &Budget::unlimited(), &Recorder::disabled(), &plan);
         assert!(matches!(out.outcome, SolveOutcome::Sat(_)));
         assert_eq!(out.failed_workers, 1);
         assert_eq!(out.winner.map(|(i, _)| i), Some(1));
@@ -1467,13 +1239,12 @@ mod tests {
     fn all_workers_dead_degrades_gracefully() {
         let f = covering();
         let plan = FaultPlan::new(0).with_worker_panic(0, 0);
-        let out = optimize_portfolio_instrumented(
+        let out = optimize_portfolio(
             &f,
             &portfolio_configs(1),
             &Budget::unlimited(),
             &Recorder::disabled(),
-            Some(&plan),
-            Some(SharingConfig::default()),
+            &plan,
         )
         .expect("non-empty portfolio");
         assert!(matches!(out.outcome, OptOutcome::Unknown | OptOutcome::Feasible { .. }));
@@ -1503,65 +1274,13 @@ mod tests {
     }
 
     #[test]
-    fn sharing_on_and_off_agree() {
-        // Same race, sharing enabled vs disabled, must reach the same
-        // answers — clause exchange is an accelerator, never a semantics
-        // change. One UNSAT and one SAT decision instance, plus the
-        // optimization race.
-        let unsat = pigeonhole(4);
-        let sat = covering();
-        for sharing in [None, Some(SharingConfig::default())] {
-            let out = solve_portfolio_instrumented(
-                &unsat,
-                &portfolio_configs(3),
-                &Budget::unlimited(),
-                &Recorder::disabled(),
-                None,
-                sharing,
-            )
-            .expect("non-empty portfolio");
-            assert!(matches!(out.outcome, SolveOutcome::Unsat), "sharing={sharing:?}");
-            if sharing.is_none() {
-                assert_eq!(out.stats.exported, 0, "disabled sharing must not export");
-                assert_eq!(out.stats.imported, 0, "disabled sharing must not import");
-            }
-
-            let out = solve_portfolio_instrumented(
-                &sat,
-                &portfolio_configs(3),
-                &Budget::unlimited(),
-                &Recorder::disabled(),
-                None,
-                sharing,
-            )
-            .expect("non-empty portfolio");
-            assert!(matches!(out.outcome, SolveOutcome::Sat(_)), "sharing={sharing:?}");
-
-            let out = optimize_portfolio_instrumented(
-                &sat,
-                &portfolio_configs(3),
-                &Budget::unlimited(),
-                &Recorder::disabled(),
-                None,
-                sharing,
-            )
-            .expect("non-empty portfolio");
-            match out.outcome {
-                OptOutcome::Optimal { value, .. } => assert_eq!(value, 2, "sharing={sharing:?}"),
-                ref other => panic!("sharing={sharing:?}: expected optimal, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn shared_race_exchanges_clauses() {
         // On a conflict-rich UNSAT instance the race must actually use the
         // pool: someone exports, someone imports, and the summed stats
         // surface both so telemetry can report sharing traffic.
         let f = pigeonhole(5);
         let rec = Recorder::new();
-        let out = solve_portfolio_recorded(&f, &portfolio_configs(4), &Budget::unlimited(), &rec)
-            .expect("non-empty portfolio");
+        let out = race_decision(&f, 4, &Budget::unlimited(), &rec, &FaultPlan::default());
         assert!(matches!(out.outcome, SolveOutcome::Unsat));
         assert!(out.stats.exported > 0, "no worker exported a glue clause");
         // Imports are likely but racy (the winner may finish before peers
@@ -1573,21 +1292,19 @@ mod tests {
     #[test]
     fn worker_panic_does_not_poison_the_shared_pool() {
         // Kill one worker after a handful of conflicts — after it has had
-        // the chance to export — with sharing enabled: the pool must stay
-        // usable and the survivors must still refute the instance.
-        let f = pigeonhole(4);
+        // the chance to export — with sharing on: the pool must stay
+        // usable and the survivors must still refute the instance. The
+        // optimization race reads the panic count as conflicts (a session
+        // reads it as a query index), so the race runs there, with a
+        // one-literal objective over the UNSAT pigeonhole.
+        let mut f = pigeonhole(4);
+        let z = f.new_var().positive();
+        f.set_objective(Objective::minimize([(1, z)]));
         let rec = Recorder::new();
         let plan = FaultPlan::new(3).with_worker_panic(1, 5);
-        let out = solve_portfolio_instrumented(
-            &f,
-            &portfolio_configs(3),
-            &Budget::unlimited(),
-            &rec,
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
-        assert!(matches!(out.outcome, SolveOutcome::Unsat), "survivors must refute");
+        let out = optimize_portfolio(&f, &portfolio_configs(3), &Budget::unlimited(), &rec, &plan)
+            .expect("non-empty portfolio");
+        assert!(out.outcome.is_infeasible(), "survivors must refute");
         assert_eq!(out.failed_workers, 1);
         let (winner_index, _) = out.winner.expect("a survivor won");
         assert_ne!(winner_index, 1, "the dead worker cannot win");
@@ -1617,8 +1334,10 @@ mod tests {
     #[test]
     fn session_answers_assumption_queries() {
         let (f, gate) = gated_pigeonhole(4);
-        let mut session = PortfolioSession::new(&f, &portfolio_configs(3), &Recorder::disabled())
-            .expect("non-empty portfolio");
+        let configs = portfolio_configs(3);
+        let mut session =
+            PortfolioSession::new(&f, &configs, &Recorder::disabled(), &FaultPlan::default())
+                .expect("non-empty portfolio");
         let unsat = session.query(&[!gate], &Budget::unlimited());
         assert!(matches!(unsat.outcome, SolveOutcome::Unsat));
         assert!(unsat.winner.is_some());
@@ -1639,7 +1358,8 @@ mod tests {
         let (f, gate) = gated_pigeonhole(5);
         let rec = Recorder::new();
         let mut session =
-            PortfolioSession::new(&f, &portfolio_configs(2), &rec).expect("non-empty portfolio");
+            PortfolioSession::new(&f, &portfolio_configs(2), &rec, &FaultPlan::default())
+                .expect("non-empty portfolio");
         let first = session.query(&[!gate], &Budget::unlimited());
         assert!(matches!(first.outcome, SolveOutcome::Unsat));
         assert_eq!(first.retained_clauses, 0, "nothing to retain on the first query");
@@ -1669,14 +1389,8 @@ mod tests {
         // Worker 1 panics at query index 1 — between the first and second
         // ladder steps.
         let plan = FaultPlan::new(0).with_worker_panic(1, 1);
-        let mut session = PortfolioSession::with_instrumentation(
-            &f,
-            &portfolio_configs(3),
-            &rec,
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let mut session = PortfolioSession::new(&f, &portfolio_configs(3), &rec, &plan)
+            .expect("non-empty portfolio");
 
         let first = session.query(&[!gate], &Budget::unlimited());
         assert!(matches!(first.outcome, SolveOutcome::Unsat));
@@ -1705,14 +1419,9 @@ mod tests {
     fn session_with_all_workers_dead_answers_unknown() {
         let f = covering();
         let plan = FaultPlan::new(0).with_worker_panic(0, 0);
-        let mut session = PortfolioSession::with_instrumentation(
-            &f,
-            &portfolio_configs(1),
-            &Recorder::disabled(),
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let mut session =
+            PortfolioSession::new(&f, &portfolio_configs(1), &Recorder::disabled(), &plan)
+                .expect("non-empty portfolio");
         let first = session.query(&[], &Budget::unlimited());
         assert!(matches!(first.outcome, SolveOutcome::Unknown));
         assert_eq!(first.failed_workers, 1);
@@ -1726,7 +1435,8 @@ mod tests {
     #[test]
     fn session_empty_configs_is_a_typed_error() {
         let f = covering();
-        let err = PortfolioSession::new(&f, &[], &Recorder::disabled()).unwrap_err();
+        let err = PortfolioSession::new(&f, &[], &Recorder::disabled(), &FaultPlan::default())
+            .unwrap_err();
         assert_eq!(err, PortfolioError::NoWorkers);
     }
 
@@ -1734,8 +1444,10 @@ mod tests {
     fn session_pre_cancelled_budget_stays_usable() {
         // A cancelled query (all workers Unknown) must not poison the next.
         let f = covering();
-        let mut session = PortfolioSession::new(&f, &portfolio_configs(2), &Recorder::disabled())
-            .expect("non-empty portfolio");
+        let configs = portfolio_configs(2);
+        let mut session =
+            PortfolioSession::new(&f, &configs, &Recorder::disabled(), &FaultPlan::default())
+                .expect("non-empty portfolio");
         let token = CancelToken::new();
         token.cancel();
         let cancelled = session.query(&[], &Budget::unlimited().with_cancel_token(token));

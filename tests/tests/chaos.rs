@@ -13,15 +13,16 @@
 
 use sbgc_core::{
     certify_unsat_formula_streamed, chromatic_number_outcome, cnf_decision_formula,
-    ChromaticResult, ColoringEncoding, ProofStatus, SolveOptions,
+    try_solve_coloring, ChromaticResult, ColoringEncoding, ColoringOutcome, ProofStatus,
+    SolveOptions,
 };
 use sbgc_formula::PbFormula;
-use sbgc_graph::gen::{mycielski, queens};
+use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_graph::Graph;
 use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_pb::{
-    optimize_portfolio_instrumented, portfolio_configs, solve_portfolio_instrumented, Budget,
-    ExhaustReason, OptOutcome, SharingConfig, SolveOutcome,
+    optimize_portfolio, portfolio_configs, Budget, ExhaustReason, OptOutcome, PortfolioSession,
+    SolveOutcome, SolverKind,
 };
 use sbgc_proof::FileProofLogger;
 
@@ -45,15 +46,9 @@ fn mid_race_panic_yields_correct_answer_from_survivors() {
     let formula = coloring_formula(&queens(5, 5), 7);
     let plan = FaultPlan::new(3).with_worker_panic(1, 0);
     let rec = Recorder::new();
-    let out = optimize_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(3),
-        &Budget::unlimited(),
-        &rec,
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
+    let out =
+        optimize_portfolio(&formula, &portfolio_configs(3), &Budget::unlimited(), &rec, &plan)
+            .expect("non-empty portfolio");
 
     match out.outcome {
         OptOutcome::Optimal { value, .. } => assert_eq!(value, 5),
@@ -81,15 +76,9 @@ fn injected_faults_replay_deterministically() {
     let run = || {
         let plan = FaultPlan::new(11).with_seeded_worker_panic(4, 0);
         let rec = Recorder::new();
-        let out = optimize_portfolio_instrumented(
-            &formula,
-            &portfolio_configs(4),
-            &Budget::unlimited(),
-            &rec,
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let configs = portfolio_configs(4);
+        let out = optimize_portfolio(&formula, &configs, &Budget::unlimited(), &rec, &plan)
+            .expect("non-empty portfolio");
         let dead: Vec<usize> =
             rec.workers().iter().filter(|w| w.failed.is_some()).map(|w| w.index).collect();
         (out.outcome.value(), out.failed_workers, dead)
@@ -107,29 +96,19 @@ fn panicked_race_leaves_shared_state_usable() {
     // poisoned telemetry lock would hang or crash the next race.
     let formula = coloring_formula(&Graph::complete(4), 5);
     let rec = Recorder::new();
-    let plan = FaultPlan::new(0).with_worker_panic(0, 0);
-    let first = solve_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(2),
-        &Budget::unlimited(),
-        &rec,
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
+    // A one-shot decision race is a fresh session's single query; in a
+    // session the panic count is the query index, so worker 0 dies at once.
+    let race = |plan: &FaultPlan| {
+        PortfolioSession::new(&formula, &portfolio_configs(2), &rec, plan)
+            .expect("non-empty portfolio")
+            .query(&[], &Budget::unlimited())
+    };
+    let first = race(&FaultPlan::new(0).with_worker_panic(0, 0));
     assert!(matches!(first.outcome, SolveOutcome::Sat(_)));
     assert_eq!(first.failed_workers, 1);
 
     // Same recorder, no faults: the second race must behave normally.
-    let second = solve_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(2),
-        &Budget::unlimited(),
-        &rec,
-        None,
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
+    let second = race(&FaultPlan::default());
     assert!(matches!(second.outcome, SolveOutcome::Sat(_)));
     assert_eq!(second.failed_workers, 0);
     assert_eq!(rec.workers().len(), 4, "both races recorded telemetry");
@@ -145,15 +124,9 @@ fn mid_export_panic_leaves_the_clause_pool_usable() {
     let formula = coloring_formula(&mycielski(3), 6);
     let rec = Recorder::new();
     let plan = FaultPlan::new(5).with_worker_panic(2, 8);
-    let out = optimize_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(4),
-        &Budget::unlimited(),
-        &rec,
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
+    let out =
+        optimize_portfolio(&formula, &portfolio_configs(4), &Budget::unlimited(), &rec, &plan)
+            .expect("non-empty portfolio");
     match out.outcome {
         OptOutcome::Optimal { value, .. } => assert_eq!(value, 4, "χ(myciel3) = 4"),
         ref other => panic!("survivors must still decide, got {other:?}"),
@@ -172,18 +145,55 @@ fn mid_export_panic_leaves_the_clause_pool_usable() {
 fn killing_the_only_worker_degrades_to_unknown() {
     let formula = coloring_formula(&queens(5, 5), 7);
     let plan = FaultPlan::new(0).with_worker_panic(0, 0);
-    let out = optimize_portfolio_instrumented(
+    let out = optimize_portfolio(
         &formula,
         &portfolio_configs(1),
         &Budget::unlimited(),
         &Recorder::disabled(),
-        Some(&plan),
-        Some(SharingConfig::default()),
+        &plan,
     )
     .expect("non-empty portfolio");
     assert!(!out.outcome.is_optimal(), "no survivor can have proven optimality");
     assert!(out.winner.is_none());
     assert_eq!(out.failed_workers, 1);
+}
+
+#[test]
+fn fault_plan_on_solve_options_reaches_the_portfolio_ladder() {
+    // χ(gnp(24, 0.5, 3)) = 7 with DSATUR 8 and clique 6. With heuristics
+    // off the ladder asks target 7 (query 0) and then refutes 6 (query
+    // 1); worker 1 dies at query 1 and the survivors must still prove χ.
+    let g = gnp(24, 0.5, 3);
+    let rec = Recorder::new();
+    let opts = SolveOptions::new(20)
+        .with_solver(SolverKind::Portfolio)
+        .with_recorder(rec.clone())
+        .without_heuristics()
+        .with_fault_plan(FaultPlan::new(0).with_worker_panic(1, 1));
+    let out = chromatic_number_outcome(&g, &opts).expect("valid inputs");
+    assert_eq!(out.exact(), Some(7), "the survivors prove χ");
+    let dead: Vec<_> = rec.workers().into_iter().filter(|w| w.failed.is_some()).collect();
+    assert_eq!(dead.len(), 1, "exactly one worker died: {dead:?}");
+    assert_eq!(dead[0].index, 1);
+    assert_eq!(dead[0].query, Some(1), "the death is attributed to ladder query 1");
+}
+
+#[test]
+fn fault_plan_on_solve_options_reaches_the_optimization_race() {
+    // The fixed-K flow races the optimization portfolio, where a worker
+    // panic's count is a conflict count: worker 1 of 3 dies before its
+    // first conflict, and the survivors still prove χ(queen5_5) = 5.
+    let rec = Recorder::new();
+    let opts = SolveOptions::new(7)
+        .with_parallelism(3)
+        .with_recorder(rec.clone())
+        .with_fault_plan(FaultPlan::new(0).with_worker_panic(1, 0));
+    let report = try_solve_coloring(&queens(5, 5), &opts).expect("valid inputs");
+    assert!(matches!(report.outcome, ColoringOutcome::Optimal { colors: 5, .. }));
+    let dead: Vec<_> = rec.workers().into_iter().filter(|w| w.failed.is_some()).collect();
+    assert_eq!(dead.len(), 1, "exactly one worker died: {dead:?}");
+    assert_eq!(dead[0].index, 1);
+    assert_eq!(dead[0].query, None, "the optimization race has no queries");
 }
 
 #[test]
@@ -269,14 +279,14 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
     // monochromatic edge). The trust boundary must reject it before it
     // can touch the shared incumbent, count the rejection, and retire the
     // worker — while the surviving workers keep the bracket sound.
-    use sbgc_core::{race_heuristics_instrumented, ChromaticBounds, Coloring};
+    use sbgc_core::{race_heuristics, ChromaticBounds, Coloring};
 
     let g = Graph::cycle(9); // χ = 3
     let loose = ChromaticBounds { lower: 1, upper: 9, witness: Coloring::new((0..9).collect()) };
     let rec = Recorder::new();
     let opts = SolveOptions::new(20).with_recorder(rec.clone());
     let plan = FaultPlan::new(21).with_improper_witness(0);
-    let out = race_heuristics_instrumented(&g, &opts, &loose, Some(&plan));
+    let out = race_heuristics(&g, &opts.clone().with_fault_plan(plan), &loose);
 
     assert!(out.rejected_witnesses >= 1, "the corrupted offer must be rejected");
     assert!(out.failed_workers >= 1, "an untrustworthy worker is retired");
@@ -295,7 +305,7 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
     assert!(h.failed_workers >= 1);
 
     // And the sound result is untouched by re-running without the fault.
-    let healthy = race_heuristics_instrumented(&g, &opts, &loose, None);
+    let healthy = race_heuristics(&g, &opts, &loose);
     assert_eq!(healthy.rejected_witnesses, 0);
     assert_eq!(healthy.failed_workers, 0);
     assert_eq!(healthy.upper, 3);
@@ -305,17 +315,17 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
 fn heuristic_faults_replay_deterministically() {
     // Chaos results are only diagnosable if a failing schedule replays
     // identically: same fault plan, same bracket, same tallies.
-    use sbgc_core::{race_heuristics_instrumented, ChromaticBounds, Coloring};
+    use sbgc_core::{race_heuristics, ChromaticBounds, Coloring};
 
     let g = mycielski(4); // triangle-free: the clique/χ gap never closes
     let n = g.num_vertices();
     let loose = ChromaticBounds { lower: 2, upper: n, witness: Coloring::new((0..n).collect()) };
-    let opts = SolveOptions::new(20);
     // Worker 1 (PartialCol) panics on entry; worker 0 (TabuCol) has its
     // first offer corrupted into an improper coloring.
     let plan = FaultPlan::new(5).with_worker_panic(1, 0).with_improper_witness(0);
-    let first = race_heuristics_instrumented(&g, &opts, &loose, Some(&plan));
-    let second = race_heuristics_instrumented(&g, &opts, &loose, Some(&plan));
+    let opts = SolveOptions::new(20).with_fault_plan(plan);
+    let first = race_heuristics(&g, &opts, &loose);
+    let second = race_heuristics(&g, &opts, &loose);
     assert_eq!(first.lower, second.lower);
     assert_eq!(first.upper, second.upper);
     assert_eq!(first.rejected_witnesses, second.rejected_witnesses);

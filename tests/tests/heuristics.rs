@@ -6,14 +6,14 @@
 //! its incumbent into the exact solver as root-level units
 //! (`ColoringSession::commit_upper_bound`), so a heuristic that ever
 //! reported an unachievable bound would silently corrupt "exact" answers
-//! — the cheapest defense is a suite that cross-checks four independent
-//! implementations (CDCL ladder, one-shot optimization, decision search,
+//! — the cheapest defense is a suite that cross-checks independent
+//! implementations (hybrid, exact-only and portfolio CDCL ladders,
 //! backtracking DSATUR) against each other on instances with known χ.
 
 use proptest::prelude::*;
 use sbgc_core::{
-    bounds, chromatic_number_by_decision, chromatic_number_outcome, race_heuristics,
-    ChromaticBounds, Coloring, SearchStrategy, SolveOptions,
+    bounds, chromatic_number_outcome, race_heuristics, ChromaticBounds, Coloring, SolveOptions,
+    SolverKind,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_graph::{algo, Graph};
@@ -57,10 +57,14 @@ fn backtracking_dsatur_agrees_with_every_exact_path() {
             .expect("valid input");
         assert_eq!(exact.exact(), Some(chi), "{name}: exact-only ladder");
 
-        // Decision search (per-K re-encode; ignores the heuristics flag).
-        let decision =
-            chromatic_number_by_decision(&g, &SolveOptions::new(20), SearchStrategy::Binary);
-        assert_eq!(decision.exact(), Some(chi), "{name}: decision search");
+        // Persistent portfolio ladder (clause-sharing workers racing
+        // every query).
+        let portfolio = chromatic_number_outcome(
+            &g,
+            &SolveOptions::new(20).with_solver(SolverKind::Portfolio).without_heuristics(),
+        )
+        .expect("valid input");
+        assert_eq!(portfolio.exact(), Some(chi), "{name}: portfolio ladder");
     }
 }
 

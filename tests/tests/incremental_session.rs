@@ -16,9 +16,7 @@ use sbgc_core::{
 use sbgc_formula::Lit;
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_obs::{FaultPlan, Recorder, RunReport};
-use sbgc_pb::{
-    portfolio_configs, Budget, PortfolioSession, SharingConfig, SolveOutcome, SolverKind,
-};
+use sbgc_pb::{portfolio_configs, Budget, PortfolioSession, SolveOutcome, SolverKind};
 
 fn quick_graphs() -> Vec<(&'static str, Graph, usize)> {
     // (name, graph, χ)
@@ -123,14 +121,8 @@ fn worker_panic_between_ladder_queries_degrades_not_corrupts() {
     enc.formula_mut().clear_objective();
     let recorder = Recorder::new();
     let plan = FaultPlan::new(0).with_worker_panic(1, 1); // dies at query id 1
-    let mut session = PortfolioSession::with_instrumentation(
-        enc.formula(),
-        &portfolio_configs(3),
-        &recorder,
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("three workers");
+    let mut session = PortfolioSession::new(enc.formula(), &portfolio_configs(3), &recorder, &plan)
+        .expect("three workers");
     let budget = Budget::unlimited();
 
     // Ladder: 5-colorable, 4-uncolorable, 3-uncolorable.

@@ -9,9 +9,11 @@
 
 use sbgc_core::{solve_coloring, ColoringEncoding, Graph, SolveOptions};
 use sbgc_graph::gen::{mycielski, queens};
+use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_pb::{
-    optimize, optimize_portfolio, portfolio_configs, solve_decision, solve_portfolio, Budget,
-    CancelToken, SolveOutcome, SolverKind,
+    optimize, optimize_portfolio, portfolio_configs, solve_decision, Budget, CancelToken,
+    PortfolioError, PortfolioOptOutcome, PortfolioSession, SessionQueryOutcome, SolveOutcome,
+    SolverKind,
 };
 
 fn tier1_graphs() -> Vec<(&'static str, Graph, usize)> {
@@ -32,6 +34,29 @@ fn coloring_formula(graph: &Graph, k: usize) -> sbgc_formula::PbFormula {
     enc.formula().clone()
 }
 
+/// The optimization race of `workers` workers, telemetry off, no faults.
+fn race_optimum(
+    formula: &sbgc_formula::PbFormula,
+    workers: usize,
+    budget: &Budget,
+) -> Result<PortfolioOptOutcome, PortfolioError> {
+    let configs = portfolio_configs(workers);
+    optimize_portfolio(formula, &configs, budget, &Recorder::disabled(), &FaultPlan::default())
+}
+
+/// A one-shot decision race: a fresh session of `workers` workers
+/// answering one query without assumptions.
+fn race_decision(
+    formula: &sbgc_formula::PbFormula,
+    workers: usize,
+    budget: &Budget,
+) -> SessionQueryOutcome {
+    let configs = portfolio_configs(workers);
+    PortfolioSession::new(formula, &configs, &Recorder::disabled(), &FaultPlan::default())
+        .expect("non-empty portfolio")
+        .query(&[], budget)
+}
+
 #[test]
 fn optimization_agrees_for_one_to_four_workers() {
     for (name, graph, chi) in tier1_graphs() {
@@ -39,9 +64,8 @@ fn optimization_agrees_for_one_to_four_workers() {
         let sequential = optimize(&formula, SolverKind::PbsII, &Budget::unlimited());
         assert_eq!(sequential.value(), Some(chi as u64), "{name}: sequential");
         for workers in 1..=4 {
-            let out =
-                optimize_portfolio(&formula, &portfolio_configs(workers), &Budget::unlimited())
-                    .expect("non-empty portfolio with objective");
+            let out = race_optimum(&formula, workers, &Budget::unlimited())
+                .expect("non-empty portfolio with objective");
             assert!(out.outcome.is_optimal(), "{name} with {workers} workers: not optimal");
             assert_eq!(
                 out.outcome.value(),
@@ -62,9 +86,7 @@ fn decision_agrees_for_one_to_four_workers() {
             let sequential = solve_decision(&formula, SolverKind::PbsII, &Budget::unlimited());
             assert_eq!(sequential.is_sat(), expect_sat, "{name} K={k}: sequential");
             for workers in 1..=4 {
-                let out =
-                    solve_portfolio(&formula, &portfolio_configs(workers), &Budget::unlimited())
-                        .expect("non-empty portfolio");
+                let out = race_decision(&formula, workers, &Budget::unlimited());
                 match (expect_sat, &out.outcome) {
                     (true, SolveOutcome::Sat(model)) => {
                         assert!(formula.is_satisfied_by(model), "{name} K={k} w={workers}");
@@ -99,15 +121,13 @@ fn cancelled_workers_terminate_cleanly() {
     let token = CancelToken::new();
     token.cancel();
     let budget = Budget::unlimited().with_cancel_token(token);
-    let out =
-        solve_portfolio(&formula, &portfolio_configs(4), &budget).expect("non-empty portfolio");
+    let out = race_decision(&formula, 4, &budget);
     assert!(matches!(out.outcome, SolveOutcome::Unknown));
     assert!(out.winner.is_none());
 
     // And a race that is won cancels the losers without poisoning stats:
     // total conflicts must be finite and the answer definitive.
-    let out = solve_portfolio(&formula, &portfolio_configs(4), &Budget::unlimited())
-        .expect("non-empty portfolio");
+    let out = race_decision(&formula, 4, &Budget::unlimited());
     assert!(matches!(out.outcome, SolveOutcome::Sat(_)));
 }
 
@@ -116,11 +136,7 @@ fn portfolio_respects_conflict_budgets() {
     // Every worker shares the caller's conflict cap, so a zero budget
     // cannot produce a definitive optimization answer on a hard instance.
     let formula = coloring_formula(&queens(6, 6), 7);
-    let out = optimize_portfolio(
-        &formula,
-        &portfolio_configs(4),
-        &Budget::unlimited().with_max_conflicts(0),
-    )
-    .expect("non-empty portfolio with objective");
+    let out = race_optimum(&formula, 4, &Budget::unlimited().with_max_conflicts(0))
+        .expect("non-empty portfolio with objective");
     assert!(!out.outcome.is_decided());
 }

@@ -17,8 +17,7 @@
 //!   (seeded and deterministic, so failures replay).
 
 use sbgc_core::{
-    solve_supervised, solve_supervised_instrumented, CheckpointError, SolveError, SolveOptions,
-    SolverKind, SupervisorConfig,
+    solve_supervised, CheckpointError, SolveError, SolveOptions, SolverKind, SupervisorConfig,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_obs::{FaultPlan, Recorder, RunReport};
@@ -41,7 +40,7 @@ fn killed_queen6_6_solve_resumes_and_skips_committed_rungs() {
     let config = SupervisorConfig::new().with_checkpoint_path(&path);
     let fault = FaultPlan::new(17).with_mid_rung_kill(1);
     let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+        solve_supervised(&graph, &options.clone().with_fault_plan(fault), &config)
     }));
     let message = match killed {
         Err(payload) => *payload.downcast::<String>().expect("panic carries its message"),
@@ -92,7 +91,7 @@ fn bit_flipped_checkpoint_is_rejected_with_a_typed_error() {
     let options = SolveOptions::new(8);
     let fault = FaultPlan::new(3).with_checkpoint_corruption(41);
     let config = SupervisorConfig::new().with_checkpoint_path(&path);
-    let out = solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+    let out = solve_supervised(&graph, &options.clone().with_fault_plan(fault), &config)
         .expect("corruption only bites at load time");
     assert_eq!(out.outcome.exact(), Some(5));
 
@@ -123,7 +122,7 @@ fn watchdog_restarts_a_stalled_race_and_still_completes() {
     let fault = FaultPlan::new(7).with_stalled_worker(0, 0);
     let config =
         SupervisorConfig::new().with_watchdog(Duration::from_millis(250)).with_max_retries(2);
-    let out = solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+    let out = solve_supervised(&graph, &options.with_fault_plan(fault), &config)
         .expect("a stall is recoverable, not an error");
     assert_eq!(out.outcome.exact(), Some(4), "the race still completes");
     assert!(out.watchdog_trips >= 1, "the stall must be detected: {out:?}");
@@ -159,7 +158,7 @@ fn random_gnp_kill_and_resume_agrees_with_the_uninterrupted_solve() {
         let kill_rung = seed % 3; // seeded, spread over early rungs
         let fault = FaultPlan::new(seed).with_mid_rung_kill(kill_rung);
         let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+            solve_supervised(&graph, &options.clone().with_fault_plan(fault), &config)
         }));
         let resumed = match killed {
             // The kill fired mid-ladder: resume from the checkpoint.
