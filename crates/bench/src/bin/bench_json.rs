@@ -29,13 +29,15 @@
 //! on χ or the binary exits non-zero.
 //!
 //! A fourth section, `heuristics`, compares the **hybrid** chromatic
-//! search (the `sbgc-heur` TabuCol/PartialCol/clique race capping the
-//! bracket before the incremental ladder) against the exact-only ladder
-//! on the same instances, recording per-instance DSATUR bounds, the
-//! heuristic cap, and the ladder rungs it skipped. Two gates ride on it:
-//! hybrid and exact-only must prove the same χ (soundness — always
-//! enforced), and under `--min-speedup` the race must skip at least one
-//! rung whenever some decided instance's DSATUR bound overshot χ.
+//! search (the `sbgc-heur` TabuCol/PartialCol/clique race running beside
+//! the incremental ladder) against the exact-only ladder on the same
+//! instances, recording per-instance DSATUR bounds and, from a standalone
+//! `race_heuristics` over the same greedy bracket (deterministic, unlike
+//! the hybrid run's timing-dependent telemetry), the heuristic cap and
+//! the ladder rungs it skips. Two gates ride on it: hybrid and exact-only
+//! must prove the same χ (soundness — always enforced), and under
+//! `--min-speedup` the standalone race must skip at least one rung
+//! whenever some decided instance's DSATUR bound overshot χ.
 //!
 //! A fifth section, `supervised`, is the resumable-solve smoke pass: a
 //! supervised solve of queen6_6 writes rung-boundary checkpoints (to
@@ -57,8 +59,8 @@
 
 use sbgc_bench::{HarnessConfig, QUICK_INSTANCES};
 use sbgc_core::{
-    add_instance_independent_sbps, bounds, chromatic_number, solve_supervised, ColoringEncoding,
-    PreparedColoring, SbpMode, SolveOptions, SupervisorConfig,
+    add_instance_independent_sbps, bounds, chromatic_number, race_heuristics, solve_supervised,
+    ColoringEncoding, PreparedColoring, SbpMode, SolveOptions, SupervisorConfig,
 };
 use sbgc_graph::{gen, suite, Graph};
 use sbgc_pb::{
@@ -415,8 +417,9 @@ fn main() {
     }
 
     // Hybrid-vs-exact: the heuristic race (TabuCol/PartialCol descents
-    // plus clique search) must cap the ladder's starting rung on
-    // DSATUR-overshooting instances without ever changing the proven χ.
+    // plus clique search) running beside the ladder must never change the
+    // proven χ, and on DSATUR-overshooting instances the race must
+    // recover a rung.
     println!("\nheuristics: hybrid (heuristic race + ladder) vs exact-only ladder");
     let mut heur_runs = Vec::new();
     let mut heur_agree = true;
@@ -431,11 +434,15 @@ fn main() {
         let exact = chromatic_number(&inst.graph, &base.clone().without_heuristics());
         let exact_time = start.elapsed();
 
-        let rec = Recorder::new();
         let start = Instant::now();
-        let hybrid = chromatic_number(&inst.graph, &base.with_recorder(rec.clone()));
+        let hybrid = chromatic_number(&inst.graph, &base);
         let hybrid_time = start.elapsed();
-        let telemetry = rec.heuristics();
+        // The hybrid run races the heuristics beside its ladder, so what
+        // the race achieved there depends on thread timing. The rung gate
+        // reads the deterministic standalone race over the same greedy
+        // bracket instead (none when the bracket starts collapsed).
+        let seed = bounds(&inst.graph);
+        let race = (seed.lower < seed.upper).then(|| race_heuristics(&inst.graph, &base, &seed));
 
         heur_exact_total += exact_time;
         heur_hybrid_total += hybrid_time;
@@ -448,31 +455,31 @@ fn main() {
                 );
             }
         }
-        if let Some(t) = &telemetry {
-            heur_skipped_total += t.rungs_skipped as u64;
+        if let Some(r) = &race {
+            heur_skipped_total += seed.upper.saturating_sub(r.upper) as u64;
             if let Some(chi) = hybrid.exact() {
                 // A DSATUR overshoot above proven χ means the race had a
                 // rung it should have recovered.
-                if t.dsatur_upper > chi {
+                if seed.upper > chi {
                     heur_rung_available = true;
                 }
             }
-            if t.upper > t.dsatur_upper {
+            if r.upper > seed.upper {
                 heur_agree = false;
                 eprintln!(
                     "HEURISTICS REGRESSION on {}: heuristic upper {} above DSATUR {}",
-                    inst.meta.name, t.upper, t.dsatur_upper
+                    inst.meta.name, r.upper, seed.upper
                 );
             }
         }
-        let (dsatur_upper, heur_upper, heur_lower, rungs_skipped) = telemetry.as_ref().map_or(
+        let (dsatur_upper, heur_upper, heur_lower, rungs_skipped) = race.as_ref().map_or(
             ("null".to_string(), "null".to_string(), "null".to_string(), 0),
-            |t| {
+            |r| {
                 (
-                    t.dsatur_upper.to_string(),
-                    t.upper.to_string(),
-                    t.lower.to_string(),
-                    t.rungs_skipped,
+                    seed.upper.to_string(),
+                    r.upper.to_string(),
+                    r.lower.to_string(),
+                    seed.upper.saturating_sub(r.upper),
                 )
             },
         );
@@ -499,8 +506,8 @@ fn main() {
             heur_upper,
             heur_lower,
             rungs_skipped,
-            telemetry.as_ref().map_or(0, |t| t.rejected_witnesses),
-            telemetry.as_ref().map_or(0, |t| t.failed_workers),
+            race.as_ref().map_or(0, |r| r.rejected_witnesses),
+            race.as_ref().map_or(0, |r| r.failed_workers),
         ));
     }
 

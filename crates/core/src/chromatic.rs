@@ -6,12 +6,17 @@
 //! then walk the upper bound down with assumption queries against
 //! long-lived solver state ([`crate::session::ColoringSession`]). Learned
 //! clauses survive from one ladder step to the next instead of being
-//! re-derived per K. The one-shot optimization run remains for the CPLEX
-//! baseline and for instance-dependent (Shatter) SBPs, which the session
-//! cannot drive soundly (see `DESIGN.md` §4g).
+//! re-derived per K. With heuristics on (the default), the heuristic race
+//! of [`crate::heuristics`] runs *alongside* the ladder on scoped threads,
+//! both sides tightening one shared, validated bracket. The one-shot
+//! optimization run remains for the CPLEX baseline and for
+//! instance-dependent (Shatter) SBPs, which the session cannot drive
+//! soundly (see `DESIGN.md` §4g); that fallback still runs the race first
+//! ([`initial_bounds`]).
 
 use crate::error::SolveError;
 use crate::flow::{try_solve_coloring, ColoringOutcome, SolveOptions};
+use crate::heuristics::{race_alongside, Bracket};
 use crate::session::{ColoringSession, SessionAnswer};
 use sbgc_graph::{algo, Coloring, Graph};
 use sbgc_pb::ExhaustReason;
@@ -35,13 +40,18 @@ pub fn bounds(graph: &Graph) -> ChromaticBounds {
     ChromaticBounds { lower, upper: witness.num_colors(), witness }
 }
 
-/// The bracket the exact search actually starts from: the one-shot greedy
-/// [`bounds`], tightened by the heuristic race of [`crate::heuristics`]
-/// when `options.heuristics` allows it (the default). The race's TabuCol
-/// and PartialCol descents cap the upper bound below DSATUR and its
-/// clique search lifts the lower bound beyond the greedy clique; every
-/// heuristic result is re-validated against the graph before it may
-/// tighten the bracket (see `DESIGN.md` §4i).
+/// The one-shot greedy [`bounds`], tightened by running the heuristic
+/// race of [`crate::heuristics`] to completion when `options.heuristics`
+/// allows it (the default). The race's TabuCol and PartialCol descents
+/// cap the upper bound below DSATUR and its clique search lifts the lower
+/// bound beyond the greedy clique; every heuristic result is re-validated
+/// against the graph before it may tighten the bracket (see `DESIGN.md`
+/// §4i).
+///
+/// This is the race-first order the CPLEX/Shatter optimization fallback
+/// of [`chromatic_number_outcome`] and [`crate::solve_supervised`] start
+/// from; the session ladder races the heuristics alongside its queries
+/// instead.
 ///
 /// # Errors
 ///
@@ -89,6 +99,16 @@ pub enum ChromaticResult {
 }
 
 impl ChromaticResult {
+    /// The answer a proven bracket `[lower, upper]` gives, witnessed by
+    /// `witness`: exact once collapsed, bounded otherwise.
+    pub(crate) fn from_bracket(lower: usize, upper: usize, witness: Coloring) -> Self {
+        if lower >= upper {
+            ChromaticResult::Exact { chromatic_number: upper, witness }
+        } else {
+            ChromaticResult::Bounded { lower, upper, witness }
+        }
+    }
+
     /// The exact chromatic number, if determined.
     pub fn exact(&self) -> Option<usize> {
         match self {
@@ -153,9 +173,10 @@ impl ChromaticOutcome {
 
 /// Computes the chromatic number exactly, following the paper's procedure:
 /// take the DSATUR upper bound as K (clamped by `options.k` if smaller),
-/// then search. By default the greedy bracket is first tightened by the
-/// heuristic race of [`initial_bounds`] (disable with
-/// [`SolveOptions::without_heuristics`] for the pure paper procedure).
+/// then search. By default the heuristic race of [`crate::heuristics`]
+/// tightens the greedy bracket from both sides while the search runs
+/// (disable with [`SolveOptions::without_heuristics`] for the pure paper
+/// procedure).
 ///
 /// For every CDCL-backed configuration the search is *incremental*: one
 /// [`ColoringSession`] is built at `K = min(options.k, DSATUR bound − 1)`
@@ -169,7 +190,8 @@ impl ChromaticOutcome {
 /// long-lived engine per worker thread, all racing each ladder query with
 /// clause sharing. Only the CPLEX baseline (no incremental interface) and
 /// instance-dependent (Shatter) SBPs fall back to one exact-optimization
-/// run. The clique bound can certify optimality without search.
+/// run, after the race ([`initial_bounds`]). The clique bound can certify
+/// optimality without search.
 ///
 /// `options.k` acts as a cap (like the paper's K = 20 application bound);
 /// the effective K is `min(options.k, DSATUR bound − 1)` — the
@@ -189,6 +211,13 @@ pub fn chromatic_number(graph: &Graph, options: &SolveOptions) -> ChromaticResul
 /// budget runs out the returned [`ChromaticOutcome`] carries both the
 /// proven `[lower, upper]` bracket and the [`ExhaustReason`] that stopped
 /// the search.
+///
+/// On the session path with heuristics on, the three heuristic workers
+/// race on scoped threads while the ladder queries on the calling thread,
+/// over one shared bracket (see [`crate::heuristics`] for the
+/// cancellation rules). χ is the same as with heuristics off; the
+/// witness, the ladder's steps and the race's telemetry depend on thread
+/// timing.
 pub fn chromatic_number_outcome(
     graph: &Graph,
     options: &SolveOptions,
@@ -199,20 +228,26 @@ pub fn chromatic_number_outcome(
     if options.k == 0 {
         return Err(SolveError::ZeroColorBound);
     }
-    let b = initial_bounds(graph, options)?;
+    let incremental = ColoringSession::supports(options);
+    let b = if incremental { bounds(graph) } else { initial_bounds(graph, options)? };
     if b.lower >= b.upper {
         // The bracket is already collapsed (DSATUR met the clique bound,
-        // or the heuristic race closed the gap): provably optimal without
-        // any exact search.
+        // or the fallback's heuristic race closed the gap): provably
+        // optimal without any exact search.
         return Ok(ChromaticOutcome {
             result: ChromaticResult::Exact { chromatic_number: b.upper, witness: b.witness },
             exhaust: None,
         });
     }
-    if ColoringSession::supports(options) {
-        return chromatic_ladder(graph, options, b);
+    if !incremental {
+        return chromatic_number_via_optimization(graph, options, b);
     }
-    chromatic_number_via_optimization(graph, options, b)
+    let bracket = Bracket::new(graph, &b);
+    if options.heuristics {
+        race_alongside(options, &bracket, || chromatic_ladder(graph, options, &bracket))
+    } else {
+        chromatic_ladder(graph, options, &bracket)
+    }
 }
 
 /// The pre-session path: one `try_solve_coloring` optimization run at
@@ -306,48 +341,51 @@ fn collapse_feasible(
 }
 
 /// The incremental ladder: one [`ColoringSession`] answers every
-/// decision query `[lower, upper)` needs, against persistent solver
+/// decision query `bracket` still needs, against persistent solver
 /// state. Records one [`sbgc_obs::LadderStepTelemetry`] entry per query
 /// when the options carry an enabled recorder.
 ///
-/// Callers guarantee `graph` is nonempty, `options.k >= 1`,
-/// `b.lower < b.upper`, and [`ColoringSession::supports`]`(options)`.
+/// The bracket may be shared with the heuristic race: before each query
+/// the ladder commits the bracket's validated upper bound into the
+/// session, and after it publishes its own witness or refutation back.
+/// A query the race makes moot mid-flight is recorded as `"moot"` and
+/// followed by the bracket's new target, never reported as exhaustion.
+///
+/// Callers guarantee `graph` is nonempty, `options.k >= 1`, the bracket
+/// is open, and [`ColoringSession::supports`]`(options)`.
 fn chromatic_ladder(
     graph: &Graph,
     options: &SolveOptions,
-    b: ChromaticBounds,
+    bracket: &Bracket<'_>,
 ) -> Result<ChromaticOutcome, SolveError> {
     use sbgc_obs::LadderStepTelemetry;
     use std::time::Instant;
 
     let mut session = ColoringSession::new(graph, options)?;
     let k = session.k();
-    // The session encoded at the one-shot DSATUR width. When the
-    // heuristic race already capped the bracket below it, retire the gap
-    // as root-level units before the first query — these are the ladder
-    // rungs the race let us skip. `b.upper` is witnessed by a coloring
-    // that `initial_bounds` re-validated, so the commit is sound.
-    session.commit_upper_bound(b.upper);
     // One wall-clock for the whole ladder: arming the deadline here (it
     // arms once) makes every step share it. Conflict caps need no special
     // handling — persistent engines count cumulatively, so a cap bounds
     // the session's *total* work.
     let budget = options.budget.started();
     let recorder = &options.recorder;
-    let mut lower = b.lower;
-    let mut upper = b.upper;
-    let mut witness = b.witness;
     let mut step: u64 = 0;
-    while lower < upper {
-        let target = (upper - 1).min(k);
+    while let Some(query) = bracket.next_query(k)? {
+        // Retire every color the validated incumbent already covers as
+        // root-level units: these are the rungs a race incumbent lets the
+        // ladder skip, and later queries run on a formula as tight as a
+        // fresh encoding at their own width.
+        session.commit_upper_bound(query.upper);
         let started = Instant::now();
-        let s = session.query(target, &budget);
+        let s = session.query(query.target, &budget.clone().with_cancel_token(query.token.clone()));
+        let moot = matches!(s.answer, SessionAnswer::Unknown) && query.token.is_cancelled();
         recorder.record_ladder_step(LadderStepTelemetry {
             step,
-            target,
+            target: query.target,
             outcome: match &s.answer {
                 SessionAnswer::Colorable(_) => "sat",
                 SessionAnswer::NotColorable { .. } => "unsat",
+                SessionAnswer::Unknown if moot => "moot",
                 SessionAnswer::Unknown => "unknown",
             }
             .to_string(),
@@ -357,48 +395,22 @@ fn chromatic_ladder(
         });
         step += 1;
         match s.answer {
-            SessionAnswer::Colorable(c) => {
-                let colors = c.num_colors().min(target);
-                if colors < lower {
-                    // A verified witness below a proven lower bound is an
-                    // invariant violation, not progress (§4i).
-                    return Err(SolveError::BoundContradiction {
-                        lower,
-                        upper: colors,
-                        detail: format!("ladder witness at target {target} beat the lower bound"),
-                    });
-                }
-                upper = colors;
-                witness = c;
-                // The bound is monotone; retire the colors above it as
-                // permanent units so later queries run on a formula as
-                // tight as a fresh encoding at their own width.
-                session.commit_upper_bound(upper);
-            }
-            SessionAnswer::NotColorable { .. } => {
-                lower = (target + 1).max(lower);
-                if target == k && lower < upper {
-                    // The encoding cannot express more than k colors; the
-                    // remaining gap to the DSATUR witness is a final
-                    // K-cap bracket, not budget exhaustion.
-                    return Ok(ChromaticOutcome {
-                        result: ChromaticResult::Bounded { lower, upper, witness },
-                        exhaust: None,
-                    });
-                }
-            }
+            SessionAnswer::Colorable(c) => bracket.publish_witness(c),
+            SessionAnswer::NotColorable { .. } => bracket.publish_refutation(query.target),
+            // The bracket moved past the target; ask for the next one.
+            SessionAnswer::Unknown if moot => {}
             SessionAnswer::Unknown => {
-                return Ok(ChromaticOutcome {
-                    result: ChromaticResult::Bounded { lower, upper, witness },
-                    exhaust: s.exhaust,
-                });
+                let result = bracket.result()?;
+                // An exact answer supersedes any limit hit along the way.
+                let exhaust = if result.exact().is_some() { None } else { s.exhaust };
+                return Ok(ChromaticOutcome { result, exhaust });
             }
         }
     }
-    Ok(ChromaticOutcome {
-        result: ChromaticResult::Exact { chromatic_number: upper, witness },
-        exhaust: None,
-    })
+    // The bracket is collapsed, or the K-cap left a final bracket: the
+    // encoding cannot express more than k colors, so the gap to the
+    // witness is not budget exhaustion.
+    Ok(ChromaticOutcome { result: bracket.result()?, exhaust: None })
 }
 
 #[cfg(test)]
@@ -463,16 +475,25 @@ mod tests {
         // queens(6,6): clique bound 6, DSATUR bound 9. A cap of 4 is below
         // the clique bound; proving "not 4-colorable" must not *regress*
         // the reported lower bound to 5.
+        // The clique bound already refutes every rung a 4-color encoding
+        // can express, so the ladder must not run a single query.
+        use sbgc_obs::Recorder;
         let g = queens(6, 6);
         let b = bounds(&g);
         assert!(b.lower >= 6, "test premise: clique bound is {}", b.lower);
-        match chromatic_number(&g, &SolveOptions::new(4)) {
+        let recorder = Recorder::new();
+        let opts = SolveOptions::new(4).with_recorder(recorder.clone());
+        let out = chromatic_number_outcome(&g, &opts).expect("valid inputs");
+        match out.result {
             ChromaticResult::Bounded { lower, upper, .. } => {
                 assert!(lower >= b.lower, "lower bound regressed: {lower} < {}", b.lower);
                 assert!(upper >= lower);
             }
             ChromaticResult::Exact { .. } => panic!("cap 4 cannot certify χ of queens(6,6)"),
         }
+        assert_eq!(out.exhaust, None, "a K-cap bracket is final, not exhaustion");
+        let steps = recorder.ladder_steps();
+        assert!(steps.is_empty(), "no rung below the clique bound is queried: {steps:?}");
     }
 
     #[test]
@@ -640,6 +661,8 @@ mod tests {
         use sbgc_graph::gen::gnp;
         use sbgc_obs::Recorder;
         // χ = 7, greedy clique 6, DSATUR 8: the race has a rung to skip.
+        // The race runs beside the ladder, so every assertion below must
+        // hold under any interleaving of the two.
         let g = gnp(24, 0.5, 3);
         let base = bounds(&g);
         let exact_only = chromatic_number_outcome(&g, &SolveOptions::new(20).without_heuristics())
@@ -650,16 +673,25 @@ mod tests {
                 .expect("valid inputs");
         assert_eq!(hybrid.exact(), exact_only.exact(), "hybrid must prove the same χ");
         assert!(hybrid.witness().is_proper(&g));
+        assert_eq!(Some(hybrid.witness().num_colors()), hybrid.exact());
         let h = recorder.heuristics().expect("hybrid run records heuristics telemetry");
         assert_eq!(h.dsatur_upper, base.upper);
         assert_eq!(h.greedy_clique_lower, base.lower);
         assert!(h.upper <= base.upper);
-        assert_eq!(h.rungs_skipped, base.upper - h.upper);
+        assert_eq!(h.rungs_skipped, h.dsatur_upper - h.upper);
         assert_eq!(h.workers, 3);
         assert_eq!(h.failed_workers, 0);
         assert_eq!(h.rejected_witnesses, 0);
-        // Every exact query ran strictly below the heuristic cap.
-        assert!(recorder.ladder_steps().iter().all(|s| s.target < h.upper));
+        let steps = recorder.ladder_steps();
+        assert!(steps.iter().all(|s| s.target < h.dsatur_upper), "{steps:?}");
+        assert!(steps.iter().all(|s| s.outcome != "unknown"), "nothing ran out: {steps:?}");
+        // A query the race made moot is followed by a lower target or by
+        // the end of the ladder — never re-issued at the same target.
+        for pair in steps.windows(2) {
+            if pair[0].outcome == "moot" {
+                assert!(pair[1].target < pair[0].target, "{steps:?}");
+            }
+        }
     }
 
     #[test]

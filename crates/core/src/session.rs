@@ -244,9 +244,9 @@ impl<'g> ColoringSession<'g> {
     /// formula and are rejected.
     ///
     /// The witness does not have to come from the session itself: the
-    /// hybrid chromatic search commits a *validated* TabuCol/PartialCol
-    /// incumbent here before the first query, so the exact ladder starts
-    /// below the heuristic bound and skips the rungs in between. Only
+    /// hybrid chromatic search commits the *validated* incumbent of the
+    /// heuristic race running beside it here before every query, so the
+    /// exact ladder skips the rungs the race has already answered. Only
     /// re-validated colorings may reach this method — an unchecked upper
     /// bound would strengthen the formula unsoundly (see `DESIGN.md` §4i).
     pub fn commit_upper_bound(&mut self, upper: usize) -> usize {

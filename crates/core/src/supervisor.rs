@@ -185,9 +185,12 @@ pub struct SupervisedOutcome {
 }
 
 /// Runs the incremental chromatic ladder under the supervisor loop (see
-/// the module docs). Equivalent to `chromatic_number_outcome` when
+/// the module docs). Proves the same χ as `chromatic_number_outcome` when
 /// `config` is all-default, plus crash safety and stall recovery when it
-/// is not.
+/// is not. Unlike `chromatic_number_outcome`, which races the heuristics
+/// alongside its ladder, the supervisor keeps the race-first order: the
+/// heuristic race of [`initial_bounds`] runs to completion before the
+/// first rung and its first checkpoint.
 ///
 /// Besides the faults every ladder reads, [`SolveOptions::fault`]
 /// schedules the supervisor's own chaos: mid-rung kills (a panic at a
@@ -324,11 +327,20 @@ pub fn solve_supervised(
         };
 
         let mut attempt_exhaust: Option<ExhaustReason> = None;
+        // Whether the attempt left a final bracket (collapsed, or capped
+        // at K) rather than running out.
+        let mut settled = true;
         while state.lower < state.upper {
+            let target = (state.upper - 1).min(session.k());
+            if target < state.lower {
+                // K-cap bracket: the clique bound or a refutation at the
+                // cap already answers every rung the encoding can
+                // express. Final, not retryable.
+                break;
+            }
             if supervision.fault.mid_rung_kill() == Some(rungs_done) && attempt == 1 {
                 panic!("injected fault: solve killed at ladder rung {rungs_done}");
             }
-            let target = (state.upper - 1).min(session.k());
             let started = Instant::now();
             let s = session.query(target, &budget);
             recorder.record_ladder_step(LadderStepTelemetry {
@@ -368,21 +380,10 @@ pub fn solve_supervised(
                     state.lower = (target + 1).max(state.lower);
                     state.clauses = session.export_learned();
                     supervision.write_checkpoint(graph, &options, &state, Some(&session))?;
-                    if target == session.k() && state.lower < state.upper {
-                        // K-cap bracket: final, not retryable.
-                        let outcome = ChromaticOutcome {
-                            result: ChromaticResult::Bounded {
-                                lower: state.lower,
-                                upper: state.upper,
-                                witness: state.witness,
-                            },
-                            exhaust: None,
-                        };
-                        return Ok(supervision.finish(outcome, resumed));
-                    }
                 }
                 SessionAnswer::Unknown => {
                     attempt_exhaust = s.exhaust;
+                    settled = false;
                     break;
                 }
             }
@@ -392,15 +393,9 @@ pub fn solve_supervised(
             supervision.watchdog_trips += 1;
         }
 
-        if state.lower >= state.upper {
-            let outcome = ChromaticOutcome {
-                result: ChromaticResult::Exact {
-                    chromatic_number: state.upper,
-                    witness: state.witness,
-                },
-                exhaust: None,
-            };
-            return Ok(supervision.finish(outcome, resumed));
+        if settled {
+            let result = ChromaticResult::from_bracket(state.lower, state.upper, state.witness);
+            return Ok(supervision.finish(ChromaticOutcome { result, exhaust: None }, resumed));
         }
 
         // The attempt ran out (stall or genuine exhaustion). Carry the
@@ -689,6 +684,26 @@ mod tests {
         assert_eq!(out.watchdog_trips, 0);
         assert_eq!(out.checkpoints_written, 0);
         assert!(!out.resumed);
+    }
+
+    #[test]
+    fn k_cap_below_the_clique_bound_queries_no_rung() {
+        // queens(6,6) has a 6-clique: under a cap of 4 every rung the
+        // encoding can express is already refuted, so the supervisor
+        // returns the final K-cap bracket without a query or a rung
+        // checkpoint.
+        let graph = queens(6, 6);
+        let recorder = Recorder::new();
+        let options = SolveOptions::new(4).with_recorder(recorder.clone());
+        let path = scratch("kcap");
+        let config = SupervisorConfig::new().with_checkpoint_path(&path);
+        let out = solve_supervised(&graph, &options, &config).unwrap();
+        let (lower, upper) = out.outcome.bracket();
+        assert!(lower >= 6 && upper >= lower, "[{lower}, {upper}]");
+        assert_eq!(out.outcome.exhaust, None, "a K-cap bracket is final, not exhaustion");
+        assert_eq!(out.checkpoints_written, 1, "only the initial checkpoint");
+        assert!(recorder.ladder_steps().is_empty(), "{:?}", recorder.ladder_steps());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -262,7 +262,9 @@ pub struct LadderStepTelemetry {
     pub step: u64,
     /// The color count the step queried ("is the graph `target`-colorable?").
     pub target: usize,
-    /// `"sat"`, `"unsat"`, or `"unknown"`.
+    /// `"sat"`, `"unsat"`, `"unknown"` (a limit stopped the query), or
+    /// `"moot"` (the concurrent heuristic race answered the target
+    /// mid-flight, so the ladder moved on to its next target).
     pub outcome: String,
     /// Wall-clock seconds the query took.
     pub seconds: f64,
@@ -275,20 +277,24 @@ pub struct LadderStepTelemetry {
 }
 
 /// Summary telemetry of one heuristic race (the `sbgc-heur` workers that
-/// tighten the chromatic bracket before/while the exact search runs),
-/// recorded by `sbgc-core`'s hybrid driver.
+/// tighten the chromatic bracket before or while the exact search runs),
+/// recorded by `sbgc-core`'s hybrid search. Bounds count only offers made
+/// by heuristic workers: a ladder witness or refutation that tightened
+/// the shared bracket is never credited to the race.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HeuristicsTelemetry {
     /// The one-shot DSATUR upper bound the race started from.
     pub dsatur_upper: usize,
     /// The one-shot greedy-clique lower bound the race started from.
     pub greedy_clique_lower: usize,
-    /// Best validated upper bound after the race (≤ `dsatur_upper`).
+    /// Best upper bound a heuristic worker's validated coloring set
+    /// (≤ `dsatur_upper`).
     pub upper: usize,
-    /// Best validated lower bound after the race (≥ `greedy_clique_lower`).
+    /// Best lower bound a heuristic worker's validated clique set
+    /// (≥ `greedy_clique_lower`).
     pub lower: usize,
-    /// Ladder rungs the exact search no longer has to query thanks to the
-    /// heuristic incumbent (`dsatur_upper − upper`).
+    /// Ladder rungs the heuristic incumbent took from the exact search
+    /// (`dsatur_upper − upper`).
     pub rungs_skipped: usize,
     /// Heuristic workers launched.
     pub workers: usize,
@@ -297,7 +303,8 @@ pub struct HeuristicsTelemetry {
     pub rejected_witnesses: u64,
     /// Heuristic workers that died (panicked) or had an offer rejected.
     pub failed_workers: u64,
-    /// Wall-clock seconds the race ran.
+    /// Wall-clock seconds the race ran (beside the ladder, when it ran
+    /// alongside one).
     pub seconds: f64,
 }
 

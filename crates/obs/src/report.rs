@@ -35,8 +35,12 @@ use crate::recorder::{
 /// the optional `supervisor` object (watchdog trips, retry attempts,
 /// budget escalation, checkpoints written) and the optional `resume`
 /// object (restored bracket, re-validated witness, imported clauses, and
-/// the ladder rungs the resume skipped) for supervised solves.
-pub const SCHEMA_VERSION: u32 = 8;
+/// the ladder rungs the resume skipped) for supervised solves. v9 added
+/// the `"moot"` ladder-step outcome (a query the concurrent heuristic
+/// race answered mid-flight) and narrowed the `heuristics` object's
+/// `upper`, `lower` and `rungs_skipped` to what heuristic workers alone
+/// established, with `seconds` the race's wall time beside the ladder.
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// Identity and size of the graph instance a run solved.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -562,7 +566,7 @@ mod tests {
             runs: vec![report],
         };
         let json = file.to_json();
-        assert!(json.contains("\"schema_version\": 8"));
+        assert!(json.contains("\"schema_version\": 9"));
         assert!(json.contains("\"heuristics\": null"));
         assert!(json.contains("\"supervisor\": null"));
         assert!(json.contains("\"resume\": null"));

@@ -4,8 +4,9 @@
 //!
 //! 1. **exact-only**: the greedy DSATUR/clique bracket, then one
 //!    sequential engine walks the ladder;
-//! 2. **hybrid** (the default): a TabuCol/PartialCol/clique race first
-//!    tightens the bracket, so the ladder starts on a lower rung;
+//! 2. **hybrid** (the default): a TabuCol/PartialCol/clique race runs
+//!    beside the ladder and tightens the shared bracket, so the ladder
+//!    skips the rungs the race answers first;
 //! 3. **2-worker portfolio**: the exact-only ladder, but every query is
 //!    raced by two diversified clause-sharing workers.
 //!
@@ -48,7 +49,7 @@ fn main() {
     assert!(answers.iter().all(|&chi| chi == Some(7)), "every ladder must prove χ = 7");
 
     println!(
-        "\nAll three agree. The hybrid race lets the ladder start below the\n\
-         DSATUR bound; the portfolio races each query with shared clauses."
+        "\nAll three agree. The hybrid race lets the ladder skip rungs below\n\
+         the DSATUR bound; the portfolio races each query with shared clauses."
     );
 }

@@ -285,15 +285,18 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
     let loose = ChromaticBounds { lower: 1, upper: 9, witness: Coloring::new((0..9).collect()) };
     let rec = Recorder::new();
     let opts = SolveOptions::new(20).with_recorder(rec.clone());
-    let plan = FaultPlan::new(21).with_improper_witness(0);
-    let out = race_heuristics(&g, &opts.clone().with_fault_plan(plan), &loose);
 
-    assert!(out.rejected_witnesses >= 1, "the corrupted offer must be rejected");
-    assert!(out.failed_workers >= 1, "an untrustworthy worker is retired");
-    assert!(out.witness.is_proper(&g), "survivors keep a validated witness");
+    // First the rejection itself, with PartialCol retired at its first
+    // level: racing, it can walk C9 down to χ before TabuCol's first
+    // offer and leave nothing to corrupt.
+    let plan = FaultPlan::new(21).with_improper_witness(0).with_worker_panic(1, 0);
+    let out = race_heuristics(&g, &opts.clone().with_fault_plan(plan), &loose);
+    assert_eq!(out.rejected_witnesses, 1, "the corrupted offer must be rejected");
+    assert_eq!(out.failed_workers, 2, "the untrustworthy worker is retired too");
+    assert!(out.witness.is_proper(&g), "the seed witness survives the rejection");
     assert_eq!(out.witness.num_colors(), out.upper);
+    assert_eq!(out.upper, 9, "the rejected offer changed nothing");
     assert!(out.lower <= out.upper);
-    assert_eq!(out.upper, 3, "PartialCol alone still walks C9 down to χ = 3");
 
     // Telemetry tells the same story: the TabuCol record is marked
     // failed, and the per-run heuristics object carries both tallies.
@@ -301,8 +304,18 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
     let tabu = workers.iter().find(|w| w.kind == "tabucol").expect("telemetry for worker 0");
     assert!(tabu.failed.is_some(), "the rejection is fatal for the offending worker");
     let h = rec.heuristics().expect("heuristics telemetry recorded");
-    assert!(h.rejected_witnesses >= 1);
-    assert!(h.failed_workers >= 1);
+    assert_eq!(h.rejected_witnesses, 1);
+    assert_eq!(h.failed_workers, 2);
+
+    // With PartialCol racing, whichever interleaving happens, TabuCol is
+    // retired exactly when it got to offer, and the survivors walk C9
+    // down to χ on validated offers alone.
+    let plan = FaultPlan::new(21).with_improper_witness(0);
+    let out = race_heuristics(&g, &opts.clone().with_fault_plan(plan), &loose);
+    assert_eq!(out.failed_workers as u64, out.rejected_witnesses);
+    assert!(out.witness.is_proper(&g), "survivors keep a validated witness");
+    assert_eq!(out.witness.num_colors(), out.upper);
+    assert_eq!(out.upper, 3, "PartialCol alone still walks C9 down to χ = 3");
 
     // And the sound result is untouched by re-running without the fault.
     let healthy = race_heuristics(&g, &opts, &loose);

@@ -69,6 +69,38 @@ fn backtracking_dsatur_agrees_with_every_exact_path() {
 }
 
 #[test]
+fn hybrid_ladder_agrees_with_the_exact_only_ladder_on_seeded_random_graphs() {
+    // The race runs beside the ladder, so the hybrid path's interleaving
+    // varies from run to run; χ must not. G(200, 0.025) is the sparse
+    // family where DSATUR already meets χ and the ladder's refutation of
+    // χ − 1 must stop a race that cannot improve anything; the small
+    // dense G(n, p) graphs are seeds where DSATUR overshoots χ, so the
+    // race has rungs to take from the ladder (and on some of them its
+    // clique search or incumbent closes the bracket mid-query).
+    let sparse = (1..=6).map(|seed| (gnp(200, 0.025, seed), false));
+    let overshooting = [(24, 0.5, 3), (24, 0.5, 4), (24, 0.5, 7), (24, 0.5, 10), (26, 0.45, 1)]
+        .into_iter()
+        .map(|(n, p, seed)| (gnp(n, p, seed), true));
+    for (i, (g, overshoots)) in sparse.chain(overshooting).enumerate() {
+        let options = SolveOptions::new(30);
+        let exact = chromatic_number_outcome(&g, &options.clone().without_heuristics())
+            .expect("valid input");
+        let chi = exact.exact().expect("the exact-only ladder decides");
+        assert!(exact.witness().is_proper(&g), "graph {i}");
+        assert_eq!(bounds(&g).upper > chi, overshoots, "graph {i}: DSATUR premise");
+        for parallelism in [1, 2] {
+            let hybrid =
+                chromatic_number_outcome(&g, &options.clone().with_parallelism(parallelism))
+                    .expect("valid input");
+            assert_eq!(hybrid.exact(), Some(chi), "graph {i}, parallelism {parallelism}");
+            assert_eq!(hybrid.exhaust, None, "graph {i}, parallelism {parallelism}");
+            assert!(hybrid.witness().is_proper(&g), "graph {i}, parallelism {parallelism}");
+            assert_eq!(hybrid.witness().num_colors(), chi, "graph {i}, parallelism {parallelism}");
+        }
+    }
+}
+
+#[test]
 fn heuristic_race_replays_deterministically() {
     // Same input, same seeds, same iteration budgets: the race must
     // reproduce its bracket bit-for-bit. Mycielski graphs keep the

@@ -176,8 +176,8 @@ fn ladder_telemetry_lands_in_v5_report() {
         ..Default::default()
     };
     assert!(
-        file.to_json().contains("\"schema_version\": 8"),
-        "ladder telemetry (v5) must survive the v8 schema bump"
+        file.to_json().contains("\"schema_version\": 9"),
+        "ladder telemetry (v5) must survive the v9 schema bump"
     );
 }
 
