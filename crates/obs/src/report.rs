@@ -132,7 +132,8 @@ pub struct DetectionStats {
     pub seconds: f64,
     /// Number of generators the detector returned.
     pub generators: usize,
-    /// `log10` of the estimated automorphism-group order.
+    /// `log10` of the symmetry graph's automorphism-group order (a lower
+    /// bound when `exact` is false).
     pub order_log10: f64,
     /// Generators discarded as spurious (failed validation).
     pub spurious_dropped: usize,

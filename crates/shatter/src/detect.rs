@@ -2,6 +2,7 @@
 //! permutations.
 
 use crate::graph::formula_graph;
+use crate::index::FormulaIndex;
 use crate::litperm::LitPermutation;
 use sbgc_aut::{automorphisms_with, AutomorphismOptions};
 use sbgc_formula::PbFormula;
@@ -11,16 +12,27 @@ use std::time::{Duration, Instant};
 /// Table 2 (`#S` as `10^x`, `#G`, Saucy time).
 #[derive(Clone, Debug)]
 pub struct SymmetryReport {
-    /// `log₁₀` of the symmetry-group order.
+    /// `log₁₀` of the order of the symmetry graph's automorphism group —
+    /// what Saucy reports, as in the paper's Table 2. It can exceed the
+    /// order of the formula's own symmetry group: the graph also permutes
+    /// repeated constraints among themselves, and its spurious generators
+    /// are dropped from the returned list but not from this order. For
+    /// `(a∨b), (a∨b), (c∨d)` the graph group has order 8 and the formula's
+    /// has order 4.
     pub order_log10: f64,
-    /// Group order as `u128` when it fits.
+    /// The order behind [`order_log10`](Self::order_log10) as `u128` when
+    /// it fits.
     pub order: Option<u128>,
     /// Number of generators after spurious filtering.
     pub num_generators: usize,
-    /// Generators dropped because they did not commute with negation
-    /// (spurious graph automorphisms; rare, see Section 2.4).
+    /// Graph-group generators dropped because they do not map the formula
+    /// onto itself (spurious symmetries, see Section 2.4): they fail to
+    /// commute with negation, or they do not preserve the multiset of
+    /// constraints — the graph merges duplicate binary clauses into one
+    /// edge, so it cannot count them.
     pub spurious_dropped: usize,
-    /// Wall-clock time of graph construction + automorphism search.
+    /// Wall-clock time of graph construction, the automorphism search and
+    /// the formula check of every generator.
     pub detection_time: Duration,
     /// Vertices in the symmetry graph.
     pub graph_vertices: usize,
@@ -35,10 +47,11 @@ pub struct SymmetryReport {
 /// computes its automorphism group, and maps each generator back to a
 /// permutation of the formula's literals.
 ///
-/// Generators that move literal vertices inconsistently with negation
-/// (spurious symmetries, possible only in the presence of circular
-/// implication chains — see the paper, Section 2.4) are dropped and
-/// counted in the report.
+/// Generators that are not formula symmetries (spurious symmetries — see
+/// the paper, Section 2.4, and [`SymmetryReport::spurious_dropped`]) are
+/// dropped and counted in the report. Each generator is checked against a
+/// canonical index of `formula` built once per call, which re-examines
+/// only the constraints on the generator's support.
 pub fn detect_symmetries(
     formula: &PbFormula,
     opts: &AutomorphismOptions,
@@ -46,6 +59,9 @@ pub fn detect_symmetries(
     let start = Instant::now();
     let fg = formula_graph(formula);
     let group = automorphisms_with(&fg.graph, opts);
+    // Built on the first generator that needs it: a formula whose graph
+    // has no symmetry pays nothing for the check.
+    let mut index = None;
     let n2 = 2 * fg.num_vars;
     let mut perms = Vec::new();
     let mut spurious = 0;
@@ -56,9 +72,10 @@ pub fn detect_symmetries(
                 // The efficient same-color literal encoding can produce
                 // spurious automorphisms when the formula contains circular
                 // implication chains (binary clause edges masquerading as
-                // Boolean-consistency edges) — the paper notes these "can
-                // be easily checked for", which is what we do here.
-                if p.preserves(formula) {
+                // Boolean-consistency edges) or repeated binary clauses —
+                // the paper notes these "can be easily checked for", which
+                // is what we do here.
+                if index.get_or_insert_with(|| FormulaIndex::new(formula)).is_preserved_by(&p) {
                     perms.push(p);
                 } else {
                     spurious += 1;
@@ -158,5 +175,46 @@ mod tests {
         assert_eq!(report.graph_edges, 6);
         assert!(report.exact);
         assert_eq!(report.spurious_dropped, 0);
+    }
+
+    #[test]
+    fn repeated_binary_clause_swap_is_spurious() {
+        // The graph merges the two copies of (a∨b) into one edge, so
+        // swapping {a,b} with {c,d} is a graph automorphism that maps two
+        // clauses onto one.
+        let mut f = PbFormula::new();
+        let v = f.new_vars(4);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| v[i].positive());
+        f.add_clause([a, b]);
+        f.add_clause([a, b]);
+        f.add_clause([c, d]);
+        let (mut kept, report) = detect(&f);
+        assert_eq!(report.spurious_dropped, 1);
+        kept.sort_by_key(|p| p.support());
+        assert_eq!(
+            kept,
+            [
+                LitPermutation::from_var_swap(4, v[0], v[1]),
+                LitPermutation::from_var_swap(4, v[2], v[3])
+            ]
+        );
+        // The graph's group, not the formula's (order 4).
+        assert_eq!(report.order, Some(8));
+    }
+
+    #[test]
+    fn circular_implication_generators_are_spurious() {
+        // (a∨b), (¬a∨¬b): the clause edges and the consistency edges form
+        // one 4-cycle, whose group has order 8. Its reflections through
+        // two opposite literal vertices do not commute with negation.
+        let mut f = PbFormula::new();
+        let a = f.new_var().positive();
+        let b = f.new_var().positive();
+        f.add_clause([a, b]);
+        f.add_clause([!a, !b]);
+        let (perms, report) = detect(&f);
+        assert_eq!((perms.len(), report.spurious_dropped), (1, 2));
+        assert!(perms[0].preserves(&f));
+        assert_eq!(report.order, Some(8));
     }
 }

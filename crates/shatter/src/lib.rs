@@ -17,7 +17,11 @@
 //!    group of that graph is computed with `sbgc-aut` (our Saucy
 //!    substitute) and generators are mapped back to permutations of the
 //!    formula's literals, dropping any spurious generator that fails to
-//!    commute with negation.
+//!    commute with negation or does not map the formula's constraint
+//!    multiset onto itself (the graph cannot count repeated binary
+//!    clauses). That check runs against a canonical index of the formula,
+//!    built once per call, and re-examines only the constraints on each
+//!    generator's support.
 //! 3. **SBP generation** ([`add_sbps`]): for each generator a
 //!    lex-leader symmetry-breaking predicate is appended, using the
 //!    efficient linear, tautology-free chain construction of Aloul et al.
@@ -48,6 +52,7 @@
 
 mod detect;
 mod graph;
+mod index;
 mod litperm;
 mod sbp;
 

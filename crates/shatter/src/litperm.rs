@@ -1,5 +1,6 @@
 //! Permutations of a formula's literals.
 
+use crate::index::FormulaIndex;
 use sbgc_formula::{Lit, PbFormula, Var};
 use std::fmt;
 
@@ -122,64 +123,17 @@ impl LitPermutation {
 
     /// Checks that applying this permutation to every constraint of
     /// `formula` yields a constraint set equal (as normalized multisets) to
-    /// the original — i.e. that this is a genuine formula symmetry.
+    /// the original — i.e. that this is a genuine formula symmetry. Clauses
+    /// compare as sets of literals, PB constraints as their normalized terms
+    /// and right-hand side, and the objective must be fixed as a multiset
+    /// of weighted literals.
     ///
-    /// This is the independent verification used by tests; the Shatter flow
-    /// itself relies on the faithfulness of the graph construction.
+    /// This indexes `formula` for a single query.
+    /// [`detect_symmetries`](crate::detect_symmetries) builds the same
+    /// index once and checks every generator of the symmetry graph's group
+    /// against it.
     pub fn preserves(&self, formula: &PbFormula) -> bool {
-        use std::collections::BTreeMap;
-        if formula.num_vars() != self.num_vars() {
-            return false;
-        }
-        // Clauses as sorted literal-code vectors.
-        let canon_clause = |lits: &[Lit]| {
-            let mut v: Vec<u32> = lits.iter().map(|l| l.code() as u32).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let mut before: BTreeMap<Vec<u32>, isize> = BTreeMap::new();
-        for c in formula.clauses() {
-            *before.entry(canon_clause(c.literals())).or_insert(0) += 1;
-        }
-        for c in formula.clauses() {
-            let mapped: Vec<Lit> = c.literals().iter().map(|&l| self.apply(l)).collect();
-            *before.entry(canon_clause(&mapped)).or_insert(0) -= 1;
-        }
-        if before.values().any(|&v| v != 0) {
-            return false;
-        }
-        // PB constraints as (sorted (coeff, lit-code) terms, rhs).
-        let mut pb: BTreeMap<(Vec<(u64, u32)>, u64), isize> = BTreeMap::new();
-        let canon_pb = |terms: &[(u64, Lit)], rhs: u64| {
-            let mut v: Vec<(u64, u32)> = terms.iter().map(|&(a, l)| (a, l.code() as u32)).collect();
-            v.sort_unstable();
-            (v, rhs)
-        };
-        for c in formula.pb_constraints() {
-            *pb.entry(canon_pb(c.terms(), c.rhs())).or_insert(0) += 1;
-        }
-        for c in formula.pb_constraints() {
-            let mapped: Vec<(u64, Lit)> =
-                c.terms().iter().map(|&(a, l)| (a, self.apply(l))).collect();
-            *pb.entry(canon_pb(&mapped, c.rhs())).or_insert(0) -= 1;
-        }
-        if pb.values().any(|&v| v != 0) {
-            return false;
-        }
-        // Objective must be fixed as a multiset of weighted literals.
-        if let Some(obj) = formula.objective() {
-            let mut canon: Vec<(u64, u32)> =
-                obj.terms().iter().map(|&(c, l)| (c, l.code() as u32)).collect();
-            let mut mapped: Vec<(u64, u32)> =
-                obj.terms().iter().map(|&(c, l)| (c, self.apply(l).code() as u32)).collect();
-            canon.sort_unstable();
-            mapped.sort_unstable();
-            if canon != mapped {
-                return false;
-            }
-        }
-        true
+        FormulaIndex::new(formula).is_preserved_by(self)
     }
 }
 
