@@ -169,17 +169,22 @@ proptest! {
             random_permutation(&mut rng, n),
             LitPermutation::identity(n + 1),
         ];
-        // Every generator of the symmetry graph's group, spurious or not.
+        // Every generator of the symmetry graph's group, spurious or not:
+        // detection keeps exactly the moving ones the oracle accepts.
         let fg = formula_graph(&f);
         let group = sbgc_aut::automorphisms_with(&fg.graph, &AutomorphismOptions::default());
-        candidates.extend(group.generators().iter().filter_map(|g| {
-            LitPermutation::from_images((0..2 * n).map(|c| g.apply(c) as u32).collect())
-        }));
+        let generators: Vec<LitPermutation> = group
+            .generators()
+            .iter()
+            .filter_map(|g| {
+                LitPermutation::from_images((0..2 * n).map(|c| g.apply(c) as u32).collect())
+            })
+            .collect();
+        let accepted: Vec<&LitPermutation> =
+            generators.iter().filter(|q| !q.is_identity() && rebuild_oracle(q, &f)).collect();
         let (kept, _) = detect_symmetries(&f, &AutomorphismOptions::default());
-        for q in &kept {
-            prop_assert!(rebuild_oracle(q, &f), "kept {:?}", q);
-        }
-        candidates.extend(kept);
+        prop_assert_eq!(kept.iter().collect::<Vec<_>>(), accepted, "{:?}", f);
+        candidates.extend(generators);
         for q in &candidates {
             prop_assert_eq!(q.preserves(&f), rebuild_oracle(q, &f), "{:?} on {:?}", q, f);
         }
