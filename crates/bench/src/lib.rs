@@ -28,17 +28,19 @@
 //! chromatic number on the SBP-free pure-CNF decision encoding, replay the
 //! DRAT refutation of χ−1 through the independent checker of `sbgc-proof`,
 //! and exit non-zero unless every instance certifies ([`run_certification`]);
-//! `--proof DIR` writes the accepted proofs as `DIR/<instance>.drat`.
+//! `--proof DIR` writes each proof as `DIR/<instance>.drat` next to the
+//! formula it refutes, `DIR/<instance>.cnf`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sbgc_core::{
-    certify_result_parallel, chromatic_number_certified, solve_coloring, ChromaticResult,
-    ColoringOutcome, OptimalityCertificate, PreparedColoring, ProofStatus, Recorder, SbpMode,
-    SolveOptions, SolverKind, SupervisorConfig, SymmetryHandling,
+    certify_result_parallel, chromatic_number_certified, cnf_decision_formula, solve_coloring,
+    ChromaticResult, ColoringOutcome, OptimalityCertificate, PreparedColoring, ProofStatus,
+    Recorder, SbpMode, SolveOptions, SolverKind, SupervisorConfig, SymmetryHandling,
 };
 use sbgc_graph::suite::{self, Instance};
+use sbgc_graph::Graph;
 use sbgc_obs::{
     CertificateStats, DetectionStats, EncodingSize, InstanceInfo, ReportFile, RunOutcome,
     RunReport, SbpTelemetry,
@@ -81,8 +83,9 @@ pub struct HarnessConfig {
     /// χ−1 with the independent checker; the binary exits non-zero if any
     /// certificate fails (see [`run_certification`]).
     pub certify: bool,
-    /// With `--proof DIR`, certification writes each accepted DRAT proof to
-    /// `DIR/<instance>.drat` (implies nothing by itself; only used when
+    /// With `--proof DIR`, certification writes each DRAT proof to
+    /// `DIR/<instance>.drat` and its formula to `DIR/<instance>.cnf`
+    /// (implies nothing by itself; only used when
     /// `certify` is set).
     pub proof_dir: Option<String>,
     /// With `--min-speedup X`, binaries that measure a sequential-vs-
@@ -520,7 +523,8 @@ pub fn certificate_stats(cert: &OptimalityCertificate) -> CertificateStats {
 /// chromatic number on the SBP-free pure-CNF decision encoding, checks the
 /// DRAT refutation of χ−1 with the independent checker in `sbgc-proof`,
 /// and prints one line per instance. With `--proof DIR` each produced
-/// proof is also written to `DIR/<instance>.drat` in DIMACS DRAT format.
+/// proof is also written to `DIR/<instance>.drat` in text DRAT, next to
+/// the formula it refutes in DIMACS CNF, `DIR/<instance>.cnf`.
 ///
 /// Exits the process with status 1 if any instance fails to certify — a
 /// rejected proof, an unverified witness, a budget-truncated proof, or a
@@ -572,11 +576,8 @@ pub fn run_certification(config: &HarnessConfig) {
             "  {:<12} chi = {:<3} {witness}, unsat {}",
             inst.meta.name, cert.chromatic_number, cert.unsat
         );
-        if let (Some(dir), Some(proof)) = (&proof_dir, &cert.proof) {
-            let path = format!("{dir}/{}.drat", inst.meta.name);
-            if let Err(err) = sbgc_obs::write_atomic(path.as_ref(), proof.to_dimacs().as_bytes()) {
-                eprintln!("warning: could not write {path}: {err}; proof not archived");
-            }
+        if let Some(dir) = &proof_dir {
+            archive_proof(dir, inst.meta.name, &inst.graph, &cert);
         }
         if !cert.is_certified() {
             failures += 1;
@@ -587,6 +588,23 @@ pub fn run_certification(config: &HarnessConfig) {
         std::process::exit(1);
     }
     println!("all instances certified");
+}
+
+/// Writes `cert`'s refutation to `DIR/<name>.drat` in text DRAT and the
+/// formula it refutes — the SBP-free (χ−1)-coloring CNF of `graph` — to
+/// `DIR/<name>.cnf` in DIMACS, a pair any DRAT checker (drat-trim among
+/// them) can check on its own. Does nothing for a certificate without a
+/// proof; a failed write prints a warning and leaves that file out.
+fn archive_proof(dir: &str, name: &str, graph: &Graph, cert: &OptimalityCertificate) {
+    let Some(proof) = &cert.proof else { return };
+    let (num_vars, clauses) = cnf_decision_formula(graph, cert.chromatic_number - 1);
+    let cnf = sbgc_proof::dimacs_cnf(num_vars, &clauses);
+    for (ext, text) in [("cnf", cnf), ("drat", proof.to_dimacs())] {
+        let path = format!("{dir}/{name}.{ext}");
+        if let Err(err) = sbgc_obs::write_atomic(path.as_ref(), text.as_bytes()) {
+            eprintln!("warning: could not write {path}: {err}; proof not archived");
+        }
+    }
 }
 
 /// Runs one fully instrumented end-to-end solve of `inst` and assembles
@@ -865,6 +883,32 @@ mod tests {
         let report = collect_run_report(&inst, &config);
         assert_eq!(report.workers.len(), 2);
         assert_eq!(report.workers.iter().filter(|w| w.won).count(), 1);
+    }
+
+    #[test]
+    fn archived_proof_pair_checks_without_hints() {
+        // The .cnf/.drat pair --proof writes must stand alone: both parse
+        // back, and the hint-free text proof checks against the text CNF.
+        let dir = std::env::temp_dir().join(format!("sbgc_proofs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir_str = dir.to_str().expect("utf-8 temp path");
+        let graph = suite::build("myciel3").graph;
+        let (_, cert) = chromatic_number_certified(&graph, &SolveOptions::new(6));
+        let cert = cert.expect("exact result yields a certificate");
+        archive_proof(dir_str, "myciel3", &graph, &cert);
+
+        let read = |ext: &str| std::fs::read_to_string(dir.join(format!("myciel3.{ext}")));
+        let formula = sbgc_formula::parse_dimacs_cnf(&read("cnf").expect(".cnf written"))
+            .expect("the archived CNF parses");
+        let proof = sbgc_proof::DratProof::from_dimacs(&read("drat").expect(".drat written"))
+            .expect("the archived proof parses");
+        assert_eq!(proof.steps(), cert.proof.as_ref().expect("proof").steps());
+        let clauses: Vec<Vec<_>> =
+            formula.clauses().iter().map(|c| c.literals().to_vec()).collect();
+        let stats = sbgc_proof::check_drat(formula.num_vars(), &clauses, &proof)
+            .expect("the archived pair checks");
+        assert_eq!((stats.chained, stats.searched), (0, stats.adds), "text DRAT has no hints");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -156,7 +156,9 @@ pub fn certify_unsat_formula_parallel(
     workers: usize,
 ) -> (ProofStatus, Option<DratProof>) {
     match pure_cnf_clauses(formula) {
-        Ok(clauses) => refute_and_check(formula.num_vars(), &clauses, budget, workers),
+        Ok(clauses) => {
+            refute_and_check(formula.num_vars(), &clauses, budget, workers).into_formula_status()
+        }
         Err(status) => (status, None),
     }
 }
@@ -181,10 +183,9 @@ fn pure_cnf_clauses(formula: &PbFormula) -> Result<Vec<Vec<Lit>>, ProofStatus> {
 struct StreamHandle<W: std::io::Write + Send>(Arc<Mutex<Option<FileProofLogger<W>>>>);
 
 impl<W: std::io::Write + Send> ProofLogger for StreamHandle<W> {
-    fn log_add(&mut self, lits: &[Lit]) {
-        if let Some(l) = self.0.lock().unwrap_or_else(PoisonError::into_inner).as_mut() {
-            l.log_add(lits);
-        }
+    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.as_mut().map_or(0, |l| l.log_add(lits, hints))
     }
 
     fn log_delete(&mut self, lits: &[Lit]) {
@@ -231,7 +232,8 @@ pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
         let _ = logger.into_inner();
     }
 
-    let (status, proof) = check_outcome(outcome, num_vars, &clauses, proof, solve_seconds);
+    let (status, proof) =
+        check_outcome(outcome, num_vars, &clauses, proof, solve_seconds).into_formula_status();
     let status = match (flag.get(), status) {
         (Some(err), ProofStatus::Checked { .. }) => {
             ProofStatus::Unchecked { reason: format!("proof stream failed: {err}") }
@@ -261,18 +263,40 @@ fn certifier(
     engine
 }
 
-/// Maps a certifying solve's `outcome` to a [`ProofStatus`]: an UNSAT
+/// What a certifying solve established about its formula.
+enum Refutation {
+    /// The solver answered UNSAT and its log was replayed (checked or
+    /// rejected), or the budget ran out (unchecked, no proof).
+    Status(ProofStatus, Option<DratProof>),
+    /// The solver found a model: the formula is satisfiable.
+    Satisfiable,
+}
+
+impl Refutation {
+    /// The status of a formula-level certificate: a satisfiable formula
+    /// has no refutation to check, so it is [`ProofStatus::Unchecked`].
+    fn into_formula_status(self) -> (ProofStatus, Option<DratProof>) {
+        match self {
+            Refutation::Status(status, proof) => (status, proof),
+            Refutation::Satisfiable => {
+                (ProofStatus::Unchecked { reason: "formula is satisfiable".into() }, None)
+            }
+        }
+    }
+}
+
+/// Maps a certifying solve's `outcome` to a [`Refutation`]: an UNSAT
 /// answer's logged `proof` is replayed against `clauses` through the
-/// independent checker; SAT and budget exhaustion are
-/// [`ProofStatus::Unchecked`] and keep no proof.
+/// independent checker; budget exhaustion is [`ProofStatus::Unchecked`]
+/// and keeps no proof.
 fn check_outcome(
     outcome: SolveOutcome,
     num_vars: usize,
     clauses: &[Vec<Lit>],
     proof: DratProof,
     solve_seconds: f64,
-) -> (ProofStatus, Option<DratProof>) {
-    let reason = match outcome {
+) -> Refutation {
+    match outcome {
         SolveOutcome::Unsat => {
             let check_start = Instant::now();
             let checked = check_drat(num_vars, clauses, &proof);
@@ -288,12 +312,14 @@ fn check_outcome(
                 },
                 Err(e) => ProofStatus::Rejected { error: e.to_string() },
             };
-            return (status, Some(proof));
+            Refutation::Status(status, Some(proof))
         }
-        SolveOutcome::Sat(_) => "formula is satisfiable",
-        SolveOutcome::Unknown => "budget exhausted before a refutation was found",
-    };
-    (ProofStatus::Unchecked { reason: reason.into() }, None)
+        SolveOutcome::Sat(_) => Refutation::Satisfiable,
+        SolveOutcome::Unknown => {
+            let reason = "budget exhausted before a refutation was found".into();
+            Refutation::Status(ProofStatus::Unchecked { reason }, None)
+        }
+    }
 }
 
 /// Solves `clauses` expecting UNSAT, then replays the logged proof through
@@ -314,7 +340,7 @@ fn refute_and_check(
     clauses: &[Vec<Lit>],
     budget: &Budget,
     workers: usize,
-) -> (ProofStatus, Option<DratProof>) {
+) -> Refutation {
     let shared = SharedProof::new();
     let solve_start = Instant::now();
     let outcome = if workers <= 1 {
@@ -403,12 +429,12 @@ pub fn certify_result_parallel(
     } else {
         let (num_vars, clauses) = cnf_decision_formula(graph, chi - 1);
         match refute_and_check(num_vars, &clauses, budget, workers) {
-            (ProofStatus::Unchecked { reason }, p) if reason == "formula is satisfiable" => {
+            Refutation::Status(status, proof) => (status, proof),
+            Refutation::Satisfiable => {
                 let error =
                     format!("graph is ({})-colorable — claimed χ = {chi} is not optimal", chi - 1);
-                (ProofStatus::Rejected { error }, p)
+                (ProofStatus::Rejected { error }, None)
             }
-            other => other,
         }
     };
     Some(OptimalityCertificate {
@@ -532,6 +558,20 @@ mod tests {
         let cert = certify_result(&g, &bogus, &Budget::unlimited()).expect("exact claim");
         assert!(matches!(cert.unsat, ProofStatus::Rejected { .. }), "{}", cert.unsat);
         assert!(!cert.is_certified());
+    }
+
+    #[test]
+    fn overclaimed_optimum_is_rejected_by_the_racing_certifier() {
+        // The same bogus claim through three racing workers: whichever one
+        // finds the 3-coloring, the claim is disproved, not left unchecked.
+        let g = Graph::cycle(6);
+        let bogus = ChromaticResult::Exact {
+            chromatic_number: 4,
+            witness: Coloring::new(vec![0, 1, 2, 3, 0, 1]),
+        };
+        let cert = certify_result_parallel(&g, &bogus, &Budget::unlimited(), 3).expect("exact");
+        assert!(matches!(cert.unsat, ProofStatus::Rejected { .. }), "{}", cert.unsat);
+        assert!(cert.proof.is_none());
     }
 
     #[test]
@@ -697,7 +737,8 @@ mod tests {
         // clause must not be certified.
         let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
         let (status, proof) =
-            check_outcome(SolveOutcome::Unsat, num_vars, &clauses, DratProof::new(), 0.0);
+            check_outcome(SolveOutcome::Unsat, num_vars, &clauses, DratProof::new(), 0.0)
+                .into_formula_status();
         assert!(matches!(status, ProofStatus::Rejected { .. }), "{status}");
         assert!(proof.is_some(), "the rejected log is kept for inspection");
     }

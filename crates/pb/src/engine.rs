@@ -93,6 +93,13 @@ impl PbStats {
 
 const NO_POS: usize = usize::MAX;
 
+/// Proof clause ID of a clause with none: stored before a proof logger was
+/// attached, or past the 31-bit ID space. A chain naming it is not logged.
+const NO_ID: u32 = u32::MAX;
+/// Tag of a stored clause ID that is a logged addition's number rather
+/// than an input index; see [`PbEngine::hint`].
+const ADDED: u32 = 1 << 31;
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Reason {
     Decision,
@@ -257,6 +264,17 @@ pub struct PbEngine {
     /// Stats snapshot already flushed to the recorder.
     flushed: PbStats,
     proof: Option<Box<dyn ProofLogger>>,
+    /// Proof clause IDs of `clauses`, index for index; empty without a
+    /// proof logger. An input clause stores its input index; a logged
+    /// addition stores `ADDED | n`, `n` the number its sink assigned.
+    clause_ids: Vec<u32>,
+    /// `add_clause` calls since a proof logger was attached: the length of
+    /// the formula a proof is checked against, once all inputs are in.
+    inputs: u32,
+    /// Hint chain of the lemma being derived, reused across conflicts.
+    chain: Vec<u32>,
+    /// Minimization's removed literals as (trail position, reason), reused.
+    minimized_reasons: Vec<(usize, u32)>,
     seen: Vec<bool>,
     /// Assumption core of the last assumption-relative UNSAT answer.
     final_core: Vec<Lit>,
@@ -303,6 +321,10 @@ impl PbEngine {
             recorder: Recorder::disabled(),
             flushed: PbStats::default(),
             proof: None,
+            clause_ids: Vec::new(),
+            inputs: 0,
+            chain: Vec::new(),
+            minimized_reasons: Vec::new(),
             seen: vec![false; num_vars],
             final_core: Vec::new(),
             glue: GlueEma::default(),
@@ -397,6 +419,16 @@ impl PbEngine {
     /// path: root-simplified clause additions, learned clauses, database
     /// deletions and the final empty clause.
     ///
+    /// Each learned clause is logged with its hint chain: the proof IDs of
+    /// the reason clauses its 1UIP analysis and local minimization resolved
+    /// on, in trail order, ending with the conflict clause. A
+    /// root-simplified clause's chain is its input clause. IDs follow the
+    /// checker's numbering — the `i`-th [`add_clause`](PbEngine::add_clause)
+    /// call after this one is ID `i`, and the sink's addition `n` is
+    /// `inputs + n` — so chains close when every input clause is added
+    /// after the logger and before the first solve; otherwise (or when a
+    /// derivation used a PB explanation) the checker searches instead.
+    ///
     /// The resulting proof is RUP-checkable only when the input is pure
     /// CNF. PB constraints are not logged, and learned clauses whose
     /// derivation resolved on a PB explanation are consequences of those
@@ -405,6 +437,7 @@ impl PbEngine {
     /// certificate layer).
     pub fn set_proof_logger(&mut self, logger: Box<dyn ProofLogger>) {
         self.proof = Some(logger);
+        self.clause_ids.resize(self.clauses.len(), NO_ID);
     }
 
     /// Enables or disables physical arena compaction after each
@@ -456,10 +489,46 @@ impl PbEngine {
         (std::mem::size_of::<StoredPb>() + std::mem::size_of_val(terms)) as u64
     }
 
-    #[inline]
-    fn proof_add(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.log_add(lits);
+    /// Logs an addition with its hint chain — dropped whole when a link
+    /// has no ID — and returns the ID to store for it (`NO_ID` without a
+    /// logger).
+    fn proof_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
+        let Some(p) = self.proof.as_mut() else { return NO_ID };
+        let hints = if hints.contains(&NO_ID) { &[][..] } else { hints };
+        match p.log_add(lits, hints) {
+            n if n < ADDED => ADDED | n,
+            _ => NO_ID,
+        }
+    }
+
+    /// Logs the empty clause, hinted by the root-level conflict `confl`.
+    fn proof_refute(&mut self, confl: Reason) {
+        if self.proof.is_some() {
+            let hint = self.hint(confl);
+            self.proof_add(&[], &[hint]);
+        }
+    }
+
+    /// Logs the lemma just derived with the chain `analyze` collected;
+    /// returns its ID.
+    fn proof_lemma(&mut self, lits: &[Lit]) -> u32 {
+        let chain = std::mem::take(&mut self.chain);
+        let id = self.proof_add(lits, &chain);
+        self.chain = chain;
+        id
+    }
+
+    /// The proof ID a hint chain names for `reason`, in the checker's
+    /// numbering: an input clause's index, or `inputs + n` for the sink's
+    /// addition `n` — resolved now so that additions logged while inputs
+    /// were still arriving count every input. `NO_ID` for PB reasons and
+    /// clauses without an ID.
+    fn hint(&self, reason: Reason) -> u32 {
+        let Reason::Clause(cref) = reason else { return NO_ID };
+        match self.clause_ids[cref as usize] {
+            NO_ID => NO_ID,
+            id if id & ADDED != 0 => self.inputs.checked_add(id & !ADDED).unwrap_or(NO_ID),
+            id => id,
         }
     }
 
@@ -491,6 +560,11 @@ impl PbEngine {
     ///
     /// Panics if a literal references a variable `>= num_vars`.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        let mut id = NO_ID;
+        if self.proof.is_some() {
+            id = if self.inputs < ADDED { self.inputs } else { NO_ID };
+            self.inputs = self.inputs.saturating_add(1);
+        }
         self.backtrack_to(0);
         if !self.ok {
             return;
@@ -511,20 +585,21 @@ impl PbEngine {
         }
         if lits.len() != before {
             // The simplified clause is a derived (RUP) clause: its dropped
-            // literals are root-falsified by earlier unit propagation.
-            self.proof_add(&lits);
+            // literals are root-falsified by earlier unit propagation, so
+            // the input clause is falsified under its negation.
+            id = self.proof_add(&lits, &[id]);
         }
         match lits.len() {
             0 => self.ok = false,
             1 => {
                 self.enqueue(lits[0], Reason::Decision);
-                if self.propagate().is_some() {
-                    self.proof_add(&[]);
+                if let Some(confl) = self.propagate() {
+                    self.proof_refute(confl);
                     self.ok = false;
                 }
             }
             _ => {
-                self.attach_clause(lits, false);
+                self.attach_clause(lits, false, id);
             }
         }
     }
@@ -595,9 +670,14 @@ impl PbEngine {
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool) -> u32 {
+    /// Stores a clause of two or more literals with proof ID `id` (kept
+    /// only while a proof logger is attached) and watches it.
+    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool, id: u32) -> u32 {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len() as u32;
+        if self.proof.is_some() {
+            self.clause_ids.push(id);
+        }
         self.watches[lits[0].code()].push(Watcher { clause: cref, blocker: lits[1] });
         self.watches[lits[1].code()].push(Watcher { clause: cref, blocker: lits[0] });
         self.arena_bytes += Self::clause_bytes(&lits);
@@ -838,7 +918,9 @@ impl PbEngine {
     /// Takes the conflict's literals already materialized (see
     /// [`PbEngine::reason_lits`]) — the caller must build them *before*
     /// any chronological pre-backtrack, because PB explanations are
-    /// computed from the assignment at conflict time.
+    /// computed from the assignment at conflict time. With a proof logger
+    /// the caller also starts `chain` with the conflict's hint, and
+    /// `analyze` completes it in trail order.
     fn analyze(&mut self, conflict_lits: Vec<Lit>) -> (Vec<Lit>, u32) {
         let current = self.decision_level();
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)];
@@ -877,7 +959,12 @@ impl PbEngine {
             if counter == 0 {
                 break;
             }
-            lits = self.reason_lits(self.reason[v], p);
+            let reason = self.reason[v];
+            if self.proof.is_some() {
+                let hint = self.hint(reason);
+                self.chain.push(hint);
+            }
+            lits = self.reason_lits(reason, p);
         }
         learnt[0] = !p.expect("asserting literal");
 
@@ -888,7 +975,8 @@ impl PbEngine {
                 minimized.push(q);
                 continue;
             }
-            let removable = match self.reason[q.var().index()] {
+            let reason = self.reason[q.var().index()];
+            let removable = match reason {
                 Reason::Decision => false,
                 Reason::Clause(cref) => self.clauses[cref as usize]
                     .lits
@@ -899,10 +987,22 @@ impl PbEngine {
             };
             if !removable {
                 minimized.push(q);
+            } else if self.proof.is_some() {
+                let hint = self.hint(reason);
+                self.minimized_reasons.push((self.trail_pos[q.var().index()], hint));
             }
         }
         for &q in &learnt {
             self.seen[q.var().index()] = false;
+        }
+        if self.proof.is_some() {
+            // The chain holds the conflict and the resolved reasons from
+            // the latest trail position back; the removed literals sit
+            // lower on the trail. Reversed, every clause is unit (the
+            // conflict falsified) once the literals before it are set.
+            self.minimized_reasons.sort_unstable_by_key(|&(pos, _)| std::cmp::Reverse(pos));
+            self.chain.extend(self.minimized_reasons.drain(..).map(|(_, hint)| hint));
+            self.chain.reverse();
         }
 
         let mut bt = 0;
@@ -998,6 +1098,13 @@ impl PbEngine {
         }
         self.stats.reclaimed += dead as u64;
         self.clauses.retain(|c| !c.deleted);
+        if !self.clause_ids.is_empty() {
+            let mut old = 0;
+            self.clause_ids.retain(|_| {
+                old += 1;
+                remap[old - 1] != DEAD
+            });
+        }
         self.arena_bytes = self.clauses.iter().map(|c| Self::clause_bytes(&c.lits)).sum::<u64>()
             + self.pbs.iter().map(|p| Self::pb_bytes(&p.terms)).sum::<u64>();
         for ws in &mut self.watches {
@@ -1076,18 +1183,18 @@ impl PbEngine {
         }
         lits.retain(|&l| self.lit_value(l) != VarValue::False);
         self.stats.imported += 1;
-        self.proof_add(&lits);
+        let id = self.proof_add(&lits, &[]);
         match lits.len() {
             0 => self.ok = false,
             1 => {
                 self.enqueue(lits[0], Reason::Decision);
-                if self.propagate().is_some() {
-                    self.proof_add(&[]);
+                if let Some(confl) = self.propagate() {
+                    self.proof_refute(confl);
                     self.ok = false;
                 }
             }
             _ => {
-                let cref = self.attach_clause(lits, true);
+                let cref = self.attach_clause(lits, true, id);
                 self.clauses[cref as usize].lbd = lbd;
             }
         }
@@ -1216,8 +1323,8 @@ impl PbEngine {
             return SolveOutcome::Unsat;
         }
         self.backtrack_to(0);
-        if self.propagate().is_some() {
-            self.proof_add(&[]);
+        if let Some(confl) = self.propagate() {
+            self.proof_refute(confl);
             self.ok = false;
             return SolveOutcome::Unsat;
         }
@@ -1243,7 +1350,7 @@ impl PbEngine {
                 self.stats.conflicts += 1;
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 if self.decision_level() == 0 {
-                    self.proof_add(&[]);
+                    self.proof_refute(confl);
                     self.ok = false;
                     return SolveOutcome::Unsat;
                 }
@@ -1251,6 +1358,11 @@ impl PbEngine {
                 // chronological pre-backtrack: PB conflict explanations
                 // are computed from the assignment at conflict time.
                 let confl_lits = self.reason_lits(confl, None);
+                if self.proof.is_some() {
+                    self.chain.clear();
+                    let hint = self.hint(confl);
+                    self.chain.push(hint);
+                }
                 if self.config.chrono {
                     // Guard for out-of-order trails: if the conflict has
                     // no literal at the current level, undo the levels
@@ -1258,7 +1370,7 @@ impl PbEngine {
                     let maxl =
                         confl_lits.iter().map(|l| self.level[l.var().index()]).max().unwrap_or(0);
                     if maxl == 0 {
-                        self.proof_add(&[]);
+                        self.proof_refute(confl);
                         self.ok = false;
                         return SolveOutcome::Unsat;
                     }
@@ -1270,7 +1382,7 @@ impl PbEngine {
                 let lbd = self.compute_lbd(&learnt);
                 self.glue.observe(lbd);
                 self.stats.lbd_sum += lbd as u64;
-                self.proof_add(&learnt);
+                let id = self.proof_lemma(&learnt);
                 if let Some(h) = self.sharing.as_ref() {
                     if h.export(&learnt, lbd) {
                         self.stats.exported += 1;
@@ -1296,7 +1408,7 @@ impl PbEngine {
                     self.enqueue(learnt[0], Reason::Decision);
                 } else {
                     let asserting = learnt[0];
-                    let cref = self.attach_clause(learnt, true);
+                    let cref = self.attach_clause(learnt, true, id);
                     self.clauses[cref as usize].lbd = lbd;
                     self.bump_clause(cref as usize);
                     self.enqueue(asserting, Reason::Clause(cref));

@@ -1,11 +1,16 @@
 //! End-to-end DRAT proof logging on pure CNF: engine refutations must pass
 //! the independent checker with and without database reduction and
-//! compaction, and a checker fed a wrong formula or a tampered, partial or
-//! non-refuting log must refuse it.
+//! compaction, a checker fed a wrong formula or a tampered, partial or
+//! non-refuting log must refuse it, and the logged hint chains must never
+//! change a verdict.
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use sbgc_formula::{Lit, Var};
 use sbgc_pb::{Budget, EngineConfig, PbEngine, SolveOutcome};
-use sbgc_proof::{check_drat, CheckError, DratProof, ProofStep, SharedProof};
+use sbgc_proof::{check_drat, CheckError, CheckStats, DratProof, ProofStep, SharedProof};
 
 /// PHP(holes+1, holes) as a raw clause list (UNSAT for every size).
 fn pigeonhole(holes: usize) -> (usize, Vec<Vec<Lit>>) {
@@ -100,7 +105,7 @@ fn proof_rejected_with_injected_deletion() {
     tampered.push_delete(&[Var::from_index(0).positive(), Var::from_index(1).positive()]);
     for step in proof.steps() {
         match step {
-            ProofStep::Add(lits) => tampered.push_add(lits),
+            ProofStep::Add(lits) => tampered.push_add(lits, &[]),
             ProofStep::Delete(lits) => tampered.push_delete(lits),
         }
     }
@@ -162,4 +167,143 @@ fn budget_timeout_proof_is_partial_not_refuting() {
     let out = engine.solve_with_budget(&Budget::unlimited().with_max_conflicts(50));
     assert!(matches!(out, SolveOutcome::Unknown));
     assert_eq!(check_drat(n, &clauses, &shared.take()), Err(CheckError::NotUnsat));
+}
+
+/// A random 3-SAT formula: `clauses` clauses over `num_vars` variables,
+/// each on three distinct variables.
+fn random_3sat(num_vars: usize, clauses: usize, rng: &mut StdRng) -> Vec<Vec<Lit>> {
+    let mut vars: Vec<usize> = (0..num_vars).collect();
+    (0..clauses)
+        .map(|_| {
+            vars.shuffle(rng);
+            vars[..3].iter().map(|&v| Var::from_index(v).lit(rng.gen_bool(0.5))).collect()
+        })
+        .collect()
+}
+
+/// The `colors`-coloring CNF of `edges` over `vertices` vertices: every
+/// vertex takes a color, adjacent vertices never share one.
+fn coloring_cnf(vertices: usize, edges: &[(usize, usize)], colors: usize) -> Vec<Vec<Lit>> {
+    let x = |v: usize, c: usize| Var::from_index(v * colors + c);
+    let mut clauses: Vec<Vec<Lit>> =
+        (0..vertices).map(|v| (0..colors).map(|c| x(v, c).positive()).collect()).collect();
+    for &(u, v) in edges {
+        clauses.extend((0..colors).map(|c| vec![x(u, c).negative(), x(v, c).negative()]));
+    }
+    clauses
+}
+
+/// The (χ−1)-coloring CNF of a G(n, p) graph, χ found by solving the
+/// k-coloring CNFs for k = 1, 2, … without a proof.
+fn gnp_chi_minus_one(vertices: usize, p: f64, rng: &mut StdRng) -> (usize, Vec<Vec<Lit>>) {
+    let mut edges = Vec::new();
+    for u in 0..vertices {
+        for v in u + 1..vertices {
+            if rng.gen_bool(p) {
+                edges.push((u, v));
+            }
+        }
+    }
+    let colorable = |k: usize| {
+        let mut engine = PbEngine::new(vertices * k, EngineConfig::default());
+        for c in coloring_cnf(vertices, &edges, k) {
+            engine.add_clause(c);
+        }
+        engine.solve().is_sat()
+    };
+    let chi = (1..=vertices).find(|&k| colorable(k)).expect("n colors always suffice");
+    (vertices * (chi - 1), coloring_cnf(vertices, &edges, chi - 1))
+}
+
+/// `proof` with every addition's chain replaced by `chain(j, hints)`.
+fn rehinted(proof: &DratProof, mut chain: impl FnMut(usize, &[u32]) -> Vec<u32>) -> DratProof {
+    let mut out = DratProof::new();
+    let mut add = 0;
+    for step in proof.steps() {
+        match step {
+            ProofStep::Add(lits) => {
+                out.push_add(lits, &chain(add, proof.hints(add)));
+                add += 1;
+            }
+            ProofStep::Delete(lits) => out.push_delete(lits),
+        }
+    }
+    out
+}
+
+/// `proof` with every chain corrupted one of five ways, chosen per
+/// addition: shuffled, truncated, random earlier IDs, out-of-range IDs, or
+/// forward IDs (the addition's own and later ones).
+fn corrupted(proof: &DratProof, formula_len: usize, rng: &mut StdRng) -> DratProof {
+    let end = (formula_len + proof.num_adds()) as u32;
+    rehinted(proof, |add, hints| {
+        let own = (formula_len + add) as u32;
+        let mut chain = hints.to_vec();
+        match rng.gen_range(0..5) {
+            0 => chain.shuffle(rng),
+            1 => chain.truncate(rng.gen_range(0..=hints.len().saturating_sub(1))),
+            2 => chain.iter_mut().for_each(|id| *id = rng.gen_range(0..own.max(1))),
+            3 => chain.push(rng.gen_range(end..=u32::MAX)),
+            _ => chain.iter_mut().for_each(|id| *id = rng.gen_range(own..end)),
+        }
+        chain
+    })
+}
+
+/// The parts of a verdict hints may not change.
+fn verdict(checked: Result<CheckStats, CheckError>) -> Result<(usize, usize, usize), CheckError> {
+    checked.map(|s| (s.steps, s.adds, s.deletes))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Engine proofs of pigeonhole, random 3-SAT and G(n, p) (χ−1)-coloring
+    /// CNFs under the four diversified worker configurations, checked as
+    /// logged, with hints stripped and with hints corrupted: the verdict,
+    /// the adds and the deletes agree. Each proof is checked once more
+    /// against the formula with one clause weakened by a fresh literal,
+    /// which turns lemmas resolved on it into non-RUP ones that their
+    /// (now wrong) chains still name.
+    fn hints_never_change_a_verdict(
+        family in 0usize..3,
+        worker in 0usize..4,
+        reduce in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (num_vars, clauses) = match family {
+            0 => pigeonhole(rng.gen_range(4..=6)),
+            1 => {
+                let n = rng.gen_range(40..=60);
+                (n, random_3sat(n, n * 5, &mut rng))
+            }
+            _ => gnp_chi_minus_one(rng.gen_range(14..=20), 0.5, &mut rng),
+        };
+        let shared = SharedProof::new();
+        let mut engine = PbEngine::new(num_vars, EngineConfig::default().diversified(worker));
+        engine.set_proof_logger(Box::new(shared.clone()));
+        if reduce {
+            engine.set_max_learnts(10.0);
+        }
+        for c in &clauses {
+            engine.add_clause(c.iter().copied());
+        }
+        engine.solve();
+        let proof = shared.take();
+        let stripped = rehinted(&proof, |_, _| Vec::new());
+        let corrupt = corrupted(&proof, clauses.len(), &mut rng);
+
+        let mut weakened = clauses.clone();
+        let victim = rng.gen_range(0..weakened.len());
+        weakened[victim].push(Var::from_index(num_vars).positive());
+        for (formula, vars) in [(&clauses, num_vars), (&weakened, num_vars + 1)] {
+            let expected = verdict(check_drat(vars, formula, &stripped));
+            prop_assert_eq!(verdict(check_drat(vars, formula, &proof)), expected.clone());
+            prop_assert_eq!(verdict(check_drat(vars, formula, &corrupt)), expected);
+        }
+        if let Ok(stats) = check_drat(num_vars, &clauses, &stripped) {
+            prop_assert_eq!(stats.chained, 0);
+        }
+    }
 }

@@ -11,10 +11,22 @@
 //! and propagating must yield a conflict — with a RAT fallback on the first
 //! literal, and the proof is accepted once the database is refuted at the
 //! root (the empty clause, or a unit addition whose propagation conflicts).
+//!
+//! An addition's hint chain is tried before propagation: each hint must
+//! name an active clause that is unit under the negated addition, the root
+//! trail and the units the chain derived so far (a satisfied one is passed
+//! over: it derives nothing), and the chain must reach a falsified clause.
+//! That is a unit-propagation derivation of a conflict, so a chain that
+//! closes proves RUP; one that does not — empty, naming a missing, later,
+//! deleted or non-unit clause, or ending without a conflict — falls
+//! through to the propagation and RAT checks. Hints thus speed checking up
+//! without changing which proofs are accepted.
 
 use crate::drat::{DratProof, ProofStep};
 use sbgc_formula::Lit;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Statistics of a successful [`check_drat`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,6 +37,11 @@ pub struct CheckStats {
     pub adds: usize,
     /// Deletion steps applied.
     pub deletes: usize,
+    /// Additions verified by their hint chain alone.
+    pub chained: usize,
+    /// Additions that needed the propagation or RAT search: no hints, or
+    /// a chain that did not close. `chained + searched == adds`.
+    pub searched: usize,
     /// Literals assigned during checking (root and temporary).
     pub propagations: u64,
 }
@@ -78,6 +95,9 @@ const UNDEF: i8 = 0;
 const TRUE: i8 = 1;
 const FALSE: i8 = -1;
 
+/// End of a [`CheckedClause::same_key`] list.
+const NO_CLAUSE: u32 = u32::MAX;
+
 struct CheckedClause {
     /// Literal order is internal: positions 0 and 1 are the watched
     /// literals of attached clauses.
@@ -86,6 +106,9 @@ struct CheckedClause {
     /// Root-satisfied and unit clauses are never attached to watch lists;
     /// their effect is already frozen into the persistent root trail.
     attached: bool,
+    /// The previously inserted clause whose normalized literal set has the
+    /// same hash, or [`NO_CLAUSE`].
+    same_key: u32,
 }
 
 struct Checker {
@@ -95,18 +118,31 @@ struct Checker {
     values: Vec<i8>,
     trail: Vec<Lit>,
     qhead: usize,
-    /// Normalized literal set → indices of active database clauses, for
-    /// deletion matching regardless of literal order.
-    by_key: HashMap<Vec<Lit>, Vec<usize>>,
+    /// Hash of a normalized literal set → the last clause inserted with
+    /// that hash; earlier ones follow [`CheckedClause::same_key`]. Deletion
+    /// compares each candidate's literal set, so a collision costs a
+    /// comparison, never a wrong match — and no clause is stored twice.
+    by_key: HashMap<u64, u32>,
+    /// Scratch for normalized literal sets.
+    key: Vec<Lit>,
+    candidate: Vec<Lit>,
     refuted: bool,
     propagations: u64,
 }
 
-fn clause_key(lits: &[Lit]) -> Vec<Lit> {
-    let mut key = lits.to_vec();
-    key.sort_unstable();
-    key.dedup();
-    key
+/// Writes the sorted, deduplicated `lits` into `out`: the literal set a
+/// deletion matches regardless of order and repetition.
+fn normalize(lits: &[Lit], out: &mut Vec<Lit>) {
+    out.clear();
+    out.extend_from_slice(lits);
+    out.sort_unstable();
+    out.dedup();
+}
+
+fn key_hash(key: &[Lit]) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl Checker {
@@ -118,6 +154,8 @@ impl Checker {
             trail: Vec::new(),
             qhead: 0,
             by_key: HashMap::new(),
+            key: Vec::new(),
+            candidate: Vec::new(),
             refuted: false,
             propagations: 0,
         }
@@ -195,8 +233,10 @@ impl Checker {
     /// root-falsified clauses are folded into the persistent trail.
     fn insert(&mut self, lits: &[Lit]) {
         let ci = self.clauses.len();
-        self.by_key.entry(clause_key(lits)).or_default().push(ci);
-        let mut stored = CheckedClause { lits: lits.to_vec(), active: true, attached: false };
+        normalize(lits, &mut self.key);
+        let same_key = self.by_key.insert(key_hash(&self.key), ci as u32).unwrap_or(NO_CLAUSE);
+        let mut stored =
+            CheckedClause { lits: lits.to_vec(), active: true, attached: false, same_key };
         if self.refuted {
             self.clauses.push(stored);
             return;
@@ -242,6 +282,29 @@ impl Checker {
         }
     }
 
+    /// Assumes the negation of every literal of `lits` on top of the root
+    /// trail; `true` when that is contradictory by itself (a literal holds
+    /// at the root, or `lits` is a tautology).
+    fn assume_negation(&mut self, lits: &[Lit]) -> bool {
+        for &l in lits {
+            match self.lit_value(l) {
+                TRUE => return true,
+                FALSE => {}
+                _ => self.assign(!l),
+            }
+        }
+        false
+    }
+
+    /// Undoes every assignment above trail position `mark`.
+    fn backtrack(&mut self, mark: usize) {
+        for i in (mark..self.trail.len()).rev() {
+            self.values[self.trail[i].var().index()] = UNDEF;
+        }
+        self.trail.truncate(mark);
+        self.qhead = mark;
+    }
+
     /// RUP check: assume the negation of every literal of `lits`,
     /// propagate, and demand a conflict. The temporary assignments are
     /// rolled back; the persistent root trail is untouched.
@@ -251,27 +314,53 @@ impl Checker {
         }
         debug_assert_eq!(self.qhead, self.trail.len());
         let mark = self.trail.len();
-        let mut conflict = false;
-        for &l in lits {
-            match self.lit_value(l) {
-                // A root-satisfied clause is a trivial consequence.
-                TRUE => {
-                    conflict = true;
-                    break;
+        let conflict = self.assume_negation(lits) || self.propagate();
+        self.backtrack(mark);
+        conflict
+    }
+
+    /// The hinted RUP check: under the negation of `lits`, `hints` must be
+    /// a chain of active clauses each unit under the assignment so far
+    /// (its literal is then assigned) or satisfied (passed over) until one
+    /// is falsified. Any other chain — empty, naming a clause that is
+    /// missing, not yet added, deleted or has two unassigned literals, or
+    /// ending without a conflict — returns `false` and proves nothing
+    /// either way.
+    fn closes_by_chain(&mut self, lits: &[Lit], hints: &[u32]) -> bool {
+        if hints.is_empty() {
+            return false;
+        }
+        debug_assert_eq!(self.qhead, self.trail.len());
+        let mark = self.trail.len();
+        let closed = self.assume_negation(lits) || self.follow_chain(hints);
+        self.backtrack(mark);
+        closed
+    }
+
+    fn follow_chain(&mut self, hints: &[u32]) -> bool {
+        'hints: for &id in hints {
+            let Some(clause) = self.clauses.get(id as usize) else { return false };
+            if !clause.active {
+                return false;
+            }
+            let mut unit = None;
+            for &l in &clause.lits {
+                match self.lit_value(l) {
+                    // A satisfied clause derives nothing. In a racing log a
+                    // peer's root unit, logged before the lemma's author
+                    // learned it, can satisfy one of the author's reasons.
+                    TRUE => continue 'hints,
+                    FALSE => {}
+                    _ if unit.is_none() || unit == Some(l) => unit = Some(l),
+                    _ => return false,
                 }
-                FALSE => {}
-                _ => self.assign(!l),
+            }
+            match unit {
+                None => return true,
+                Some(l) => self.assign(l),
             }
         }
-        if !conflict {
-            conflict = self.propagate();
-        }
-        for i in (mark..self.trail.len()).rev() {
-            self.values[self.trail[i].var().index()] = UNDEF;
-        }
-        self.trail.truncate(mark);
-        self.qhead = mark;
-        conflict
+        false
     }
 
     /// RAT check on the first literal of `lits`: every resolvent with an
@@ -304,22 +393,24 @@ impl Checker {
         true
     }
 
-    /// Deletes one database clause with the given literal set; `false` if
-    /// none matches.
+    /// Deletes the last inserted active database clause with the given
+    /// literal set; `false` if none matches.
     fn delete(&mut self, lits: &[Lit]) -> bool {
-        let key = clause_key(lits);
-        let Some(indices) = self.by_key.get_mut(&key) else {
-            return false;
-        };
-        let Some(ci) = indices.pop() else {
-            return false;
-        };
-        if indices.is_empty() {
-            self.by_key.remove(&key);
+        normalize(lits, &mut self.key);
+        let mut ci = self.by_key.get(&key_hash(&self.key)).copied().unwrap_or(NO_CLAUSE);
+        while ci != NO_CLAUSE {
+            let clause = &self.clauses[ci as usize];
+            if clause.active {
+                normalize(&clause.lits, &mut self.candidate);
+                if self.candidate == self.key {
+                    // Watch lists drop the index lazily during propagation.
+                    self.clauses[ci as usize].active = false;
+                    return true;
+                }
+            }
+            ci = clause.same_key;
         }
-        // Watch lists drop the index lazily during propagation.
-        self.clauses[ci].active = false;
-        true
+        false
     }
 }
 
@@ -330,6 +421,15 @@ impl Checker {
 /// RUP (or RAT on its first literal) with respect to the formula plus the
 /// surviving earlier additions, every deletion names a present clause, and
 /// the final database is refuted by unit propagation.
+///
+/// Each addition's hint chain ([`DratProof::hints`]) is walked first, with
+/// formula clause `i` as ID `i` and addition `j` as ID `formula.len() + j`:
+/// every hint must name an active clause that is unit under the negated
+/// addition, the root trail and the chain's earlier units (a satisfied one
+/// is passed over), until one is falsified. A chain that closes proves the
+/// addition RUP; any other chain is ignored and the addition searched for
+/// as if it had none. Hints never change the result, only
+/// [`CheckStats::chained`] and [`CheckStats::searched`] and the time taken.
 ///
 /// # Errors
 ///
@@ -346,20 +446,21 @@ impl Checker {
 /// let a = Var::from_index(0).positive();
 /// let b = Var::from_index(1).positive();
 /// let formula = vec![vec![a, b], vec![!a, b], vec![a, !b], vec![!a, !b]];
+/// // [b] closes by its chain: clause 1 (¬a∨b) gives ¬a under ¬b, then
+/// // clause 0 (a∨b) is falsified.
 /// let mut proof = DratProof::new();
-/// proof.push_add(&[b]);
-/// proof.push_add(&[]);
-/// assert!(check_drat(2, &formula, &proof).is_ok());
+/// proof.push_add(&[b], &[1, 0]);
+/// let stats = check_drat(2, &formula, &proof).expect("valid refutation");
+/// assert_eq!((stats.chained, stats.searched), (1, 0));
 /// ```
 pub fn check_drat(
     num_vars: usize,
     formula: &[Vec<Lit>],
     proof: &DratProof,
 ) -> Result<CheckStats, CheckError> {
-    for clause in formula {
-        if clause.iter().any(|l| l.var().index() >= num_vars) {
-            return Err(CheckError::OutOfRangeLit { step: None });
-        }
+    let out_of_range = |lits: &[Lit]| lits.iter().any(|l| l.var().index() >= num_vars);
+    if formula.iter().any(|clause| out_of_range(clause)) {
+        return Err(CheckError::OutOfRangeLit { step: None });
     }
     let mut ck = Checker::new(num_vars);
     for clause in formula {
@@ -376,16 +477,24 @@ pub fn check_drat(
         stats.steps += 1;
         match s {
             ProofStep::Add(lits) => {
-                if lits.iter().any(|l| l.var().index() >= num_vars) {
+                if out_of_range(lits) {
                     return Err(CheckError::OutOfRangeLit { step: Some(step) });
                 }
+                let hints = proof.hints(stats.adds);
                 stats.adds += 1;
-                if !ck.is_rup(lits) && !ck.is_rat(lits) {
+                if ck.closes_by_chain(lits, hints) {
+                    stats.chained += 1;
+                } else if ck.is_rup(lits) || ck.is_rat(lits) {
+                    stats.searched += 1;
+                } else {
                     return Err(CheckError::NotRup { step });
                 }
                 ck.insert(lits);
             }
             ProofStep::Delete(lits) => {
+                if out_of_range(lits) {
+                    return Err(CheckError::OutOfRangeLit { step: Some(step) });
+                }
                 stats.deletes += 1;
                 if !ck.delete(lits) {
                     return Err(CheckError::MissingDeletion { step });
@@ -421,8 +530,8 @@ mod tests {
     #[test]
     fn accepts_unit_then_empty() {
         let mut proof = DratProof::new();
-        proof.push_add(&[l(2)]);
-        proof.push_add(&[]);
+        proof.push_add(&[l(2)], &[]);
+        proof.push_add(&[], &[]);
         let stats = check_drat(2, &square(), &proof).unwrap();
         assert_eq!(stats.adds, 1, "refuted before the empty clause is reached");
     }
@@ -430,7 +539,7 @@ mod tests {
     #[test]
     fn accepts_refutation_without_explicit_empty_clause() {
         let mut proof = DratProof::new();
-        proof.push_add(&[l(2)]);
+        proof.push_add(&[l(2)], &[]);
         assert!(check_drat(2, &square(), &proof).is_ok());
     }
 
@@ -441,8 +550,8 @@ mod tests {
         // no propagation support.
         let formula = vec![vec![l(-1), l(2)], vec![l(-1), l(3)]];
         let mut proof = DratProof::new();
-        proof.push_add(&[l(1)]);
-        proof.push_add(&[]);
+        proof.push_add(&[l(1)], &[]);
+        proof.push_add(&[], &[]);
         assert_eq!(check_drat(3, &formula, &proof), Err(CheckError::NotRup { step: 0 }));
     }
 
@@ -453,8 +562,8 @@ mod tests {
         // resolvent [¬d, b] with (¬a∨b) is not RUP).
         let formula = vec![vec![l(-1), l(2)], vec![l(-1), l(3)], vec![l(4), l(5)]];
         let mut proof = DratProof::new();
-        proof.push_add(&[l(1), l(-4)]);
-        proof.push_add(&[]);
+        proof.push_add(&[l(1), l(-4)], &[]);
+        proof.push_add(&[], &[]);
         assert_eq!(check_drat(5, &formula, &proof), Err(CheckError::NotRup { step: 0 }));
     }
 
@@ -489,8 +598,8 @@ mod tests {
         // conflicts. So [b] must be rejected.
         let mut proof = DratProof::new();
         proof.push_delete(&[l(1), l(2)]);
-        proof.push_add(&[l(2)]);
-        proof.push_add(&[]);
+        proof.push_add(&[l(2)], &[]);
+        proof.push_add(&[], &[]);
         assert_eq!(check_drat(2, &square(), &proof), Err(CheckError::NotRup { step: 1 }));
     }
 
@@ -501,8 +610,8 @@ mod tests {
         let mut satisfiable = square();
         satisfiable[3] = vec![l(1), l(-2)]; // duplicate, leaves (1, ¬2) open
         let mut proof = DratProof::new();
-        proof.push_add(&[l(2)]);
-        proof.push_add(&[]);
+        proof.push_add(&[l(2)], &[]);
+        proof.push_add(&[], &[]);
         let err = check_drat(2, &satisfiable, &proof).unwrap_err();
         assert!(matches!(err, CheckError::NotRup { .. } | CheckError::NotUnsat), "{err:?}");
     }
@@ -510,7 +619,7 @@ mod tests {
     #[test]
     fn out_of_range_literals_rejected() {
         let mut proof = DratProof::new();
-        proof.push_add(&[lit(7, false)]);
+        proof.push_add(&[lit(7, false)], &[]);
         assert_eq!(
             check_drat(2, &square(), &proof),
             Err(CheckError::OutOfRangeLit { step: Some(0) })
@@ -541,7 +650,114 @@ mod tests {
         // RAT addition itself passed.
         let formula = vec![vec![l(1), l(2)]];
         let mut proof = DratProof::new();
-        proof.push_add(&[l(1)]);
+        proof.push_add(&[l(1)], &[]);
         assert_eq!(check_drat(2, &formula, &proof), Err(CheckError::NotUnsat));
+    }
+
+    #[test]
+    fn out_of_range_deletion_is_reported_as_such() {
+        let mut proof = DratProof::new();
+        proof.push_add(&[l(1), l(2)], &[]);
+        proof.push_delete(&[l(1), l(-5)]);
+        assert_eq!(
+            check_drat(2, &square(), &proof),
+            Err(CheckError::OutOfRangeLit { step: Some(1) })
+        );
+    }
+
+    #[test]
+    fn deletion_removes_one_copy_of_a_duplicated_clause() {
+        // (a∨b) twice plus the rest of the square: each deletion removes
+        // one copy, in any literal order, and a third finds none.
+        let mut formula = square();
+        formula.push(vec![l(2), l(1), l(2)]);
+        let mut proof = DratProof::new();
+        proof.push_delete(&[l(1), l(2)]);
+        proof.push_delete(&[l(2), l(1)]);
+        proof.push_delete(&[l(1), l(2)]);
+        assert_eq!(check_drat(2, &formula, &proof), Err(CheckError::MissingDeletion { step: 2 }));
+    }
+
+    #[test]
+    fn a_closing_chain_counts_as_chained() {
+        let mut proof = DratProof::new();
+        proof.push_add(&[l(2)], &[1, 0]);
+        let stats = check_drat(2, &square(), &proof).unwrap();
+        assert_eq!((stats.adds, stats.chained, stats.searched), (1, 1, 0));
+        // The same lemma without hints is searched, with the same verdict.
+        let mut bare = DratProof::new();
+        bare.push_add(&[l(2)], &[]);
+        let stats = check_drat(2, &square(), &bare).unwrap();
+        assert_eq!((stats.adds, stats.chained, stats.searched), (1, 0, 1));
+    }
+
+    #[test]
+    fn non_rup_lemma_with_a_plausible_chain_is_still_rejected() {
+        // Over (¬a∨b)(¬a∨c)(d∨e), [a] is neither RUP nor RAT. Its chain
+        // names real clauses, but none is unit under ¬a, so it proves
+        // nothing and the addition is rejected as before.
+        let formula = vec![vec![l(-1), l(2)], vec![l(-1), l(3)], vec![l(4), l(5)]];
+        for hints in [&[0, 1][..], &[2], &[0, 1, 2], &[2, 2, 2]] {
+            let mut proof = DratProof::new();
+            proof.push_add(&[l(1)], hints);
+            proof.push_add(&[], &[0]);
+            assert_eq!(
+                check_drat(5, &formula, &proof),
+                Err(CheckError::NotRup { step: 0 }),
+                "{hints:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chain_must_end_in_a_falsified_clause() {
+        // [b] over the square with the chain [1] makes ¬a unit but never
+        // reaches a conflict: it falls through to search, which accepts.
+        let mut proof = DratProof::new();
+        proof.push_add(&[l(2)], &[1]);
+        let stats = check_drat(2, &square(), &proof).unwrap();
+        assert_eq!((stats.chained, stats.searched), (0, 1));
+    }
+
+    #[test]
+    fn malformed_hints_fall_back_without_panicking() {
+        // b ∨ (a∨c) with a → b, c → b, and b → d, b → ¬d: UNSAT. Lemma 0
+        // (ID 5) is [b ∨ ¬e], deleted again; lemma 1 (ID 6) is [b], whose
+        // closing chain is [1, 2, 0]. A satisfied hint is passed over, so
+        // [1, 1, 2, 0] closes too; every malformed chain must leave the
+        // verdict and the counts unchanged.
+        let formula = vec![
+            vec![l(1), l(2), l(3)],
+            vec![l(-1), l(2)],
+            vec![l(-3), l(2)],
+            vec![l(-2), l(4)],
+            vec![l(-2), l(-4)],
+        ];
+        let check = |hints: &[u32]| {
+            let mut proof = DratProof::new();
+            proof.push_add(&[l(2), l(-5)], &[]);
+            proof.push_delete(&[l(-5), l(2)]);
+            proof.push_add(&[l(2)], hints);
+            let stats = check_drat(5, &formula, &proof)
+                .unwrap_or_else(|e| panic!("{hints:?} changed the verdict: {e}"));
+            assert_eq!((stats.adds, stats.deletes), (2, 1), "{hints:?}");
+            (stats.chained, stats.searched)
+        };
+        assert_eq!(check(&[1, 2, 0]), (1, 1));
+        assert_eq!(check(&[1, 1, 2, 0]), (1, 1));
+        let malformed: [&[u32]; 9] = [
+            &[],
+            &[u32::MAX],
+            &[6, 7, 8],
+            &[5],
+            &[3, 0],
+            &[0, 0, 0],
+            &[1, 2],
+            &[1, 2, u32::MAX, 0],
+            &[100, 1, 2, 0],
+        ];
+        for hints in malformed {
+            assert_eq!(check(hints), (0, 2), "{hints:?}");
+        }
     }
 }

@@ -5,6 +5,15 @@
 //! *deletions*, ending — for a refutation — in the empty clause. Solvers
 //! emit steps through the [`ProofLogger`] trait; the independent checker in
 //! [`crate::checker`] replays them against the original formula.
+//!
+//! An addition may carry a *hint chain* (LRAT-style; Cruz-Filipe, Heule,
+//! Hunt, Kaufmann, Schneider-Kamp, CADE 2017): the IDs of the clauses its
+//! derivation resolved on. Clause IDs count the formula first and the
+//! additions after it — formula clause `i` has ID `i`, and the `j`-th
+//! addition (0-based, deletions not counted) has ID `formula.len() + j`.
+//! Hints are advisory: the checker tries them first and falls back to
+//! search, so they speed checking up but never change a verdict. The
+//! textual DRAT format carries no hints.
 
 use sbgc_formula::Lit;
 use sbgc_obs::FaultPlan;
@@ -25,10 +34,17 @@ pub enum ProofStep {
 }
 
 /// An in-memory DRAT proof: the ordered list of additions and deletions a
-/// solver emitted while refuting a formula.
+/// solver emitted while refuting a formula, with each addition's hint
+/// chain.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DratProof {
     steps: Vec<ProofStep>,
+    /// The additions' hint chains back to back, so a proof pays 4 bytes
+    /// per hint and no allocation per step.
+    hints: Vec<u32>,
+    /// `hint_ends[j]` is where addition `j`'s chain ends in `hints`; it
+    /// starts where addition `j − 1`'s ends (at 0 for the first).
+    hint_ends: Vec<u32>,
 }
 
 impl DratProof {
@@ -37,8 +53,20 @@ impl DratProof {
         DratProof::default()
     }
 
-    /// Appends a clause addition.
-    pub fn push_add(&mut self, lits: &[Lit]) {
+    /// Appends a clause addition with its hint chain (see the
+    /// [crate docs](crate) for the ID numbering; pass `&[]` for none).
+    pub fn push_add(&mut self, lits: &[Lit], hints: &[u32]) {
+        let start = self.hints.len();
+        let end = match u32::try_from(start + hints.len()) {
+            Ok(end) => {
+                self.hints.extend_from_slice(hints);
+                end
+            }
+            // A chain past the 32-bit arena offsets is dropped: hints are
+            // advisory, so the checker searches for this lemma instead.
+            Err(_) => start as u32,
+        };
+        self.hint_ends.push(end);
         self.steps.push(ProofStep::Add(lits.to_vec()));
     }
 
@@ -62,9 +90,20 @@ impl DratProof {
         self.steps.is_empty()
     }
 
+    /// The hint chain of addition number `add` (0-based, deletions not
+    /// counted); empty when it was logged without one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `add >= self.num_adds()`.
+    pub fn hints(&self, add: usize) -> &[u32] {
+        let start = if add == 0 { 0 } else { self.hint_ends[add - 1] as usize };
+        &self.hints[start..self.hint_ends[add] as usize]
+    }
+
     /// Number of addition steps.
     pub fn num_adds(&self) -> usize {
-        self.steps.iter().filter(|s| matches!(s, ProofStep::Add(_))).count()
+        self.hint_ends.len()
     }
 
     /// Number of deletion steps.
@@ -85,7 +124,7 @@ impl DratProof {
 
     /// Renders the proof in the standard textual DRAT format: one step per
     /// line, `d`-prefixed deletions, 1-based signed literals, `0`
-    /// terminators.
+    /// terminators. Hint chains are not written.
     pub fn to_dimacs(&self) -> String {
         let mut out = String::new();
         for step in &self.steps {
@@ -105,7 +144,8 @@ impl DratProof {
     }
 
     /// Parses the textual DRAT format produced by [`DratProof::to_dimacs`]
-    /// (comment lines starting with `c` are skipped).
+    /// (comment lines starting with `c` are skipped). The additions carry
+    /// no hints.
     ///
     /// # Errors
     ///
@@ -136,7 +176,11 @@ impl DratProof {
             if !terminated {
                 return Err(format!("line {}: missing 0 terminator", lineno + 1));
             }
-            proof.steps.push(if delete { ProofStep::Delete(lits) } else { ProofStep::Add(lits) });
+            if delete {
+                proof.push_delete(&lits);
+            } else {
+                proof.push_add(&lits, &[]);
+            }
         }
         Ok(proof)
     }
@@ -146,16 +190,30 @@ impl DratProof {
 ///
 /// Implementations must be `Send`: portfolio workers carry their solvers
 /// (and thus any attached logger) across threads.
+///
+/// A sink numbers the additions it receives 0, 1, 2, … and returns each
+/// one's number from [`log_add`](ProofLogger::log_add). Checked against a
+/// formula of `n` clauses, addition number `j` has clause ID `n + j` and
+/// formula clause `i` has ID `i` — the IDs hint chains name. Because the
+/// sink assigns the number, solvers that log into one shared sink (the
+/// racing certifier's interleaved log) still name each other's additions
+/// correctly.
 pub trait ProofLogger: Send {
-    /// Records the addition of a derived clause.
-    fn log_add(&mut self, lits: &[Lit]);
+    /// Records the addition of a derived clause with its hint chain — the
+    /// IDs of the clauses it resolved on, each unit (the last one
+    /// falsified) under the clause's negation and the units before it —
+    /// and returns the addition's number. Hints are advisory: a wrong or
+    /// empty chain makes the checker search, never changes its verdict.
+    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32;
     /// Records the deletion of a clause.
     fn log_delete(&mut self, lits: &[Lit]);
 }
 
 impl ProofLogger for DratProof {
-    fn log_add(&mut self, lits: &[Lit]) {
-        self.push_add(lits);
+    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
+        let number = u32::try_from(self.num_adds()).unwrap_or(u32::MAX);
+        self.push_add(lits, hints);
+        number
     }
 
     fn log_delete(&mut self, lits: &[Lit]) {
@@ -174,7 +232,7 @@ impl ProofLogger for DratProof {
 ///
 /// let shared = SharedProof::new();
 /// let mut sink: Box<dyn ProofLogger> = Box::new(shared.clone());
-/// sink.log_add(&[Var::from_index(0).positive()]);
+/// assert_eq!(sink.log_add(&[Var::from_index(0).positive()], &[]), 0);
 /// assert_eq!(shared.take().num_adds(), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -204,8 +262,8 @@ impl SharedProof {
 }
 
 impl ProofLogger for SharedProof {
-    fn log_add(&mut self, lits: &[Lit]) {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).push_add(lits);
+    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).log_add(lits, hints)
     }
 
     fn log_delete(&mut self, lits: &[Lit]) {
@@ -253,6 +311,7 @@ impl ProofErrorFlag {
 
 /// Fans proof steps out to two sinks — typically an in-memory
 /// [`SharedProof`] for checking plus a [`FileProofLogger`] for archival.
+/// Addition numbers are `a`'s.
 pub struct TeeProofLogger<A: ProofLogger, B: ProofLogger> {
     a: A,
     b: B,
@@ -266,9 +325,10 @@ impl<A: ProofLogger, B: ProofLogger> TeeProofLogger<A, B> {
 }
 
 impl<A: ProofLogger, B: ProofLogger> ProofLogger for TeeProofLogger<A, B> {
-    fn log_add(&mut self, lits: &[Lit]) {
-        self.a.log_add(lits);
-        self.b.log_add(lits);
+    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
+        let number = self.a.log_add(lits, hints);
+        self.b.log_add(lits, hints);
+        number
     }
 
     fn log_delete(&mut self, lits: &[Lit]) {
@@ -303,15 +363,16 @@ impl<L: ProofLogger> AddsOnlyProofLogger<L> {
 }
 
 impl<L: ProofLogger> ProofLogger for AddsOnlyProofLogger<L> {
-    fn log_add(&mut self, lits: &[Lit]) {
-        self.inner.log_add(lits);
+    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
+        self.inner.log_add(lits, hints)
     }
 
     fn log_delete(&mut self, _lits: &[Lit]) {}
 }
 
 /// A file-backed logger streaming textual DRAT to any writer; pair with
-/// [`DratProof::from_dimacs`] to re-load.
+/// [`DratProof::from_dimacs`] to re-load. The text is standard DRAT:
+/// hint chains are not written.
 ///
 /// I/O failures never abort the solve: the first error is recorded in a
 /// [`ProofErrorFlag`] the caller keeps (see
@@ -323,6 +384,8 @@ pub struct FileProofLogger<W: Write + Send> {
     errors: ProofErrorFlag,
     /// Steps attempted so far, for the injected-failure countdown.
     writes: u64,
+    /// Additions received so far: the next addition's number.
+    adds: u32,
     /// 1-based index of the first write forced to fail (fault injection).
     fail_at: Option<u64>,
 }
@@ -342,7 +405,7 @@ impl FileProofLogger<BufWriter<File>> {
 impl<W: Write + Send> FileProofLogger<W> {
     /// Wraps an arbitrary writer (e.g. a `Vec<u8>` in tests).
     pub fn new(out: W) -> Self {
-        FileProofLogger { out, errors: ProofErrorFlag::new(), writes: 0, fail_at: None }
+        FileProofLogger { out, errors: ProofErrorFlag::new(), writes: 0, adds: 0, fail_at: None }
     }
 
     /// Applies a [`FaultPlan`]: if the plan schedules a proof-write
@@ -399,8 +462,11 @@ impl<W: Write + Send> FileProofLogger<W> {
 }
 
 impl<W: Write + Send> ProofLogger for FileProofLogger<W> {
-    fn log_add(&mut self, lits: &[Lit]) {
+    fn log_add(&mut self, lits: &[Lit], _hints: &[u32]) -> u32 {
+        let number = self.adds;
+        self.adds = self.adds.saturating_add(1);
         self.write_step("", lits);
+        number
     }
 
     fn log_delete(&mut self, lits: &[Lit]) {
@@ -433,12 +499,30 @@ mod tests {
     #[test]
     fn dimacs_roundtrip() {
         let mut proof = DratProof::new();
-        proof.push_add(&[lit(0, false), lit(1, true)]);
+        proof.push_add(&[lit(0, false), lit(1, true)], &[]);
         proof.push_delete(&[lit(1, true), lit(2, false)]);
-        proof.push_add(&[]);
+        proof.push_add(&[], &[]);
         let text = proof.to_dimacs();
         assert_eq!(text, "1 -2 0\nd -2 3 0\n0\n");
         assert_eq!(DratProof::from_dimacs(&text).unwrap(), proof);
+    }
+
+    #[test]
+    fn additions_are_numbered_and_keep_their_hints() {
+        let mut proof = DratProof::new();
+        assert_eq!(proof.log_add(&[lit(0, false)], &[3, 1]), 0);
+        proof.push_delete(&[lit(0, false)]);
+        proof.push_add(&[lit(1, false)], &[]);
+        assert_eq!(proof.log_add(&[], &[7]), 2);
+        assert_eq!(proof.num_adds(), 3);
+        assert_eq!(
+            (proof.hints(0), proof.hints(1), proof.hints(2)),
+            (&[3, 1][..], &[][..], &[7][..])
+        );
+        // Text DRAT carries no hints, so a round trip drops them.
+        let parsed = DratProof::from_dimacs(&proof.to_dimacs()).unwrap();
+        assert_eq!(parsed.steps(), proof.steps());
+        assert!((0..3).all(|j| parsed.hints(j).is_empty()));
     }
 
     #[test]
@@ -456,9 +540,9 @@ mod tests {
     #[test]
     fn size_metrics() {
         let mut proof = DratProof::new();
-        proof.push_add(&[lit(0, false), lit(1, false)]);
+        proof.push_add(&[lit(0, false), lit(1, false)], &[]);
         proof.push_delete(&[lit(0, false)]);
-        proof.push_add(&[]);
+        proof.push_add(&[], &[]);
         assert_eq!(proof.num_adds(), 2);
         assert_eq!(proof.num_deletes(), 1);
         assert_eq!(proof.total_literals(), 3);
@@ -469,12 +553,14 @@ mod tests {
     #[test]
     fn file_logger_matches_memory_format() {
         let mut logger = FileProofLogger::new(Vec::new());
-        logger.log_add(&[lit(0, false), lit(1, true)]);
+        assert_eq!(logger.log_add(&[lit(0, false), lit(1, true)], &[8, 9]), 0);
         logger.log_delete(&[lit(1, true)]);
+        assert_eq!(logger.log_add(&[lit(2, false)], &[]), 1);
         let bytes = logger.into_inner();
         let text = String::from_utf8(bytes).unwrap();
+        assert_eq!(text, "1 -2 0\nd -2 0\n3 0\n", "hints stay out of text DRAT");
         let parsed = DratProof::from_dimacs(&text).unwrap();
-        assert_eq!(parsed.num_adds(), 1);
+        assert_eq!(parsed.num_adds(), 2);
         assert_eq!(parsed.num_deletes(), 1);
     }
 
@@ -503,11 +589,11 @@ mod tests {
     fn io_error_sets_flag_and_stops_writing() {
         let mut logger = FileProofLogger::new(FlakyWriter { ok_writes: 1, written: Vec::new() });
         let flag = logger.error_flag();
-        logger.log_add(&[lit(0, false)]);
+        logger.log_add(&[lit(0, false)], &[]);
         assert!(!flag.is_set());
-        logger.log_add(&[lit(1, false)]); // write fails here
+        logger.log_add(&[lit(1, false)], &[]); // write fails here
         assert!(flag.is_set());
-        logger.log_add(&[lit(2, false)]); // skipped: stream known-truncated
+        logger.log_add(&[lit(2, false)], &[]); // skipped: stream known-truncated
         let w = logger.into_inner();
         assert_eq!(String::from_utf8(w.written).unwrap(), "1 0\n");
         assert!(flag.get().unwrap().contains("proof step 2"));
@@ -518,11 +604,11 @@ mod tests {
         let plan = FaultPlan::new(1).with_proof_write_failure(2);
         let mut logger = FileProofLogger::new(Vec::new()).with_fault_plan(&plan);
         let flag = logger.error_flag();
-        logger.log_add(&[lit(0, false)]);
+        logger.log_add(&[lit(0, false)], &[]);
         assert!(!flag.is_set());
         logger.log_delete(&[lit(0, false)]);
         assert!(flag.is_set(), "second write must fail");
-        logger.log_add(&[lit(1, false)]);
+        logger.log_add(&[lit(1, false)], &[]);
         let bytes = logger.into_inner();
         assert_eq!(String::from_utf8(bytes).unwrap(), "1 0\n");
         assert!(flag.get().unwrap().contains("injected"));
@@ -532,9 +618,9 @@ mod tests {
     fn adds_only_logger_drops_deletions() {
         let shared = SharedProof::new();
         let mut sink = AddsOnlyProofLogger::new(shared.clone());
-        sink.log_add(&[lit(0, false), lit(1, true)]);
+        sink.log_add(&[lit(0, false), lit(1, true)], &[]);
         sink.log_delete(&[lit(0, false), lit(1, true)]);
-        sink.log_add(&[]);
+        sink.log_add(&[], &[]);
         let proof = shared.take();
         assert_eq!(proof.num_adds(), 2);
         assert_eq!(proof.num_deletes(), 0);
@@ -543,10 +629,12 @@ mod tests {
     #[test]
     fn tee_logger_feeds_both_sinks() {
         let shared = SharedProof::new();
-        let file = FileProofLogger::new(Vec::new());
+        let mut file = FileProofLogger::new(Vec::new());
+        file.log_add(&[lit(2, false)], &[]);
         let mut tee = TeeProofLogger::new(shared.clone(), file);
-        tee.log_add(&[lit(0, false), lit(1, true)]);
+        assert_eq!(tee.log_add(&[lit(0, false), lit(1, true)], &[4]), 0, "numbers are a's");
         tee.log_delete(&[lit(1, true)]);
+        assert_eq!(shared.snapshot().hints(0), &[4]);
         assert_eq!(shared.snapshot().num_adds(), 1);
         assert_eq!(shared.snapshot().num_deletes(), 1);
     }
@@ -555,7 +643,7 @@ mod tests {
     fn shared_proof_tolerates_poisoned_lock() {
         let shared = SharedProof::new();
         let mut h = shared.clone();
-        h.log_add(&[lit(0, false)]);
+        h.log_add(&[lit(0, false)], &[]);
         // Poison the mutex from a panicking thread while it holds the lock.
         let arc = shared.inner.clone();
         let _ = std::thread::spawn(move || {
@@ -565,7 +653,7 @@ mod tests {
         .join();
         // All accessors must keep working on the recovered state.
         let mut h2 = shared.clone();
-        h2.log_add(&[lit(1, false)]);
+        h2.log_add(&[lit(1, false)], &[]);
         assert_eq!(shared.snapshot().num_adds(), 2);
         assert_eq!(shared.take().num_adds(), 2);
     }
@@ -574,7 +662,7 @@ mod tests {
     fn shared_proof_take_resets() {
         let shared = SharedProof::new();
         let mut h = shared.clone();
-        h.log_add(&[lit(0, false)]);
+        h.log_add(&[lit(0, false)], &[]);
         assert_eq!(shared.snapshot().num_adds(), 1);
         assert_eq!(shared.take().num_adds(), 1);
         assert!(shared.take().is_empty());

@@ -6,13 +6,24 @@
 //! code:
 //!
 //! * [`DratProof`] / [`ProofLogger`] — a small logging interface the CDCL
-//!   engines in `sbgc-sat` and `sbgc-pb` emit DRAT steps through (learned
-//!   clause additions from 1UIP analysis, deletions from database
-//!   reduction), either into memory ([`SharedProof`]) or streamed to a
-//!   file ([`FileProofLogger`]).
+//!   engine in `sbgc-pb` emits DRAT steps through (learned clause
+//!   additions from 1UIP analysis, deletions from database reduction),
+//!   either into memory ([`SharedProof`]) or streamed to a file
+//!   ([`FileProofLogger`]).
 //! * [`check_drat`] — a forward RUP/DRAT checker with its own
 //!   watched-literal propagation that replays a proof against the original
 //!   clause list and accepts only genuine refutations.
+//!
+//! Each addition may carry a *hint chain*: the IDs of the clauses its
+//! derivation resolved on, in the order they become unit, ending with the
+//! falsified one (LRAT-style hints). Formula clause `i` has ID `i` and
+//! addition `j` (0-based, deletions not counted) has ID
+//! `formula.len() + j`; the sink numbers the additions, so several solvers
+//! logging into one sink name each other's lemmas correctly. The checker walks a chain before propagating and
+//! searches whenever the chain does not close, so hints are advisory: they
+//! make checking faster and never change a verdict. Text DRAT
+//! ([`DratProof::to_dimacs`], [`FileProofLogger`]) stays standard and
+//! carries no hints.
 //!
 //! `sbgc-core` combines both into optimality certificates: a verified
 //! k-coloring at χ plus a checked UNSAT proof at χ−1.
@@ -29,10 +40,13 @@
 //! let formula = vec![vec![a, b], vec![!a, b], vec![a, !b], vec![!a, !b]];
 //!
 //! let mut proof = DratProof::new();
-//! proof.push_add(&[b]);
-//! proof.push_add(&[]);
+//! // Under ¬b, clause 1 (¬a∨b) is unit and forces ¬a; clause 0 (a∨b) is
+//! // then falsified. Adding [b] refutes the formula by propagation, so the
+//! // empty clause is never reached.
+//! proof.push_add(&[b], &[1, 0]);
+//! proof.push_add(&[], &[]);
 //! let stats = check_drat(2, &formula, &proof).expect("valid refutation");
-//! assert!(stats.adds >= 1);
+//! assert_eq!(stats.chained, 1);
 //! ```
 
 #![forbid(unsafe_code)]

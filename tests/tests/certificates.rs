@@ -3,8 +3,9 @@
 //! checker in `sbgc-proof` accepts — and corrupted proofs must be refused.
 
 use sbgc_core::{
-    certify_unsat_formula, chromatic_number_certified, cnf_decision_formula, ColoringEncoding,
-    OptimalityCertificate, ProofStatus, SbpMode, SolveOptions,
+    certify_result_parallel, certify_unsat_formula, chromatic_number_certified,
+    cnf_decision_formula, ColoringEncoding, OptimalityCertificate, ProofStatus, SbpMode,
+    SolveOptions,
 };
 use sbgc_graph::{gen, suite, Graph};
 use sbgc_pb::Budget;
@@ -65,7 +66,7 @@ fn corrupted_certificate_proofs_are_rejected() {
     let mut truncated = DratProof::new();
     for step in proof.steps().iter().take(proof.len() / 2) {
         match step {
-            ProofStep::Add(lits) => truncated.push_add(lits),
+            ProofStep::Add(lits) => truncated.push_add(lits, &[]),
             ProofStep::Delete(lits) => truncated.push_delete(lits),
         }
     }
@@ -79,7 +80,7 @@ fn corrupted_certificate_proofs_are_rejected() {
     injected.push_delete(&clauses[0][..1]);
     for step in proof.steps() {
         match step {
-            ProofStep::Add(lits) => injected.push_add(lits),
+            ProofStep::Add(lits) => injected.push_add(lits, &[]),
             ProofStep::Delete(lits) => injected.push_delete(lits),
         }
     }
@@ -124,4 +125,59 @@ fn trivial_and_bipartite_certificates() {
     assert_eq!(cert.chromatic_number, 2);
     assert!(matches!(cert.unsat, ProofStatus::Checked { .. }), "{}", cert.unsat);
     assert!(cert.is_certified());
+}
+
+/// The graphs whose refutations the chain tests replay: anchors and the
+/// seeded family of the benchmark's `certify` workload that certify fast.
+fn chain_graphs() -> Vec<(String, Graph)> {
+    let mut graphs: Vec<(String, Graph)> = ["myciel4", "queen5_5"]
+        .into_iter()
+        .map(|name| (name.to_string(), suite::build(name).graph))
+        .collect();
+    graphs.push(("gnp(42,0.4)#2".to_string(), gen::gnp(42, 0.4, 2)));
+    for seed in 1..=3 {
+        graphs.push((format!("gnp(24,0.4)#{seed}"), gen::gnp(24, 0.4, seed)));
+    }
+    graphs
+}
+
+/// Replays a certificate's proof and returns the checker's statistics.
+fn recheck(graph: &Graph, cert: &OptimalityCertificate) -> sbgc_proof::CheckStats {
+    assert!(matches!(cert.unsat, ProofStatus::Checked { .. }), "{}", cert.unsat);
+    let proof = cert.proof.as_ref().expect("checked certificate carries its proof");
+    let (num_vars, clauses) = cnf_decision_formula(graph, cert.chromatic_number - 1);
+    check_drat(num_vars, &clauses, proof).expect("the certificate's proof checks")
+}
+
+#[test]
+fn sequential_certifier_lemmas_close_by_their_chains() {
+    // Every addition of a sequential refutation — learned clauses, root
+    // simplifications, the final conflict — carries a hint chain that the
+    // checker walks to a conflict, so nothing falls back to propagation.
+    for (name, g) in chain_graphs() {
+        let opts = SolveOptions::new(30).with_sbp_mode(SbpMode::ValuePrec);
+        let (_, cert) = chromatic_number_certified(&g, &opts);
+        let stats = recheck(&g, &cert.expect("exact result yields a certificate"));
+        assert!(stats.adds > 0, "{name}: a refutation with lemmas");
+        assert_eq!((stats.chained, stats.searched), (stats.adds, 0), "{name}");
+    }
+}
+
+#[test]
+fn racing_certifier_lemmas_close_by_their_chains() {
+    // Three clause-sharing workers log into one adds-only proof. Each
+    // learned clause names its reasons by the shared log's numbering, so
+    // it closes by its chain; only imported re-logs (logged without hints)
+    // may need the search.
+    for (name, g) in chain_graphs() {
+        let opts = SolveOptions::new(30).with_sbp_mode(SbpMode::ValuePrec);
+        let result = sbgc_core::chromatic_number(&g, &opts);
+        let cert = certify_result_parallel(&g, &result, &Budget::unlimited(), 3).expect("exact");
+        let stats = recheck(&g, &cert);
+        let proof = cert.proof.as_ref().expect("proof");
+        let hinted = (0..stats.adds).filter(|&j| !proof.hints(j).is_empty()).count();
+        assert!(hinted > 0, "{name}: learned clauses carry chains");
+        assert_eq!(stats.chained, hinted, "{name}: every hinted addition closes");
+        assert_eq!(stats.searched, stats.adds - hinted, "{name}");
+    }
 }
