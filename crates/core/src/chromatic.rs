@@ -6,20 +6,24 @@
 //! then walk the upper bound down with assumption queries against
 //! long-lived solver state ([`crate::session::ColoringSession`]). Learned
 //! clauses survive from one ladder step to the next instead of being
-//! re-derived per K. With heuristics on (the default), the heuristic race
-//! of [`crate::heuristics`] runs *alongside* the ladder on scoped threads,
+//! re-derived per K. The ladder's rung loop is written once, here, and
+//! both [`chromatic_number_outcome`] and [`crate::solve_supervised`] run
+//! it. With heuristics on (the default), the heuristic race of
+//! [`crate::heuristics`] runs *alongside* the ladder on scoped threads,
 //! both sides tightening one shared, validated bracket. The one-shot
 //! optimization run remains for the CPLEX baseline and for
 //! instance-dependent (Shatter) SBPs, which the session cannot drive
-//! soundly (see `DESIGN.md` §4g); that fallback still runs the race first
-//! ([`initial_bounds`]).
+//! soundly (see `DESIGN.md` §4g); that fallback is the one path that
+//! still runs the race first.
 
 use crate::error::SolveError;
 use crate::flow::{try_solve_coloring, ColoringOutcome, SolveOptions};
 use crate::heuristics::{race_alongside, Bracket};
 use crate::session::{ColoringSession, SessionAnswer};
 use sbgc_graph::{algo, Coloring, Graph};
-use sbgc_pb::ExhaustReason;
+use sbgc_obs::{LadderStepTelemetry, Recorder};
+use sbgc_pb::{Budget, ExhaustReason};
+use std::time::Instant;
 
 /// Cheap combinatorial bounds on the chromatic number.
 #[derive(Clone, Debug)]
@@ -49,19 +53,15 @@ pub fn bounds(graph: &Graph) -> ChromaticBounds {
 /// §4i).
 ///
 /// This is the race-first order the CPLEX/Shatter optimization fallback
-/// of [`chromatic_number_outcome`] and [`crate::solve_supervised`] start
-/// from; the session ladder races the heuristics alongside its queries
-/// instead.
+/// of [`chromatic_number_outcome`] starts from; the session ladder races
+/// the heuristics alongside its queries instead.
 ///
 /// # Errors
 ///
 /// [`SolveError::BoundContradiction`] if the tightened bracket crosses
 /// (`upper < lower`) — impossible while both validators are sound, so it
 /// is surfaced instead of being clamped away.
-pub fn initial_bounds(
-    graph: &Graph,
-    options: &SolveOptions,
-) -> Result<ChromaticBounds, SolveError> {
+fn initial_bounds(graph: &Graph, options: &SolveOptions) -> Result<ChromaticBounds, SolveError> {
     let b = bounds(graph);
     if !options.heuristics || b.lower >= b.upper {
         return Ok(b);
@@ -190,7 +190,7 @@ impl ChromaticOutcome {
 /// long-lived engine per worker thread, all racing each ladder query with
 /// clause sharing. Only the CPLEX baseline (no incremental interface) and
 /// instance-dependent (Shatter) SBPs fall back to one exact-optimization
-/// run, after the race ([`initial_bounds`]). The clique bound can certify
+/// run, after the heuristic race. The clique bound can certify
 /// optimality without search.
 ///
 /// `options.k` acts as a cap (like the paper's K = 20 application bound);
@@ -243,10 +243,18 @@ pub fn chromatic_number_outcome(
         return chromatic_number_via_optimization(graph, options, b);
     }
     let bracket = Bracket::new(graph, &b);
+    let ladder = || {
+        let mut session = ColoringSession::new(graph, options)?;
+        // One wall-clock for the whole ladder: arming the deadline here (it
+        // arms once) makes every step share it.
+        let budget = options.budget.started();
+        run_ladder(&mut session, &bracket, &budget, &mut 0, &options.recorder, |_, _| Ok(()))?
+            .outcome(&bracket)
+    };
     if options.heuristics {
-        race_alongside(options, &bracket, || chromatic_ladder(graph, options, &bracket))
+        race_alongside(options, &bracket, ladder)
     } else {
-        chromatic_ladder(graph, options, &bracket)
+        ladder()
     }
 }
 
@@ -340,10 +348,37 @@ fn collapse_feasible(
     }
 }
 
-/// The incremental ladder: one [`ColoringSession`] answers every
-/// decision query `bracket` still needs, against persistent solver
-/// state. Records one [`sbgc_obs::LadderStepTelemetry`] entry per query
-/// when the options carry an enabled recorder.
+/// How [`run_ladder`] ended.
+pub(crate) enum LadderEnd {
+    /// No query can change the answer: the bracket is collapsed, or the
+    /// K-cap left a final bracket.
+    Settled,
+    /// A limit stopped a query, for the reason the engine reported.
+    Stopped(Option<ExhaustReason>),
+}
+
+impl LadderEnd {
+    /// The chromatic answer `bracket` gives once the ladder ended this way.
+    pub(crate) fn outcome(self, bracket: &Bracket<'_>) -> Result<ChromaticOutcome, SolveError> {
+        let result = bracket.result()?;
+        // An exact answer supersedes any limit hit along the way. A K-cap
+        // bracket is final: the encoding cannot express more than k
+        // colors, so the gap to the witness is not budget exhaustion.
+        let exhaust = match self {
+            LadderEnd::Stopped(reason) if result.exact().is_none() => reason,
+            _ => None,
+        };
+        Ok(ChromaticOutcome { result, exhaust })
+    }
+}
+
+/// The incremental ladder, the crate's one rung loop: `session` answers
+/// every decision query `bracket` still needs, against persistent solver
+/// state, under `budget`. Arm the budget once before the first call so
+/// every query shares its deadline; conflict caps need no special
+/// handling, since persistent engines count cumulatively and a cap bounds
+/// the session's *total* work. Records one [`LadderStepTelemetry`] entry
+/// per query on `recorder`, numbering the steps on from `*step`.
 ///
 /// The bracket may be shared with the heuristic race: before each query
 /// the ladder commits the bracket's validated upper bound into the
@@ -351,36 +386,30 @@ fn collapse_feasible(
 /// A query the race makes moot mid-flight is recorded as `"moot"` and
 /// followed by the bracket's new target, never reported as exhaustion.
 ///
-/// Callers guarantee `graph` is nonempty, `options.k >= 1`, the bracket
-/// is open, and [`ColoringSession::supports`]`(options)`.
-fn chromatic_ladder(
-    graph: &Graph,
-    options: &SolveOptions,
+/// `before_query` runs after that commit and before each query, with the
+/// session and the query's step number; its error ends the ladder. The
+/// supervisor writes its rung-boundary checkpoints there.
+pub(crate) fn run_ladder(
+    session: &mut ColoringSession<'_>,
     bracket: &Bracket<'_>,
-) -> Result<ChromaticOutcome, SolveError> {
-    use sbgc_obs::LadderStepTelemetry;
-    use std::time::Instant;
-
-    let mut session = ColoringSession::new(graph, options)?;
+    budget: &Budget,
+    step: &mut u64,
+    recorder: &Recorder,
+    mut before_query: impl FnMut(&ColoringSession<'_>, u64) -> Result<(), SolveError>,
+) -> Result<LadderEnd, SolveError> {
     let k = session.k();
-    // One wall-clock for the whole ladder: arming the deadline here (it
-    // arms once) makes every step share it. Conflict caps need no special
-    // handling — persistent engines count cumulatively, so a cap bounds
-    // the session's *total* work.
-    let budget = options.budget.started();
-    let recorder = &options.recorder;
-    let mut step: u64 = 0;
     while let Some(query) = bracket.next_query(k)? {
         // Retire every color the validated incumbent already covers as
         // root-level units: these are the rungs a race incumbent lets the
         // ladder skip, and later queries run on a formula as tight as a
         // fresh encoding at their own width.
         session.commit_upper_bound(query.upper);
+        before_query(session, *step)?;
         let started = Instant::now();
         let s = session.query(query.target, &budget.clone().with_cancel_token(query.token.clone()));
         let moot = matches!(s.answer, SessionAnswer::Unknown) && query.token.is_cancelled();
         recorder.record_ladder_step(LadderStepTelemetry {
-            step,
+            step: *step,
             target: query.target,
             outcome: match &s.answer {
                 SessionAnswer::Colorable(_) => "sat",
@@ -393,24 +422,16 @@ fn chromatic_ladder(
             retained_clauses: s.retained_clauses,
             workers: s.workers,
         });
-        step += 1;
+        *step += 1;
         match s.answer {
             SessionAnswer::Colorable(c) => bracket.publish_witness(c),
             SessionAnswer::NotColorable { .. } => bracket.publish_refutation(query.target),
             // The bracket moved past the target; ask for the next one.
             SessionAnswer::Unknown if moot => {}
-            SessionAnswer::Unknown => {
-                let result = bracket.result()?;
-                // An exact answer supersedes any limit hit along the way.
-                let exhaust = if result.exact().is_some() { None } else { s.exhaust };
-                return Ok(ChromaticOutcome { result, exhaust });
-            }
+            SessionAnswer::Unknown => return Ok(LadderEnd::Stopped(s.exhaust)),
         }
     }
-    // The bracket is collapsed, or the K-cap left a final bracket: the
-    // encoding cannot express more than k colors, so the gap to the
-    // witness is not budget exhaustion.
-    Ok(ChromaticOutcome { result: bracket.result()?, exhaust: None })
+    Ok(LadderEnd::Settled)
 }
 
 #[cfg(test)]

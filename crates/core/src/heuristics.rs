@@ -22,15 +22,17 @@
 //!
 //! # Racing alongside the ladder
 //!
-//! On the session path, `chromatic_number_outcome` runs the race *beside*
-//! the exact ladder, not ahead of it: the workers start on scoped threads
-//! and the ladder queries on the calling thread, both tightening the same
-//! bracket. Before every query the ladder commits the bracket's validated
-//! incumbent into its session; after each query it publishes its verified
-//! witness (the workers then retarget below it) or its refutation (which
-//! raises the lower bound the workers stop at). Each query's budget
-//! carries its own [`CancelToken`] beside the caller's. The bracket's
-//! cancellation rules:
+//! On the session path, `chromatic_number_outcome` and `solve_supervised`
+//! run the race *beside* the exact ladder, not ahead of it: the workers
+//! start on scoped threads and the ladder queries on the calling thread,
+//! both tightening the same bracket. A supervised solve keeps one race
+//! across all its attempts, started from the greedy bracket or from a
+//! resumed checkpoint's. Before every query the ladder commits the
+//! bracket's validated incumbent into its session; after each query it
+//! publishes its verified witness (the workers then retarget below it) or
+//! its refutation (which raises the lower bound the workers stop at).
+//! Each query's budget carries its own [`CancelToken`] beside the
+//! caller's. The bracket's cancellation rules:
 //!
 //! * an update that leaves the in-flight target moot — target ≥ upper
 //!   (a validated coloring already answers it) or target < lower —
@@ -38,13 +40,12 @@
 //!   instead of reporting budget exhaustion;
 //! * an update that collapses the bracket (`lower >= upper`, χ proven)
 //!   trips the race token as well;
-//! * the ladder's return trips the race token, whatever the reason: the
-//!   race never outlives the ladder.
+//! * the ladder's return trips the race token, whatever the reason (an
+//!   unwinding panic included): the race never outlives the ladder.
 //!
 //! [`race_heuristics`] is the same race over a bracket no one else
 //! touches: it runs the workers to completion and returns the tightened
-//! bracket. The CPLEX/Shatter optimization fallback and the supervisor
-//! still run it first, through `crate::chromatic::initial_bounds`.
+//! bracket. The CPLEX/Shatter optimization fallback still runs it first.
 //!
 //! # Trust boundary
 //!
@@ -309,7 +310,7 @@ impl<'g> Bracket<'g> {
     }
 
     /// The current `(lower, upper)` pair.
-    fn bounds(&self) -> (usize, usize) {
+    pub(crate) fn bounds(&self) -> (usize, usize) {
         let s = self.lock();
         (s.lower, s.upper)
     }
@@ -587,18 +588,29 @@ pub fn race_heuristics(
 
 /// Runs `exact` on the calling thread while the heuristic workers race
 /// over `bracket` on scoped threads, and stops the race when `exact`
-/// returns. The race's telemetry records only what heuristic workers
-/// established, and its `seconds` is the race's wall time beside `exact`.
+/// returns or unwinds. The race's telemetry records only what heuristic
+/// workers established, and its `seconds` is the race's wall time beside
+/// `exact`.
 pub(crate) fn race_alongside<T>(
     options: &SolveOptions,
     bracket: &Bracket<'_>,
     exact: impl FnOnce() -> T,
 ) -> T {
+    /// Trips the race token when dropped, so a panic in `exact` stops the
+    /// workers instead of waiting out their iteration budgets.
+    struct StopRace<'a>(&'a CancelToken);
+    impl Drop for StopRace<'_> {
+        fn drop(&mut self) {
+            self.0.cancel();
+        }
+    }
     let started = Instant::now();
     std::thread::scope(|scope| {
         let handles = spawn_workers(scope, options, bracket);
-        let out = exact();
-        bracket.race.cancel();
+        let out = {
+            let _stop = StopRace(&bracket.race);
+            exact()
+        };
         join_workers(options, bracket, handles, started);
         out
     })
@@ -844,6 +856,20 @@ mod tests {
         assert_eq!((s.lower, s.upper), (3, 3));
         assert_eq!((s.race_lower, s.race_upper), (2, 4), "only the heuristic 4-coloring");
         assert_eq!((s.upper_by, s.lower_by), (None, None), "the ladder holds both bounds");
+    }
+
+    #[test]
+    fn exact_side_panic_stops_the_race() {
+        // Mycielski-3 is triangle-free with χ = 4: the race alone never
+        // collapses the bracket, so only the unwinding exact side can
+        // trip the race token.
+        let g = gen::mycielski(3);
+        let bracket = Bracket::new(&g, &bounds(&g));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            race_alongside(&options(), &bracket, || panic!("exact side dies"))
+        }));
+        assert!(unwound.is_err(), "the exact side's panic propagates");
+        assert!(bracket.race.is_cancelled(), "the race must stop when the exact side unwinds");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   optimization);
 //! * [`heuristics`] — the local-search bound race (TabuCol and PartialCol
 //!   descents plus clique search from `sbgc-heur`) that tightens the
-//!   greedy bracket before the exact ladder issues its first query, with
-//!   every heuristic result re-validated at the trust boundary;
+//!   greedy bracket beside the exact ladder, with every heuristic result
+//!   re-validated at the trust boundary;
 //! * [`certify`] — verified optimality certificates: a syntactically
 //!   checked witness coloring at χ plus a DRAT refutation of
 //!   (χ−1)-colorability replayed through the independent checker of
@@ -78,8 +78,8 @@ pub use certify::{
     certify_unsat_formula_streamed, chromatic_number_certified, OptimalityCertificate, ProofStatus,
 };
 pub use chromatic::{
-    bounds, chromatic_number, chromatic_number_outcome, initial_bounds, ChromaticBounds,
-    ChromaticOutcome, ChromaticResult,
+    bounds, chromatic_number, chromatic_number_outcome, ChromaticBounds, ChromaticOutcome,
+    ChromaticResult,
 };
 pub use encode::{cnf_decision_formula, ColoringEncoding};
 pub use error::SolveError;

@@ -1,23 +1,27 @@
 //! The resumable solve supervisor: checkpoints, watchdog, retries.
 //!
-//! [`solve_supervised`] wraps the incremental chromatic ladder
-//! (`crate::chromatic`) in a fault-tolerant control loop with three
-//! independent layers:
+//! [`solve_supervised`] runs the incremental chromatic ladder
+//! (`crate::chromatic`'s one rung loop, over the same shared bracket and
+//! with the heuristic race beside it when `options.heuristics` is on)
+//! inside a fault-tolerant attempt loop with three independent layers:
 //!
 //! 1. **Auto-checkpointing.** With a configured checkpoint path, a
-//!    [`SolveCheckpoint`] — bracket, incumbent witness, worker seeds, and
-//!    the learned clauses passing the share filter — is persisted
-//!    atomically after the initial bounds and after *every* ladder rung.
-//!    A process killed mid-ladder loses at most one rung of work.
+//!    [`SolveCheckpoint`] — the bracket as it stands, its witness, worker
+//!    seeds, and the learned clauses passing the share filter — is
+//!    persisted atomically before *every* ladder query and once more when
+//!    the solve ends. A process killed mid-ladder loses at most one rung
+//!    of work.
 //! 2. **Resume.** With a configured resume path, the supervisor loads the
 //!    checkpoint, re-validates it at the trust boundary (graph
 //!    fingerprint, SBP mode, witness propriety — corrupted or stale files
-//!    are typed [`SolveError`]s, never panics), rebuilds a
-//!    [`ColoringSession`], re-commits the restored upper bound as root
-//!    units, and only then re-imports the persisted clauses. The order
-//!    matters: each persisted clause is entailed by the encoding plus the
-//!    bounds committed when it was learned, so the bounds must be in
-//!    place first.
+//!    are typed [`SolveError`]s, never panics), seeds the bracket with it,
+//!    rebuilds a [`ColoringSession`], commits the bracket's upper bound as
+//!    root units, and only then re-imports the persisted clauses. The
+//!    order matters: each persisted clause is entailed by the encoding
+//!    plus the bounds committed when it was learned. The bracket's upper
+//!    bound only falls, so the one stored beside the clauses is at most
+//!    every bound committed before they were learned, and committing it
+//!    first makes the import sound.
 //! 3. **Watchdog + retries.** A wall-clock watchdog thread samples the
 //!    recorder's conflict counter; if no conflict progress happens for
 //!    the configured window, the attempt's cancel token is tripped
@@ -32,17 +36,16 @@
 //! for the operational story and the chaos tests that pin it down.
 
 use crate::checkpoint::{CheckpointError, GraphFingerprint, SolveCheckpoint};
-use crate::chromatic::{bounds, initial_bounds, ChromaticOutcome, ChromaticResult};
+use crate::chromatic::{bounds, run_ladder, ChromaticBounds, ChromaticOutcome, LadderEnd};
 use crate::error::SolveError;
 use crate::flow::SolveOptions;
+use crate::heuristics::{race_alongside, Bracket};
 use crate::sbp::SbpMode;
-use crate::session::{ColoringSession, SessionAnswer};
+use crate::session::ColoringSession;
 use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
-use sbgc_obs::{
-    Counter, FaultPlan, LadderStepTelemetry, Recorder, ResumeTelemetry, SupervisorTelemetry,
-};
-use sbgc_pb::{CancelToken, ExhaustReason};
+use sbgc_obs::{Counter, FaultPlan, Recorder, ResumeTelemetry, SupervisorTelemetry};
+use sbgc_pb::CancelToken;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -187,17 +190,17 @@ pub struct SupervisedOutcome {
 /// Runs the incremental chromatic ladder under the supervisor loop (see
 /// the module docs). Proves the same χ as `chromatic_number_outcome` when
 /// `config` is all-default, plus crash safety and stall recovery when it
-/// is not. Unlike `chromatic_number_outcome`, which races the heuristics
-/// alongside its ladder, the supervisor keeps the race-first order: the
-/// heuristic race of [`initial_bounds`] runs to completion before the
-/// first rung and its first checkpoint.
+/// is not. Like `chromatic_number_outcome`, it races the heuristics
+/// alongside the ladder when `options.heuristics` is on: one race spans
+/// every attempt, starting from the greedy bracket or the restored one.
 ///
 /// Besides the faults every ladder reads, [`SolveOptions::fault`]
-/// schedules the supervisor's own chaos: mid-rung kills (a panic at a
-/// scheduled rung start, after the previous rung's checkpoint is on disk),
-/// checkpoint bit-flips and artifact write failures. Session faults
-/// (panicking or stalled workers — the watchdog's prey) and mid-rung kills
-/// apply to the first attempt only, so retries genuinely recover.
+/// schedules the supervisor's own chaos: mid-rung kills (a panic at the
+/// start of a scheduled ladder step, after the previous rung's checkpoint
+/// is on disk), checkpoint bit-flips and artifact write failures. Session
+/// faults (panicking or stalled workers — the watchdog's prey) and
+/// mid-rung kills apply to the first attempt only, so retries genuinely
+/// recover.
 ///
 /// # Errors
 ///
@@ -228,202 +231,49 @@ pub fn solve_supervised(
     if !options.recorder.is_enabled() && config.watchdog.is_some() {
         options.recorder = Recorder::new();
     }
-    let recorder = options.recorder.clone();
 
-    // Establish the starting state: a validated checkpoint, or the usual
-    // heuristic-tightened greedy bracket.
-    let (mut state, mut pending_resume) = match &config.resume_from {
+    // Establish the starting bracket: a validated checkpoint with the
+    // clauses it carries, or the greedy bounds.
+    let (seed, carried, resume) = match &config.resume_from {
         Some(path) => {
-            let (state, telemetry) = restore(graph, &options, path)?;
-            (state, Some(telemetry))
+            let (seed, carried, telemetry) = restore(graph, &options, path)?;
+            (seed, carried, Some(telemetry))
         }
-        None => {
-            let b = initial_bounds(graph, &options)?;
-            (
-                SolveState {
-                    lower: b.lower,
-                    upper: b.upper,
-                    witness: b.witness,
-                    clauses: Vec::new(),
-                },
-                None,
-            )
-        }
+        None => (bounds(graph), Carried::default(), None),
     };
-    let resumed = pending_resume.is_some();
-
+    let bracket = Bracket::new(graph, &seed);
     let mut supervision = Supervision {
         attempts: 0,
         watchdog_trips: 0,
         checkpoints_written: 0,
         final_escalation: 1,
         config,
-        recorder: recorder.clone(),
-        fault: options.fault.clone(),
+        resumed: resume.is_some(),
     };
 
-    if state.lower >= state.upper {
+    if seed.lower >= seed.upper {
         // Bracket already collapsed (clique met DSATUR, or the resumed
         // checkpoint was final): provably optimal without any search. A
         // checkpoint is still written so a `--checkpoint` run always
         // leaves a resumable artifact behind.
         supervision.attempts = 1;
-        supervision.write_checkpoint(graph, &options, &state, None)?;
-        let outcome = ChromaticOutcome {
-            result: ChromaticResult::Exact {
-                chromatic_number: state.upper,
-                witness: state.witness,
-            },
-            exhaust: None,
-        };
-        return Ok(supervision.finish(outcome, resumed));
+        supervision.write_checkpoint(graph, &options, &bracket, None)?;
+        let outcome = LadderEnd::Settled.outcome(&bracket)?;
+        return Ok(supervision.finish(outcome, &options.recorder));
     }
 
-    supervision.write_checkpoint(graph, &options, &state, None)?;
-
-    let mut rungs_done: u64 = 0;
-    loop {
-        supervision.attempts += 1;
-        let attempt = supervision.attempts;
-        // Caps multiply per retry: factor = escalation^(attempt-1), capped.
-        let factor = config
-            .escalation
-            .saturating_pow((attempt - 1).min(u64::from(u32::MAX)) as u32)
-            .min(MAX_ESCALATION);
-        supervision.final_escalation = u64::from(factor);
-        // The first attempt runs the caller's budget verbatim (cancel
-        // tokens included); retries re-arm with escalated caps and fresh
-        // cancellation (a tripped watchdog token must not kill them).
-        let base_budget = if factor == 1 && attempt == 1 {
-            options.budget.clone()
-        } else {
-            options.budget.escalated(factor)
-        };
-
-        // Reseed: shift every engine seed per attempt (and once more for
-        // a resume, diversifying away from the dead run's seeds).
-        let seed_offset = SEED_STRIDE.wrapping_mul(attempt - 1 + u64::from(resumed));
-        // Injected session faults hit the first attempt only: retries
-        // must demonstrate genuine recovery.
-        if attempt > 1 {
-            options.fault = FaultPlan::default();
-        }
-        let mut session = ColoringSession::new_with(graph, &options, seed_offset)?;
-        // Order matters: committing the restored/learned upper bound
-        // first makes every carried clause entailed by the strengthened
-        // formula, so the import below is sound.
-        session.commit_upper_bound(state.upper);
-        let imported =
-            if state.clauses.is_empty() { 0 } else { session.import_learned(&state.clauses) };
-        if let Some(telemetry) = pending_resume.take() {
-            recorder
-                .record_resume(ResumeTelemetry { clauses_imported: imported as u64, ..telemetry });
-        }
-
-        let watchdog = Watchdog::arm(config.watchdog, &recorder);
-        let budget = match &watchdog {
-            Some(w) => base_budget.with_cancel_token(w.token.clone()).started(),
-            None => base_budget.started(),
-        };
-
-        let mut attempt_exhaust: Option<ExhaustReason> = None;
-        // Whether the attempt left a final bracket (collapsed, or capped
-        // at K) rather than running out.
-        let mut settled = true;
-        while state.lower < state.upper {
-            let target = (state.upper - 1).min(session.k());
-            if target < state.lower {
-                // K-cap bracket: the clique bound or a refutation at the
-                // cap already answers every rung the encoding can
-                // express. Final, not retryable.
-                break;
-            }
-            if supervision.fault.mid_rung_kill() == Some(rungs_done) && attempt == 1 {
-                panic!("injected fault: solve killed at ladder rung {rungs_done}");
-            }
-            let started = Instant::now();
-            let s = session.query(target, &budget);
-            recorder.record_ladder_step(LadderStepTelemetry {
-                step: rungs_done,
-                target,
-                outcome: match &s.answer {
-                    SessionAnswer::Colorable(_) => "sat",
-                    SessionAnswer::NotColorable { .. } => "unsat",
-                    SessionAnswer::Unknown => "unknown",
-                }
-                .to_string(),
-                seconds: started.elapsed().as_secs_f64(),
-                retained_clauses: s.retained_clauses,
-                workers: s.workers,
-            });
-            match s.answer {
-                SessionAnswer::Colorable(c) => {
-                    rungs_done += 1;
-                    let colors = c.num_colors().min(target);
-                    if colors < state.lower {
-                        return Err(SolveError::BoundContradiction {
-                            lower: state.lower,
-                            upper: colors,
-                            detail: format!(
-                                "supervised ladder witness at target {target} beat the lower bound"
-                            ),
-                        });
-                    }
-                    state.upper = colors;
-                    state.witness = c;
-                    session.commit_upper_bound(state.upper);
-                    state.clauses = session.export_learned();
-                    supervision.write_checkpoint(graph, &options, &state, Some(&session))?;
-                }
-                SessionAnswer::NotColorable { .. } => {
-                    rungs_done += 1;
-                    state.lower = (target + 1).max(state.lower);
-                    state.clauses = session.export_learned();
-                    supervision.write_checkpoint(graph, &options, &state, Some(&session))?;
-                }
-                SessionAnswer::Unknown => {
-                    attempt_exhaust = s.exhaust;
-                    settled = false;
-                    break;
-                }
-            }
-        }
-        let stalled = watchdog.map(Watchdog::disarm).unwrap_or(false);
-        if stalled {
-            supervision.watchdog_trips += 1;
-        }
-
-        if settled {
-            let result = ChromaticResult::from_bracket(state.lower, state.upper, state.witness);
-            return Ok(supervision.finish(ChromaticOutcome { result, exhaust: None }, resumed));
-        }
-
-        // The attempt ran out (stall or genuine exhaustion). Carry the
-        // bracket and clauses into a reseeded, escalated retry — or give
-        // up honestly with everything proven so far.
-        state.clauses = session.export_learned();
-        drop(session);
-        if supervision.attempts > u64::from(config.max_retries) {
-            let outcome = ChromaticOutcome {
-                result: ChromaticResult::Bounded {
-                    lower: state.lower,
-                    upper: state.upper,
-                    witness: state.witness,
-                },
-                exhaust: attempt_exhaust,
-            };
-            return Ok(supervision.finish(outcome, resumed));
-        }
-    }
+    let attempts = || supervision.run(graph, &options, &bracket, carried, resume);
+    let outcome =
+        if options.heuristics { race_alongside(&options, &bracket, attempts) } else { attempts() }?;
+    Ok(supervision.finish(outcome, &options.recorder))
 }
 
-/// Mutable solve state carried across attempts (and restored from
-/// checkpoints): the bracket, its witness, and the clauses worth
-/// re-importing.
-struct SolveState {
-    lower: usize,
-    upper: usize,
-    witness: Coloring,
+/// Learned clauses carried into the next attempt's session (restored from
+/// a checkpoint, or exported by the attempt that ran out), with the
+/// encoding width `k()` of the session that learned them.
+#[derive(Default)]
+struct Carried {
+    width: u64,
     clauses: Vec<(Vec<Lit>, u32)>,
 }
 
@@ -434,45 +284,134 @@ struct Supervision<'a> {
     checkpoints_written: u64,
     final_escalation: u64,
     config: &'a SupervisorConfig,
-    recorder: Recorder,
-    /// The caller's fault plan, kept whole for checkpoint writes and
-    /// mid-rung kills after retries clear it from the session options.
-    fault: FaultPlan,
+    /// Whether the solve started from a restored checkpoint.
+    resumed: bool,
 }
 
 impl Supervision<'_> {
-    /// Persists the current state when checkpointing is configured.
-    /// Write failures are hard errors: the caller asked for durability,
-    /// and pretending to have it would be the silent misbehavior this
-    /// module exists to remove.
+    /// The attempt loop: each attempt rebuilds the session, re-imports the
+    /// carried clauses and runs the ladder over `bracket` until it settles
+    /// or a limit stops it. A stopped attempt carries its clauses into a
+    /// reseeded, escalated retry, or gives up honestly with everything
+    /// proven so far once the retries are used up.
+    fn run(
+        &mut self,
+        graph: &Graph,
+        options: &SolveOptions,
+        bracket: &Bracket<'_>,
+        mut carried: Carried,
+        mut resume: Option<ResumeTelemetry>,
+    ) -> Result<ChromaticOutcome, SolveError> {
+        let recorder = &options.recorder;
+        // Injected session faults hit the first attempt only: retries
+        // must demonstrate genuine recovery.
+        let retry_options = SolveOptions { fault: FaultPlan::default(), ..options.clone() };
+        let mut step: u64 = 0;
+        loop {
+            self.attempts += 1;
+            let attempt = self.attempts;
+            // Caps multiply per retry: factor = escalation^(attempt-1), capped.
+            let factor = self
+                .config
+                .escalation
+                .saturating_pow((attempt - 1).min(u64::from(u32::MAX)) as u32)
+                .min(MAX_ESCALATION);
+            self.final_escalation = u64::from(factor);
+            // The first attempt runs the caller's budget verbatim (cancel
+            // tokens included); retries re-arm with escalated caps and
+            // fresh cancellation (a tripped watchdog token must not kill
+            // them).
+            let (attempt_options, base_budget) = if attempt == 1 {
+                (options, options.budget.clone())
+            } else {
+                (&retry_options, options.budget.escalated(factor))
+            };
+            // Reseed: shift every engine seed per attempt (and once more
+            // for a resume, diversifying away from the dead run's seeds).
+            let seed_offset = SEED_STRIDE.wrapping_mul(attempt - 1 + u64::from(self.resumed));
+            let mut session = ColoringSession::new_with(graph, attempt_options, seed_offset)?;
+            // Order matters: committing the bracket's upper bound first
+            // makes every carried clause entailed by the strengthened
+            // formula, so the import below is sound. Clauses name the
+            // encoding variables of the session that learned them, so only
+            // a session of the same width may take them.
+            session.commit_upper_bound(bracket.bounds().1);
+            let imported = if carried.width == session.k() as u64 {
+                session.import_learned(&carried.clauses)
+            } else {
+                0
+            };
+            if let Some(telemetry) = resume.take() {
+                recorder.record_resume(ResumeTelemetry {
+                    clauses_imported: imported as u64,
+                    ..telemetry
+                });
+            }
+
+            let watchdog = Watchdog::arm(self.config.watchdog, recorder);
+            let budget = match &watchdog {
+                Some(w) => base_budget.with_cancel_token(w.token.clone()).started(),
+                None => base_budget.started(),
+            };
+            let kill = options.fault.mid_rung_kill().filter(|_| attempt == 1);
+            let end = run_ladder(&mut session, bracket, &budget, &mut step, recorder, |s, step| {
+                // The previous rung's checkpoint is on disk before a
+                // scheduled kill fires.
+                self.write_checkpoint(graph, options, bracket, Some(s))?;
+                if kill == Some(step) {
+                    panic!("injected fault: solve killed at ladder rung {step}");
+                }
+                Ok(())
+            });
+            if watchdog.is_some_and(Watchdog::disarm) {
+                self.watchdog_trips += 1;
+            }
+            let end = end?;
+            if matches!(end, LadderEnd::Settled) || attempt > u64::from(self.config.max_retries) {
+                self.write_checkpoint(graph, options, bracket, Some(&session))?;
+                return end.outcome(bracket);
+            }
+            carried = Carried { width: session.k() as u64, clauses: session.export_learned() };
+        }
+    }
+
+    /// Persists the bracket as it stands, with `session`'s learned clauses,
+    /// when checkpointing is configured. Any moment is a sound one: the
+    /// bracket's upper bound only falls, so the stored one is at most every
+    /// bound committed before those clauses were learned. Write failures
+    /// are hard errors: the caller asked for durability, and pretending to
+    /// have it would be the silent misbehavior this module exists to
+    /// remove.
     fn write_checkpoint(
         &mut self,
         graph: &Graph,
         options: &SolveOptions,
-        state: &SolveState,
+        bracket: &Bracket<'_>,
         session: Option<&ColoringSession<'_>>,
     ) -> Result<(), SolveError> {
         let Some(path) = &self.config.checkpoint_path else {
             return Ok(());
         };
+        let result = bracket.result()?;
+        let (lower, upper) = result.bracket();
         let ckpt = SolveCheckpoint {
             fingerprint: GraphFingerprint::of(graph),
             sbp: options.sbp_mode.display_name().to_string(),
             ceiling: session.map(ColoringSession::k).unwrap_or(0) as u64,
-            lower: state.lower as u64,
-            upper: state.upper as u64,
-            witness: Some(state.witness.colors().iter().map(|&c| c as u64).collect()),
+            lower: lower as u64,
+            upper: upper as u64,
+            witness: Some(result.witness().colors().iter().map(|&c| c as u64).collect()),
             worker_seeds: session.map(ColoringSession::worker_seeds).unwrap_or_default(),
-            clauses: state.clauses.clone(),
+            clauses: session.map(ColoringSession::export_learned).unwrap_or_default(),
         };
-        ckpt.save(path, Some(&self.fault))?;
+        ckpt.save(path, Some(&options.fault))?;
         self.checkpoints_written += 1;
         Ok(())
     }
 
     /// Records the supervision summary and assembles the outcome.
-    fn finish(self, outcome: ChromaticOutcome, resumed: bool) -> SupervisedOutcome {
-        self.recorder.record_supervisor(SupervisorTelemetry {
+    fn finish(self, outcome: ChromaticOutcome, recorder: &Recorder) -> SupervisedOutcome {
+        recorder.record_supervisor(SupervisorTelemetry {
             attempts: self.attempts,
             watchdog_trips: self.watchdog_trips,
             watchdog_secs: self.config.watchdog.map(|w| w.as_secs_f64()),
@@ -485,20 +424,20 @@ impl Supervision<'_> {
             attempts: self.attempts,
             watchdog_trips: self.watchdog_trips,
             checkpoints_written: self.checkpoints_written,
-            resumed,
+            resumed: self.resumed,
         }
     }
 }
 
 /// Loads `path` and re-validates everything the checkpoint claims at the
-/// trust boundary. Returns the restored state plus the resume telemetry
-/// (its `clauses_imported` is filled in once the first session accepts
-/// the clauses).
+/// trust boundary. Returns the restored bracket, the clauses it carries,
+/// and the resume telemetry (its `clauses_imported` is filled in once the
+/// first session accepts the clauses).
 fn restore(
     graph: &Graph,
     options: &SolveOptions,
     path: &std::path::Path,
-) -> Result<(SolveState, ResumeTelemetry), SolveError> {
+) -> Result<(ChromaticBounds, Carried, ResumeTelemetry), SolveError> {
     let ckpt = SolveCheckpoint::load(path)?;
     let resuming = GraphFingerprint::of(graph);
     if ckpt.fingerprint != resuming {
@@ -581,12 +520,6 @@ fn restore(
         ))
         .into());
     }
-    // Clauses reference the dead session's encoding variables; they are
-    // only meaningful if the resumed session will rebuild the *same*
-    // encoding (same ceiling). A mismatched ceiling drops them — the
-    // bracket and witness still resume fine.
-    let resumed_ceiling = fresh.upper.saturating_sub(1).max(1).min(options.k) as u64;
-    let clauses = if ckpt.ceiling == resumed_ceiling { ckpt.clauses.clone() } else { Vec::new() };
     let telemetry = ResumeTelemetry {
         from_path: path.display().to_string(),
         lower,
@@ -596,7 +529,8 @@ fn restore(
         clauses_imported: 0,
         rungs_skipped: fresh.upper.saturating_sub(upper) as u64,
     };
-    Ok((SolveState { lower, upper, witness, clauses }, telemetry))
+    let carried = Carried { width: ckpt.ceiling, clauses: ckpt.clauses };
+    Ok((ChromaticBounds { lower, upper, witness }, carried, telemetry))
 }
 
 /// A per-attempt watchdog: a thread that trips `token` when the
@@ -676,7 +610,8 @@ mod tests {
     #[test]
     fn supervised_solve_matches_the_plain_ladder() {
         let graph = mycielski(4); // χ = 5, triangle-free: the ladder works
-        let options = SolveOptions::new(8);
+        let recorder = Recorder::new();
+        let options = SolveOptions::new(8).with_recorder(recorder.clone());
         let out = solve_supervised(&graph, &options, &SupervisorConfig::new()).unwrap();
         assert_eq!(out.outcome.exact(), Some(5));
         assert!(out.outcome.witness().is_proper(&graph));
@@ -684,6 +619,17 @@ mod tests {
         assert_eq!(out.watchdog_trips, 0);
         assert_eq!(out.checkpoints_written, 0);
         assert!(!out.resumed);
+        // The race runs beside the supervised ladder: the invariants the
+        // plain hybrid ladder keeps hold under any interleaving here too.
+        let h = recorder.heuristics().expect("the race ran beside the ladder");
+        let steps = recorder.ladder_steps();
+        assert!(steps.iter().all(|s| s.target < h.dsatur_upper), "{steps:?}");
+        assert!(steps.iter().all(|s| s.outcome != "unknown"), "nothing ran out: {steps:?}");
+        for pair in steps.windows(2) {
+            if pair[0].outcome == "moot" {
+                assert!(pair[1].target < pair[0].target, "{steps:?}");
+            }
+        }
     }
 
     #[test]
@@ -701,7 +647,7 @@ mod tests {
         let (lower, upper) = out.outcome.bracket();
         assert!(lower >= 6 && upper >= lower, "[{lower}, {upper}]");
         assert_eq!(out.outcome.exhaust, None, "a K-cap bracket is final, not exhaustion");
-        assert_eq!(out.checkpoints_written, 1, "only the initial checkpoint");
+        assert_eq!(out.checkpoints_written, 1, "only the end-of-solve checkpoint");
         assert!(recorder.ladder_steps().is_empty(), "{:?}", recorder.ladder_steps());
         std::fs::remove_file(&path).unwrap();
     }
@@ -714,7 +660,7 @@ mod tests {
         let config = SupervisorConfig::new().with_checkpoint_path(&path);
         let out = solve_supervised(&graph, &options, &config).unwrap();
         assert_eq!(out.outcome.exact(), Some(5));
-        assert!(out.checkpoints_written >= 2, "initial + per-rung checkpoints");
+        assert!(out.checkpoints_written >= 2, "per-query + end-of-solve checkpoints");
         // The final checkpoint resumes to the exact answer without any
         // further search.
         let resume = SupervisorConfig::new().with_resume_from(&path);

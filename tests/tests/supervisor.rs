@@ -12,6 +12,10 @@
 //! * a deliberately stalled portfolio is detected by the wall-clock
 //!   watchdog, cancelled, and restarted with an escalated budget — and
 //!   the retried race still completes;
+//! * a resume re-imports the checkpoint's learned clauses exactly when it
+//!   rebuilds the encoding width they were learned at;
+//! * with the heuristic race running beside the ladder, a killed solve
+//!   still resumes to the same χ;
 //! * on random G(n,p) instances, killing the solve at a scheduled ladder
 //!   rung and resuming agrees exactly with the uninterrupted solve
 //!   (seeded and deterministic, so failures replay).
@@ -22,11 +26,27 @@ use sbgc_core::{
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_obs::{FaultPlan, Recorder, RunReport};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sbgc-supervisor-it-{}-{name}.ckpt", std::process::id()))
+}
+
+/// Kills a queen6_6 solve under `options` at the start of ladder rung
+/// `rung` and returns once its checkpoint is on disk at `path`.
+fn kill_queen6_6_at(options: &SolveOptions, rung: u64, path: &Path) {
+    let config = SupervisorConfig::new().with_checkpoint_path(path);
+    let fault = FaultPlan::new(17).with_mid_rung_kill(rung);
+    let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        solve_supervised(&queens(6, 6), &options.clone().with_fault_plan(fault), &config)
+    }));
+    let message = match killed {
+        Err(payload) => *payload.downcast::<String>().expect("panic carries its message"),
+        Ok(out) => panic!("the injected kill at rung {rung} must unwind, got {out:?}"),
+    };
+    assert!(message.contains("injected fault"), "{message}");
+    assert!(path.exists(), "the previous rung's checkpoint must already be on disk");
 }
 
 #[test]
@@ -36,18 +56,7 @@ fn killed_queen6_6_solve_resumes_and_skips_committed_rungs() {
     // checkpoint); the injected kill then fires at the start of rung 1.
     let graph = queens(6, 6);
     let path = scratch("queen66-kill");
-    let options = SolveOptions::new(9).without_heuristics();
-    let config = SupervisorConfig::new().with_checkpoint_path(&path);
-    let fault = FaultPlan::new(17).with_mid_rung_kill(1);
-    let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        solve_supervised(&graph, &options.clone().with_fault_plan(fault), &config)
-    }));
-    let message = match killed {
-        Err(payload) => *payload.downcast::<String>().expect("panic carries its message"),
-        Ok(out) => panic!("the injected kill must unwind, got {out:?}"),
-    };
-    assert!(message.contains("injected fault"), "{message}");
-    assert!(path.exists(), "rung 0's checkpoint must already be on disk");
+    kill_queen6_6_at(&SolveOptions::new(9).without_heuristics(), 1, &path);
 
     // Resume from the checkpoint: same χ, and the committed rung is never
     // re-proved — every remaining ladder query targets at most the
@@ -79,6 +88,60 @@ fn killed_queen6_6_solve_resumes_and_skips_committed_rungs() {
     assert!(json.contains("\"rungs_skipped\""), "{json}");
     assert!(json.contains("\"supervisor\""), "{json}");
     assert!(json.contains("\"ladder\""), "{json}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn resume_reimports_clauses_only_at_the_same_encoding_width() {
+    // K 9 encodes queen6_6 at width min(DSATUR 9 − 1, 9) = 8, and rung 0
+    // (a SAT query at 8) leaves learned clauses in the rung-1 checkpoint.
+    let graph = queens(6, 6);
+    let path = scratch("queen66-reimport");
+    kill_queen6_6_at(&SolveOptions::new(9).without_heuristics(), 1, &path);
+    let resume = SupervisorConfig::new().with_resume_from(&path);
+
+    // The same width takes every offered clause.
+    let rec = Recorder::new();
+    let options = SolveOptions::new(9).without_heuristics().with_recorder(rec.clone());
+    let out = solve_supervised(&graph, &options, &resume).expect("checkpoint accepted");
+    assert_eq!(out.outcome.exact(), Some(7));
+    let telemetry = rec.resume().expect("resume telemetry recorded");
+    assert!(telemetry.clauses_offered > 0, "rung 0 learned clauses: {telemetry:?}");
+    assert_eq!(telemetry.clauses_imported, telemetry.clauses_offered, "{telemetry:?}");
+
+    // K 7 rebuilds a width-7 encoding: the width-8 clauses name other
+    // variables, so none may be imported, and χ is still proved.
+    let rec = Recorder::new();
+    let options = SolveOptions::new(7).without_heuristics().with_recorder(rec.clone());
+    let out = solve_supervised(&graph, &options, &resume).expect("checkpoint accepted");
+    assert_eq!(out.outcome.exact(), Some(7));
+    let telemetry = rec.resume().expect("resume telemetry recorded");
+    assert!(telemetry.clauses_offered > 0);
+    assert_eq!(telemetry.clauses_imported, 0, "{telemetry:?}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn killed_solve_with_the_race_beside_it_resumes_to_chi() {
+    // The race cannot lift the lower bound past queen6_6's 6-clique while
+    // χ = 7, so the bracket stays open and rung 0 always starts: the kill
+    // fires on every run, whatever the race has done by then.
+    let graph = queens(6, 6);
+    let path = scratch("queen66-race-kill");
+    kill_queen6_6_at(&SolveOptions::new(9), 0, &path);
+
+    let rec = Recorder::new();
+    let options = SolveOptions::new(9).with_recorder(rec.clone());
+    let resume = SupervisorConfig::new().with_resume_from(&path);
+    let out = solve_supervised(&graph, &options, &resume).expect("checkpoint accepted");
+    assert_eq!(out.outcome.exact(), Some(7), "resumed solve reaches χ(queen6_6)");
+    assert!(out.resumed);
+    assert!(out.outcome.witness().is_proper(&graph));
+    // The resumed race starts from the restored bracket.
+    let restored = rec.resume().expect("resume telemetry recorded");
+    let race = rec.heuristics().expect("the race ran beside the resumed ladder");
+    assert_eq!(race.dsatur_upper, restored.upper);
+    assert_eq!(race.greedy_clique_lower, restored.lower);
     std::fs::remove_file(&path).unwrap();
 }
 
