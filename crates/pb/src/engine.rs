@@ -238,7 +238,10 @@ pub struct PbEngine {
     /// the literal `!p` — i.e. the constraints whose slack drops when `p`
     /// becomes true.
     occ: Vec<Vec<(u32, u64)>>,
-    values: Vec<VarValue>,
+    /// `vals[l.code()]` is the value of literal `l`: both polarities of a
+    /// variable are written on assignment and cleared on backtrack, so
+    /// reading a literal's value is a single load.
+    vals: Vec<VarValue>,
     level: Vec<u32>,
     reason: Vec<Reason>,
     trail_pos: Vec<usize>,
@@ -301,7 +304,7 @@ impl PbEngine {
             watches: vec![Vec::new(); 2 * num_vars],
             pbs: Vec::new(),
             occ: vec![Vec::new(); 2 * num_vars],
-            values: vec![VarValue::Undef; num_vars],
+            vals: vec![VarValue::Undef; 2 * num_vars],
             level: vec![0; num_vars],
             reason: vec![Reason::Decision; num_vars],
             trail_pos: vec![NO_POS; num_vars],
@@ -542,11 +545,12 @@ impl PbEngine {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> VarValue {
-        match (self.values[l.var().index()], l.is_negated()) {
-            (VarValue::Undef, _) => VarValue::Undef,
-            (VarValue::True, false) | (VarValue::False, true) => VarValue::True,
-            _ => VarValue::False,
-        }
+        self.vals[l.code()]
+    }
+
+    #[inline]
+    fn var_value(&self, v: usize) -> VarValue {
+        self.lit_value(Var::from_index(v).positive())
     }
 
     #[inline]
@@ -704,7 +708,8 @@ impl PbEngine {
     fn enqueue(&mut self, l: Lit, reason: Reason) {
         debug_assert_eq!(self.lit_value(l), VarValue::Undef);
         let v = l.var().index();
-        self.values[v] = if l.is_negated() { VarValue::False } else { VarValue::True };
+        self.vals[l.code()] = VarValue::True;
+        self.vals[(!l).code()] = VarValue::False;
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail_pos[v] = self.trail.len();
@@ -831,7 +836,8 @@ impl PbEngine {
             for &(idx, a) in &self.occ[p.code()] {
                 self.pbs[idx as usize].slack += a as i64;
             }
-            self.values[v] = VarValue::Undef;
+            self.vals[p.code()] = VarValue::Undef;
+            self.vals[(!p).code()] = VarValue::Undef;
             self.reason[v] = Reason::Decision;
             self.trail_pos[v] = NO_POS;
             self.heap.insert(v, &self.activity);
@@ -1228,7 +1234,7 @@ impl PbEngine {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop_max(&self.activity) {
-            if self.values[v] == VarValue::Undef {
+            if self.var_value(v) == VarValue::Undef {
                 let phase = self.saved_phase[v];
                 return Some(Var::from_index(v).lit(!phase));
             }
@@ -1334,7 +1340,7 @@ impl PbEngine {
             return SolveOutcome::Unsat;
         }
         for v in 0..self.num_vars {
-            if self.values[v] == VarValue::Undef {
+            if self.var_value(v) == VarValue::Undef {
                 self.heap.insert(v, &self.activity);
             }
         }
@@ -1491,7 +1497,7 @@ impl PbEngine {
                 match self.pick_branch() {
                     None => {
                         let model = Assignment::from_bools(
-                            self.values.iter().map(|&v| v == VarValue::True),
+                            (0..self.num_vars).map(|v| self.var_value(v) == VarValue::True),
                         );
                         return SolveOutcome::Sat(model);
                     }
