@@ -32,7 +32,9 @@ pub struct PbStats {
     pub learned: u64,
     /// Number of learned clauses deleted.
     pub deleted: u64,
-    /// Number of conflicts whose analysis touched a PB constraint.
+    /// Number of analyzed conflicts whose conflicting constraint, or a
+    /// reason their 1UIP derivation resolved on, is a PB constraint; each
+    /// conflict counts at most once, so this never exceeds `conflicts`.
     pub pb_conflicts: u64,
     /// Total literals across all learned clauses (after minimization).
     pub learned_literals: u64,
@@ -276,9 +278,19 @@ pub struct PbEngine {
     inputs: u32,
     /// Hint chain of the lemma being derived, reused across conflicts.
     chain: Vec<u32>,
-    /// Minimization's removed literals as (trail position, reason), reused.
-    minimized_reasons: Vec<(usize, u32)>,
+    /// The lemma's resolved literals as (trail position, reason hint):
+    /// those its 1UIP analysis resolved away and those minimization
+    /// removed or passed through; reused.
+    resolved: Vec<(usize, u32)>,
     seen: Vec<bool>,
+    /// Literals `analyze` marked in `seen`, to unmark when it is done.
+    to_clear: Vec<Lit>,
+    /// Depth-first stack of `lit_redundant`.
+    redundant_stack: Vec<Lit>,
+    /// The falsified terms offered to the explainer, reused.
+    false_terms: Vec<FalseTerm>,
+    /// The PB explanation last materialized by `explain_pb`, reused.
+    expl: Vec<Lit>,
     /// Assumption core of the last assumption-relative UNSAT answer.
     final_core: Vec<Lit>,
     /// LBD trend tracker for `RestartPolicy::AdaptiveLbd`.
@@ -327,8 +339,12 @@ impl PbEngine {
             clause_ids: Vec::new(),
             inputs: 0,
             chain: Vec::new(),
-            minimized_reasons: Vec::new(),
+            resolved: Vec::new(),
             seen: vec![false; num_vars],
+            to_clear: Vec::new(),
+            redundant_stack: Vec::new(),
+            false_terms: Vec::new(),
+            expl: Vec::new(),
             final_core: Vec::new(),
             glue: GlueEma::default(),
             sharing: None,
@@ -423,8 +439,9 @@ impl PbEngine {
     /// deletions and the final empty clause.
     ///
     /// Each learned clause is logged with its hint chain: the proof IDs of
-    /// the reason clauses its 1UIP analysis and local minimization resolved
-    /// on, in trail order, ending with the conflict clause. A
+    /// the reason clauses its 1UIP analysis resolved on and of the reasons
+    /// of every literal recursive minimization removed or passed through,
+    /// in trail order, ending with the conflict clause. A
     /// root-simplified clause's chain is its input clause. IDs follow the
     /// checker's numbering — the `i`-th [`add_clause`](PbEngine::add_clause)
     /// call after this one is ID `i`, and the sink's addition `n` is
@@ -872,71 +889,75 @@ impl PbEngine {
         }
     }
 
-    /// Materializes the literals to resolve on for a reason.
-    ///
-    /// For a PB reason, builds the explanation clause for `implied` (or the
-    /// conflict explanation when `implied` is `None`), using only literals
-    /// falsified before the implied literal.
-    fn reason_lits(&mut self, reason: Reason, implied: Option<Lit>) -> Vec<Lit> {
+    /// The literals of `reason`: its stored clause, or for a PB reason the
+    /// explanation [`PbEngine::explain_pb`] last materialized.
+    #[inline]
+    fn reason_lits(&self, reason: Reason) -> &[Lit] {
         match reason {
-            Reason::Decision => panic!("decision has no reason"),
-            Reason::Clause(cref) => {
-                self.bump_clause(cref as usize);
-                self.clauses[cref as usize].lits.clone()
-            }
-            Reason::Pb(idx) => {
-                self.stats.pb_conflicts += 1;
-                let pb = &self.pbs[idx as usize];
-                let cutoff = implied.map(|l| self.trail_pos[l.var().index()]).unwrap_or(usize::MAX);
-                let mut false_terms = Vec::new();
-                let mut propagated_coeff = 0;
-                for &(a, l) in &pb.terms {
-                    if Some(l) == implied {
-                        propagated_coeff = a;
-                        continue;
-                    }
-                    if self.lit_value(l) == VarValue::False {
-                        let pos = self.trail_pos[l.var().index()];
-                        if pos < cutoff {
-                            false_terms.push(FalseTerm { lit: l, coeff: a, trail_pos: pos });
-                        }
-                    }
-                }
-                let chosen = self.config.explain.select(
-                    pb.rhs,
-                    pb.coeff_sum,
-                    &false_terms,
-                    propagated_coeff,
-                );
-                let mut lits = Vec::with_capacity(chosen.len() + 1);
-                if let Some(l) = implied {
-                    lits.push(l);
-                }
-                lits.extend(chosen);
-                lits
-            }
+            Reason::Decision => &[],
+            Reason::Clause(cref) => &self.clauses[cref as usize].lits,
+            Reason::Pb(_) => &self.expl,
         }
     }
 
-    /// First-UIP conflict analysis; returns the learned clause (asserting
-    /// literal first) and the backjump level.
+    /// Materializes into `expl` the clause explaining PB constraint `idx`'s
+    /// propagation of `implied` (the implied literal first), or its
+    /// conflict when `implied` is `None`, using only literals falsified
+    /// before the implied literal.
+    fn explain_pb(&mut self, idx: u32, implied: Option<Lit>) {
+        let pb = &self.pbs[idx as usize];
+        let cutoff = implied.map_or(usize::MAX, |l| self.trail_pos[l.var().index()]);
+        self.false_terms.clear();
+        let mut propagated_coeff = 0;
+        for &(a, l) in &pb.terms {
+            if Some(l) == implied {
+                propagated_coeff = a;
+                continue;
+            }
+            if self.lit_value(l) == VarValue::False {
+                let pos = self.trail_pos[l.var().index()];
+                if pos < cutoff {
+                    self.false_terms.push(FalseTerm { lit: l, coeff: a, trail_pos: pos });
+                }
+            }
+        }
+        self.expl.clear();
+        self.expl.extend(implied);
+        self.config.explain.select(
+            pb.rhs,
+            pb.coeff_sum,
+            &mut self.false_terms,
+            propagated_coeff,
+            &mut self.expl,
+        );
+    }
+
+    /// First-UIP conflict analysis of `confl` followed by recursive
+    /// minimization; returns the learned clause (asserting literal first)
+    /// and the backjump level.
     ///
-    /// Takes the conflict's literals already materialized (see
-    /// [`PbEngine::reason_lits`]) — the caller must build them *before*
-    /// any chronological pre-backtrack, because PB explanations are
-    /// computed from the assignment at conflict time. With a proof logger
-    /// the caller also starts `chain` with the conflict's hint, and
-    /// `analyze` completes it in trail order.
-    fn analyze(&mut self, conflict_lits: Vec<Lit>) -> (Vec<Lit>, u32) {
+    /// A PB conflict's explanation must already be in `expl`: the caller
+    /// builds it *before* any chronological pre-backtrack, because PB
+    /// explanations are computed from the assignment at conflict time.
+    /// With a proof logger `analyze` also fills `chain`: the reasons of
+    /// every literal the derivation resolved away, in trail order, then
+    /// the conflict.
+    fn analyze(&mut self, confl: Reason) -> (Vec<Lit>, u32) {
         let current = self.decision_level();
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut lits = conflict_lits;
+        let mut reason = confl;
+        let mut touched_pb = matches!(confl, Reason::Pb(_));
+        self.resolved.clear();
 
         loop {
-            for &q in &lits {
+            if let Reason::Clause(cref) = reason {
+                self.bump_clause(cref as usize);
+            }
+            for i in 0..self.reason_lits(reason).len() {
+                let q = self.reason_lits(reason)[i];
                 if p == Some(q) {
                     continue;
                 }
@@ -965,70 +986,124 @@ impl PbEngine {
             if counter == 0 {
                 break;
             }
-            let reason = self.reason[v];
-            if self.proof.is_some() {
-                let hint = self.hint(reason);
-                self.chain.push(hint);
+            reason = self.reason[v];
+            if let Reason::Pb(idx) = reason {
+                touched_pb = true;
+                self.explain_pb(idx, p);
             }
-            lits = self.reason_lits(reason, p);
+            if self.proof.is_some() {
+                self.push_resolved(lit);
+            }
         }
+        self.stats.pb_conflicts += u64::from(touched_pb);
         learnt[0] = !p.expect("asserting literal");
 
-        // Local minimization: drop literals implied by the rest.
-        let mut minimized = Vec::with_capacity(learnt.len());
-        for (i, &q) in learnt.iter().enumerate() {
-            if i == 0 {
-                minimized.push(q);
-                continue;
-            }
-            let reason = self.reason[q.var().index()];
-            let removable = match reason {
-                Reason::Decision => false,
-                Reason::Clause(cref) => self.clauses[cref as usize]
-                    .lits
-                    .iter()
-                    .all(|&x| x == !q || self.seen_or_root(x)),
-                // PB explanations are computed lazily; skip minimization.
-                Reason::Pb(_) => false,
-            };
-            if !removable {
-                minimized.push(q);
-            } else if self.proof.is_some() {
-                let hint = self.hint(reason);
-                self.minimized_reasons.push((self.trail_pos[q.var().index()], hint));
+        // Recursive minimization (MiniSat's `litRedundant`): drop every
+        // literal whose reasons lead, through clause and PB reasons alike,
+        // only to literals of the clause or the root level.
+        let abstract_levels =
+            learnt[1..].iter().fold(0, |acc, &q| acc | self.abstract_level(q.var().index()));
+        self.to_clear.clear();
+        self.to_clear.extend_from_slice(&learnt);
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let q = learnt[i];
+            if self.reason[q.var().index()] == Reason::Decision
+                || !self.lit_redundant(q, abstract_levels)
+            {
+                learnt[kept] = q;
+                kept += 1;
             }
         }
-        for &q in &learnt {
+        learnt.truncate(kept);
+        for &q in &self.to_clear {
             self.seen[q.var().index()] = false;
         }
         if self.proof.is_some() {
-            // The chain holds the conflict and the resolved reasons from
-            // the latest trail position back; the removed literals sit
-            // lower on the trail. Reversed, every clause is unit (the
-            // conflict falsified) once the literals before it are set.
-            self.minimized_reasons.sort_unstable_by_key(|&(pos, _)| std::cmp::Reverse(pos));
-            self.chain.extend(self.minimized_reasons.drain(..).map(|(_, hint)| hint));
-            self.chain.reverse();
+            // Every literal resolved away sits lower on the trail than the
+            // literals its reason mentions, so in trail order each reason
+            // is unit (the conflict falsified) once the clause is negated.
+            self.resolved.sort_unstable_by_key(|&(pos, _)| pos);
+            self.chain.clear();
+            self.chain.extend(self.resolved.iter().map(|&(_, hint)| hint));
+            let hint = self.hint(confl);
+            self.chain.push(hint);
         }
 
         let mut bt = 0;
         let mut max_i = 1;
-        for (i, &q) in minimized.iter().enumerate().skip(1) {
+        for (i, &q) in learnt.iter().enumerate().skip(1) {
             let lvl = self.level[q.var().index()];
             if lvl > bt {
                 bt = lvl;
                 max_i = i;
             }
         }
-        if minimized.len() > 1 {
-            minimized.swap(1, max_i);
+        if learnt.len() > 1 {
+            learnt.swap(1, max_i);
         }
-        (minimized, bt)
+        (learnt, bt)
     }
 
-    fn seen_or_root(&self, l: Lit) -> bool {
-        let v = l.var().index();
-        self.seen[v] || self.level[v] == 0
+    /// A 32-bit summary of `v`'s decision level, OR-ed over a clause's
+    /// literals to reject most non-redundant literals without a walk.
+    #[inline]
+    fn abstract_level(&self, v: usize) -> u32 {
+        1 << (self.level[v] & 31)
+    }
+
+    /// Whether the learned-clause literal `p` (false, implied) is implied
+    /// by the clause's literals marked in `seen`: its reason's other
+    /// literals are marked, at the root level, or — recursively — implied
+    /// literals at a level in `abstract_levels` that pass the same test.
+    /// Literals found redundant stay marked (in `to_clear`), so later
+    /// calls reuse them; a failed call unmarks what it marked. On success
+    /// with a proof logger, the reasons of `p` and of the literals passed
+    /// through join `resolved`.
+    fn lit_redundant(&mut self, p: Lit, abstract_levels: u32) -> bool {
+        let top = self.to_clear.len();
+        self.redundant_stack.clear();
+        self.redundant_stack.push(p);
+        while let Some(q) = self.redundant_stack.pop() {
+            let qv = q.var().index();
+            let reason = self.reason[qv];
+            if let Reason::Pb(idx) = reason {
+                self.explain_pb(idx, Some(!q));
+            }
+            for i in 0..self.reason_lits(reason).len() {
+                let x = self.reason_lits(reason)[i];
+                let v = x.var().index();
+                if v == qv || self.seen[v] || self.level[v] == 0 {
+                    continue;
+                }
+                if self.reason[v] == Reason::Decision
+                    || self.abstract_level(v) & abstract_levels == 0
+                {
+                    for &l in &self.to_clear[top..] {
+                        self.seen[l.var().index()] = false;
+                    }
+                    self.to_clear.truncate(top);
+                    return false;
+                }
+                self.seen[v] = true;
+                self.redundant_stack.push(x);
+                self.to_clear.push(x);
+            }
+        }
+        if self.proof.is_some() {
+            self.push_resolved(p);
+            for i in top..self.to_clear.len() {
+                self.push_resolved(self.to_clear[i]);
+            }
+        }
+        true
+    }
+
+    /// Records `q`'s trail position and reason hint in `resolved`.
+    fn push_resolved(&mut self, q: Lit) {
+        let v = q.var().index();
+        let hint = self.hint(self.reason[v]);
+        self.resolved.push((self.trail_pos[v], hint));
     }
 
     fn reduce_db(&mut self) {
@@ -1287,8 +1362,11 @@ impl PbEngine {
                 // enter the core as assumed (q is on the trail as assumed).
                 Reason::Decision => core.push(q),
                 r => {
-                    let lits = self.reason_lits(r, Some(q));
-                    for &x in &lits {
+                    if let Reason::Pb(idx) = r {
+                        self.explain_pb(idx, Some(q));
+                    }
+                    for i in 0..self.reason_lits(r).len() {
+                        let x = self.reason_lits(r)[i];
                         if x != q && self.level[x.var().index()] > 0 {
                             self.seen[x.var().index()] = true;
                         }
@@ -1360,21 +1438,22 @@ impl PbEngine {
                     self.ok = false;
                     return SolveOutcome::Unsat;
                 }
-                // Materialize the conflict's literals *before* any
+                // Materialize a PB conflict's explanation *before* any
                 // chronological pre-backtrack: PB conflict explanations
                 // are computed from the assignment at conflict time.
-                let confl_lits = self.reason_lits(confl, None);
-                if self.proof.is_some() {
-                    self.chain.clear();
-                    let hint = self.hint(confl);
-                    self.chain.push(hint);
+                if let Reason::Pb(idx) = confl {
+                    self.explain_pb(idx, None);
                 }
                 if self.config.chrono {
                     // Guard for out-of-order trails: if the conflict has
                     // no literal at the current level, undo the levels
                     // above its maximum before analyzing.
-                    let maxl =
-                        confl_lits.iter().map(|l| self.level[l.var().index()]).max().unwrap_or(0);
+                    let maxl = self
+                        .reason_lits(confl)
+                        .iter()
+                        .map(|l| self.level[l.var().index()])
+                        .max()
+                        .unwrap_or(0);
                     if maxl == 0 {
                         self.proof_refute(confl);
                         self.ok = false;
@@ -1384,7 +1463,7 @@ impl PbEngine {
                         self.backtrack_to(maxl);
                     }
                 }
-                let (learnt, bt) = self.analyze(confl_lits);
+                let (learnt, bt) = self.analyze(confl);
                 let lbd = self.compute_lbd(&learnt);
                 self.glue.observe(lbd);
                 self.stats.lbd_sum += lbd as u64;
@@ -2115,6 +2194,46 @@ mod tests {
                     other => panic!("expected SAT with {restart:?}, got {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pb_conflicts_count_each_conflict_at_most_once() {
+        let mut e = default_engine(&mixed_pigeonhole(6));
+        assert!(e.solve().is_unsat());
+        let st = e.stats();
+        assert!(st.pb_conflicts > 0, "PB pigeonhole conflicts resolve on PB reasons");
+        assert!(st.pb_conflicts <= st.conflicts, "{} of {}", st.pb_conflicts, st.conflicts);
+    }
+
+    #[test]
+    fn recursive_minimization_removes_what_the_local_check_keeps() {
+        // Assuming a then c: a implies x, x implies y (level 1); c and y
+        // imply p, and p, a, c conflict (level 2). 1UIP learns
+        // (¬c ∨ ¬a ∨ ¬y). Locally ¬y stays: its reason (¬x ∨ y) names x,
+        // which is not in the clause. Recursively x's reason leads back to
+        // a, so y is implied by ¬a's negation and drops out — whether x's
+        // reason is a clause or an at-most-one PB explanation.
+        let [a, x, y, c, p, e] = [0, 1, 2, 3, 4, 5].map(|i| lit(i, false));
+        for pb in [false, true] {
+            let mut f = PbFormula::with_vars(6);
+            if pb {
+                f.add_at_most_one(&[a, !x, e]);
+            } else {
+                f.add_clause([!a, x]);
+            }
+            f.add_clause([!x, y]);
+            f.add_clause([!c, !y, p]);
+            f.add_clause([!p, !a, !c]);
+            let mut engine = default_engine(&f);
+            assert!(engine.solve_with_assumptions(&[a, c], &Budget::unlimited()).is_unsat());
+            let all = SharingConfig { max_lbd: u32::MAX, max_len: usize::MAX };
+            let learned = engine.export_learned(all);
+            assert_eq!(learned.len(), 1, "pb={pb}: {learned:?}");
+            let mut lits = learned[0].0.clone();
+            lits.sort_unstable();
+            assert_eq!(lits, [!a, !c], "pb={pb}");
+            assert_eq!(engine.stats().pb_conflicts, 0, "pb={pb}: 1UIP resolved clauses only");
         }
     }
 

@@ -44,8 +44,10 @@ impl ExplainStrategy {
     /// terms `false_terms`, and — for a propagation — the coefficient
     /// `propagated_coeff` of the implied literal (`0` for a conflict).
     ///
-    /// Returns the chosen subset of falsified literals. The caller prepends
-    /// the implied literal for propagations.
+    /// Appends the chosen subset of falsified literals to `out`, so the
+    /// engine can reuse one buffer for every explanation and put the
+    /// implied literal of a propagation first. The greedy strategies sort
+    /// `false_terms` in place.
     ///
     /// # Panics
     ///
@@ -56,9 +58,10 @@ impl ExplainStrategy {
         self,
         rhs: u64,
         coeff_sum: u64,
-        false_terms: &[FalseTerm],
+        false_terms: &mut [FalseTerm],
         propagated_coeff: u64,
-    ) -> Vec<Lit> {
+        out: &mut Vec<Lit>,
+    ) {
         // The implication `ℓᵢ ∨ ⋁F'` holds iff
         //   coeff_sum - propagated_coeff - Σ_{j∈F'} aⱼ < rhs.
         let full: u64 = false_terms.iter().map(|t| t.coeff).sum();
@@ -67,16 +70,14 @@ impl ExplainStrategy {
             "explanation requested for a non-implication"
         );
         match self {
-            ExplainStrategy::AllFalse => false_terms.iter().map(|t| t.lit).collect(),
+            ExplainStrategy::AllFalse => out.extend(false_terms.iter().map(|t| t.lit)),
             ExplainStrategy::GreedyCoefficient => {
-                let mut sorted: Vec<&FalseTerm> = false_terms.iter().collect();
-                sorted.sort_by_key(|t| (std::cmp::Reverse(t.coeff), t.trail_pos));
-                Self::take_until_valid(rhs, coeff_sum, propagated_coeff, &sorted)
+                false_terms.sort_by_key(|t| (std::cmp::Reverse(t.coeff), t.trail_pos));
+                Self::take_until_valid(rhs, coeff_sum, propagated_coeff, false_terms, out);
             }
             ExplainStrategy::GreedyRecency => {
-                let mut sorted: Vec<&FalseTerm> = false_terms.iter().collect();
-                sorted.sort_by_key(|t| std::cmp::Reverse(t.trail_pos));
-                Self::take_until_valid(rhs, coeff_sum, propagated_coeff, &sorted)
+                false_terms.sort_by_key(|t| std::cmp::Reverse(t.trail_pos));
+                Self::take_until_valid(rhs, coeff_sum, propagated_coeff, false_terms, out);
             }
         }
     }
@@ -85,19 +86,18 @@ impl ExplainStrategy {
         rhs: u64,
         coeff_sum: u64,
         propagated_coeff: u64,
-        ordered: &[&FalseTerm],
-    ) -> Vec<Lit> {
+        ordered: &[FalseTerm],
+        out: &mut Vec<Lit>,
+    ) {
         let mut remaining = coeff_sum - propagated_coeff;
-        let mut chosen = Vec::new();
         for t in ordered {
             if remaining < rhs {
                 break;
             }
             remaining -= t.coeff;
-            chosen.push(t.lit);
+            out.push(t.lit);
         }
         debug_assert!(remaining < rhs, "greedy selection failed to reach validity");
-        chosen
     }
 }
 
@@ -110,12 +110,25 @@ mod tests {
         FalseTerm { lit: Var::from_index(i).positive(), coeff, trail_pos: pos }
     }
 
+    /// `strategy`'s explanation as a fresh vector.
+    fn select(
+        strategy: ExplainStrategy,
+        rhs: u64,
+        coeff_sum: u64,
+        terms: &[FalseTerm],
+        propagated_coeff: u64,
+    ) -> Vec<Lit> {
+        let mut out = Vec::new();
+        strategy.select(rhs, coeff_sum, &mut terms.to_vec(), propagated_coeff, &mut out);
+        out
+    }
+
     /// Constraint: 3a + 2b + 1c + 1d >= 3 (sum 7). a,b false → slack = 2-3 <0?
     /// With a,b false remaining = 2 < 3: conflict. Explanations:
     #[test]
     fn all_false_takes_everything() {
         let terms = [ft(0, 3, 10), ft(1, 2, 20)];
-        let lits = ExplainStrategy::AllFalse.select(3, 7, &terms, 0);
+        let lits = select(ExplainStrategy::AllFalse, 3, 7, &terms, 0);
         assert_eq!(lits.len(), 2);
     }
 
@@ -125,14 +138,14 @@ mod tests {
         // Taking just a (coeff 5): remaining 2, not < 2. Need b too? remaining
         // after a = 2 which is NOT < 2, so must continue: take b → 1 < 2. Both.
         let terms = [ft(0, 5, 1), ft(1, 1, 2)];
-        let lits = ExplainStrategy::GreedyCoefficient.select(2, 7, &terms, 0);
+        let lits = select(ExplainStrategy::GreedyCoefficient, 2, 7, &terms, 0);
         assert_eq!(lits.len(), 2);
         // 5a + 3b + 1c >= 3, sum 9; a,b false → remaining 1 < 3 ✓.
         // Greedy: a (rem 4), b (rem 1 < 3) → needs both; but with
         // 6a + 3b + 1c >= 3 (sum 10), a,b false (rem 1): a → rem 4, b → 1. Hmm.
         // With rhs 5: 6a+3b+1c >= 5, a,b false → rem 1 < 5; a → rem 4 < 5 ✓
         let terms = [ft(0, 6, 1), ft(1, 3, 2)];
-        let lits = ExplainStrategy::GreedyCoefficient.select(5, 10, &terms, 0);
+        let lits = select(ExplainStrategy::GreedyCoefficient, 5, 10, &terms, 0);
         assert_eq!(lits.len(), 1);
         assert_eq!(lits[0], Var::from_index(0).positive());
     }
@@ -143,7 +156,7 @@ mod tests {
         // remaining without c = 4, a false → 2 < 4 ✓. Now both a,b false;
         // explanation should take most recent first and stop when valid.
         let terms = [ft(0, 2, 1), ft(1, 2, 9)];
-        let lits = ExplainStrategy::GreedyRecency.select(4, 5, &terms, 1);
+        let lits = select(ExplainStrategy::GreedyRecency, 4, 5, &terms, 1);
         assert_eq!(lits.len(), 1);
         assert_eq!(lits[0], Var::from_index(1).positive(), "most recent literal chosen");
     }
@@ -154,10 +167,10 @@ mod tests {
         // so the greedy strategies need *no* antecedent literals, while
         // AllFalse conservatively includes the falsified b.
         let terms = [ft(1, 2, 4)];
-        let lits = ExplainStrategy::AllFalse.select(3, 5, &terms, 3);
+        let lits = select(ExplainStrategy::AllFalse, 3, 5, &terms, 3);
         assert_eq!(lits.len(), 1);
         for strat in [ExplainStrategy::GreedyCoefficient, ExplainStrategy::GreedyRecency] {
-            assert!(strat.select(3, 5, &terms, 3).is_empty(), "{strat:?}");
+            assert!(select(strat, 3, 5, &terms, 3).is_empty(), "{strat:?}");
         }
         // 3a + 2b + 2c >= 4 (sum 7): with b false, remaining excl. a = 2 <
         // 4 − wait: 7−3−2 = 2 < 4 ⇒ a implied *because* b is false; every
@@ -168,7 +181,7 @@ mod tests {
             ExplainStrategy::GreedyCoefficient,
             ExplainStrategy::GreedyRecency,
         ] {
-            let lits = strat.select(4, 7, &terms, 3);
+            let lits = select(strat, 4, 7, &terms, 3);
             assert_eq!(lits.len(), 1, "{strat:?}");
         }
     }
