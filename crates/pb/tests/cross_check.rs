@@ -1,14 +1,19 @@
 //! Randomized cross-checks of the PB engines against brute-force
 //! enumeration: decision agreement on pure random k-SAT and on mixed
-//! CNF+PB formulas, optimization agreement, and agreement *between* the
+//! CNF+PB formulas, optimization agreement, agreement *between* the
 //! solver kinds (the paper's "same trends, independent implementations"
-//! premise).
+//! premise), and entailment of every clause the engine learns on mixed
+//! formulas, checked by the learning-free branch and bound.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sbgc_formula::{Lit, Objective, PbConstraint, PbFormula, Var};
-use sbgc_pb::{optimize, solve_decision, Budget, EngineConfig, PbEngine, SolveOutcome, SolverKind};
+use sbgc_pb::{
+    optimize, solve_decision, BnbSolver, Budget, EngineConfig, ExplainStrategy, PbEngine,
+    SharingConfig, SolveOutcome, SolverKind,
+};
+use sbgc_proof::{ProofStep, SharedProof};
 use sbgc_sat::naive;
 
 /// A random pure k-CNF formula.
@@ -213,4 +218,159 @@ proptest! {
             );
         }
     }
+}
+
+/// PHP(n, n) with an exactly-one PB row per pigeon and an at-most-one
+/// PB column per hole (satisfiable), and the assumptions that leave the
+/// last hole empty (unsatisfiable under them, like PHP(n, n − 1)).
+fn pb_pigeonhole(n: usize) -> (PbFormula, Vec<Lit>) {
+    let x = |p: usize, h: usize| Var::from_index(p * n + h).positive();
+    let mut f = PbFormula::with_vars(n * n);
+    for p in 0..n {
+        f.add_exactly_one(&(0..n).map(|h| x(p, h)).collect::<Vec<_>>());
+    }
+    for h in 0..n {
+        f.add_at_most_one(&(0..n).map(|p| x(p, h)).collect::<Vec<_>>());
+    }
+    (f, (0..n).map(|p| !x(p, n - 1)).collect())
+}
+
+/// The `colors`-coloring of `edges` over `vertices` vertices with an
+/// exactly-one PB constraint per vertex and a clause per edge and color.
+fn coloring_pb(vertices: usize, edges: &[(usize, usize)], colors: usize) -> PbFormula {
+    let x = |v: usize, c: usize| Var::from_index(v * colors + c).positive();
+    let mut f = PbFormula::with_vars(vertices * colors);
+    for v in 0..vertices {
+        f.add_exactly_one(&(0..colors).map(|c| x(v, c)).collect::<Vec<_>>());
+    }
+    for &(u, v) in edges {
+        for c in 0..colors {
+            f.add_clause([!x(u, c), !x(v, c)]);
+        }
+    }
+    f
+}
+
+/// A G(n, p) graph's coloring encoding at K = χ (χ found by the engine
+/// on K = 1, 2, …) and the assumptions that leave color χ − 1
+/// unused: the K = χ − 1 query of the chromatic ladder, whose refutation
+/// stays relative to the assumptions, so its lemmas are entailed by a
+/// satisfiable formula.
+fn coloring_ladder_rung(vertices: usize, p: f64, rng: &mut StdRng) -> (PbFormula, Vec<Lit>) {
+    let mut edges = Vec::new();
+    for u in 0..vertices {
+        for v in u + 1..vertices {
+            if rng.gen_bool(p) {
+                edges.push((u, v));
+            }
+        }
+    }
+    let colorable = |k: usize| {
+        PbEngine::from_formula(&coloring_pb(vertices, &edges, k), EngineConfig::default())
+            .solve()
+            .is_sat()
+    };
+    let chi = (1..=vertices).find(|&k| colorable(k)).expect("n colors always suffice");
+    let unused = (0..vertices).map(|v| Var::from_index(v * chi + chi - 1).negative()).collect();
+    (coloring_pb(vertices, &edges, chi), unused)
+}
+
+/// Random 3-clauses plus random cardinality constraints (unit
+/// coefficients, at-least or at-most) over `n` variables.
+fn random_cardinality(n: usize, rng: &mut StdRng) -> PbFormula {
+    let mut f = PbFormula::with_vars(n);
+    let lit = |rng: &mut StdRng| Var::from_index(rng.gen_range(0..n)).lit(rng.gen_bool(0.5));
+    for _ in 0..4 * n {
+        f.add_clause((0..3).map(|_| lit(rng)).collect::<Vec<_>>());
+    }
+    for _ in 0..n / 3 {
+        let lits: Vec<Lit> = (0..rng.gen_range(4..=8)).map(|_| lit(rng)).collect();
+        let bound = rng.gen_range(1..lits.len() as i64);
+        let terms = lits.iter().map(|&l| (1, l));
+        if rng.gen_bool(0.5) {
+            f.add_pb(PbConstraint::at_least(terms, bound));
+        } else {
+            f.add_pb(PbConstraint::at_most(terms, bound));
+        }
+    }
+    f
+}
+
+/// Every clause the engine keeps is entailed by the formula, also when
+/// recursive minimization removed literals through PB explanations: the
+/// branch and bound, which learns nothing, finds no model of F ∧ ¬C for
+/// any live learned clause C. The cases are the PB pigeonhole and
+/// exactly-one colorings queried one hole or color short under
+/// assumptions (so F stays satisfiable and the check is not vacuous), and
+/// random cardinality constraints, under every explanation strategy and
+/// the four diversified worker configurations.
+///
+/// A floor on the lemmas that only minimization took through a PB
+/// explanation keeps the cases honest. They are counted from the proof
+/// log: a lemma is logged without hints exactly when its derivation used
+/// a PB explanation (PB constraints have no proof ID), and `pb_conflicts`
+/// counts those whose conflict or 1UIP derivation did.
+#[test]
+fn learned_clauses_are_entailed_through_pb_minimization() {
+    let strategies = [
+        ExplainStrategy::AllFalse,
+        ExplainStrategy::GreedyCoefficient,
+        ExplainStrategy::GreedyRecency,
+    ];
+    let mut minimized_through_pb = 0;
+    let mut checked = 0;
+    for case in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let (f, assumptions) = match case % 3 {
+            0 => pb_pigeonhole(rng.gen_range(6..=7)),
+            1 => coloring_ladder_rung(rng.gen_range(12..=14), 0.5, &mut rng),
+            _ => (random_cardinality(rng.gen_range(30..=40), &mut rng), Vec::new()),
+        };
+        let explain = strategies[(case / 3) as usize % 3];
+        let config = EngineConfig { explain, ..EngineConfig::default() }
+            .with_seed(case + 1)
+            .diversified(case as usize % 4);
+        let shared = SharedProof::new();
+        let mut engine = PbEngine::new(f.num_vars(), config);
+        engine.set_proof_logger(Box::new(shared.clone()));
+        for c in f.clauses() {
+            engine.add_clause(c.literals().iter().copied());
+        }
+        for pb in f.pb_constraints() {
+            engine.add_pb(pb.clone());
+        }
+        // Frequent reductions keep the live set, and so the checks, small
+        // while the search runs up to a thousand conflicts.
+        engine.set_max_learnts(20.0);
+        engine.solve_with_assumptions(&assumptions, &Budget::unlimited());
+
+        let proof = shared.take();
+        let adds = proof.steps().iter().filter_map(|step| match step {
+            ProofStep::Add(lits) => Some(lits),
+            ProofStep::Delete(_) => None,
+        });
+        let hintless = adds
+            .enumerate()
+            .filter(|&(j, lits)| !lits.is_empty() && proof.hints(j).is_empty())
+            .count() as u64;
+        minimized_through_pb += hintless
+            .checked_sub(engine.stats().pb_conflicts)
+            .expect("every PB conflict's lemma is logged without hints");
+
+        let all = SharingConfig { max_lbd: u32::MAX, max_len: usize::MAX };
+        for (clause, _) in engine.export_learned(all) {
+            let mut negated = f.clone();
+            for &l in &clause {
+                negated.add_clause([!l]);
+            }
+            let out = BnbSolver::new(&negated).run_decision(&Budget::unlimited());
+            assert!(out.is_unsat(), "case {case} ({explain:?}): {clause:?} is not entailed");
+            checked += 1;
+        }
+    }
+    assert!(checked > 1000, "too few learned clauses checked: {checked}");
+    assert!(
+        minimized_through_pb >= 20,
+        "too few lemmas minimized through a PB explanation: {minimized_through_pb}"
+    );
 }

@@ -264,7 +264,9 @@ proptest! {
     /// the adds and the deletes agree. Each proof is checked once more
     /// against the formula with one clause weakened by a fresh literal,
     /// which turns lemmas resolved on it into non-RUP ones that their
-    /// (now wrong) chains still name.
+    /// (now wrong) chains still name. Checked as logged against the
+    /// original clauses, every refutation closes each addition by its
+    /// chain: minimization's removed and intermediate literals included.
     fn hints_never_change_a_verdict(
         family in 0usize..3,
         worker in 0usize..4,
@@ -304,6 +306,9 @@ proptest! {
         }
         if let Ok(stats) = check_drat(num_vars, &clauses, &stripped) {
             prop_assert_eq!(stats.chained, 0);
+        }
+        if let Ok(stats) = check_drat(num_vars, &clauses, &proof) {
+            prop_assert_eq!(stats.searched, 0);
         }
     }
 }
