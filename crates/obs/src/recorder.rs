@@ -67,7 +67,8 @@ pub enum Counter {
     Learned,
     /// Learned clauses deleted by database reduction.
     Deleted,
-    /// Conflicts whose analysis touched a PB constraint.
+    /// Analyzed conflicts whose conflicting constraint, or a reason their
+    /// 1UIP derivation resolved on, is a PB constraint (each at most once).
     PbConflicts,
     /// Total literals across all learned clauses (divide by
     /// [`Counter::Learned`] for the mean learned-clause size).
@@ -154,7 +155,8 @@ pub struct SearchCounters {
     pub learned: u64,
     /// Learned clauses deleted by database reduction.
     pub deleted: u64,
-    /// Conflicts whose analysis touched a PB constraint.
+    /// Analyzed conflicts whose conflicting constraint, or a reason their
+    /// 1UIP derivation resolved on, is a PB constraint (each at most once).
     pub pb_conflicts: u64,
     /// Total literals across all learned clauses.
     pub learned_literals: u64,

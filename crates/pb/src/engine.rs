@@ -1020,9 +1020,10 @@ impl PbEngine {
             self.seen[q.var().index()] = false;
         }
         if self.proof.is_some() {
-            // Every literal resolved away sits lower on the trail than the
-            // literals its reason mentions, so in trail order each reason
-            // is unit (the conflict falsified) once the clause is negated.
+            // A reason names, besides the literal it implied, only literals
+            // set earlier on the trail; so under the negated clause each
+            // reason is unit once those before it in trail order have
+            // propagated, and the conflict ends falsified.
             self.resolved.sort_unstable_by_key(|&(pos, _)| pos);
             self.chain.clear();
             self.chain.extend(self.resolved.iter().map(|&(_, hint)| hint));
