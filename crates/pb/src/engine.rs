@@ -894,7 +894,7 @@ impl PbEngine {
     #[inline]
     fn reason_lits(&self, reason: Reason) -> &[Lit] {
         match reason {
-            Reason::Decision => &[],
+            Reason::Decision => unreachable!("a decision has no reason"),
             Reason::Clause(cref) => &self.clauses[cref as usize].lits,
             Reason::Pb(_) => &self.expl,
         }
@@ -2212,9 +2212,9 @@ mod tests {
         // Assuming a then c: a implies x, x implies y (level 1); c and y
         // imply p, and p, a, c conflict (level 2). 1UIP learns
         // (¬c ∨ ¬a ∨ ¬y). Locally ¬y stays: its reason (¬x ∨ y) names x,
-        // which is not in the clause. Recursively x's reason leads back to
-        // a, so y is implied by ¬a's negation and drops out — whether x's
-        // reason is a clause or an at-most-one PB explanation.
+        // which is not in the clause. Recursively x's reason (¬a ∨ x) ends
+        // at ¬a, which is, so ¬y drops out — whether x's reason is a
+        // clause or an at-most-one PB explanation.
         let [a, x, y, c, p, e] = [0, 1, 2, 3, 4, 5].map(|i| lit(i, false));
         for pb in [false, true] {
             let mut f = PbFormula::with_vars(6);
