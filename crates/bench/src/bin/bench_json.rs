@@ -90,19 +90,20 @@ struct RunRecord {
     decided: bool,
     colors: Option<u64>,
     winner: Option<String>,
-    /// One entry per portfolio worker (decided or not); empty for the
-    /// sequential run.
+    /// One entry per portfolio worker per optimization step (decided or
+    /// not); empty for the sequential run.
     workers: Vec<String>,
 }
 
-/// Renders one worker's telemetry: which configuration it ran, its share
-/// of the clause traffic, the mean LBD of what it learned, and whether it
-/// produced the winning answer.
+/// Renders one worker's telemetry at one optimization step: which
+/// configuration it ran, its share of the step's clause traffic, the mean
+/// LBD of what it learned, and whether it won the step.
 fn worker_json(w: &WorkerTelemetry) -> String {
     format!(
-        "{{\"index\": {}, \"config\": \"{}\", \"exported\": {}, \"imported\": {}, \
-         \"lbd_mean\": {}, \"won\": {}}}",
+        "{{\"index\": {}, \"step\": {}, \"config\": \"{}\", \"exported\": {}, \
+         \"imported\": {}, \"lbd_mean\": {}, \"won\": {}}}",
         w.index,
+        w.query.map_or("null".to_string(), |q| q.to_string()),
         json_escape(&w.config),
         w.search.exported,
         w.search.imported,
@@ -214,16 +215,17 @@ fn main() {
             .expect("portfolio_configs is non-empty and the formula has an objective");
             let elapsed = start.elapsed();
             let mut telemetry = rec.workers();
-            telemetry.sort_by_key(|w| w.index);
+            telemetry.sort_by_key(|w| (w.query, w.index));
             let portfolio = RunRecord {
                 time: elapsed,
                 conflicts: par_out.stats.conflicts,
                 decided: par_out.outcome.is_decided(),
                 colors: par_out.outcome.value(),
-                winner: telemetry
-                    .iter()
-                    .find(|w| w.won)
-                    .map(|w| format!("worker {}: {}", w.index, w.config)),
+                // The worker that won the deciding step, by its label.
+                winner: par_out.winner.and_then(|(index, _)| {
+                    let w = telemetry.iter().find(|w| w.index == index)?;
+                    Some(format!("worker {index}: {}", w.config))
+                }),
                 workers: telemetry.iter().map(worker_json).collect(),
             };
 

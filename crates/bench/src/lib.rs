@@ -146,33 +146,44 @@ pub const QUICK_INSTANCES: [&str; 8] =
     ["myciel3", "myciel4", "myciel5", "queen5_5", "queen6_6", "huck", "jean", "miles250"];
 
 impl HarnessConfig {
-    /// Parses `std::env::args`-style flags. Unknown flags abort with a
-    /// usage message.
+    /// Parses `std::env::args`-style flags ([`HarnessConfig::parse`]); an
+    /// unknown flag or a bad value exits 2 with a usage line.
     pub fn from_args(default_k: usize, default_timeout: Duration) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, default_k, default_timeout).unwrap_or_else(|message| usage(&message))
+    }
+
+    /// Parses `args`, the flags after the binary name, over the given
+    /// defaults, then validates the supervision knobs
+    /// ([`HarnessConfig::validate_supervision`]).
+    ///
+    /// # Errors
+    ///
+    /// The message [`HarnessConfig::from_args`] prints above its usage
+    /// line: an unknown flag, a missing or malformed value, `--k 0`, or
+    /// seconds that are negative, NaN or too large for a [`Duration`].
+    pub fn parse(
+        args: &[String],
+        default_k: usize,
+        default_timeout: Duration,
+    ) -> Result<Self, String> {
         let mut config =
             HarnessConfig { timeout: default_timeout, k: default_k, ..HarnessConfig::default() };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--timeout" => {
-                    i += 1;
-                    let secs: f64 = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--timeout needs seconds"));
-                    config.timeout = Duration::from_secs_f64(secs);
-                }
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            let mut value = |what: &str| args.next().ok_or_else(|| format!("{flag} needs {what}"));
+            match flag {
+                "--timeout" => config.timeout = seconds(flag, value("seconds")?)?,
                 "--k" => {
-                    i += 1;
-                    config.k = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--k needs an integer"));
+                    config.k = value("a positive integer")?
+                        .parse()
+                        .ok()
+                        .filter(|&k| k > 0)
+                        .ok_or("--k needs a positive integer")?;
                 }
                 "--instances" => {
-                    i += 1;
-                    let list = args.get(i).unwrap_or_else(|| usage("--instances needs a list"));
+                    let list = value("a list")?;
                     config.instances = list.split(',').map(|s| s.trim().to_string()).collect();
                 }
                 "--full" => {
@@ -180,76 +191,42 @@ impl HarnessConfig {
                 }
                 "--per-instance" => config.per_instance = true,
                 "--jobs" => {
-                    i += 1;
-                    let jobs: usize = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--jobs needs an integer"));
+                    let jobs: usize =
+                        value("an integer")?.parse().map_err(|_| "--jobs needs an integer")?;
                     config.jobs = jobs.max(1);
                 }
-                "--report" => {
-                    i += 1;
-                    let path = args.get(i).unwrap_or_else(|| usage("--report needs a path"));
-                    config.report = Some(path.clone());
-                }
+                "--report" => config.report = Some(value("a path")?.clone()),
                 "--certify" => config.certify = true,
                 "--min-speedup" => {
-                    i += 1;
-                    let min: f64 = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--min-speedup needs a number"));
-                    config.min_speedup = Some(min);
+                    // A NaN threshold would pass every `speedup < min` gate.
+                    let min =
+                        value("a finite number")?.parse().ok().filter(|m: &f64| m.is_finite());
+                    config.min_speedup = Some(min.ok_or("--min-speedup needs a finite number")?);
                 }
-                "--proof" => {
-                    i += 1;
-                    let dir = args.get(i).unwrap_or_else(|| usage("--proof needs a directory"));
-                    config.proof_dir = Some(dir.clone());
-                }
+                "--proof" => config.proof_dir = Some(value("a directory")?.clone()),
                 "--sbp" => {
-                    i += 1;
-                    let name = args.get(i).unwrap_or_else(|| usage("--sbp needs a mode name"));
-                    config.sbp = Some(SbpMode::parse(name).unwrap_or_else(|| {
-                        usage(&format!(
+                    let name = value("a mode name")?;
+                    config.sbp = Some(SbpMode::parse(name).ok_or_else(|| {
+                        format!(
                             "unknown SBP mode `{name}` (try one of: {})",
                             SbpMode::EXTENDED.map(|m| m.display_name()).join(", ")
-                        ))
-                    }));
+                        )
+                    })?);
                 }
-                "--checkpoint" => {
-                    i += 1;
-                    let path = args.get(i).unwrap_or_else(|| usage("--checkpoint needs a path"));
-                    config.checkpoint = Some(path.clone());
-                }
-                "--resume" => {
-                    i += 1;
-                    let path = args.get(i).unwrap_or_else(|| usage("--resume needs a path"));
-                    config.resume = Some(path.clone());
-                }
+                "--checkpoint" => config.checkpoint = Some(value("a path")?.clone()),
+                "--resume" => config.resume = Some(value("a path")?.clone()),
                 "--watchdog-secs" => {
-                    i += 1;
-                    let secs: f64 = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--watchdog-secs needs seconds"));
-                    config.watchdog_secs = Some(secs);
+                    config.watchdog_secs = Some(seconds(flag, value("seconds")?)?.as_secs_f64());
                 }
                 "--retries" => {
-                    i += 1;
-                    let retries: u32 = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--retries needs an integer"));
-                    config.retries = Some(retries);
+                    let retries = value("an integer")?.parse();
+                    config.retries = Some(retries.map_err(|_| "--retries needs an integer")?);
                 }
-                other => usage(&format!("unknown flag `{other}`")),
+                other => return Err(format!("unknown flag `{other}`")),
             }
-            i += 1;
         }
-        if let Err(message) = config.validate_supervision() {
-            usage(&message);
-        }
-        config
+        config.validate_supervision()?;
+        Ok(config)
     }
 
     /// Parse-time validation of the supervision knobs: degenerate values
@@ -259,11 +236,9 @@ impl HarnessConfig {
     /// with the same typed messages [`SupervisorConfig::validate`] uses.
     pub fn validate_supervision(&self) -> Result<(), String> {
         if let Some(secs) = self.watchdog_secs {
-            // `<= 0.0 || is_nan` rather than `!(> 0.0)`: same NaN-rejecting
-            // behavior without the negated-comparison lint.
-            if secs <= 0.0 || secs.is_nan() {
-                return Err("--watchdog-secs must be positive (a zero window cancels every \
-                            attempt before its first conflict)"
+            if !Duration::try_from_secs_f64(secs).is_ok_and(|window| !window.is_zero()) {
+                return Err("--watchdog-secs must be positive and finite (a zero window \
+                            cancels every attempt before its first conflict)"
                     .to_string());
             }
         }
@@ -295,7 +270,7 @@ impl HarnessConfig {
             sup = sup.with_resume_from(path);
         }
         if let Some(secs) = self.watchdog_secs {
-            sup = sup.with_watchdog(Duration::from_secs_f64(secs.max(0.0)));
+            sup = sup.with_watchdog(Duration::try_from_secs_f64(secs).unwrap_or_default());
         }
         if let Some(retries) = self.retries {
             sup = sup.with_max_retries(retries);
@@ -312,6 +287,15 @@ impl HarnessConfig {
     pub fn budget(&self) -> Budget {
         Budget::unlimited().with_timeout(self.timeout)
     }
+}
+
+/// Parses `value`, the argument of `flag`, as a number of seconds.
+fn seconds(flag: &str, value: &str) -> Result<Duration, String> {
+    value
+        .parse()
+        .ok()
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+        .ok_or_else(|| format!("{flag} needs a non-negative, finite number of seconds"))
 }
 
 fn usage(message: &str) -> ! {
@@ -881,8 +865,15 @@ mod tests {
         };
         let inst = suite::build("myciel3");
         let report = collect_run_report(&inst, &config);
-        assert_eq!(report.workers.len(), 2);
-        assert_eq!(report.workers.iter().filter(|w| w.won).count(), 1);
+        // Each optimization step records both workers, one of them won.
+        let steps = report.workers.iter().filter(|w| w.won).count();
+        assert!(steps >= 2, "χ = 4 at K = 5 takes a model and a refutation");
+        assert_eq!(report.workers.len(), 2 * steps);
+        for step in 0..steps as u64 {
+            let at_step = report.workers.iter().filter(|w| w.query == Some(step));
+            assert_eq!(at_step.clone().count(), 2, "step {step}");
+            assert_eq!(at_step.filter(|w| w.won).count(), 1, "step {step}");
+        }
     }
 
     #[test]
@@ -1038,6 +1029,45 @@ mod tests {
             ..HarnessConfig::default()
         };
         assert!(collision.validate_supervision().unwrap_err().contains("clobber"));
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessConfig, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        HarnessConfig::parse(&args, 5, Duration::from_secs(2))
+    }
+
+    #[test]
+    fn flags_parse_over_the_defaults() {
+        let config =
+            parse(&["--timeout", "1.5", "--k", "7", "--jobs", "2", "--watchdog-secs", "3"])
+                .expect("valid flags");
+        assert_eq!(config.timeout, Duration::from_millis(1500));
+        assert_eq!((config.k, config.jobs), (7, 2));
+        assert_eq!(config.watchdog_secs, Some(3.0));
+        let defaults = parse(&[]).expect("no flags");
+        assert_eq!((defaults.k, defaults.timeout), (5, Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn bad_flag_values_are_errors_not_panics() {
+        for (args, needle) in [
+            (&["--timeout", "-1"][..], "--timeout"),
+            (&["--timeout", "nan"], "--timeout"),
+            (&["--timeout", "inf"], "--timeout"),
+            (&["--timeout"], "--timeout"),
+            (&["--watchdog-secs", "inf"], "--watchdog-secs"),
+            (&["--watchdog-secs", "-2"], "--watchdog-secs"),
+            (&["--watchdog-secs", "0"], "--watchdog-secs"),
+            (&["--k", "0"], "--k"),
+            (&["--k", "-3"], "--k"),
+            (&["--min-speedup", "nan"], "--min-speedup"),
+            (&["--retries", "0"], "--retries"),
+            (&["--sbp", "bogus"], "ValPrec"),
+            (&["--bogus"], "unknown flag"),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 
     /// Satellite regression: an atomic artifact write that fails mid-flight

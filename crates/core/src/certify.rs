@@ -29,12 +29,9 @@ use crate::encode::cnf_decision_formula;
 use crate::flow::SolveOptions;
 use sbgc_formula::{Lit, PbFormula};
 use sbgc_graph::{Coloring, Graph};
-use sbgc_pb::{
-    Budget, CancelToken, PbEngine, SharedClausePool, SharingConfig, SolveOutcome, SolverKind,
-};
+use sbgc_pb::{Budget, EngineConfig, PbEngine, PortfolioSession, SolveOutcome, SolverKind};
 use sbgc_proof::{
-    check_drat, AddsOnlyProofLogger, DratProof, FileProofLogger, ProofLogger, SharedProof,
-    TeeProofLogger,
+    check_drat, DratProof, FileProofLogger, ProofLogger, SharedProof, TeeProofLogger,
 };
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -221,7 +218,7 @@ pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
     let slot = Arc::new(Mutex::new(Some(archive)));
     let shared = SharedProof::new();
     let logger = TeeProofLogger::new(shared.clone(), StreamHandle(slot.clone()));
-    let mut engine = certifier(num_vars, &clauses, 0, Box::new(logger));
+    let mut engine = certifier(num_vars, &clauses, Box::new(logger));
     let solve_start = Instant::now();
     let outcome = engine.solve_with_budget(budget);
     let solve_seconds = solve_start.elapsed().as_secs_f64();
@@ -243,19 +240,18 @@ pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
     (status, proof)
 }
 
-/// Builds certifying worker `worker`'s engine (worker 0 when solving
+/// Certifying worker `worker`'s configuration (worker 0 when solving
 /// sequentially): the PBS II preset with seed 0 and that worker's
-/// modern-CDCL knobs ([`sbgc_pb::EngineConfig::diversified`]), with
-/// `logger` attached before `clauses` are added so root simplifications
-/// enter the proof.
-fn certifier(
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
-    worker: usize,
-    logger: Box<dyn ProofLogger>,
-) -> PbEngine {
-    let config = SolverKind::PbsII.engine_config().expect("PBS II is a CDCL preset");
-    let mut engine = PbEngine::new(num_vars, config.diversified(worker));
+/// modern-CDCL knobs ([`EngineConfig::diversified`]).
+fn certifier_config(worker: usize) -> EngineConfig {
+    SolverKind::PbsII.engine_config().expect("PBS II is a CDCL preset").diversified(worker)
+}
+
+/// Builds the sequential certifier's engine (worker 0), with `logger`
+/// attached before `clauses` are added so root simplifications enter the
+/// proof.
+fn certifier(num_vars: usize, clauses: &[Vec<Lit>], logger: Box<dyn ProofLogger>) -> PbEngine {
+    let mut engine = PbEngine::new(num_vars, certifier_config(0));
     engine.set_proof_logger(logger);
     for c in clauses {
         engine.add_clause(c.iter().copied());
@@ -325,16 +321,12 @@ fn check_outcome(
 /// Solves `clauses` expecting UNSAT, then replays the logged proof through
 /// the independent checker.
 ///
-/// With `workers > 1` this races that many diversified engines that share
-/// learned clauses through a [`SharedClausePool`]; the first definitive
-/// answer cancels the rest. The combined DRAT log stays checkable because
-/// every worker appends *additions only* (deletions are suppressed by
-/// [`AddsOnlyProofLogger`] — one worker's deletion could strip a clause a
-/// peer's later addition resolves on) into the same [`SharedProof`], an
-/// exporter logs its clause before publishing it to the pool, and an
-/// importer re-logs what it attaches: every addition is RUP with respect
-/// to the log prefix it lands after, whichever interleaving the race
-/// produces, and the checker stops at the first derived empty clause.
+/// With `workers > 1` this races that many [`certifier_config`] engines
+/// as a one-query [`PortfolioSession::with_proof`], sharing learned
+/// clauses and logging additions only into one [`SharedProof`] (see
+/// there why the interleaved log stays checkable); the first definitive
+/// answer cancels the rest, and a panicking worker dies alone. The
+/// checker stops at the first derived empty clause.
 fn refute_and_check(
     num_vars: usize,
     clauses: &[Vec<Lit>],
@@ -344,48 +336,20 @@ fn refute_and_check(
     let shared = SharedProof::new();
     let solve_start = Instant::now();
     let outcome = if workers <= 1 {
-        certifier(num_vars, clauses, 0, Box::new(shared.clone())).solve_with_budget(budget)
+        certifier(num_vars, clauses, Box::new(shared.clone())).solve_with_budget(budget)
     } else {
-        race_refutation(num_vars, clauses, budget, workers, &shared)
+        let mut formula = PbFormula::with_vars(num_vars);
+        for c in clauses {
+            formula.add_clause(c.iter().copied());
+        }
+        let configs: Vec<_> = (0..workers).map(certifier_config).collect();
+        PortfolioSession::with_proof(&formula, &configs, &shared)
+            .expect("workers > 1")
+            .query(&[], budget)
+            .outcome
     };
     let solve_seconds = solve_start.elapsed().as_secs_f64();
     check_outcome(outcome, num_vars, clauses, shared.take(), solve_seconds)
-}
-
-/// The racing half of [`refute_and_check`]: `workers` diversified engines,
-/// one clause pool, adds-only proof logging into `shared`.
-fn race_refutation(
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
-    budget: &Budget,
-    workers: usize,
-    shared: &SharedProof,
-) -> SolveOutcome {
-    let budget = budget.started();
-    let race = CancelToken::new();
-    let pool = SharedClausePool::new();
-    let first: Mutex<Option<SolveOutcome>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for index in 0..workers {
-            let worker_budget = budget.clone().with_cancel_token(race.clone());
-            let handle = pool.handle(index, SharingConfig::default());
-            let logger = AddsOnlyProofLogger::new(shared.clone());
-            let (race, first) = (&race, &first);
-            s.spawn(move || {
-                let mut engine = certifier(num_vars, clauses, index, Box::new(logger));
-                engine.set_sharing(handle);
-                let out = engine.solve_with_budget(&worker_budget);
-                if matches!(out, SolveOutcome::Sat(_) | SolveOutcome::Unsat) {
-                    let mut w = first.lock().unwrap_or_else(PoisonError::into_inner);
-                    if w.is_none() {
-                        *w = Some(out);
-                        race.cancel();
-                    }
-                }
-            });
-        }
-    });
-    first.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or(SolveOutcome::Unknown)
 }
 
 /// Certifies an exact chromatic-number result.
@@ -724,11 +688,10 @@ mod tests {
     #[test]
     fn certifier_worker_zero_runs_the_pbs2_preset() {
         let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
-        let engine = certifier(num_vars, &clauses, 0, Box::new(SharedProof::new()));
+        let engine = certifier(num_vars, &clauses, Box::new(SharedProof::new()));
         assert_eq!(Some(engine.config()), SolverKind::PbsII.engine_config());
         assert_eq!(engine.num_vars(), num_vars);
-        let racer = certifier(num_vars, &clauses, 1, Box::new(SharedProof::new()));
-        assert_ne!(racer.config(), engine.config(), "racing workers are diversified");
+        assert_ne!(certifier_config(1), engine.config(), "racing workers are diversified");
     }
 
     #[test]

@@ -186,11 +186,11 @@ impl ChromaticOutcome {
 /// every later query (the incremental-SAT refinement of the paper's
 /// Section 4.1 procedure). Instance-independent SBPs are compatible with
 /// the suffix assumptions: they only ever *prefer* low color indices.
-/// [`sbgc_pb::SolverKind::Portfolio`] runs a *persistent* portfolio — one
-/// long-lived engine per worker thread, all racing each ladder query with
-/// clause sharing. Only the CPLEX baseline (no incremental interface) and
-/// instance-dependent (Shatter) SBPs fall back to one exact-optimization
-/// run, after the heuristic race. The clique bound can certify
+/// With [`SolveOptions::parallelism`] above 1 the ladder runs a
+/// *persistent* portfolio — one long-lived engine per worker thread, all
+/// racing each ladder query with clause sharing. Only the CPLEX baseline
+/// (no incremental interface) and instance-dependent (Shatter) SBPs fall
+/// back to one exact-optimization run, after the heuristic race. The clique bound can certify
 /// optimality without search.
 ///
 /// `options.k` acts as a cap (like the paper's K = 20 application bound);
@@ -565,14 +565,13 @@ mod tests {
         // exists on the session path, and it must show multiple workers.
         use sbgc_graph::gen::gnp;
         use sbgc_obs::Recorder;
-        use sbgc_pb::SolverKind;
         // χ = 7 with clique bound 6 and DSATUR bound 8: search needed.
         let g = gnp(24, 0.5, 3);
         let recorder = Recorder::new();
         // Heuristics off: the race could close the bracket by itself and
         // leave no ladder step for the assertions below.
         let opts = SolveOptions::new(20)
-            .with_solver(SolverKind::Portfolio)
+            .with_parallelism(4)
             .with_recorder(recorder.clone())
             .without_heuristics();
         let out = chromatic_number_outcome(&g, &opts).expect("valid inputs");

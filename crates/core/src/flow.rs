@@ -51,9 +51,9 @@ pub struct SolveOptions {
     /// Number of parallel solver workers. `1` (the default) runs exactly
     /// the sequential path of the paper reproduction; larger values race a
     /// diversified portfolio of that many CDCL workers with cooperative
-    /// cancellation (see [`sbgc_pb::PortfolioSession`] and
-    /// [`sbgc_pb::optimize_portfolio`]). Ignored by the branch-and-bound
-    /// [`SolverKind::Cplex`] baseline.
+    /// cancellation, one [`sbgc_pb::PortfolioSession`] per solve (the
+    /// fixed-K flow drives it through [`sbgc_pb::optimize_portfolio`]).
+    /// Ignored by the branch-and-bound [`SolverKind::Cplex`] baseline.
     pub parallelism: usize,
     /// Observability sink: an enabled [`Recorder`] receives phase spans
     /// (encode/sbp/detect/solve/verify), solver counters, and per-worker
@@ -61,16 +61,18 @@ pub struct SolveOptions {
     /// stride-boundary branches to the hot paths.
     pub recorder: Recorder,
     /// Whether the chromatic searches may race the `sbgc-heur` local-search
-    /// workers (TabuCol/PartialCol descents and clique search) to tighten
-    /// the initial `[lower, upper]` bracket before the exact ladder runs.
-    /// On by default; affects only chromatic-number entry points, never
-    /// fixed-K [`solve_coloring`] runs. Every heuristic bound is
-    /// re-validated at the trust boundary, so this flag trades wall-clock,
-    /// not soundness (see `DESIGN.md` §4i).
+    /// workers (TabuCol/PartialCol descents and clique search) beside the
+    /// incremental ladder, tightening the shared `[lower, upper]` bracket
+    /// while the ladder's queries run; only the CPLEX/Shatter fallback
+    /// still runs the race first, before its one exact optimization. On by
+    /// default; affects only chromatic-number entry points, never fixed-K
+    /// [`solve_coloring`] runs. Every heuristic bound is re-validated at
+    /// the trust boundary, so this flag trades wall-clock, not soundness
+    /// (see `DESIGN.md` §4i).
     pub heuristics: bool,
     /// Deterministic fault injection for chaos tests, read by every race
-    /// these options drive: the portfolio optimization race, the
-    /// persistent ladder session, the heuristic race and the supervisor
+    /// these options drive: the portfolio session (fixed-K optimization
+    /// and the ladder alike), the heuristic race and the supervisor
     /// (see `docs/ROBUSTNESS.md` for which layer reads which field). The
     /// default empty plan injects nothing.
     pub fault: FaultPlan,
@@ -152,8 +154,7 @@ impl SolveOptions {
     }
 
     /// The portfolio worker count implied by these options: `Some(n)` when
-    /// the solve should race a portfolio (explicit
-    /// [`SolverKind::Portfolio`], or `parallelism > 1` with a CDCL
+    /// the solve should race a portfolio (`parallelism > 1` with a CDCL
     /// solver), `None` for the sequential path. The CPLEX baseline never
     /// uses the portfolio — it is the paper's non-CDCL control.
     pub fn portfolio_workers(&self) -> Option<usize> {
@@ -161,19 +162,11 @@ impl SolveOptions {
     }
 }
 
-/// The worker-count policy behind [`SolveOptions::portfolio_workers`]:
-/// an explicit [`SolverKind::Portfolio`] races `parallelism` workers, or
-/// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] when `parallelism ≤ 1`; any
-/// other CDCL solver races only when `parallelism > 1`; the CPLEX
-/// baseline never does.
+/// The worker-count policy behind [`SolveOptions::portfolio_workers`]: a
+/// CDCL solver races `parallelism` workers when `parallelism > 1`; the
+/// CPLEX baseline never does.
 fn portfolio_workers(solver: SolverKind, parallelism: usize) -> Option<usize> {
-    match solver {
-        SolverKind::Portfolio if parallelism <= 1 => Some(SolverKind::DEFAULT_PORTFOLIO_WORKERS),
-        SolverKind::Portfolio => Some(parallelism),
-        SolverKind::Cplex => None,
-        _ if parallelism > 1 => Some(parallelism),
-        _ => None,
-    }
+    (solver != SolverKind::Cplex && parallelism > 1).then_some(parallelism)
 }
 
 /// Outcome of a coloring run.
@@ -337,10 +330,9 @@ impl PreparedColoring {
 
     /// Like [`PreparedColoring::solve`], but racing `parallelism`
     /// diversified portfolio workers when [`SolveOptions::portfolio_workers`]
-    /// would (`parallelism > 1`, or `solver` is [`SolverKind::Portfolio`]),
-    /// and reporting pipeline misuse as a typed [`SolveError`] instead of
-    /// panicking. With `parallelism = 1` and a non-portfolio solver this is
-    /// exactly the sequential path.
+    /// would (`parallelism > 1` with a CDCL solver), and reporting pipeline
+    /// misuse as a typed [`SolveError`] instead of panicking. With
+    /// `parallelism = 1` this is exactly the sequential path.
     ///
     /// # Panics
     ///
@@ -546,7 +538,7 @@ mod tests {
     #[test]
     fn portfolio_solver_kind_solves() {
         let g = queens(5, 5);
-        let report = solve_coloring(&g, &SolveOptions::new(6).with_solver(SolverKind::Portfolio));
+        let report = solve_coloring(&g, &SolveOptions::new(6).with_parallelism(4));
         assert_eq!(report.outcome.colors(), Some(5));
         assert!(report.outcome.is_decided());
     }
@@ -591,13 +583,21 @@ mod tests {
 
     #[test]
     fn recorder_captures_portfolio_workers() {
+        // One entry per worker per optimization step, one winner per step.
         let g = queens(5, 5);
         let rec = Recorder::new();
         let opts = SolveOptions::new(6).with_parallelism(3).with_recorder(rec.clone());
         let report = solve_coloring(&g, &opts);
         assert!(report.outcome.is_decided());
-        assert_eq!(rec.workers().len(), 3);
-        assert_eq!(rec.workers().iter().filter(|w| w.won).count(), 1);
+        let workers = rec.workers();
+        let steps = workers.iter().filter(|w| w.won).count();
+        assert!(steps >= 2, "χ = 5 at K = 6 takes a model and a refutation");
+        assert_eq!(workers.len(), 3 * steps);
+        for step in 0..steps as u64 {
+            let at_step: Vec<_> = workers.iter().filter(|w| w.query == Some(step)).collect();
+            assert_eq!(at_step.len(), 3, "step {step}");
+            assert_eq!(at_step.iter().filter(|w| w.won).count(), 1, "step {step}");
+        }
     }
 
     #[test]

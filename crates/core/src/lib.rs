@@ -21,9 +21,12 @@
 //!   instance-dependent symmetries with the Shatter flow, hand the result
 //!   to one of the 0-1 ILP solvers of `sbgc-pb`, decode, and
 //!   independently verify the coloring;
-//! * [`chromatic`] — exact chromatic numbers via the paper's K-selection
-//!   procedure (DSATUR upper bound, clique lower bound, then exact
-//!   optimization);
+//! * [`chromatic`] — exact chromatic numbers from the DSATUR/clique
+//!   bracket by one incremental ladder: a persistent session refutes or
+//!   witnesses one color count per query under suffix assumptions, with
+//!   the heuristic race tightening the bracket beside it; only the
+//!   CPLEX/Shatter fallback races first and then runs one exact
+//!   optimization;
 //! * [`heuristics`] — the local-search bound race (TabuCol and PartialCol
 //!   descents plus clique search from `sbgc-heur`) that tightens the
 //!   greedy bracket beside the exact ladder, with every heuristic result

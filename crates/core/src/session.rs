@@ -122,7 +122,7 @@ pub struct ColoringSession<'g> {
 
 impl<'g> ColoringSession<'g> {
     /// Whether `options` names a configuration the session can drive
-    /// incrementally: any CDCL solver (including the portfolio), with
+    /// incrementally: any CDCL solver, sequential or raced, with
     /// instance-independent SBPs only, in an
     /// [assumption-sound](crate::SbpMode::assumption_sound) mode. The
     /// CPLEX baseline has no incremental interface, and

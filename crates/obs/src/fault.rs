@@ -1,15 +1,14 @@
 //! Deterministic fault injection for chaos testing.
 //!
 //! A [`FaultPlan`] describes *when and where* the pipeline should fail:
-//! which portfolio worker panics and when (after a conflict count in an
-//! optimization race, at a query index in a persistent session), and
-//! which proof write reports an I/O error. Plans are plain data — seeded,
-//! cloneable and free of wall-clock or RNG state at trigger time — so a
-//! chaos test that fails replays identically under `--test-threads=1` or
-//! in a debugger.
+//! which portfolio worker panics and at which 0-based query of its
+//! session, and which proof write reports an I/O error. Plans are plain
+//! data — seeded, cloneable and free of wall-clock or RNG state at
+//! trigger time — so a chaos test that fails replays identically under
+//! `--test-threads=1` or in a debugger.
 //!
 //! Production runs carry the empty plan (`FaultPlan::default()`): the
-//! portfolio entry points take a plan argument and `sbgc-core` carries one
+//! portfolio session takes a plan argument and `sbgc-core` carries one
 //! in `SolveOptions::fault`, and an empty plan injects nothing, so the
 //! machinery costs a few branches outside the solver hot path.
 //!
@@ -18,10 +17,10 @@
 //! ```
 //! use sbgc_obs::FaultPlan;
 //!
-//! let plan = FaultPlan::new(42).with_seeded_worker_panic(4, 100);
+//! let plan = FaultPlan::new(42).with_seeded_worker_panic(4, 1);
 //! let victim = plan.panicking_worker().unwrap();
 //! assert!(victim < 4);
-//! assert_eq!(plan.worker_panic(victim), Some(100));
+//! assert_eq!(plan.worker_panic(victim), Some(1));
 //! // Every other worker is untouched.
 //! assert!((0..4).filter(|&w| plan.worker_panic(w).is_some()).count() == 1);
 //! ```
@@ -30,9 +29,9 @@
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
-    /// `(worker index, count)`: the worker panics; the count is a conflict
-    /// count in an optimization race and a 0-based query index in a
-    /// persistent session, and the heuristic race ignores it.
+    /// `(worker index, query index)`: the portfolio worker panics before
+    /// that 0-based query of its session; the heuristic race ignores the
+    /// query index.
     worker_panic: Option<(usize, u64)>,
     /// 1-based index of the first proof write that fails; all later writes
     /// fail too (a full disk stays full).
@@ -68,23 +67,23 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Schedules worker `worker` to panic after `after_conflicts`
-    /// conflicts. A persistent portfolio session reads the count as the
-    /// 0-based query index at which the worker panics instead, and the
-    /// heuristic race panics the worker whatever the count.
-    pub fn with_worker_panic(mut self, worker: usize, after_conflicts: u64) -> Self {
-        self.worker_panic = Some((worker, after_conflicts));
+    /// Schedules portfolio worker `worker` to panic before the 0-based
+    /// query `query` of its session — a worker dying between ladder or
+    /// optimization steps. The heuristic race panics the worker whatever
+    /// the query index.
+    pub fn with_worker_panic(mut self, worker: usize, query: u64) -> Self {
+        self.worker_panic = Some((worker, query));
         self
     }
 
     /// Schedules a panic in a seed-chosen worker out of `num_workers`
-    /// after `after_conflicts` conflicts. The choice is a pure function of
+    /// before the 0-based query `query`. The choice is a pure function of
     /// the seed (SplitMix64), so a given seed always kills the same
     /// worker.
-    pub fn with_seeded_worker_panic(self, num_workers: usize, after_conflicts: u64) -> Self {
+    pub fn with_seeded_worker_panic(self, num_workers: usize, query: u64) -> Self {
         assert!(num_workers > 0, "need at least one worker to kill");
         let victim = (splitmix64(self.seed) % num_workers as u64) as usize;
-        self.with_worker_panic(victim, after_conflicts)
+        self.with_worker_panic(victim, query)
     }
 
     /// Schedules the `k`-th proof write (1-based) and every write after it
@@ -95,9 +94,8 @@ impl FaultPlan {
         self
     }
 
-    /// If worker `worker` is scheduled to die: the count at which it must
-    /// panic (conflicts, or a session query index; see
-    /// [`FaultPlan::with_worker_panic`]).
+    /// If worker `worker` is scheduled to die: the 0-based session query
+    /// before which it panics (see [`FaultPlan::with_worker_panic`]).
     pub fn worker_panic(&self, worker: usize) -> Option<u64> {
         match self.worker_panic {
             Some((w, n)) if w == worker => Some(n),

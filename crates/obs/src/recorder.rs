@@ -215,9 +215,10 @@ pub struct SpanRecord {
     pub depth: usize,
 }
 
-/// Per-worker telemetry of one portfolio race, recorded by
-/// `sbgc-pb::optimize_portfolio` and by every `sbgc-pb::PortfolioSession`
-/// query when given an enabled recorder.
+/// Per-worker telemetry of one portfolio race, recorded by every
+/// `sbgc-pb::PortfolioSession` query (a ladder step, an optimization
+/// step, a one-shot decision race) and by the heuristic race when given
+/// an enabled recorder.
 #[derive(Clone, Debug)]
 pub struct WorkerTelemetry {
     /// Worker index into the portfolio's config slice.
@@ -247,11 +248,11 @@ pub struct WorkerTelemetry {
     /// wins, and its `search` counters are whatever was flushed before
     /// death (possibly all zero).
     pub failed: Option<String>,
-    /// For persistent-session workers: the 0-based query index this
-    /// telemetry entry describes (a session records one entry per worker
-    /// per ladder query, with `search` holding that query's counter
-    /// *delta*, not the worker's lifetime totals). `None` for one-shot
-    /// races.
+    /// For CDCL workers: the 0-based session query this telemetry entry
+    /// describes — a ladder step or an optimization step (a session
+    /// records one entry per worker per query, with `search` holding the
+    /// worker's counter *delta* since its previous entry, not its lifetime
+    /// totals). `None` for heuristic racers.
     pub query: Option<u64>,
 }
 

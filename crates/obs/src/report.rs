@@ -40,7 +40,11 @@ use crate::recorder::{
 /// race answered mid-flight) and narrowed the `heuristics` object's
 /// `upper`, `lower` and `rungs_skipped` to what heuristic workers alone
 /// established, with `seconds` the race's wall time beside the ladder.
-pub const SCHEMA_VERSION: u32 = 9;
+/// v10 set the per-worker `query` of fixed-K portfolio runs: optimization
+/// races one session query per step, so it records one worker entry per
+/// step with the step index in `query` (previously one entry per worker
+/// with `query: null`).
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// Identity and size of the graph instance a run solved.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -567,7 +571,7 @@ mod tests {
             runs: vec![report],
         };
         let json = file.to_json();
-        assert!(json.contains("\"schema_version\": 9"));
+        assert!(json.contains("\"schema_version\": 10"));
         assert!(json.contains("\"heuristics\": null"));
         assert!(json.contains("\"supervisor\": null"));
         assert!(json.contains("\"resume\": null"));

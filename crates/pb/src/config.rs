@@ -121,21 +121,9 @@ pub enum SolverKind {
     /// Generic branch-and-bound 0-1 ILP without conflict learning
     /// (CPLEX stand-in).
     Cplex,
-    /// Parallel portfolio racing diversified CDCL configurations (see
-    /// [`crate::PortfolioSession`] and [`crate::optimize_portfolio`]); not
-    /// part of the paper's line-up. When reached through the sequential
-    /// [`crate::optimize`] / [`crate::solve_decision`] interface (which
-    /// carries no worker count) it runs
-    /// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] workers; the end-to-end
-    /// flow passes its `parallelism` option explicitly.
-    Portfolio,
 }
 
 impl SolverKind {
-    /// Worker count used when [`SolverKind::Portfolio`] is run through an
-    /// interface that does not carry an explicit parallelism setting.
-    pub const DEFAULT_PORTFOLIO_WORKERS: usize = 4;
-
     /// All kinds used in the main tables (Tables 3–4).
     pub const MAIN: [SolverKind; 4] =
         [SolverKind::PbsII, SolverKind::Cplex, SolverKind::Galena, SolverKind::Pueblo];
@@ -150,9 +138,7 @@ impl SolverKind {
     ];
 
     /// The engine configuration for CDCL-based kinds; `None` for
-    /// [`SolverKind::Cplex`] (which uses [`crate::BnbSolver`] instead) and
-    /// [`SolverKind::Portfolio`] (which runs several configurations at
-    /// once — see [`crate::portfolio_configs`]).
+    /// [`SolverKind::Cplex`] (which uses [`crate::BnbSolver`] instead).
     pub fn engine_config(self) -> Option<EngineConfig> {
         match self {
             SolverKind::PbsII => Some(EngineConfig::default()),
@@ -172,7 +158,7 @@ impl SolverKind {
                 restart: RestartPolicy::Geometric { first: 100, factor: 1.5 },
                 ..EngineConfig::default()
             }),
-            SolverKind::Cplex | SolverKind::Portfolio => None,
+            SolverKind::Cplex => None,
         }
     }
 
@@ -184,7 +170,6 @@ impl SolverKind {
             SolverKind::Pueblo => "Pueblo",
             SolverKind::PbsLegacy => "PBS",
             SolverKind::Cplex => "CPLEX*",
-            SolverKind::Portfolio => "Portfolio",
         }
     }
 }

@@ -16,6 +16,12 @@
 //! * [`optimize`] / [`Optimizer`] — Boolean optimization by iterated
 //!   strengthening of the objective bound, the way PBS-class solvers
 //!   minimize an objective.
+//! * [`PortfolioSession`] — the one parallel race: one long-lived engine
+//!   per diversified configuration ([`portfolio_configs`]), raced on every
+//!   query with learned-clause sharing, cooperative cancellation and panic
+//!   isolation. A one-shot decision race is one query without
+//!   assumptions, and [`optimize_portfolio`] is the linear-search
+//!   optimization loop run over one session.
 //!
 //! # Example
 //!

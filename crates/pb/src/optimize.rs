@@ -8,9 +8,8 @@
 use crate::bnb::BnbSolver;
 use crate::config::SolverKind;
 use crate::engine::PbEngine;
-use crate::portfolio::PortfolioSession;
 use sbgc_formula::{Assignment, PbConstraint, PbFormula};
-use sbgc_obs::{FaultPlan, Recorder};
+use sbgc_obs::Recorder;
 use sbgc_sat::{Budget, SolveOutcome};
 
 /// Result of an optimization run.
@@ -167,12 +166,12 @@ pub fn optimize(formula: &PbFormula, kind: SolverKind, budget: &Budget) -> OptOu
 }
 
 /// [`optimize`] with observability, also returning the engine statistics
-/// of the run. CDCL engines (including every portfolio worker) flush their
-/// search counters into `recorder`; the branch-and-bound
-/// [`SolverKind::Cplex`] baseline records nothing. The returned stats are
-/// the optimizer's own counters for the CDCL kinds, the sum over all
-/// workers for the portfolio, and the default all-zero stats for the
-/// branch-and-bound baseline (which has no CDCL counters).
+/// of the run. CDCL engines flush their search counters into `recorder`;
+/// the branch-and-bound [`SolverKind::Cplex`] baseline records nothing.
+/// The returned stats are the optimizer's own counters for the CDCL
+/// kinds and the default all-zero stats for the branch-and-bound baseline
+/// (which has no CDCL counters). Parallel optimization is
+/// [`crate::optimize_portfolio`].
 ///
 /// The `exhaust` field of the returned stats is the budget-exhaustion
 /// reason when the run ended undecided, which is how callers distinguish
@@ -186,18 +185,6 @@ pub fn optimize_recorded_with_stats(
 ) -> (OptOutcome, crate::PbStats) {
     match kind {
         SolverKind::Cplex => (BnbSolver::new(formula).run(budget), crate::PbStats::default()),
-        SolverKind::Portfolio => {
-            let configs = crate::portfolio_configs(SolverKind::DEFAULT_PORTFOLIO_WORKERS);
-            let race = crate::optimize_portfolio(
-                formula,
-                &configs,
-                budget,
-                recorder,
-                &FaultPlan::default(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-            (race.outcome, race.stats)
-        }
         _ => {
             let mut opt = Optimizer::new(formula, kind);
             opt.set_recorder(recorder.clone());
@@ -209,28 +196,14 @@ pub fn optimize_recorded_with_stats(
 }
 
 /// Solves the decision problem (ignoring any objective) with the given
-/// solver under `budget`.
-///
-/// [`SolverKind::Portfolio`] races
-/// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] workers as a
-/// [`PortfolioSession`] answering one query without assumptions.
+/// solver under `budget`. A parallel decision race is a
+/// [`crate::PortfolioSession`] answering one query without assumptions.
 pub fn solve_decision(formula: &PbFormula, kind: SolverKind, budget: &Budget) -> SolveOutcome {
     match kind {
         SolverKind::Cplex => {
             let mut f = formula.clone();
             f.clear_objective();
             BnbSolver::new(&f).run_decision(budget)
-        }
-        SolverKind::Portfolio => {
-            let configs = crate::portfolio_configs(SolverKind::DEFAULT_PORTFOLIO_WORKERS);
-            let mut session = PortfolioSession::new(
-                formula,
-                &configs,
-                &Recorder::disabled(),
-                &FaultPlan::default(),
-            )
-            .expect("the default portfolio has workers");
-            session.query(&[], budget).outcome
         }
         _ => {
             let config = kind.engine_config().expect("CDCL kind");

@@ -10,24 +10,26 @@
 //! losing worker stops at its next stride-64 budget check, i.e. within
 //! ~64 conflicts).
 //!
-//! Each race has exactly one entry point:
+//! There is one race, [`PortfolioSession`]: one long-lived [`PbEngine`]
+//! per worker thread, raced on every assumption query. Every parallel CDCL
+//! solve drives it:
 //!
-//! * [`PortfolioSession`] races decision solves: one long-lived
-//!   [`PbEngine`] per worker thread, raced on every assumption query. A
-//!   one-shot decision race is a session answering a single query with
-//!   no assumptions, which is what [`crate::solve_decision`] runs for
-//!   [`SolverKind::Portfolio`];
-//! * [`optimize_portfolio`] races iterated-strengthening optimization
-//!   loops that share their incumbent bound through an `AtomicU64`, so any
-//!   worker's improvement immediately tightens every other worker's
-//!   objective cut.
+//! * a one-shot decision race is a session answering a single query with
+//!   no assumptions;
+//! * [`optimize_portfolio`] minimizes by linear search over one session:
+//!   each step races one query, and the winner's model of value `v`
+//!   commits the cut `obj ≤ v − 1` to every worker before the next step;
+//! * `sbgc-core`'s chromatic ladder races assumption queries and commits
+//!   the color suffixes it will never query again;
+//! * `sbgc-core`'s racing certifier is a one-query session whose workers
+//!   log into one shared DRAT proof ([`PortfolioSession::with_proof`]).
 //!
 //! No dependencies beyond `std`.
 //!
 //! # Learned-clause sharing
 //!
-//! Workers in one race cooperate, not just compete: every race creates a
-//! [`SharedClausePool`] and hands each worker a [`SharingHandle`], so
+//! Workers in one race cooperate, not just compete: every session creates
+//! a [`SharedClausePool`] and hands each worker a [`SharingHandle`], so
 //! learned clauses that pass the default glue filter (low LBD, short —
 //! see [`SharingConfig`]) are exported to the pool and imported by every
 //! peer at its next restart. Import happens only at restart boundaries,
@@ -37,25 +39,23 @@
 //!
 //! # Fault tolerance
 //!
-//! Each worker body runs under [`std::panic::catch_unwind`]: a panicking
-//! worker dies alone while the survivors keep racing, and the race still
-//! returns the first definitive answer. All shared state (winner slot,
-//! summed stats, cancel mark, incumbent) is locked poison-tolerantly, so
-//! a panic inside a critical section cannot wedge the surviving workers.
-//! Dead workers are counted in the outcome's `failed_workers` and — with
-//! an enabled [`Recorder`] — recorded as [`WorkerTelemetry`] entries whose
-//! `failed` field summarizes the panic payload. Both entry points take a
-//! deterministic [`FaultPlan`] to test exactly this machinery; the empty
-//! plan injects nothing (see `docs/ROBUSTNESS.md`).
+//! Each worker's engine construction, commits and solves run under
+//! [`std::panic::catch_unwind`]: a panicking worker dies alone, its
+//! possibly-corrupt engine is never reused, and the survivors keep
+//! racing. Dead workers are counted in the outcome's `failed_workers` and
+//! — with an enabled [`Recorder`] — recorded as [`WorkerTelemetry`]
+//! entries whose `failed` field summarizes the panic payload. Every
+//! session takes a deterministic [`FaultPlan`] to test exactly this
+//! machinery; the empty plan injects nothing (see `docs/ROBUSTNESS.md`).
 
 use crate::config::{EngineConfig, RestartPolicy, SolverKind};
 use crate::engine::{PbEngine, PbStats};
 use crate::optimize::OptOutcome;
 use sbgc_formula::{Assignment, Lit, PbConstraint, PbFormula};
 use sbgc_obs::{FaultPlan, Recorder, SearchCounters, WorkerTelemetry};
+use sbgc_proof::{AddsOnlyProofLogger, SharedProof};
 use sbgc_sat::{Budget, CancelToken, SharedClausePool, SharingConfig, SharingHandle, SolveOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -88,13 +88,14 @@ impl std::error::Error for PortfolioError {}
 /// Result of an [`optimize_portfolio`] race.
 #[derive(Clone, Debug)]
 pub struct PortfolioOptOutcome {
-    /// The optimization answer (first worker to prove optimality or
-    /// infeasibility wins; otherwise the best shared incumbent).
+    /// The optimization answer: proven by the step that refuted the last
+    /// cut (or found a zero-cost model); otherwise the best model any
+    /// step found, as `Feasible`.
     pub outcome: OptOutcome,
-    /// Index and configuration of the winning worker, when one proved the
-    /// answer.
+    /// Index and configuration of the worker that won the deciding step,
+    /// when the race was decided.
     pub winner: Option<(usize, EngineConfig)>,
-    /// Engine statistics summed over all workers.
+    /// Engine statistics summed over all workers and steps.
     pub stats: PbStats,
     /// Number of workers that died (panicked) during the race.
     pub failed_workers: usize,
@@ -175,13 +176,14 @@ fn config_label(config: &EngineConfig) -> String {
     format!("{config:?}")
 }
 
-/// The telemetry record of CDCL worker `index` that neither won nor
-/// failed and has no counters yet; callers fill in what they know.
+/// The telemetry record of CDCL worker `index` at session query `query`
+/// that neither won nor failed and has no counters yet; callers fill in
+/// what they know.
 fn cdcl_telemetry(
     index: usize,
     config: &EngineConfig,
     run_time: Duration,
-    query: Option<u64>,
+    query: u64,
 ) -> WorkerTelemetry {
     WorkerTelemetry {
         index,
@@ -193,7 +195,7 @@ fn cdcl_telemetry(
         cancel_latency: None,
         run_time,
         failed: None,
-        query,
+        query: Some(query),
     }
 }
 
@@ -244,93 +246,32 @@ pub fn portfolio_configs(n: usize) -> Vec<EngineConfig> {
         .collect()
 }
 
-/// The shared incumbent of an optimization race: the best objective value
-/// (an `AtomicU64`, `u64::MAX` = none yet) plus a model attaining it.
+/// Minimizes the formula's objective by linear search over one
+/// [`PortfolioSession`] of one worker per config — the sequential
+/// [`crate::Optimizer`]'s loop with every step raced.
 ///
-/// Update protocol: the model goes into the mutex *before* the value is
-/// published with `fetch_min`, so any worker that observes value `v` in
-/// the atomic will find a model of value ≤ `v` behind the lock.
-struct Incumbent {
-    bound: AtomicU64,
-    model: Mutex<Option<(u64, Assignment)>>,
-}
-
-impl Incumbent {
-    fn new() -> Self {
-        Incumbent { bound: AtomicU64::new(u64::MAX), model: Mutex::new(None) }
-    }
-
-    /// Records `value`/`model` if it improves the incumbent. Returns the
-    /// best bound after the update.
-    fn offer(&self, value: u64, model: &Assignment) -> u64 {
-        {
-            let mut m = lock_tolerant(&self.model);
-            if m.as_ref().is_none_or(|(b, _)| value < *b) {
-                *m = Some((value, model.clone()));
-            }
-        }
-        self.bound.fetch_min(value, Ordering::Release).min(value)
-    }
-
-    fn bound(&self) -> u64 {
-        self.bound.load(Ordering::Acquire)
-    }
-
-    /// Clones the current best (value, model) pair.
-    fn snapshot(&self) -> Option<(u64, Assignment)> {
-        lock_tolerant(&self.model).clone()
-    }
-
-    fn take(self) -> Option<(u64, Assignment)> {
-        self.model.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Adds `obj ≤ cut` to `engine` unless an equal or tighter cut is already
-/// present, tracking the tightest cut in `local_cut`.
-fn strengthen(
-    engine: &mut PbEngine,
-    objective: &sbgc_formula::Objective,
-    local_cut: &mut Option<u64>,
-    cut: u64,
-) {
-    if local_cut.is_none_or(|c| cut < c) {
-        engine.add_pb(PbConstraint::at_most(
-            objective.terms().iter().map(|&(c, l)| (c as i64, l)),
-            cut as i64,
-        ));
-        *local_cut = Some(cut);
-    }
-}
-
-/// Races one iterated-strengthening minimization loop per config.
+/// Each step races all surviving workers on one query without
+/// assumptions. A model of value `v` commits the cut `obj ≤ v − 1` to
+/// every worker before the next step; a refutation proves the last model
+/// optimal, or the formula infeasible when no step found a model. If the
+/// budget runs out first, the best model found is returned as
+/// `Feasible`. The budget's deadline is armed once, so every step shares
+/// it, and a conflict cap bounds each worker's total over all steps.
 ///
-/// Workers share their incumbent through an [`AtomicU64`] best bound: at
-/// each iteration a worker adopts the tightest known bound as an objective
-/// cut (`obj ≤ best − 1`), whether it was found locally or by a peer. The
-/// first worker to *prove* optimality (UNSAT under a cut) or infeasibility
-/// (UNSAT with no cut) cancels the rest. If the budget runs out first, the
-/// best shared incumbent is returned as `Feasible`.
-///
-/// Each worker flushes its search counters into `recorder` and records a
-/// [`WorkerTelemetry`] entry (configuration, own counters, whether it won,
-/// cancellation latency, run time) on exit; a disabled recorder records
-/// nothing. When `fault` schedules a panic for a worker, that worker's
-/// solve is capped at the scheduled *conflict count* and then panics,
-/// exercising the panic-isolation path on purpose. Production callers
+/// Telemetry and faults are the session's: with an enabled `recorder`,
+/// every step records one [`WorkerTelemetry`] entry per worker, with the
+/// step's 0-based index in `query` and that step's counters, and engines
+/// flush their search counters into `recorder`; a disabled recorder
+/// records nothing. When `fault` schedules a worker panic, its count is
+/// the 0-based step before which that worker dies. Production callers
 /// pass an empty plan.
 ///
-/// Clause sharing stays sound across the iterated-strengthening loop even
-/// though workers transiently carry *different* objective cuts. Every cut
-/// anywhere is `obj ≤ b − 1` for some published incumbent bound `b`, and
-/// the bound only decreases, so every clause in every database — including
-/// clauses imported from peers via the shared pool — is entailed by
-/// `formula ∧ (obj ≤ bound − 1)` for the *current* shared bound. A
-/// refutation therefore proves the incumbent optimal — and is read that
-/// way (the UNSAT branch consults the incumbent, not just the local cut).
-/// Only when no incumbent was ever published (hence no cut ever existed
-/// and all shared clauses are formula-entailed) does UNSAT mean
-/// infeasible.
+/// Clause sharing stays sound across the cuts. A cut reaches a worker
+/// through its command channel, ahead of the next step's query, and a
+/// step returns only once every worker has stopped, so a worker imports
+/// a clause learned under a cut only after committing that cut itself.
+/// Every clause any worker holds is therefore entailed by the formula
+/// plus the cuts that worker has committed.
 ///
 /// # Example
 ///
@@ -351,9 +292,10 @@ fn strengthen(
 ///     optimize_portfolio(&f, &configs, &Budget::unlimited(), &recorder, &FaultPlan::default())
 ///         .expect("non-empty portfolio with an objective");
 /// assert_eq!(out.outcome.value(), Some(1));
+/// // One entry per worker per step, exactly one winner per step.
 /// let workers = recorder.workers();
-/// assert_eq!(workers.len(), 2);
-/// assert_eq!(workers.iter().filter(|w| w.won).count(), 1);
+/// let steps = workers.iter().filter(|w| w.won).count();
+/// assert_eq!(workers.len(), 2 * steps);
 /// ```
 ///
 /// # Errors
@@ -367,147 +309,54 @@ pub fn optimize_portfolio(
     recorder: &Recorder,
     fault: &FaultPlan,
 ) -> Result<PortfolioOptOutcome, PortfolioError> {
-    if configs.is_empty() {
-        return Err(PortfolioError::NoWorkers);
-    }
-    let objective = formula.objective().ok_or(PortfolioError::MissingObjective)?.clone();
+    let objective = formula.objective().ok_or(PortfolioError::MissingObjective)?;
     let budget = budget.started();
-    let race = CancelToken::new();
-    let cancel_mark = CancelMark::new();
-    let incumbent = Incumbent::new();
-    let pool = SharedClausePool::new();
-    let winner: Mutex<Option<(usize, OptOutcome)>> = Mutex::new(None);
-    let stats: Mutex<PbStats> = Mutex::new(PbStats::default());
-    let failed = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for (index, &config) in configs.iter().enumerate() {
-            let worker_budget = budget.clone().with_cancel_token(race.clone());
-            let sharing_handle = pool.handle(index, SharingConfig::default());
-            let (race, winner, stats, incumbent, objective, cancel_mark, failed) =
-                (&race, &winner, &stats, &incumbent, &objective, &cancel_mark, &failed);
-            s.spawn(move || {
-                let run_start = Instant::now();
-                let injected = fault.worker_panic(index);
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    let worker_budget = match injected {
-                        Some(n) => worker_budget.clone().with_max_conflicts(n),
-                        None => worker_budget,
-                    };
-                    let mut engine = PbEngine::from_formula(formula, config);
-                    engine.set_recorder(recorder.clone());
-                    engine.set_sharing(sharing_handle);
-                    // Tightest objective cut this worker's engine carries.
-                    let mut local_cut: Option<u64> = None;
-                    let decided = loop {
-                        // Adopt the shared incumbent before (re)solving.
-                        let shared = incumbent.bound();
-                        if shared == 0 {
-                            // A peer holds a zero-cost model: globally optimal,
-                            // that peer records the win.
-                            break None;
-                        }
-                        if shared != u64::MAX {
-                            strengthen(&mut engine, objective, &mut local_cut, shared - 1);
-                        }
-                        if worker_budget.exhausted(engine.stats().conflicts) {
-                            break None;
-                        }
-                        match engine.solve_with_budget(&worker_budget) {
-                            SolveOutcome::Sat(model) => {
-                                let value = objective.value(&model).expect("total model");
-                                incumbent.offer(value, &model);
-                                if value == 0 {
-                                    break Some(OptOutcome::Optimal { value: 0, model });
-                                }
-                                strengthen(&mut engine, objective, &mut local_cut, value - 1);
-                            }
-                            SolveOutcome::Unsat => {
-                                // Consult the incumbent *at refutation time*:
-                                // imported clauses are entailed by the formula
-                                // plus the tightest cut any peer ever held
-                                // (obj ≤ bound − 1), so this refutation proves
-                                // no model of value ≤ bound − 1 exists — the
-                                // incumbent (value = bound) is optimal. With
-                                // no incumbent anywhere, no cut ever existed,
-                                // every clause in every database is entailed
-                                // by the formula alone, and the formula is
-                                // genuinely infeasible.
-                                break Some(match incumbent.snapshot() {
-                                    None => OptOutcome::Infeasible,
-                                    Some((value, model)) => {
-                                        debug_assert!(local_cut.is_none_or(|c| value <= c + 1));
-                                        OptOutcome::Optimal { value, model }
-                                    }
-                                });
-                            }
-                            SolveOutcome::Unknown => break None,
-                        }
-                    };
-                    if let Some(n) = injected {
-                        panic!("injected fault: worker {index} panicked after {n} conflicts");
-                    }
-                    let finish = Instant::now();
-                    add_stats(&mut lock_tolerant(stats), engine.stats());
-                    let mut won = false;
-                    if let Some(outcome) = decided {
-                        let mut w = lock_tolerant(winner);
-                        if w.is_none() {
-                            *w = Some((index, outcome));
-                            cancel_mark.stamp();
-                            race.cancel();
-                            won = true;
-                        }
-                    }
-                    if recorder.is_enabled() {
-                        engine.flush_recorder();
-                        let run_time = finish.duration_since(run_start);
-                        recorder.record_worker(WorkerTelemetry {
-                            search: engine.stats().into(),
-                            won,
-                            cancel_latency: if won { None } else { cancel_mark.latency(finish) },
-                            ..cdcl_telemetry(index, &config, run_time, None)
-                        });
-                    }
-                }));
-                if let Err(payload) = body {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    if recorder.is_enabled() {
-                        recorder.record_worker(WorkerTelemetry {
-                            failed: Some(panic_summary(payload.as_ref())),
-                            ..cdcl_telemetry(index, &config, run_start.elapsed(), None)
-                        });
-                    }
+    let mut session = PortfolioSession::new(formula, configs, recorder, fault)?;
+    let mut stats = PbStats::default();
+    let mut best: Option<(u64, Assignment)> = None;
+    let (outcome, winner) = loop {
+        let step = session.query(&[], &budget);
+        add_stats(&mut stats, step.stats);
+        match step.outcome {
+            SolveOutcome::Sat(model) => {
+                let value = objective.value(&model).expect("total model");
+                debug_assert!(best.as_ref().is_none_or(|(b, _)| value < *b), "cut not enforced");
+                if value == 0 {
+                    break (OptOutcome::Optimal { value, model }, step.winner);
                 }
-            });
+                let cut = PbConstraint::at_most(
+                    objective.terms().iter().map(|&(c, l)| (c as i64, l)),
+                    value as i64 - 1,
+                );
+                session.broadcast(|| Command::Cut { cut: cut.clone() });
+                best = Some((value, model));
+            }
+            SolveOutcome::Unsat => {
+                let outcome = match best {
+                    Some((value, model)) => OptOutcome::Optimal { value, model },
+                    None => OptOutcome::Infeasible,
+                };
+                break (outcome, step.winner);
+            }
+            SolveOutcome::Unknown => {
+                let outcome = match best {
+                    Some((value, model)) => OptOutcome::Feasible { value, model },
+                    None => OptOutcome::Unknown,
+                };
+                break (outcome, None);
+            }
         }
-    });
-
-    let mut stats = *lock_tolerant(&stats);
-    let failed_workers = failed.load(Ordering::Relaxed);
-    if let Some((index, outcome)) = lock_tolerant(&winner).take() {
-        stats.exhaust = None;
-        return Ok(PortfolioOptOutcome {
-            outcome,
-            winner: Some((index, configs[index])),
-            stats,
-            failed_workers,
-        });
-    }
-    let outcome = match incumbent.take() {
-        Some((value, model)) => OptOutcome::Feasible { value, model },
-        None => OptOutcome::Unknown,
     };
-    Ok(PortfolioOptOutcome { outcome, winner: None, stats, failed_workers })
+    Ok(PortfolioOptOutcome { outcome, winner, stats, failed_workers: session.failed_workers() })
 }
 
 // ---------------------------------------------------------------------------
 // Persistent portfolio session
 // ---------------------------------------------------------------------------
 
-/// Per-field difference of two cumulative stats snapshots — the work one
-/// query cost a persistent engine. Carries the *after* exhaustion reason
-/// (exhaustion is per-solve, not cumulative).
+/// Per-field difference of two cumulative stats snapshots — the work a
+/// persistent engine did between two replies. Carries the *after*
+/// exhaustion reason (exhaustion is per-solve, not cumulative).
 fn stats_delta(before: PbStats, after: PbStats) -> PbStats {
     let mut d = after;
     d.decisions -= before.decisions;
@@ -536,6 +385,9 @@ enum Command {
     /// learned from committed units can never reach a worker that has not
     /// committed them itself.
     Commit { units: Vec<Lit> },
+    /// Permanently add an optimization step's objective cut before the
+    /// next query, ordered and fire-and-forget exactly like `Commit`.
+    Cut { cut: PbConstraint },
 }
 
 /// One worker's answer to one [`Command::Query`].
@@ -547,8 +399,10 @@ enum ReplyBody {
         /// Failed-assumption core; non-empty only for assumption-relative
         /// `Unsat` answers.
         core: Vec<Lit>,
-        /// This query's search-counter *delta* (the engine's counters are
-        /// cumulative across the session).
+        /// The engine's counter *delta* since the worker's previous reply
+        /// (the engine's counters are cumulative across the session): the
+        /// query plus any construction or commits before it, so a
+        /// worker's deltas sum to its engine's totals.
         delta: PbStats,
         /// Live learned clauses in the engine when the query started —
         /// state retained from earlier queries (0 on the first).
@@ -588,50 +442,77 @@ impl WorkerSlot {
     }
 }
 
-/// Body of one persistent session worker thread: build the engine once,
-/// then answer assumption queries until the command channel closes.
-#[allow(clippy::too_many_arguments)]
+/// Builds one session worker's engine. A proof logger goes on before the
+/// formula's clauses, so root simplifications enter the proof. A panic
+/// here is caught like a solve's: it becomes a `Died` reply on the first
+/// query instead of a hung session.
+fn worker_engine(
+    formula: &PbFormula,
+    config: EngineConfig,
+    recorder: Recorder,
+    sharing: SharingHandle,
+    proof: Option<SharedProof>,
+) -> Result<PbEngine, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut engine = PbEngine::new(formula.num_vars(), config);
+        if let Some(proof) = proof {
+            engine.set_proof_logger(Box::new(AddsOnlyProofLogger::new(proof)));
+        }
+        for clause in formula.clauses() {
+            engine.add_clause(clause.literals().iter().copied());
+        }
+        for pb in formula.pb_constraints() {
+            engine.add_pb(pb.clone());
+        }
+        engine.set_recorder(recorder);
+        engine.set_sharing(sharing);
+        engine
+    }))
+    .map_err(|payload| panic_summary(payload.as_ref()))
+}
+
+/// Permanently strengthens a live engine between queries (`add_clause`
+/// and `add_pb` backtrack to the root themselves). A panic here poisons
+/// the engine exactly like a mid-solve panic: it is never reused.
+fn commit(engine: &mut Result<PbEngine, String>, add: impl FnOnce(&mut PbEngine)) {
+    if let Ok(eng) = engine.as_mut() {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| add(eng))) {
+            *engine = Err(panic_summary(payload.as_ref()));
+        }
+    }
+}
+
+/// Body of one persistent session worker thread: answer assumption
+/// queries against the engine built once, until the command channel
+/// closes.
 fn session_worker(
     index: usize,
-    config: EngineConfig,
-    formula: Arc<PbFormula>,
+    mut engine: Result<PbEngine, String>,
     recorder: Recorder,
     fault: FaultPlan,
-    sharing_handle: SharingHandle,
     rx: Receiver<Command>,
     reply_tx: Sender<Reply>,
 ) {
-    // Engine construction is isolated like the solves: a panic here turns
-    // into a `Died` reply on the first query instead of a hung session.
-    let mut engine = catch_unwind(AssertUnwindSafe(|| {
-        let mut e = PbEngine::from_formula(&formula, config);
-        e.set_recorder(recorder.clone());
-        e.set_sharing(sharing_handle);
-        e
-    }))
-    .map_err(|payload| panic_summary(payload.as_ref()));
-    // In a session the fault plan's `after_conflicts` value is reinterpreted
-    // as the 0-based *query index* at which this worker panics, modeling a
-    // worker dying between ladder steps (see `docs/ROBUSTNESS.md`).
+    // The fault plan's worker-panic count is the 0-based query index at
+    // which this worker panics, modeling a worker dying between steps
+    // (see `docs/ROBUSTNESS.md`).
     let injected = fault.worker_panic(index);
     let stalled_from = fault.stalled_worker(index);
+    // Engine counters as of the previous reply.
+    let mut reported = PbStats::default();
     while let Ok(command) = rx.recv() {
         let (id, assumptions, budget) = match command {
             Command::Query { id, assumptions, budget } => (id, assumptions, budget),
             Command::Commit { units } => {
-                // `add_clause` backtracks to the root itself, so a unit is
-                // safe to commit between queries. A panic here poisons the
-                // engine exactly like a mid-solve panic: never reuse it.
-                if let Ok(eng) = engine.as_mut() {
-                    let committed = catch_unwind(AssertUnwindSafe(|| {
-                        for &lit in &units {
-                            eng.add_clause([lit]);
-                        }
-                    }));
-                    if let Err(payload) = committed {
-                        engine = Err(panic_summary(payload.as_ref()));
+                commit(&mut engine, |eng| {
+                    for &lit in &units {
+                        eng.add_clause([lit]);
                     }
-                }
+                });
+                continue;
+            }
+            Command::Cut { cut } => {
+                commit(&mut engine, |eng| eng.add_pb(cut));
                 continue;
             }
         };
@@ -645,7 +526,6 @@ fn session_worker(
                 return;
             }
         };
-        let before = eng.stats();
         let retained = eng.live_learned() as u64;
         let solved = catch_unwind(AssertUnwindSafe(|| {
             if injected == Some(id) {
@@ -676,14 +556,16 @@ fn session_worker(
                 if recorder.is_enabled() {
                     eng.flush_recorder();
                 }
+                let stats = eng.stats();
                 let body = ReplyBody::Answered {
                     outcome,
                     core,
-                    delta: stats_delta(before, eng.stats()),
+                    delta: stats_delta(reported, stats),
                     retained,
                     run_time: finish.duration_since(run_start),
                     finish,
                 };
+                reported = stats;
                 let _ = reply_tx.send(Reply { worker: index, query: id, body });
             }
             Err(payload) => {
@@ -740,14 +622,15 @@ pub struct SessionQueryOutcome {
 /// Learned clauses — local and imported — are derived by resolution from
 /// the clause database alone (assumptions enter as decisions, never as
 /// axioms), so everything retained or shared is entailed by the formula
-/// itself and stays valid for every later query, whatever its assumptions.
+/// plus what every worker has committed, and stays valid for every later
+/// query, whatever its assumptions.
 ///
-/// Fault tolerance matches the optimization race: a worker that panics dies
-/// alone (its possibly-corrupt engine is never reused), later queries race
-/// the survivors, and a session whose workers have all died answers
-/// `Unknown`. With an enabled [`Recorder`], every query records one
-/// [`WorkerTelemetry`] entry per worker with the per-query counter delta
-/// and the query index in its `query` field.
+/// A worker that panics dies alone (its possibly-corrupt engine is never
+/// reused), later queries race the survivors, and a session whose workers
+/// have all died answers `Unknown`. With an enabled [`Recorder`], every
+/// query records one [`WorkerTelemetry`] entry per worker with the query
+/// index in its `query` field and the counters since that worker's
+/// previous entry.
 ///
 /// Dropping the session shuts the workers down and joins their threads.
 pub struct PortfolioSession {
@@ -765,9 +648,9 @@ impl PortfolioSession {
     /// returns without waiting for them.
     ///
     /// `fault` schedules deterministic failures for chaos tests; the empty
-    /// plan injects nothing. In a session a [`FaultPlan`] worker panic's
-    /// count is the 0-based **query index** at which the worker panics (a
-    /// worker dying *between* ladder steps), and a stalled worker burns
+    /// plan injects nothing. A [`FaultPlan`] worker panic's count is the
+    /// 0-based **query index** at which the worker panics (a worker dying
+    /// *between* ladder or optimization steps), and a stalled worker burns
     /// wall-clock from its scheduled query on.
     ///
     /// # Errors
@@ -778,6 +661,40 @@ impl PortfolioSession {
         configs: &[EngineConfig],
         recorder: &Recorder,
         fault: &FaultPlan,
+    ) -> Result<Self, PortfolioError> {
+        Self::spawn(formula, configs, recorder, fault, None)
+    }
+
+    /// A session whose workers log every clause they add, learn or import
+    /// into `proof`, one DRAT log for the whole race, with telemetry off
+    /// and no faults.
+    ///
+    /// Each worker attaches an [`AddsOnlyProofLogger`] before adding the
+    /// formula's clauses. Deletions are suppressed because one worker's
+    /// deletion could strip a clause a peer's later addition resolves on;
+    /// an exporter logs its clause before publishing it to the pool and an
+    /// importer re-logs what it attaches, so every addition is RUP with
+    /// respect to the log prefix it lands after, whichever interleaving
+    /// the race produces. The log is checkable only for a pure-CNF
+    /// formula.
+    ///
+    /// # Errors
+    ///
+    /// [`PortfolioError::NoWorkers`] if `configs` is empty.
+    pub fn with_proof(
+        formula: &PbFormula,
+        configs: &[EngineConfig],
+        proof: &SharedProof,
+    ) -> Result<Self, PortfolioError> {
+        Self::spawn(formula, configs, &Recorder::disabled(), &FaultPlan::default(), Some(proof))
+    }
+
+    fn spawn(
+        formula: &PbFormula,
+        configs: &[EngineConfig],
+        recorder: &Recorder,
+        fault: &FaultPlan,
+        proof: Option<&SharedProof>,
     ) -> Result<Self, PortfolioError> {
         if configs.is_empty() {
             return Err(PortfolioError::NoWorkers);
@@ -793,19 +710,12 @@ impl PortfolioSession {
                 let formula = Arc::clone(&formula);
                 let recorder = recorder.clone();
                 let fault = fault.clone();
-                let sharing_handle = pool.handle(index, SharingConfig::default());
+                let sharing = pool.handle(index, SharingConfig::default());
+                let proof = proof.cloned();
                 let reply_tx = reply_tx.clone();
                 let handle = std::thread::spawn(move || {
-                    session_worker(
-                        index,
-                        config,
-                        formula,
-                        recorder,
-                        fault,
-                        sharing_handle,
-                        rx,
-                        reply_tx,
-                    )
+                    let engine = worker_engine(&formula, config, recorder.clone(), sharing, proof);
+                    session_worker(index, engine, recorder, fault, rx, reply_tx)
                 });
                 WorkerSlot { config, tx: Some(tx), handle: Some(handle) }
             })
@@ -820,6 +730,21 @@ impl PortfolioSession {
         })
     }
 
+    /// Sends a fresh `command()` to every surviving worker, retiring the
+    /// slots whose thread is already gone; returns how many were sent.
+    fn broadcast(&mut self, command: impl Fn() -> Command) -> usize {
+        let mut sent = 0;
+        for slot in &mut self.workers {
+            let Some(tx) = &slot.tx else { continue };
+            if tx.send(command()).is_ok() {
+                sent += 1;
+            } else {
+                slot.retire();
+            }
+        }
+        sent
+    }
+
     /// Races all surviving workers on one assumption query and returns the
     /// first definitive answer (cancelling the losers), or `Unknown` when
     /// the budget ran out or every worker is dead.
@@ -827,31 +752,21 @@ impl PortfolioSession {
     /// The call waits for *every* surviving worker to acknowledge the
     /// query (cancelled losers included) before returning, so the workers
     /// are quiescent — and their engines intact — when the next query
-    /// starts. The budget's deadline is armed on first use, exactly like
-    /// the optimization race; conflict caps compare against each engine's
-    /// *cumulative* conflict count, so a `with_max_conflicts` budget caps
-    /// the session's total work, not each query's.
+    /// starts. The budget's deadline is armed on first use; conflict caps
+    /// compare against each engine's *cumulative* conflict count, so a
+    /// `with_max_conflicts` budget caps the session's total work, not each
+    /// query's.
     pub fn query(&mut self, assumptions: &[Lit], budget: &Budget) -> SessionQueryOutcome {
         let id = self.next_query;
         self.next_query += 1;
         let budget = budget.started();
         let race = CancelToken::new();
         let cancel_mark = CancelMark::new();
-        let mut pending = 0usize;
-        for slot in &mut self.workers {
-            let Some(tx) = &slot.tx else { continue };
-            let command = Command::Query {
-                id,
-                assumptions: assumptions.to_vec(),
-                budget: budget.clone().with_cancel_token(race.clone()),
-            };
-            if tx.send(command).is_ok() {
-                pending += 1;
-            } else {
-                // The worker thread is already gone; retire the slot.
-                slot.retire();
-            }
-        }
+        let mut pending = self.broadcast(|| Command::Query {
+            id,
+            assumptions: assumptions.to_vec(),
+            budget: budget.clone().with_cancel_token(race.clone()),
+        });
 
         let mut stats = PbStats::default();
         let mut retained_clauses = 0u64;
@@ -874,7 +789,7 @@ impl PortfolioSession {
                     if self.recorder.is_enabled() {
                         self.recorder.record_worker(WorkerTelemetry {
                             failed: Some(summary),
-                            ..cdcl_telemetry(reply.worker, &config, run_time, Some(id))
+                            ..cdcl_telemetry(reply.worker, &config, run_time, id)
                         });
                     }
                 }
@@ -895,7 +810,7 @@ impl PortfolioSession {
                             search: delta.into(),
                             won,
                             cancel_latency: if won { None } else { cancel_mark.latency(finish) },
-                            ..cdcl_telemetry(reply.worker, &config, run_time, Some(id))
+                            ..cdcl_telemetry(reply.worker, &config, run_time, id)
                         });
                     }
                 }
@@ -926,14 +841,8 @@ impl PortfolioSession {
     /// again. Root-level units beat assumptions: the engines simplify
     /// against them once instead of re-deciding them after every restart.
     pub fn commit_units(&mut self, units: &[Lit]) {
-        if units.is_empty() {
-            return;
-        }
-        for slot in &mut self.workers {
-            let Some(tx) = &slot.tx else { continue };
-            if tx.send(Command::Commit { units: units.to_vec() }).is_err() {
-                slot.retire();
-            }
+        if !units.is_empty() {
+            self.broadcast(|| Command::Commit { units: units.to_vec() });
         }
     }
 
@@ -1139,6 +1048,12 @@ mod tests {
         assert!(!out.outcome.is_infeasible());
     }
 
+    /// The number of optimization steps `rec` recorded: one past the
+    /// highest `query` index of its worker entries.
+    fn recorded_steps(rec: &Recorder) -> u64 {
+        rec.workers().iter().filter_map(|w| w.query).max().map_or(0, |q| q + 1)
+    }
+
     #[test]
     fn recorded_race_captures_worker_telemetry() {
         let f = covering();
@@ -1148,9 +1063,14 @@ mod tests {
             optimize_portfolio(&f, &configs, &Budget::unlimited(), &rec, &FaultPlan::default())
                 .expect("non-empty portfolio");
         assert!(out.winner.is_some());
+        // Every step is one session query: each worker records one entry
+        // per step, and each step has exactly one winner.
         let workers = rec.workers();
-        assert_eq!(workers.len(), 3, "every worker records telemetry");
-        assert_eq!(workers.iter().filter(|w| w.won).count(), 1, "exactly one winner");
+        for step in 0..recorded_steps(&rec) {
+            let at_step: Vec<_> = workers.iter().filter(|w| w.query == Some(step)).collect();
+            assert_eq!(at_step.len(), 3, "every worker records step {step}");
+            assert_eq!(at_step.iter().filter(|w| w.won).count(), 1, "one winner at step {step}");
+        }
         for w in &workers {
             assert_eq!(w.seed, w.index as u64, "portfolio seeds are worker indices");
             assert!(!w.config.is_empty());
@@ -1159,6 +1079,48 @@ mod tests {
         // The engines flushed their counters into the shared recorder.
         assert!(rec.counter(sbgc_obs::Counter::Decisions) > 0);
         assert_eq!(rec.counter(sbgc_obs::Counter::Decisions), out.stats.decisions);
+    }
+
+    #[test]
+    fn optimization_cut_reaches_every_worker() {
+        // Vertex cover of K5: optimum 4, so the race takes at least one
+        // model and one refutation. Every worker answers every step —
+        // which it can only do after committing the previous step's cut —
+        // and the steps' deltas add up to what the engines flushed.
+        let mut f = PbFormula::new();
+        let y: Vec<Lit> = f.new_vars(5).into_iter().map(Var::positive).collect();
+        for i in 0..5 {
+            for j in i + 1..5 {
+                f.add_clause([y[i], y[j]]);
+            }
+        }
+        f.set_objective(Objective::minimize(y.iter().map(|&l| (1, l))));
+        let rec = Recorder::new();
+        let out = optimize_portfolio(
+            &f,
+            &portfolio_configs(3),
+            &Budget::unlimited(),
+            &rec,
+            &FaultPlan::default(),
+        )
+        .expect("non-empty portfolio");
+        assert_eq!(out.outcome.value(), Some(4));
+        assert!(out.outcome.is_optimal());
+
+        let workers = rec.workers();
+        let steps = recorded_steps(&rec);
+        assert!(steps >= 2, "a positive optimum takes a model and a refutation");
+        assert_eq!(workers.len() as u64, 3 * steps, "workers × steps entries");
+        let mut winners = Vec::new();
+        for step in 0..steps {
+            let at_step: Vec<_> = workers.iter().filter(|w| w.query == Some(step)).collect();
+            assert_eq!(at_step.len(), 3, "every worker answers step {step}");
+            let won: Vec<_> = at_step.iter().filter(|w| w.won).collect();
+            assert_eq!(won.len(), 1, "one winner at step {step}");
+            winners.push(won[0].index);
+        }
+        assert_eq!(out.winner.map(|(i, _)| i), winners.last().copied(), "the last step decides");
+        assert_eq!(rec.search_counters(), SearchCounters::from(out.stats));
     }
 
     #[test]
@@ -1214,13 +1176,16 @@ mod tests {
         assert_eq!(out.failed_workers, 1);
         let (winner_index, _) = out.winner.expect("a survivor won");
         assert_ne!(winner_index, 1, "the dead worker cannot win");
+        // The dead worker records its death at step 0 and nothing after;
+        // the two survivors record every step.
         let workers = rec.workers();
-        assert_eq!(workers.len(), 3, "dead workers still record telemetry");
+        let steps = recorded_steps(&rec) as usize;
+        assert_eq!(workers.len(), 1 + 2 * steps, "dead workers still record telemetry");
         let dead: Vec<_> = workers.iter().filter(|w| w.failed.is_some()).collect();
         assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].index, 1);
+        assert_eq!((dead[0].index, dead[0].query), (1, Some(0)));
         assert!(dead[0].failed.as_deref().unwrap().contains("injected fault"));
-        assert!(!dead[0].won);
+        assert!(workers.iter().all(|w| !(w.index == 1 && w.won)), "the dead worker never wins");
     }
 
     #[test]
@@ -1291,20 +1256,19 @@ mod tests {
 
     #[test]
     fn worker_panic_does_not_poison_the_shared_pool() {
-        // Kill one worker after a handful of conflicts — after it has had
-        // the chance to export — with sharing on: the pool must stay
-        // usable and the survivors must still refute the instance. The
-        // optimization race reads the panic count as conflicts (a session
-        // reads it as a query index), so the race runs there, with a
-        // one-literal objective over the UNSAT pigeonhole.
-        let mut f = pigeonhole(4);
-        let z = f.new_var().positive();
-        f.set_objective(Objective::minimize([(1, z)]));
+        // Minimize the gate of a gated pigeonhole: step 0 finds a model
+        // with the gate on, step 1 refutes the pigeonhole under the cut
+        // `gate ≤ 0`. Kill one worker before step 1 — after it has had
+        // step 0 to export — with sharing on: the pool must stay usable
+        // and the survivors must still refute the cut.
+        let (mut f, gate) = gated_pigeonhole(4);
+        f.set_objective(Objective::minimize([(1, gate)]));
         let rec = Recorder::new();
-        let plan = FaultPlan::new(3).with_worker_panic(1, 5);
+        let plan = FaultPlan::new(3).with_worker_panic(1, 1);
         let out = optimize_portfolio(&f, &portfolio_configs(3), &Budget::unlimited(), &rec, &plan)
             .expect("non-empty portfolio");
-        assert!(out.outcome.is_infeasible(), "survivors must refute");
+        assert!(out.outcome.is_optimal(), "survivors must refute the cut");
+        assert_eq!(out.outcome.value(), Some(1));
         assert_eq!(out.failed_workers, 1);
         let (winner_index, _) = out.winner.expect("a survivor won");
         assert_ne!(winner_index, 1, "the dead worker cannot win");

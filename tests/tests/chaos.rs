@@ -22,7 +22,7 @@ use sbgc_graph::Graph;
 use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_pb::{
     optimize_portfolio, portfolio_configs, Budget, ExhaustReason, OptOutcome, PortfolioSession,
-    SolveOutcome, SolverKind,
+    SolveOutcome,
 };
 use sbgc_proof::FileProofLogger;
 
@@ -41,8 +41,9 @@ fn unsat_cnf(graph: &Graph, k: usize) -> PbFormula {
 
 #[test]
 fn mid_race_panic_yields_correct_answer_from_survivors() {
-    // Kill one of three workers the moment it starts; the other two must
-    // still prove χ(queen5_5) = 5 and the race must report the casualty.
+    // Kill one of three workers before the race's first step; the other
+    // two must still prove χ(queen5_5) = 5 and the race must report the
+    // casualty.
     let formula = coloring_formula(&queens(5, 5), 7);
     let plan = FaultPlan::new(3).with_worker_panic(1, 0);
     let rec = Recorder::new();
@@ -58,14 +59,16 @@ fn mid_race_panic_yields_correct_answer_from_survivors() {
     let (winner, _) = out.winner.expect("a survivor won");
     assert_ne!(winner, 1, "the dead worker cannot win");
 
-    // Telemetry: all three workers reported, exactly one marked failed.
+    // Telemetry: the casualty is recorded once, at step 0, and never
+    // wins; each survivor records every step, one of them winning it.
     let workers = rec.workers();
-    assert_eq!(workers.len(), 3);
     let dead: Vec<_> = workers.iter().filter(|w| w.failed.is_some()).collect();
     assert_eq!(dead.len(), 1);
-    assert_eq!(dead[0].index, 1);
+    assert_eq!((dead[0].index, dead[0].query), (1, Some(0)));
     assert!(dead[0].failed.as_deref().unwrap().contains("injected fault"));
-    assert!(!dead[0].won);
+    assert!(workers.iter().all(|w| !(w.index == 1 && w.won)));
+    let steps = workers.iter().filter(|w| w.won).count();
+    assert_eq!(workers.len(), 1 + 2 * steps);
 }
 
 #[test]
@@ -116,14 +119,15 @@ fn panicked_race_leaves_shared_state_usable() {
 
 #[test]
 fn mid_export_panic_leaves_the_clause_pool_usable() {
-    // Kill a worker a few conflicts in — after it has had the chance to
-    // export learned clauses into the shared pool. The pool must not be
-    // poisoned for the survivors, who keep importing and still prove
-    // χ(myciel3) = 4; the dead worker's published clauses stay valid
-    // (they are formula-entailed regardless of who learned them).
+    // Kill a worker before the race's second step — after step 0 gave it
+    // the chance to export learned clauses into the shared pool. The pool
+    // must not be poisoned for the survivors, who keep importing and
+    // still prove χ(myciel3) = 4; the dead worker's published clauses
+    // stay valid (they are entailed by the formula and the cuts every
+    // worker committed, regardless of who learned them).
     let formula = coloring_formula(&mycielski(3), 6);
     let rec = Recorder::new();
-    let plan = FaultPlan::new(5).with_worker_panic(2, 8);
+    let plan = FaultPlan::new(5).with_worker_panic(2, 1);
     let out =
         optimize_portfolio(&formula, &portfolio_configs(4), &Budget::unlimited(), &rec, &plan)
             .expect("non-empty portfolio");
@@ -135,8 +139,8 @@ fn mid_export_panic_leaves_the_clause_pool_usable() {
     let (winner_index, _) = out.winner.expect("a survivor won");
     assert_ne!(winner_index, 2, "the dead worker cannot win");
     // The sharing counters flowed through telemetry despite the casualty.
-    // The recorder may hold *more* than the summed stats: the dead worker
-    // flushed partial counts mid-solve but never reached the final sum.
+    // The recorder may hold *more* than the summed stats: a worker that
+    // died mid-solve would have flushed partial counts it never reported.
     assert!(rec.counter(sbgc_obs::Counter::Exported) >= out.stats.exported);
     assert!(rec.counter(sbgc_obs::Counter::Imported) >= out.stats.imported);
 }
@@ -166,7 +170,7 @@ fn fault_plan_on_solve_options_reaches_the_portfolio_ladder() {
     let g = gnp(24, 0.5, 3);
     let rec = Recorder::new();
     let opts = SolveOptions::new(20)
-        .with_solver(SolverKind::Portfolio)
+        .with_parallelism(4)
         .with_recorder(rec.clone())
         .without_heuristics()
         .with_fault_plan(FaultPlan::new(0).with_worker_panic(1, 1));
@@ -180,9 +184,9 @@ fn fault_plan_on_solve_options_reaches_the_portfolio_ladder() {
 
 #[test]
 fn fault_plan_on_solve_options_reaches_the_optimization_race() {
-    // The fixed-K flow races the optimization portfolio, where a worker
-    // panic's count is a conflict count: worker 1 of 3 dies before its
-    // first conflict, and the survivors still prove χ(queen5_5) = 5.
+    // The fixed-K flow races the optimization portfolio, whose steps are
+    // session queries: worker 1 of 3 dies before step 0, and the
+    // survivors still prove χ(queen5_5) = 5.
     let rec = Recorder::new();
     let opts = SolveOptions::new(7)
         .with_parallelism(3)
@@ -193,7 +197,7 @@ fn fault_plan_on_solve_options_reaches_the_optimization_race() {
     let dead: Vec<_> = rec.workers().into_iter().filter(|w| w.failed.is_some()).collect();
     assert_eq!(dead.len(), 1, "exactly one worker died: {dead:?}");
     assert_eq!(dead[0].index, 1);
-    assert_eq!(dead[0].query, None, "the optimization race has no queries");
+    assert_eq!(dead[0].query, Some(0), "the death is attributed to optimization step 0");
 }
 
 #[test]

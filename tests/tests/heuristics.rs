@@ -13,7 +13,6 @@
 use proptest::prelude::*;
 use sbgc_core::{
     bounds, chromatic_number_outcome, race_heuristics, ChromaticBounds, Coloring, SolveOptions,
-    SolverKind,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_graph::{algo, Graph};
@@ -61,7 +60,7 @@ fn backtracking_dsatur_agrees_with_every_exact_path() {
         // every query).
         let portfolio = chromatic_number_outcome(
             &g,
-            &SolveOptions::new(20).with_solver(SolverKind::Portfolio).without_heuristics(),
+            &SolveOptions::new(20).with_parallelism(4).without_heuristics(),
         )
         .expect("valid input");
         assert_eq!(portfolio.exact(), Some(chi), "{name}: portfolio ladder");

@@ -48,11 +48,8 @@ fn incremental_portfolio_sequential_and_oneshot_agree() {
         assert!(seq.witness().is_proper(&graph), "{name}: sequential witness");
 
         // Persistent-portfolio incremental ladder.
-        let par = chromatic_number_outcome(
-            &graph,
-            &SolveOptions::new(20).with_solver(SolverKind::Portfolio),
-        )
-        .expect("valid inputs");
+        let par = chromatic_number_outcome(&graph, &SolveOptions::new(20).with_parallelism(4))
+            .expect("valid inputs");
         assert_eq!(par.exact(), Some(chi), "{name}: incremental portfolio");
         assert!(par.witness().is_proper(&graph), "{name}: portfolio witness");
     }
@@ -176,8 +173,8 @@ fn ladder_telemetry_lands_in_v5_report() {
         ..Default::default()
     };
     assert!(
-        file.to_json().contains("\"schema_version\": 9"),
-        "ladder telemetry (v5) must survive the v9 schema bump"
+        file.to_json().contains("\"schema_version\": 10"),
+        "ladder telemetry (v5) must survive the v10 schema bump"
     );
 }
 
@@ -188,7 +185,7 @@ fn ladder_routed_results_still_certify() {
     // certify_result does. Route through the portfolio session and check
     // the certificate end to end.
     let graph = mycielski(3); // χ = 4
-    let opts = SolveOptions::new(20).with_solver(SolverKind::Portfolio);
+    let opts = SolveOptions::new(20).with_parallelism(4);
     let (result, cert) = chromatic_number_certified(&graph, &opts);
     assert_eq!(result.exact(), Some(4));
     let cert = cert.expect("exact result must certify");

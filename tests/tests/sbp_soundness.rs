@@ -85,8 +85,7 @@ fn incremental_ladder_under_orbitope_matches_portfolio_and_oneshot() {
         );
         let seq = chromatic_number_outcome(&graph, &opts).expect("valid");
         let par =
-            chromatic_number_outcome(&graph, &opts.clone().with_solver(SolverKind::Portfolio))
-                .expect("valid");
+            chromatic_number_outcome(&graph, &opts.clone().with_parallelism(4)).expect("valid");
         let oneshot =
             chromatic_number_outcome(&graph, &opts.clone().with_solver(SolverKind::Cplex))
                 .expect("valid");

@@ -20,9 +20,7 @@
 //!   rung and resuming agrees exactly with the uninterrupted solve
 //!   (seeded and deterministic, so failures replay).
 
-use sbgc_core::{
-    solve_supervised, CheckpointError, SolveError, SolveOptions, SolverKind, SupervisorConfig,
-};
+use sbgc_core::{solve_supervised, CheckpointError, SolveError, SolveOptions, SupervisorConfig};
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_obs::{FaultPlan, Recorder, RunReport};
 use std::panic::AssertUnwindSafe;
@@ -178,10 +176,8 @@ fn watchdog_restarts_a_stalled_race_and_still_completes() {
     // fault no longer applies — must still prove χ(myciel3) = 4.
     let graph = mycielski(3);
     let rec = Recorder::new();
-    let options = SolveOptions::new(6)
-        .with_solver(SolverKind::Portfolio)
-        .with_recorder(rec.clone())
-        .without_heuristics();
+    let options =
+        SolveOptions::new(6).with_parallelism(4).with_recorder(rec.clone()).without_heuristics();
     let fault = FaultPlan::new(7).with_stalled_worker(0, 0);
     let config =
         SupervisorConfig::new().with_watchdog(Duration::from_millis(250)).with_max_retries(2);
