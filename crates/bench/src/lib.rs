@@ -903,6 +903,33 @@ mod tests {
     }
 
     #[test]
+    fn blocked_proof_archive_still_writes_the_cnf_and_no_temp_file() {
+        // A directory standing where DIR/<name>.drat goes makes the atomic
+        // rename fail, even for root. The .cnf is still written, the
+        // directory is left as it was, and no .drat.tmp stays behind.
+        let dir = std::env::temp_dir().join(format!("sbgc_blocked_proofs_{}", std::process::id()));
+        let blocker = dir.join("myciel3.drat");
+        std::fs::create_dir_all(&blocker).expect("temp dirs");
+        std::fs::write(blocker.join("keep"), b"untouched").expect("sentinel file");
+        let graph = suite::build("myciel3").graph;
+        let (_, cert) = chromatic_number_certified(&graph, &SolveOptions::new(6));
+        let cert = cert.expect("exact result yields a certificate");
+        archive_proof(dir.to_str().expect("utf-8 temp path"), "myciel3", &graph, &cert);
+
+        let (num_vars, clauses) = cnf_decision_formula(&graph, cert.chromatic_number - 1);
+        let cnf = std::fs::read_to_string(dir.join("myciel3.cnf")).expect(".cnf written");
+        assert_eq!(cnf, sbgc_proof::dimacs_cnf(num_vars, &clauses));
+        let entries: Vec<_> = std::fs::read_dir(&blocker)
+            .expect("the blocking directory is still a directory")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        assert_eq!(entries, ["keep"]);
+        assert_eq!(std::fs::read(blocker.join("keep")).expect("sentinel"), b"untouched");
+        assert!(!dir.join("myciel3.drat.tmp").exists(), "no temp file left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn certify_flag_attaches_checked_certificate_to_report() {
         let config = HarnessConfig {
             timeout: Duration::from_secs(30),

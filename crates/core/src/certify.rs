@@ -10,11 +10,19 @@
 //!    checker in `sbgc-proof`.
 //!
 //! The refutation is always produced on a formula with no symmetry-breaking
-//! predicates and no PB constraints: SBP soundness and the PB inference
-//! rules are exactly what a certificate must not take on faith. When the
-//! solved formula cannot be proof-checked (it carries PB constraints, e.g.
-//! the CA construction's cardinality chain), the certificate says
-//! [`ProofStatus::Unchecked`] with a reason rather than pretending.
+//! predicates and no PB constraints, whatever encoding and solver produced
+//! the result: SBP soundness and the PB inference rules are exactly what a
+//! certificate must not take on faith. [`certify_result_parallel`] is the
+//! one refutation path (sequential for one worker, a clause-sharing race
+//! otherwise). When it cannot finish — the budget runs out, or every
+//! racing worker dies — the certificate says [`ProofStatus::Unchecked`]
+//! and names what stopped it rather than pretending.
+//!
+//! The proof travels in memory, in [`OptimalityCertificate::proof`], and is
+//! checked before anyone can archive it: a caller that keeps proofs on
+//! disk (the bench harness's `--proof DIR`) writes the checked proof
+//! afterwards, so a failed write can lose the archive but never change the
+//! verdict.
 //!
 //! The incremental ladder changes nothing here, deliberately. A ladder
 //! step's UNSAT is *assumption-relative* (the formula refutes
@@ -29,11 +37,10 @@ use crate::encode::cnf_decision_formula;
 use crate::flow::SolveOptions;
 use sbgc_formula::{Lit, PbFormula};
 use sbgc_graph::{Coloring, Graph};
-use sbgc_pb::{Budget, EngineConfig, PbEngine, PortfolioSession, SolveOutcome, SolverKind};
-use sbgc_proof::{
-    check_drat, DratProof, FileProofLogger, ProofLogger, SharedProof, TeeProofLogger,
+use sbgc_pb::{
+    Budget, EngineConfig, ExhaustReason, PbEngine, PortfolioSession, SolveOutcome, SolverKind,
 };
-use std::sync::{Arc, Mutex, PoisonError};
+use sbgc_proof::{check_drat, DratProof, ProofLogger, SharedProof};
 use std::time::Instant;
 
 /// Outcome of the UNSAT half of a certificate.
@@ -61,11 +68,12 @@ pub enum ProofStatus {
         /// Why no proof is required.
         reason: String,
     },
-    /// No checked proof is available — the formula was not checkable (PB
-    /// constraints present) or the proving budget ran out. The chromatic
-    /// number may still be correct; it is just not *certified*.
+    /// No checked proof is available — the proving budget ran out, or
+    /// every racing certifier worker died, before a refutation was found.
+    /// The chromatic number may still be correct; it is just not
+    /// *certified*.
     Unchecked {
-        /// Why checking was not possible.
+        /// What stopped the refutation.
         reason: String,
     },
     /// A proof was produced but the checker rejected it, or the certifying
@@ -111,8 +119,9 @@ pub struct OptimalityCertificate {
     pub witness_verified: bool,
     /// Status of the (χ−1)-uncolorability proof.
     pub unsat: ProofStatus,
-    /// The DRAT refutation itself, when one was produced (checked or
-    /// rejected). `None` for trivial/unchecked certificates.
+    /// The DRAT refutation itself, when the certifying solve answered
+    /// UNSAT (checked, or rejected by the checker). `None` for trivial and
+    /// unchecked certificates, and when a model disproved the claim.
     pub proof: Option<DratProof>,
 }
 
@@ -122,122 +131,6 @@ impl OptimalityCertificate {
     pub fn is_certified(&self) -> bool {
         self.witness_verified && self.unsat.is_verified()
     }
-}
-
-/// Attempts to produce a checked DRAT refutation of `formula`.
-///
-/// Returns [`ProofStatus::Unchecked`] without solving when the formula
-/// carries PB constraints (the DRAT calculus speaks only CNF — this is the
-/// honest answer for e.g. CA-encoded instances), when the budget runs out,
-/// or when the formula turns out satisfiable.
-pub fn certify_unsat_formula(
-    formula: &PbFormula,
-    budget: &Budget,
-) -> (ProofStatus, Option<DratProof>) {
-    certify_unsat_formula_parallel(formula, budget, 1)
-}
-
-/// [`certify_unsat_formula`] racing `workers` diversified CDCL solvers
-/// with learned-clause sharing; the first definitive answer cancels the
-/// rest.
-///
-/// All workers log clause additions into one shared DRAT log through
-/// adds-only loggers, so the combined log stays checkable whichever
-/// worker wins — deletions are suppressed because one worker's deletion
-/// could strip a clause a peer's later addition resolves on, and RUP
-/// checking is monotone in the clause database. `workers ≤ 1` is
-/// exactly the sequential [`certify_unsat_formula`].
-pub fn certify_unsat_formula_parallel(
-    formula: &PbFormula,
-    budget: &Budget,
-    workers: usize,
-) -> (ProofStatus, Option<DratProof>) {
-    match pure_cnf_clauses(formula) {
-        Ok(clauses) => {
-            refute_and_check(formula.num_vars(), &clauses, budget, workers).into_formula_status()
-        }
-        Err(status) => (status, None),
-    }
-}
-
-/// The clauses of `formula`, or the [`ProofStatus::Unchecked`] answer when
-/// it carries PB constraints (the DRAT calculus speaks only CNF).
-fn pure_cnf_clauses(formula: &PbFormula) -> Result<Vec<Vec<Lit>>, ProofStatus> {
-    if !formula.is_pure_cnf() {
-        return Err(ProofStatus::Unchecked {
-            reason: format!(
-                "formula has {} PB constraints; DRAT checking covers only pure CNF",
-                formula.pb_constraints().len()
-            ),
-        });
-    }
-    Ok(formula.clauses().iter().map(|c| c.iter().copied().collect()).collect())
-}
-
-/// Owns the archive logger behind a shared slot so it can be reclaimed
-/// (and flushed, with errors captured) after the solver is done with its
-/// boxed copy of the handle.
-struct StreamHandle<W: std::io::Write + Send>(Arc<Mutex<Option<FileProofLogger<W>>>>);
-
-impl<W: std::io::Write + Send> ProofLogger for StreamHandle<W> {
-    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
-        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.as_mut().map_or(0, |l| l.log_add(lits, hints))
-    }
-
-    fn log_delete(&mut self, lits: &[Lit]) {
-        if let Some(l) = self.0.lock().unwrap_or_else(PoisonError::into_inner).as_mut() {
-            l.log_delete(lits);
-        }
-    }
-}
-
-/// [`certify_unsat_formula`] that *also* streams the DRAT proof into a
-/// file-backed logger while solving, so an archived copy exists outside
-/// the process.
-///
-/// The in-memory proof is still replayed through the independent checker;
-/// the stream is the archival artifact. If any write (or the final flush)
-/// of the archive fails, a would-be [`ProofStatus::Checked`] result
-/// degrades to [`ProofStatus::Unchecked`] naming the I/O error — a
-/// certificate whose artifact of record is corrupt must not claim full
-/// verification. [`ProofStatus::Rejected`] is never masked by an I/O
-/// failure.
-pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
-    formula: &PbFormula,
-    budget: &Budget,
-    archive: FileProofLogger<W>,
-) -> (ProofStatus, Option<DratProof>) {
-    let clauses = match pure_cnf_clauses(formula) {
-        Ok(clauses) => clauses,
-        Err(status) => return (status, None),
-    };
-    let num_vars = formula.num_vars();
-
-    let flag = archive.error_flag();
-    let slot = Arc::new(Mutex::new(Some(archive)));
-    let shared = SharedProof::new();
-    let logger = TeeProofLogger::new(shared.clone(), StreamHandle(slot.clone()));
-    let mut engine = certifier(num_vars, &clauses, Box::new(logger));
-    let solve_start = Instant::now();
-    let outcome = engine.solve_with_budget(budget);
-    let solve_seconds = solve_start.elapsed().as_secs_f64();
-    let proof = shared.take();
-    // Reclaim and flush the archive; flush failures land in the error flag
-    // like write failures.
-    if let Some(logger) = slot.lock().unwrap_or_else(PoisonError::into_inner).take() {
-        let _ = logger.into_inner();
-    }
-
-    let (status, proof) =
-        check_outcome(outcome, num_vars, &clauses, proof, solve_seconds).into_formula_status();
-    let status = match (flag.get(), status) {
-        (Some(err), ProofStatus::Checked { .. }) => {
-            ProofStatus::Unchecked { reason: format!("proof stream failed: {err}") }
-        }
-        (_, status) => status,
-    };
-    (status, proof)
 }
 
 /// Certifying worker `worker`'s configuration (worker 0 when solving
@@ -259,39 +152,22 @@ fn certifier(num_vars: usize, clauses: &[Vec<Lit>], logger: Box<dyn ProofLogger>
     engine
 }
 
-/// What a certifying solve established about its formula.
-enum Refutation {
-    /// The solver answered UNSAT and its log was replayed (checked or
-    /// rejected), or the budget ran out (unchecked, no proof).
-    Status(ProofStatus, Option<DratProof>),
-    /// The solver found a model: the formula is satisfiable.
-    Satisfiable,
-}
-
-impl Refutation {
-    /// The status of a formula-level certificate: a satisfiable formula
-    /// has no refutation to check, so it is [`ProofStatus::Unchecked`].
-    fn into_formula_status(self) -> (ProofStatus, Option<DratProof>) {
-        match self {
-            Refutation::Status(status, proof) => (status, proof),
-            Refutation::Satisfiable => {
-                (ProofStatus::Unchecked { reason: "formula is satisfiable".into() }, None)
-            }
-        }
-    }
-}
-
-/// Maps a certifying solve's `outcome` to a [`Refutation`]: an UNSAT
-/// answer's logged `proof` is replayed against `clauses` through the
-/// independent checker; budget exhaustion is [`ProofStatus::Unchecked`]
-/// and keeps no proof.
+/// Maps a certifying solve's `outcome` on `clauses`, the (`chi`−1)-coloring
+/// CNF, to a status and the proof it keeps. An UNSAT answer's logged
+/// `proof` is replayed through the independent checker and kept; a model
+/// disproves the claimed `chi`; an undecided solve is unchecked, keeps no
+/// proof and names what stopped it — the engine's or the session's
+/// `exhaust` reason, or, when there is none, the death of every racing
+/// worker (an engine always names its exhaustion).
 fn check_outcome(
     outcome: SolveOutcome,
+    exhaust: Option<ExhaustReason>,
+    chi: usize,
     num_vars: usize,
     clauses: &[Vec<Lit>],
     proof: DratProof,
     solve_seconds: f64,
-) -> Refutation {
+) -> (ProofStatus, Option<DratProof>) {
     match outcome {
         SolveOutcome::Unsat => {
             let check_start = Instant::now();
@@ -308,18 +184,26 @@ fn check_outcome(
                 },
                 Err(e) => ProofStatus::Rejected { error: e.to_string() },
             };
-            Refutation::Status(status, Some(proof))
+            (status, Some(proof))
         }
-        SolveOutcome::Sat(_) => Refutation::Satisfiable,
+        SolveOutcome::Sat(_) => {
+            let error =
+                format!("graph is ({})-colorable — claimed χ = {chi} is not optimal", chi - 1);
+            (ProofStatus::Rejected { error }, None)
+        }
         SolveOutcome::Unknown => {
-            let reason = "budget exhausted before a refutation was found".into();
-            Refutation::Status(ProofStatus::Unchecked { reason }, None)
+            let reason = match exhaust {
+                Some(why) => format!("budget exhausted ({why}) before a refutation was found"),
+                None => "no certifying worker survived to find a refutation".into(),
+            };
+            (ProofStatus::Unchecked { reason }, None)
         }
     }
 }
 
-/// Solves `clauses` expecting UNSAT, then replays the logged proof through
-/// the independent checker.
+/// Refutes (`chi`−1)-colorability of `graph` on its SBP-free pure-CNF
+/// decision encoding, then replays the logged proof through the
+/// independent checker.
 ///
 /// With `workers > 1` this races that many [`certifier_config`] engines
 /// as a one-query [`PortfolioSession::with_proof`], sharing learned
@@ -328,28 +212,31 @@ fn check_outcome(
 /// answer cancels the rest, and a panicking worker dies alone. The
 /// checker stops at the first derived empty clause.
 fn refute_and_check(
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
+    graph: &Graph,
+    chi: usize,
     budget: &Budget,
     workers: usize,
-) -> Refutation {
+) -> (ProofStatus, Option<DratProof>) {
+    let (num_vars, clauses) = cnf_decision_formula(graph, chi - 1);
     let shared = SharedProof::new();
     let solve_start = Instant::now();
-    let outcome = if workers <= 1 {
-        certifier(num_vars, clauses, Box::new(shared.clone())).solve_with_budget(budget)
+    let (outcome, exhaust) = if workers <= 1 {
+        let mut engine = certifier(num_vars, &clauses, Box::new(shared.clone()));
+        let outcome = engine.solve_with_budget(budget);
+        (outcome, engine.stats().exhaust)
     } else {
         let mut formula = PbFormula::with_vars(num_vars);
-        for c in clauses {
+        for c in &clauses {
             formula.add_clause(c.iter().copied());
         }
         let configs: Vec<_> = (0..workers).map(certifier_config).collect();
-        PortfolioSession::with_proof(&formula, &configs, &shared)
+        let answer = PortfolioSession::with_proof(&formula, &configs, &shared)
             .expect("workers > 1")
-            .query(&[], budget)
-            .outcome
+            .query(&[], budget);
+        (answer.outcome, answer.stats.exhaust)
     };
     let solve_seconds = solve_start.elapsed().as_secs_f64();
-    check_outcome(outcome, num_vars, clauses, shared.take(), solve_seconds)
+    check_outcome(outcome, exhaust, chi, num_vars, &clauses, shared.take(), solve_seconds)
 }
 
 /// Certifies an exact chromatic-number result.
@@ -372,8 +259,15 @@ pub fn certify_result(
 }
 
 /// [`certify_result`] with the refutation raced across `workers`
-/// clause-sharing CDCL solvers (see [`certify_unsat_formula_parallel`]).
-/// `workers ≤ 1` is exactly the sequential [`certify_result`].
+/// diversified CDCL solvers sharing learned clauses; the first definitive
+/// answer cancels the rest. `workers ≤ 1` is exactly the sequential
+/// [`certify_result`].
+///
+/// All workers log clause additions into one shared DRAT log through
+/// adds-only loggers, so the combined log stays checkable whichever
+/// worker wins — deletions are suppressed because one worker's deletion
+/// could strip a clause a peer's later addition resolves on, and RUP
+/// checking is monotone in the clause database.
 pub fn certify_result_parallel(
     graph: &Graph,
     result: &ChromaticResult,
@@ -391,15 +285,7 @@ pub fn certify_result_parallel(
         };
         (status, None)
     } else {
-        let (num_vars, clauses) = cnf_decision_formula(graph, chi - 1);
-        match refute_and_check(num_vars, &clauses, budget, workers) {
-            Refutation::Status(status, proof) => (status, proof),
-            Refutation::Satisfiable => {
-                let error =
-                    format!("graph is ({})-colorable — claimed χ = {chi} is not optimal", chi - 1);
-                (ProofStatus::Rejected { error }, None)
-            }
-        }
+        refute_and_check(graph, chi, budget, workers)
     };
     Some(OptimalityCertificate {
         chromatic_number: chi,
@@ -538,100 +424,15 @@ mod tests {
         assert!(cert.proof.is_none());
     }
 
-    #[test]
-    fn pb_bearing_formula_reports_unchecked() {
-        // The optimization encoding keeps per-vertex exactly-one PB pairs,
-        // so its refutations cannot be DRAT-checked; the honest answer is
-        // Unchecked with a reason, not a fake pass.
-        let enc = crate::ColoringEncoding::new(&Graph::complete(4), 2);
-        let (status, proof) = certify_unsat_formula(enc.formula(), &Budget::unlimited());
-        match status {
-            ProofStatus::Unchecked { reason } => assert!(reason.contains("PB")),
-            other => panic!("expected Unchecked, got {other}"),
-        }
-        assert!(proof.is_none());
-    }
-
-    #[test]
-    fn pure_cnf_formula_certifies() {
-        let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(4), 3);
-        let mut f = PbFormula::with_vars(num_vars);
-        for c in &clauses {
-            f.add_clause(c.iter().copied());
-        }
-        let (status, proof) = certify_unsat_formula(&f, &Budget::unlimited());
-        assert!(matches!(status, ProofStatus::Checked { .. }), "{status}");
-        assert!(proof.is_some());
-    }
-
-    /// A `Write` whose buffer outlives the logger, so tests can inspect
-    /// what was streamed after `into_inner` consumed the writer.
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn unsat_cnf(graph: &Graph, k: usize) -> PbFormula {
-        let (num_vars, clauses) = cnf_decision_formula(graph, k);
-        let mut f = PbFormula::with_vars(num_vars);
-        for c in &clauses {
-            f.add_clause(c.iter().copied());
-        }
-        f
-    }
-
-    #[test]
-    fn streamed_certificate_archives_the_proof() {
-        let f = unsat_cnf(&Graph::complete(4), 3);
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let logger = FileProofLogger::new(buf.clone());
-        let (status, proof) = certify_unsat_formula_streamed(&f, &Budget::unlimited(), logger);
-        assert!(matches!(status, ProofStatus::Checked { .. }), "{status}");
-        let proof = proof.expect("refutation");
-        let streamed = String::from_utf8(
-            buf.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone(),
-        )
-        .expect("utf8 drat");
-        assert!(!streamed.is_empty(), "the archive must receive the proof");
-        // Every proof step is one archived line ending in the DRAT "0".
-        assert_eq!(streamed.lines().count(), proof.steps().len());
-        assert!(streamed.lines().all(|l| l.ends_with(" 0") || l == "0"));
-    }
-
-    #[test]
-    fn failed_proof_stream_degrades_certificate() {
-        use sbgc_obs::FaultPlan;
-        let f = unsat_cnf(&Graph::complete(4), 3);
-        // Fail the very first archive write.
-        let plan = FaultPlan::new(1).with_proof_write_failure(1);
-        let logger = FileProofLogger::new(std::io::sink()).with_fault_plan(&plan);
-        let (status, proof) = certify_unsat_formula_streamed(&f, &Budget::unlimited(), logger);
-        match status {
-            ProofStatus::Unchecked { reason } => {
-                assert!(reason.contains("proof stream failed"), "{reason}");
-            }
-            other => panic!("a corrupt archive must degrade the status, got {other}"),
-        }
-        assert!(proof.is_some(), "the in-memory proof is still produced");
-    }
-
-    #[test]
-    fn streamed_sat_formula_stays_unchecked_not_rejected() {
-        let mut f = PbFormula::new();
-        let a = f.new_var().positive();
-        f.add_clause([a]);
-        let logger = FileProofLogger::new(std::io::sink());
-        let (status, proof) = certify_unsat_formula_streamed(&f, &Budget::unlimited(), logger);
-        assert!(matches!(status, ProofStatus::Unchecked { .. }), "{status}");
-        assert!(proof.is_none());
+    /// Certifies the claim χ(`graph`) = `k` + 1 with `workers` solvers,
+    /// that is, refutes `k`-colorability. The claim's witness is a
+    /// placeholder: these tests look only at the refutation.
+    fn refute(graph: &Graph, k: usize, budget: &Budget, workers: usize) -> OptimalityCertificate {
+        let claim = ChromaticResult::Exact {
+            chromatic_number: k + 1,
+            witness: Coloring::new(vec![0; graph.num_vertices()]),
+        };
+        certify_result_parallel(graph, &claim, budget, workers).expect("an exact claim")
     }
 
     #[test]
@@ -639,38 +440,24 @@ mod tests {
         // Four diversified, clause-sharing workers append into one
         // adds-only DRAT log; the interleaved proof must still replay
         // through the independent checker, whichever worker won.
-        let f = unsat_cnf(&queens(5, 5), 4);
-        let (status, proof) = certify_unsat_formula_parallel(&f, &Budget::unlimited(), 4);
-        match status {
+        let cert = refute(&queens(5, 5), 4, &Budget::unlimited(), 4);
+        match cert.unsat {
             ProofStatus::Checked { adds, .. } => {
                 assert!(adds > 0, "a nontrivial refutation must contain lemmas");
             }
             other => panic!("expected Checked, got {other}"),
         }
-        let proof = proof.expect("refutation");
+        let proof = cert.proof.expect("refutation");
         assert_eq!(proof.num_deletes(), 0, "racing proofs are adds-only");
     }
 
     #[test]
     fn racing_certificate_agrees_with_sequential() {
-        let f = unsat_cnf(&mycielski(3), 3);
         for workers in [1, 2, 3] {
-            let (status, _) = certify_unsat_formula_parallel(&f, &Budget::unlimited(), workers);
+            let cert = refute(&mycielski(3), 3, &Budget::unlimited(), workers);
+            let status = cert.unsat;
             assert!(matches!(status, ProofStatus::Checked { .. }), "workers={workers}: {status}");
         }
-    }
-
-    #[test]
-    fn racing_sat_formula_stays_unchecked() {
-        // A satisfiable formula must come back "satisfiable", not a bogus
-        // refutation, no matter how many workers race it.
-        let f = unsat_cnf(&Graph::cycle(6), 3); // even cycle IS 3-colorable
-        let (status, proof) = certify_unsat_formula_parallel(&f, &Budget::unlimited(), 3);
-        match status {
-            ProofStatus::Unchecked { reason } => assert!(reason.contains("satisfiable")),
-            other => panic!("expected Unchecked, got {other}"),
-        }
-        assert!(proof.is_none());
     }
 
     #[test]
@@ -694,40 +481,49 @@ mod tests {
         assert_ne!(certifier_config(1), engine.config(), "racing workers are diversified");
     }
 
+    /// [`check_outcome`] for a claimed χ = 3 of a triangle, whose
+    /// certifying solve answered `outcome` with an empty log and no
+    /// exhaustion reason.
+    fn check_triangle(outcome: SolveOutcome) -> (ProofStatus, Option<DratProof>) {
+        let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
+        check_outcome(outcome, None, 3, num_vars, &clauses, DratProof::new(), 0.0)
+    }
+
     #[test]
     fn unsat_outcome_with_a_non_refuting_log_is_rejected() {
         // An engine claiming UNSAT whose log does not derive the empty
         // clause must not be certified.
-        let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
-        let (status, proof) =
-            check_outcome(SolveOutcome::Unsat, num_vars, &clauses, DratProof::new(), 0.0)
-                .into_formula_status();
+        let (status, proof) = check_triangle(SolveOutcome::Unsat);
         assert!(matches!(status, ProofStatus::Rejected { .. }), "{status}");
         assert!(proof.is_some(), "the rejected log is kept for inspection");
     }
 
     #[test]
-    fn sequential_sat_formula_stays_unchecked() {
-        let f = unsat_cnf(&Graph::cycle(6), 2); // even cycle IS 2-colorable
-        let (status, proof) = certify_unsat_formula(&f, &Budget::unlimited());
-        match status {
-            ProofStatus::Unchecked { reason } => assert!(reason.contains("satisfiable")),
-            other => panic!("expected Unchecked, got {other}"),
+    fn budget_exhaustion_reports_unchecked() {
+        // The sequential engine and a three-worker race both name the
+        // budget dimension that stopped them.
+        let budget = Budget::unlimited().with_max_conflicts(0);
+        for workers in [1, 3] {
+            match refute(&queens(6, 6), 6, &budget, workers).unsat {
+                ProofStatus::Unchecked { reason } => {
+                    assert!(reason.contains("budget exhausted (conflicts)"), "{reason}");
+                }
+                other => panic!("workers={workers}: expected Unchecked, got {other}"),
+            }
         }
-        assert!(proof.is_none());
     }
 
     #[test]
-    fn budget_exhaustion_reports_unchecked() {
-        let (num_vars, clauses) = cnf_decision_formula(&queens(6, 6), 6);
-        let mut f = PbFormula::with_vars(num_vars);
-        for c in &clauses {
-            f.add_clause(c.iter().copied());
-        }
-        let (status, _) = certify_unsat_formula(&f, &Budget::unlimited().with_max_conflicts(0));
+    fn undecided_race_without_survivors_says_so() {
+        // A race answers Unknown with no exhaustion reason only when every
+        // worker died; the status must say so, not blame the budget.
+        let (status, proof) = check_triangle(SolveOutcome::Unknown);
         match status {
-            ProofStatus::Unchecked { reason } => assert!(reason.contains("budget")),
+            ProofStatus::Unchecked { reason } => {
+                assert!(reason.contains("no certifying worker survived"), "{reason}");
+            }
             other => panic!("expected Unchecked, got {other}"),
         }
+        assert!(proof.is_none());
     }
 }

@@ -77,8 +77,8 @@ pub use checkpoint::{CheckpointError, GraphFingerprint, SolveCheckpoint};
 pub use supervisor::{solve_supervised, SupervisedOutcome, SupervisorConfig};
 
 pub use certify::{
-    certify_result, certify_result_parallel, certify_unsat_formula, certify_unsat_formula_parallel,
-    certify_unsat_formula_streamed, chromatic_number_certified, OptimalityCertificate, ProofStatus,
+    certify_result, certify_result_parallel, chromatic_number_certified, OptimalityCertificate,
+    ProofStatus,
 };
 pub use chromatic::{
     bounds, chromatic_number, chromatic_number_outcome, ChromaticBounds, ChromaticOutcome,

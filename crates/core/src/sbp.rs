@@ -14,7 +14,7 @@
 //! The consolidated handbook in `docs/SBP.md` covers every mode — the
 //! encoding construction, its clause/aux-var size formula, the soundness
 //! argument, its assumption-soundness status for the incremental ladder
-//! ([`SbpMode::assumption_sound`]), and where to find its measured
+//! (argued in [`crate::session`]), and where to find its measured
 //! ablation numbers. Short version: NU orders color *usage*, CA orders
 //! class *sizes*, SC pins a clique prefix, and LI / LI-prefix / Orbitope /
 //! ValuePrec all force the canonical first-occurrence representative —
@@ -160,46 +160,6 @@ impl SbpMode {
             SbpMode::LiPrefix => "LI-pfx",
             SbpMode::Orbitope => "Orbitope",
             SbpMode::ValuePrec => "ValPrec",
-        }
-    }
-
-    /// Whether the construction stays sound under the incremental
-    /// ladder's suffix assumptions `¬y[target..K]`.
-    ///
-    /// The persistent [`crate::ColoringSession`] encodes once at the
-    /// ceiling K and asks "is the graph target-colorable?" by *assuming*
-    /// the suffix colors unused. An SBP is assumption-sound iff every
-    /// color-orbit of target-colorings keeps at least one representative
-    /// with all its colors in the prefix `0..target` — i.e. the
-    /// construction only ever prefers *low* color indices. All current
-    /// modes qualify: NU/CA/Orbitope/ValuePrec order used colors into a
-    /// prefix outright, LI/LI-prefix pick the first-occurrence
-    /// representative (which uses a color prefix), and SC/SC-clique pin
-    /// the *lowest* indices. A hypothetical mode preferring high indices
-    /// (or instance-dependent lex-leader SBPs over detected symmetries,
-    /// which mention y-variables arbitrarily) would return `false` and be
-    /// routed to per-k re-encoding by [`crate::ColoringSession::supports`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sbgc_core::SbpMode;
-    ///
-    /// // Every instance-independent mode races through the session.
-    /// assert!(SbpMode::EXTENDED.iter().all(|m| m.assumption_sound()));
-    /// ```
-    pub fn assumption_sound(self) -> bool {
-        match self {
-            SbpMode::None
-            | SbpMode::Nu
-            | SbpMode::Ca
-            | SbpMode::Li
-            | SbpMode::Sc
-            | SbpMode::NuSc
-            | SbpMode::ScClique
-            | SbpMode::LiPrefix
-            | SbpMode::Orbitope
-            | SbpMode::ValuePrec => true,
         }
     }
 

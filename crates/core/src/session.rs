@@ -35,12 +35,12 @@
 //! indices — and whenever such a coloring exists, its low-index
 //! representative survives both the SBPs and the assumptions. So "UNSAT
 //! under the suffix assumptions" really means "not `target`-colorable",
-//! for every SBP mode. Each mode declares this property explicitly via
-//! [`crate::SbpMode::assumption_sound`], which
-//! [`ColoringSession::supports`] consults. Instance-dependent (Shatter)
-//! SBPs carry no such guarantee — their lex-leader predicates mention
-//! arbitrary detected symmetries, not the color-index order — which is
-//! why `supports` excludes them.
+//! for every SBP mode. A new mode must keep this property: one that
+//! preferred high color indices would have to be routed to per-k
+//! re-encoding by [`ColoringSession::supports`]. Instance-dependent
+//! (Shatter) SBPs carry no such guarantee — their lex-leader predicates
+//! mention arbitrary detected symmetries, not the color-index order —
+//! which is why `supports` excludes them.
 
 use crate::chromatic::bounds;
 use crate::encode::ColoringEncoding;
@@ -123,11 +123,10 @@ pub struct ColoringSession<'g> {
 impl<'g> ColoringSession<'g> {
     /// Whether `options` names a configuration the session can drive
     /// incrementally: any CDCL solver, sequential or raced, with
-    /// instance-independent SBPs only, in an
-    /// [assumption-sound](crate::SbpMode::assumption_sound) mode. The
-    /// CPLEX baseline has no incremental interface, and
-    /// instance-dependent SBPs are not known to be sound under suffix
-    /// assumptions (see the module docs).
+    /// instance-independent SBPs only, in any mode (each is sound under
+    /// the suffix assumptions; see the module docs). The CPLEX baseline
+    /// has no incremental interface, and instance-dependent SBPs are not
+    /// known to be sound under suffix assumptions.
     ///
     /// # Examples
     ///
@@ -145,7 +144,6 @@ impl<'g> ColoringSession<'g> {
     pub fn supports(options: &SolveOptions) -> bool {
         !matches!(options.solver, SolverKind::Cplex)
             && matches!(options.symmetry, SymmetryHandling::InstanceIndependentOnly)
-            && options.sbp_mode.assumption_sound()
     }
 
     /// Encodes `graph` once at `K = min(options.k, DSATUR bound − 1)`

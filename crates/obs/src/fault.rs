@@ -2,7 +2,9 @@
 //!
 //! A [`FaultPlan`] describes *when and where* the pipeline should fail:
 //! which portfolio worker panics and at which 0-based query of its
-//! session, and which proof write reports an I/O error. Plans are plain
+//! session, which workers stall, which heuristic worker offers corrupt
+//! witnesses, at which ladder rung a supervised solve dies, and whether
+//! artifact writes fail or a checkpoint is corrupted. Plans are plain
 //! data — seeded, cloneable and free of wall-clock or RNG state at
 //! trigger time — so a chaos test that fails replays identically under
 //! `--test-threads=1` or in a debugger.
@@ -33,9 +35,6 @@ pub struct FaultPlan {
     /// that 0-based query of its session; the heuristic race ignores the
     /// query index.
     worker_panic: Option<(usize, u64)>,
-    /// 1-based index of the first proof write that fails; all later writes
-    /// fail too (a full disk stays full).
-    proof_fail_at: Option<u64>,
     /// Heuristic worker whose offered witnesses are corrupted before the
     /// trust-boundary check (exercises improper-coloring rejection).
     improper_witness: Option<usize>,
@@ -86,14 +85,6 @@ impl FaultPlan {
         self.with_worker_panic(victim, query)
     }
 
-    /// Schedules the `k`-th proof write (1-based) and every write after it
-    /// to fail.
-    pub fn with_proof_write_failure(mut self, k: u64) -> Self {
-        assert!(k > 0, "proof write indices are 1-based");
-        self.proof_fail_at = Some(k);
-        self
-    }
-
     /// If worker `worker` is scheduled to die: the 0-based session query
     /// before which it panics (see [`FaultPlan::with_worker_panic`]).
     pub fn worker_panic(&self, worker: usize) -> Option<u64> {
@@ -106,11 +97,6 @@ impl FaultPlan {
     /// The worker scheduled to panic, if any.
     pub fn panicking_worker(&self) -> Option<usize> {
         self.worker_panic.map(|(w, _)| w)
-    }
-
-    /// The 1-based index of the first failing proof write, if scheduled.
-    pub fn proof_write_failure(&self) -> Option<u64> {
-        self.proof_fail_at
     }
 
     /// Schedules heuristic worker `worker` to corrupt every coloring it
@@ -187,7 +173,6 @@ impl FaultPlan {
     /// `true` when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.worker_panic.is_none()
-            && self.proof_fail_at.is_none()
             && self.improper_witness.is_none()
             && self.stalled_worker.is_none()
             && self.mid_rung_kill.is_none()
@@ -214,7 +199,6 @@ mod tests {
         let plan = FaultPlan::new(7);
         assert!(plan.is_empty());
         assert_eq!(plan.worker_panic(0), None);
-        assert_eq!(plan.proof_write_failure(), None);
         assert_eq!(plan.panicking_worker(), None);
         assert_eq!(plan.seed(), 7);
     }
@@ -250,19 +234,6 @@ mod tests {
         assert!(!plan.improper_witness(0));
         assert!(!plan.is_empty());
         assert!(plan.worker_panic(1).is_none());
-    }
-
-    #[test]
-    fn proof_write_failure_round_trips() {
-        let plan = FaultPlan::new(0).with_proof_write_failure(3);
-        assert_eq!(plan.proof_write_failure(), Some(3));
-        assert!(!plan.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "1-based")]
-    fn zeroth_proof_write_rejected() {
-        let _ = FaultPlan::new(0).with_proof_write_failure(0);
     }
 
     #[test]

@@ -16,11 +16,7 @@
 //! textual DRAT format carries no hints.
 
 use sbgc_formula::Lit;
-use sbgc_obs::FaultPlan;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One step of a DRAT proof.
@@ -271,72 +267,6 @@ impl ProofLogger for SharedProof {
     }
 }
 
-/// A cloneable, thread-safe record of the first I/O failure a
-/// [`FileProofLogger`] hit.
-///
-/// The logger is moved into the solver as a `Box<dyn ProofLogger>`, so the
-/// caller keeps this handle to find out — after the solve — whether the
-/// streamed proof file is complete. A set flag means the on-disk proof is
-/// truncated and certification must degrade to `Unchecked` instead of
-/// presenting the file as checkable.
-#[derive(Clone, Debug, Default)]
-pub struct ProofErrorFlag {
-    inner: Arc<Mutex<Option<String>>>,
-}
-
-impl ProofErrorFlag {
-    /// A fresh, unset flag.
-    pub fn new() -> Self {
-        ProofErrorFlag::default()
-    }
-
-    /// Records an error message; only the first error is kept.
-    fn set(&self, message: String) {
-        let mut slot = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(message);
-        }
-    }
-
-    /// The first recorded error, if any.
-    pub fn get(&self) -> Option<String> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// `true` once any write has failed.
-    pub fn is_set(&self) -> bool {
-        self.get().is_some()
-    }
-}
-
-/// Fans proof steps out to two sinks — typically an in-memory
-/// [`SharedProof`] for checking plus a [`FileProofLogger`] for archival.
-/// Addition numbers are `a`'s.
-pub struct TeeProofLogger<A: ProofLogger, B: ProofLogger> {
-    a: A,
-    b: B,
-}
-
-impl<A: ProofLogger, B: ProofLogger> TeeProofLogger<A, B> {
-    /// Combines two sinks; every step goes to both, `a` first.
-    pub fn new(a: A, b: B) -> Self {
-        TeeProofLogger { a, b }
-    }
-}
-
-impl<A: ProofLogger, B: ProofLogger> ProofLogger for TeeProofLogger<A, B> {
-    fn log_add(&mut self, lits: &[Lit], hints: &[u32]) -> u32 {
-        let number = self.a.log_add(lits, hints);
-        self.b.log_add(lits, hints);
-        number
-    }
-
-    fn log_delete(&mut self, lits: &[Lit]) {
-        self.a.log_delete(lits);
-        self.b.log_delete(lits);
-    }
-}
-
 /// Forwards clause additions and *suppresses deletions* — the logging
 /// discipline for clause-sharing portfolio races.
 ///
@@ -368,110 +298,6 @@ impl<L: ProofLogger> ProofLogger for AddsOnlyProofLogger<L> {
     }
 
     fn log_delete(&mut self, _lits: &[Lit]) {}
-}
-
-/// A file-backed logger streaming textual DRAT to any writer; pair with
-/// [`DratProof::from_dimacs`] to re-load. The text is standard DRAT:
-/// hint chains are not written.
-///
-/// I/O failures never abort the solve: the first error is recorded in a
-/// [`ProofErrorFlag`] the caller keeps (see
-/// [`error_flag`](FileProofLogger::error_flag)), and all later writes are
-/// skipped. Downstream certification checks the flag and degrades to an
-/// `Unchecked` status when the streamed file is truncated.
-pub struct FileProofLogger<W: Write + Send> {
-    out: W,
-    errors: ProofErrorFlag,
-    /// Steps attempted so far, for the injected-failure countdown.
-    writes: u64,
-    /// Additions received so far: the next addition's number.
-    adds: u32,
-    /// 1-based index of the first write forced to fail (fault injection).
-    fail_at: Option<u64>,
-}
-
-impl FileProofLogger<BufWriter<File>> {
-    /// Creates (truncating) `path` and returns a buffered logger writing
-    /// textual DRAT to it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the file-creation error.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(FileProofLogger::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> FileProofLogger<W> {
-    /// Wraps an arbitrary writer (e.g. a `Vec<u8>` in tests).
-    pub fn new(out: W) -> Self {
-        FileProofLogger { out, errors: ProofErrorFlag::new(), writes: 0, adds: 0, fail_at: None }
-    }
-
-    /// Applies a [`FaultPlan`]: if the plan schedules a proof-write
-    /// failure, the K-th and every later [`ProofLogger`] call on this
-    /// logger reports a (simulated) I/O error through the error flag
-    /// without touching the underlying writer.
-    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Self {
-        self.fail_at = plan.proof_write_failure();
-        self
-    }
-
-    /// A cloneable handle reporting the first I/O failure; keep it before
-    /// boxing the logger into a solver.
-    pub fn error_flag(&self) -> ProofErrorFlag {
-        self.errors.clone()
-    }
-
-    /// Unwraps the underlying writer (flushing it first; a flush error is
-    /// recorded in the error flag like any write error).
-    pub fn into_inner(mut self) -> W {
-        if let Err(e) = self.out.flush() {
-            self.errors.set(format!("flush failed: {e}"));
-        }
-        self.out
-    }
-
-    fn write_step(&mut self, prefix: &str, lits: &[Lit]) {
-        self.writes += 1;
-        if let Some(k) = self.fail_at {
-            if self.writes >= k {
-                self.errors.set(format!("injected I/O failure at proof write {k} (fault plan)"));
-                return;
-            }
-        }
-        if self.errors.is_set() {
-            // The stream is already known-truncated; writing further steps
-            // would produce a gapped proof that looks more complete than
-            // it is.
-            return;
-        }
-        let mut line = String::with_capacity(prefix.len() + 6 * lits.len() + 2);
-        line.push_str(prefix);
-        for l in lits {
-            let _ = write!(line, "{} ", l.to_dimacs());
-        }
-        line.push_str("0\n");
-        // Proof logging is advisory: an I/O error degrades to a truncated
-        // proof (recorded in the error flag) rather than aborting the
-        // solve.
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
-            self.errors.set(format!("write failed at proof step {}: {e}", self.writes));
-        }
-    }
-}
-
-impl<W: Write + Send> ProofLogger for FileProofLogger<W> {
-    fn log_add(&mut self, lits: &[Lit], _hints: &[u32]) -> u32 {
-        let number = self.adds;
-        self.adds = self.adds.saturating_add(1);
-        self.write_step("", lits);
-        number
-    }
-
-    fn log_delete(&mut self, lits: &[Lit]) {
-        self.write_step("d ", lits);
-    }
 }
 
 /// Renders a clause list in DIMACS CNF format (for dumping certified
@@ -551,70 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn file_logger_matches_memory_format() {
-        let mut logger = FileProofLogger::new(Vec::new());
-        assert_eq!(logger.log_add(&[lit(0, false), lit(1, true)], &[8, 9]), 0);
-        logger.log_delete(&[lit(1, true)]);
-        assert_eq!(logger.log_add(&[lit(2, false)], &[]), 1);
-        let bytes = logger.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text, "1 -2 0\nd -2 0\n3 0\n", "hints stay out of text DRAT");
-        let parsed = DratProof::from_dimacs(&text).unwrap();
-        assert_eq!(parsed.num_adds(), 2);
-        assert_eq!(parsed.num_deletes(), 1);
-    }
-
-    /// A writer that fails after a fixed number of successful writes.
-    struct FlakyWriter {
-        ok_writes: usize,
-        written: Vec<u8>,
-    }
-
-    impl Write for FlakyWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.ok_writes == 0 {
-                return Err(std::io::Error::other("disk full"));
-            }
-            self.ok_writes -= 1;
-            self.written.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn io_error_sets_flag_and_stops_writing() {
-        let mut logger = FileProofLogger::new(FlakyWriter { ok_writes: 1, written: Vec::new() });
-        let flag = logger.error_flag();
-        logger.log_add(&[lit(0, false)], &[]);
-        assert!(!flag.is_set());
-        logger.log_add(&[lit(1, false)], &[]); // write fails here
-        assert!(flag.is_set());
-        logger.log_add(&[lit(2, false)], &[]); // skipped: stream known-truncated
-        let w = logger.into_inner();
-        assert_eq!(String::from_utf8(w.written).unwrap(), "1 0\n");
-        assert!(flag.get().unwrap().contains("proof step 2"));
-    }
-
-    #[test]
-    fn fault_plan_fails_kth_write_deterministically() {
-        let plan = FaultPlan::new(1).with_proof_write_failure(2);
-        let mut logger = FileProofLogger::new(Vec::new()).with_fault_plan(&plan);
-        let flag = logger.error_flag();
-        logger.log_add(&[lit(0, false)], &[]);
-        assert!(!flag.is_set());
-        logger.log_delete(&[lit(0, false)]);
-        assert!(flag.is_set(), "second write must fail");
-        logger.log_add(&[lit(1, false)], &[]);
-        let bytes = logger.into_inner();
-        assert_eq!(String::from_utf8(bytes).unwrap(), "1 0\n");
-        assert!(flag.get().unwrap().contains("injected"));
-    }
-
-    #[test]
     fn adds_only_logger_drops_deletions() {
         let shared = SharedProof::new();
         let mut sink = AddsOnlyProofLogger::new(shared.clone());
@@ -624,19 +386,6 @@ mod tests {
         let proof = shared.take();
         assert_eq!(proof.num_adds(), 2);
         assert_eq!(proof.num_deletes(), 0);
-    }
-
-    #[test]
-    fn tee_logger_feeds_both_sinks() {
-        let shared = SharedProof::new();
-        let mut file = FileProofLogger::new(Vec::new());
-        file.log_add(&[lit(2, false)], &[]);
-        let mut tee = TeeProofLogger::new(shared.clone(), file);
-        assert_eq!(tee.log_add(&[lit(0, false), lit(1, true)], &[4]), 0, "numbers are a's");
-        tee.log_delete(&[lit(1, true)]);
-        assert_eq!(shared.snapshot().hints(0), &[4]);
-        assert_eq!(shared.snapshot().num_adds(), 1);
-        assert_eq!(shared.snapshot().num_deletes(), 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * [`DratProof`] / [`ProofLogger`] — a small logging interface the CDCL
 //!   engine in `sbgc-pb` emits DRAT steps through (learned clause
-//!   additions from 1UIP analysis, deletions from database reduction),
-//!   either into memory ([`SharedProof`]) or streamed to a file
-//!   ([`FileProofLogger`]).
+//!   additions from 1UIP analysis, deletions from database reduction)
+//!   into memory: one engine's own [`DratProof`], or a [`SharedProof`]
+//!   that racing workers log into through [`AddsOnlyProofLogger`]s.
 //! * [`check_drat`] — a forward RUP/DRAT checker with its own
 //!   watched-literal propagation that replays a proof against the original
 //!   clause list and accepts only genuine refutations.
@@ -19,14 +19,17 @@
 //! falsified one (LRAT-style hints). Formula clause `i` has ID `i` and
 //! addition `j` (0-based, deletions not counted) has ID
 //! `formula.len() + j`; the sink numbers the additions, so several solvers
-//! logging into one sink name each other's lemmas correctly. The checker walks a chain before propagating and
-//! searches whenever the chain does not close, so hints are advisory: they
-//! make checking faster and never change a verdict. Text DRAT
-//! ([`DratProof::to_dimacs`], [`FileProofLogger`]) stays standard and
-//! carries no hints.
+//! logging into one sink name each other's lemmas correctly. The checker
+//! walks a chain before propagating and searches whenever the chain does
+//! not close, so hints are advisory: they make checking faster and never
+//! change a verdict. Text DRAT ([`DratProof::to_dimacs`]) stays standard
+//! and carries no hints.
 //!
 //! `sbgc-core` combines both into optimality certificates: a verified
-//! k-coloring at χ plus a checked UNSAT proof at χ−1.
+//! k-coloring at χ plus a checked UNSAT proof at χ−1. The proof is
+//! checked in memory; a caller that archives it renders the checked
+//! proof with [`DratProof::to_dimacs`] and the refuted formula with
+//! [`dimacs_cnf`] afterwards.
 //!
 //! # Example
 //!
@@ -56,7 +59,4 @@ mod checker;
 mod drat;
 
 pub use checker::{check_drat, CheckError, CheckStats};
-pub use drat::{
-    dimacs_cnf, AddsOnlyProofLogger, DratProof, FileProofLogger, ProofErrorFlag, ProofLogger,
-    ProofStep, SharedProof, TeeProofLogger,
-};
+pub use drat::{dimacs_cnf, AddsOnlyProofLogger, DratProof, ProofLogger, ProofStep, SharedProof};

@@ -6,15 +6,12 @@
 //!
 //! * a portfolio worker that panics mid-race must not take the race down:
 //!   survivors decide, telemetry marks the corpse, no lock is poisoned;
-//! * a failing proof-archive stream must degrade the certificate honestly
-//!   (`Unchecked`, never a fabricated `Checked` or a spurious `Rejected`);
 //! * an exhausted budget must yield a proven bracket plus the *reason*
 //!   the search stopped, for every budget dimension including memory.
 
 use sbgc_core::{
-    certify_unsat_formula_streamed, chromatic_number_outcome, cnf_decision_formula,
-    try_solve_coloring, ChromaticResult, ColoringEncoding, ColoringOutcome, ProofStatus,
-    SolveOptions,
+    chromatic_number_outcome, try_solve_coloring, ChromaticResult, ColoringEncoding,
+    ColoringOutcome, SolveOptions,
 };
 use sbgc_formula::PbFormula;
 use sbgc_graph::gen::{gnp, mycielski, queens};
@@ -24,19 +21,9 @@ use sbgc_pb::{
     optimize_portfolio, portfolio_configs, Budget, ExhaustReason, OptOutcome, PortfolioSession,
     SolveOutcome,
 };
-use sbgc_proof::FileProofLogger;
 
 fn coloring_formula(graph: &Graph, k: usize) -> PbFormula {
     ColoringEncoding::new(graph, k).formula().clone()
-}
-
-fn unsat_cnf(graph: &Graph, k: usize) -> PbFormula {
-    let (num_vars, clauses) = cnf_decision_formula(graph, k);
-    let mut f = PbFormula::with_vars(num_vars);
-    for c in &clauses {
-        f.add_clause(c.iter().copied());
-    }
-    f
 }
 
 #[test]
@@ -198,42 +185,6 @@ fn fault_plan_on_solve_options_reaches_the_optimization_race() {
     assert_eq!(dead.len(), 1, "exactly one worker died: {dead:?}");
     assert_eq!(dead[0].index, 1);
     assert_eq!(dead[0].query, Some(0), "the death is attributed to optimization step 0");
-}
-
-#[test]
-fn failed_proof_stream_degrades_certificate_honestly() {
-    // K4 is not 3-colorable, so the refutation certifies — unless the
-    // archive stream fails, in which case the status must drop to
-    // Unchecked with the stream error, never stay Checked.
-    let f = unsat_cnf(&Graph::complete(4), 3);
-    let plan = FaultPlan::new(9).with_proof_write_failure(1);
-    let logger = FileProofLogger::new(std::io::sink()).with_fault_plan(&plan);
-    let (status, proof) = certify_unsat_formula_streamed(&f, &Budget::unlimited(), logger);
-    match status {
-        ProofStatus::Unchecked { reason } => {
-            assert!(reason.contains("proof stream failed"), "{reason}");
-        }
-        other => panic!("a failing archive must degrade the status, got {other}"),
-    }
-    assert!(proof.is_some(), "the in-memory proof survives the archive failure");
-
-    // A later write failing (not the first) degrades just the same — the
-    // archive is incomplete either way.
-    let plan = FaultPlan::new(9).with_proof_write_failure(5);
-    let logger = FileProofLogger::new(std::io::sink()).with_fault_plan(&plan);
-    let (status, _) = certify_unsat_formula_streamed(&f, &Budget::unlimited(), logger);
-    assert!(matches!(status, ProofStatus::Unchecked { .. }), "{status}");
-}
-
-#[test]
-fn healthy_proof_stream_still_certifies() {
-    // Control for the degradation test: without injected faults the
-    // streamed path must certify exactly like the in-memory path.
-    let f = unsat_cnf(&Graph::complete(4), 3);
-    let logger = FileProofLogger::new(std::io::sink());
-    let (status, proof) = certify_unsat_formula_streamed(&f, &Budget::unlimited(), logger);
-    assert!(matches!(status, ProofStatus::Checked { .. }), "{status}");
-    assert!(proof.is_some());
 }
 
 #[test]
