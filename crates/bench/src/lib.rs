@@ -930,6 +930,81 @@ mod tests {
     }
 
     #[test]
+    fn archive_proof_writes_nothing_without_a_proof() {
+        // χ = 1 certifies by definition, so there is no refutation to keep.
+        let dir = std::env::temp_dir().join(format!("sbgc_no_proof_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let graph = Graph::empty(3);
+        let (_, cert) = chromatic_number_certified(&graph, &SolveOptions::new(3));
+        let cert = cert.expect("exact result yields a certificate");
+        assert!(matches!(cert.unsat, ProofStatus::Trivial { .. }), "{}", cert.unsat);
+        archive_proof(dir.to_str().expect("utf-8 temp path"), "empty3", &graph, &cert);
+        assert_eq!(std::fs::read_dir(&dir).expect("temp dir").count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn archive_proof_replaces_a_stale_archive() {
+        // An earlier run's files are replaced whole, and no temp file stays.
+        let dir = std::env::temp_dir().join(format!("sbgc_stale_proofs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        for ext in ["cnf", "drat", "drat.tmp"] {
+            std::fs::write(dir.join(format!("myciel3.{ext}")), b"stale").expect("stale file");
+        }
+        let graph = suite::build("myciel3").graph;
+        let (_, cert) = chromatic_number_certified(&graph, &SolveOptions::new(6));
+        let cert = cert.expect("exact result yields a certificate");
+        archive_proof(dir.to_str().expect("utf-8 temp path"), "myciel3", &graph, &cert);
+
+        let read = |ext: &str| std::fs::read_to_string(dir.join(format!("myciel3.{ext}")));
+        assert_eq!(read("drat").expect(".drat written"), cert.proof.expect("proof").to_dimacs());
+        let (num_vars, clauses) = cnf_decision_formula(&graph, cert.chromatic_number - 1);
+        assert_eq!(read("cnf").expect(".cnf written"), sbgc_proof::dimacs_cnf(num_vars, &clauses));
+        assert!(!dir.join("myciel3.drat.tmp").exists(), "no temp file left behind");
+        assert!(!dir.join("myciel3.cnf.tmp").exists(), "no temp file left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `--certify` run of myciel3 with `--proof proof_dir`.
+    fn certify_myciel3(proof_dir: &std::path::Path) -> HarnessConfig {
+        HarnessConfig {
+            timeout: Duration::from_secs(30),
+            k: 5,
+            instances: vec!["myciel3".to_string()],
+            certify: true,
+            proof_dir: Some(proof_dir.to_str().expect("utf-8 temp path").to_string()),
+            ..HarnessConfig::default()
+        }
+    }
+
+    #[test]
+    fn certification_creates_the_proof_directory_and_archives_each_instance() {
+        // run_certification returns (rather than exiting 1) only when every
+        // instance certified; the nested directory is created on the way.
+        let root = std::env::temp_dir().join(format!("sbgc_run_proofs_{}", std::process::id()));
+        let dir = root.join("nested").join("proofs");
+        run_certification(&certify_myciel3(&dir));
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("proof directory created")
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        names.sort();
+        assert_eq!(names, ["myciel3.cnf", "myciel3.drat"]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn uncreatable_proof_directory_leaves_the_verdict_standing() {
+        // A regular file where the proof directory's parent should be makes
+        // create_dir_all fail; certification warns, runs on and passes.
+        let file = std::env::temp_dir().join(format!("sbgc_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, b"a file").expect("temp file");
+        run_certification(&certify_myciel3(&file.join("proofs")));
+        assert_eq!(std::fs::read(&file).expect("still a file"), b"a file");
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
     fn certify_flag_attaches_checked_certificate_to_report() {
         let config = HarnessConfig {
             timeout: Duration::from_secs(30),
@@ -1127,6 +1202,34 @@ mod tests {
         let stats = certificate_stats(&cert);
         assert_eq!(stats.status, "rejected");
         assert!(!stats.detail.is_empty());
+        assert!(!stats.is_verified());
+    }
+
+    #[test]
+    fn certificate_stats_carry_trivial_and_unchecked_detail() {
+        use sbgc_core::Coloring;
+        // χ = 1 flattens to a verified "trivial" record with its reason.
+        let one =
+            ChromaticResult::Exact { chromatic_number: 1, witness: Coloring::new(vec![0; 3]) };
+        let cert = certify_result(&Graph::empty(3), &one, &Budget::unlimited()).expect("exact");
+        let stats = certificate_stats(&cert);
+        assert_eq!(stats.status, "trivial");
+        assert!(stats.detail.contains("χ ≤ 1"), "{}", stats.detail);
+        assert!(stats.is_verified());
+        assert_eq!(stats.proof_steps, 0);
+
+        // A zero-conflict budget cannot refute 6-coloring queen6_6; the
+        // record is "unchecked" and says which budget ran out.
+        let inst = suite::build("queen6_6");
+        let seven = ChromaticResult::Exact {
+            chromatic_number: 7,
+            witness: Coloring::new(vec![0; inst.graph.num_vertices()]),
+        };
+        let budget = Budget::unlimited().with_max_conflicts(0);
+        let cert = certify_result(&inst.graph, &seven, &budget).expect("exact claim");
+        let stats = certificate_stats(&cert);
+        assert_eq!(stats.status, "unchecked");
+        assert!(stats.detail.contains("budget exhausted (conflicts)"), "{}", stats.detail);
         assert!(!stats.is_verified());
     }
 }

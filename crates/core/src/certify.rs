@@ -526,4 +526,130 @@ mod tests {
         }
         assert!(proof.is_none());
     }
+
+    #[test]
+    fn model_of_the_smaller_formula_disproves_the_claim() {
+        // A model of the 2-coloring CNF refutes the claimed χ = 3 outright:
+        // the status is Rejected, never Unchecked, and keeps no proof.
+        let (num_vars, _) = cnf_decision_formula(&Graph::complete(3), 2);
+        let model = sbgc_formula::Assignment::new(num_vars);
+        let (status, proof) = check_triangle(SolveOutcome::Sat(model));
+        match status {
+            ProofStatus::Rejected { error } => {
+                assert!(error.contains("(2)-colorable"), "{error}");
+                assert!(error.contains("χ = 3"), "{error}");
+            }
+            other => panic!("expected Rejected, got {other}"),
+        }
+        assert!(proof.is_none());
+    }
+
+    #[test]
+    fn unsat_outcome_with_a_refuting_log_is_checked() {
+        // The sequential certifier's own log for K4 at three colors: the
+        // status reports the checker's counts and the proof's size, carries
+        // the solve time through, and the proof is kept for archiving.
+        let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(4), 3);
+        let shared = SharedProof::new();
+        let mut engine = certifier(num_vars, &clauses, Box::new(shared.clone()));
+        let outcome = engine.solve_with_budget(&Budget::unlimited());
+        assert!(matches!(outcome, SolveOutcome::Unsat), "{outcome:?}");
+        let log = shared.take();
+        let (status, proof) = check_outcome(outcome, None, 4, num_vars, &clauses, log.clone(), 0.5);
+        match status {
+            ProofStatus::Checked { steps, adds, deletes, literals, solve_seconds, .. } => {
+                assert!(adds > 0 && steps == adds + deletes, "{steps} = {adds} + {deletes}");
+                assert!(steps <= log.len());
+                assert_eq!(literals, log.total_literals());
+                assert_eq!(solve_seconds, 0.5);
+            }
+            other => panic!("expected Checked, got {other}"),
+        }
+        assert_eq!(proof, Some(log));
+    }
+
+    #[test]
+    fn bounded_claims_are_not_certified() {
+        // A bracket is not an optimum: neither certifier has anything to
+        // refute, so no certificate comes back and no solve runs.
+        let g = mycielski(4);
+        let bounded = ChromaticResult::Bounded {
+            lower: 3,
+            upper: 6,
+            witness: Coloring::new((0..g.num_vertices()).map(|v| v % 6).collect()),
+        };
+        for workers in [1, 3] {
+            let cert = certify_result_parallel(&g, &bounded, &Budget::unlimited(), workers);
+            assert!(cert.is_none(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn improper_witness_is_not_verified() {
+        // The refutation of 2-coloring C5 checks, but the witness gives
+        // vertices 3, 4 and 0 one color: the certificate must not hold.
+        let g = Graph::cycle(5);
+        let claim = ChromaticResult::Exact {
+            chromatic_number: 3,
+            witness: Coloring::new(vec![0, 1, 2, 0, 0]),
+        };
+        let cert = certify_result(&g, &claim, &Budget::unlimited()).expect("exact claim");
+        assert!(matches!(cert.unsat, ProofStatus::Checked { .. }), "{}", cert.unsat);
+        assert!(!cert.witness_verified);
+        assert!(!cert.is_certified());
+    }
+
+    #[test]
+    fn witness_with_more_colors_than_claimed_is_not_verified() {
+        // A proper 4-coloring does not witness χ = 3, even though the
+        // refutation of 2-coloring checks.
+        let g = Graph::cycle(5);
+        let witness = Coloring::new(vec![0, 1, 2, 3, 1]);
+        assert!(witness.is_proper(&g));
+        let claim = ChromaticResult::Exact { chromatic_number: 3, witness };
+        let cert = certify_result(&g, &claim, &Budget::unlimited()).expect("exact claim");
+        assert!(cert.unsat.is_verified(), "{}", cert.unsat);
+        assert!(!cert.witness_verified);
+        assert!(!cert.is_certified());
+    }
+
+    #[test]
+    fn status_display_names_each_outcome() {
+        // These are the words table1 --certify prints after "unsat".
+        let checked = ProofStatus::Checked {
+            steps: 5,
+            adds: 4,
+            deletes: 1,
+            literals: 9,
+            solve_seconds: 0.0,
+            check_seconds: 0.0,
+        };
+        assert_eq!(checked.to_string(), "checked (5 steps: 4 adds, 1 deletes)");
+        let trivial = ProofStatus::Trivial { reason: "χ ≤ 1".into() };
+        assert_eq!(trivial.to_string(), "trivial (χ ≤ 1)");
+        let reason = "budget exhausted (time) before a refutation was found";
+        let unchecked = ProofStatus::Unchecked { reason: reason.into() };
+        assert_eq!(unchecked.to_string(), format!("unchecked ({reason})"));
+        let rejected = ProofStatus::Rejected { error: "step 3".into() };
+        assert_eq!(rejected.to_string(), "REJECTED (step 3)");
+        let verified: Vec<bool> =
+            [checked, trivial, unchecked, rejected].iter().map(ProofStatus::is_verified).collect();
+        assert_eq!(verified, [true, true, false, false]);
+    }
+
+    #[test]
+    fn zero_and_one_worker_log_the_same_sequential_proof() {
+        // `workers ≤ 1` is the sequential certifier, and that certifier is
+        // deterministic: the same claim yields the same proof step for step.
+        let proofs: Vec<DratProof> = [0, 1, 1]
+            .into_iter()
+            .map(|workers| {
+                let cert = refute(&mycielski(3), 3, &Budget::unlimited(), workers);
+                assert!(cert.unsat.is_verified(), "workers={workers}: {}", cert.unsat);
+                cert.proof.expect("refutation")
+            })
+            .collect();
+        assert_eq!(proofs[0], proofs[1]);
+        assert_eq!(proofs[1], proofs[2]);
+    }
 }

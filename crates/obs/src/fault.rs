@@ -257,4 +257,25 @@ mod tests {
         assert!(!plan.is_empty());
         assert!(FaultPlan::new(0).mid_rung_kill().is_none());
     }
+
+    #[test]
+    fn each_fault_alone_makes_the_plan_non_empty() {
+        // `is_empty` must see every field: a plan scheduling any one fault
+        // is not the production no-op plan, whatever the seed.
+        let base = FaultPlan::new(9);
+        let single = [
+            base.clone().with_worker_panic(0, 0),
+            base.clone().with_improper_witness(0),
+            base.clone().with_stalled_worker(0, 0),
+            base.clone().with_mid_rung_kill(0),
+            base.clone().with_checkpoint_corruption(0),
+            base.clone().with_artifact_write_failure(),
+        ];
+        for plan in &single {
+            assert!(!plan.is_empty(), "{plan:?}");
+            assert_ne!(plan, &base);
+        }
+        assert!(base.is_empty());
+        assert!(FaultPlan::default().is_empty());
+    }
 }

@@ -422,4 +422,53 @@ mod tests {
         let cnf = dimacs_cnf(3, &[vec![lit(0, false), lit(2, true)], vec![lit(1, false)]]);
         assert_eq!(cnf, "p cnf 3 2\n1 -3 0\n2 0\n");
     }
+
+    #[test]
+    fn dimacs_cnf_parses_back_to_the_same_formula() {
+        // The archived .cnf must read back as the formula the proof refutes,
+        // including a declared variable that no clause mentions.
+        let clauses = vec![vec![lit(0, false), lit(2, true)], vec![lit(1, true)], vec![]];
+        let formula = sbgc_formula::parse_dimacs_cnf(&dimacs_cnf(4, &clauses)).unwrap();
+        assert_eq!(formula.num_vars(), 4);
+        let parsed: Vec<Vec<Lit>> =
+            formula.clauses().iter().map(|c| c.literals().to_vec()).collect();
+        assert_eq!(parsed, clauses);
+    }
+
+    #[test]
+    fn shared_proof_clones_number_additions_in_one_sequence() {
+        // Racing workers each hold a clone; the numbers they get back are
+        // positions in the one merged log, so chains may name a peer's lemma.
+        let shared = SharedProof::new();
+        let (mut a, mut b) = (shared.clone(), shared.clone());
+        assert_eq!(a.log_add(&[lit(0, false)], &[1]), 0);
+        assert_eq!(b.log_add(&[lit(1, false)], &[]), 1);
+        b.log_delete(&[lit(1, false)]);
+        assert_eq!(a.log_add(&[], &[0, 1]), 2);
+        let proof = shared.take();
+        assert_eq!(proof.num_adds(), 3);
+        assert_eq!(proof.num_deletes(), 1);
+        assert_eq!(proof.hints(2), &[0, 1]);
+        assert_eq!(proof.steps()[2], ProofStep::Delete(vec![lit(1, false)]));
+    }
+
+    #[test]
+    fn adds_only_logger_forwards_numbers_and_hints() {
+        // The wrapper returns the shared log's number, not a count of its
+        // own, and passes the chain through untouched.
+        let shared = SharedProof::new();
+        let mut peer = shared.clone();
+        peer.log_add(&[lit(0, false)], &[]);
+        let mut sink = AddsOnlyProofLogger::new(shared.clone());
+        assert_eq!(sink.log_add(&[lit(1, false)], &[4, 0]), 1);
+        assert_eq!(shared.snapshot().hints(1), &[4, 0]);
+    }
+
+    #[test]
+    fn from_dimacs_errors_name_the_line() {
+        let bad_token = DratProof::from_dimacs("1 0\nc note\n2 -x 0\n").unwrap_err();
+        assert!(bad_token.contains("line 3") && bad_token.contains("-x"), "{bad_token}");
+        let unterminated = DratProof::from_dimacs("1 0\nd 1 2\n").unwrap_err();
+        assert!(unterminated.contains("line 2: missing 0 terminator"), "{unterminated}");
+    }
 }

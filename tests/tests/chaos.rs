@@ -7,20 +7,22 @@
 //! * a portfolio worker that panics mid-race must not take the race down:
 //!   survivors decide, telemetry marks the corpse, no lock is poisoned;
 //! * an exhausted budget must yield a proven bracket plus the *reason*
-//!   the search stopped, for every budget dimension including memory.
+//!   the search stopped, for every budget dimension including memory;
+//!   an exhausted certifier must say the same instead of a verdict.
 
 use sbgc_core::{
-    chromatic_number_outcome, try_solve_coloring, ChromaticResult, ColoringEncoding,
-    ColoringOutcome, SolveOptions,
+    certify_result_parallel, chromatic_number_outcome, try_solve_coloring, ChromaticResult,
+    Coloring, ColoringEncoding, ColoringOutcome, ProofStatus, SolveOptions,
 };
 use sbgc_formula::PbFormula;
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_graph::Graph;
 use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_pb::{
-    optimize_portfolio, portfolio_configs, Budget, ExhaustReason, OptOutcome, PortfolioSession,
-    SolveOutcome,
+    optimize_portfolio, portfolio_configs, Budget, CancelToken, ExhaustReason, OptOutcome,
+    PortfolioSession, SolveOutcome,
 };
+use std::time::Duration;
 
 fn coloring_formula(graph: &Graph, k: usize) -> PbFormula {
     ColoringEncoding::new(graph, k).formula().clone()
@@ -224,6 +226,38 @@ fn memory_exhausted_search_reports_memory_reason() {
         }
         ChromaticResult::Exact { .. } => {
             panic!("a one-byte memory budget cannot complete the queen6_6 search")
+        }
+    }
+}
+
+#[test]
+fn exhausted_certifier_names_every_budget_dimension() {
+    // Refuting 6-coloring queen6_6 takes far more than the 64 conflicts
+    // before the first budget check. Whichever dimension stops it, the
+    // sequential and the racing certifier leave the claim unchecked —
+    // never rejected — keep no proof, and name that dimension.
+    let g = queens(6, 6);
+    let claim = ChromaticResult::Exact {
+        chromatic_number: 7,
+        witness: Coloring::new(vec![0; g.num_vertices()]),
+    };
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    for (budget, label) in [
+        (Budget::unlimited().with_timeout(Duration::from_nanos(1)), "time"),
+        (Budget::unlimited().with_max_memory(1), "memory"),
+        (Budget::unlimited().with_cancel_token(cancelled), "cancelled"),
+    ] {
+        for workers in [1, 3] {
+            let cert = certify_result_parallel(&g, &claim, &budget, workers).expect("exact claim");
+            match &cert.unsat {
+                ProofStatus::Unchecked { reason } => {
+                    let expected = format!("budget exhausted ({label})");
+                    assert!(reason.contains(&expected), "workers={workers}: {reason}");
+                }
+                other => panic!("{label}, workers={workers}: expected Unchecked, got {other}"),
+            }
+            assert!(cert.proof.is_none(), "{label}, workers={workers}");
         }
     }
 }
