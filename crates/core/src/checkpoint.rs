@@ -15,7 +15,11 @@
 //! * the **worker seeds** that were running, so a resume can diversify
 //!   away from them;
 //! * a **graph fingerprint** and the SBP label, so a checkpoint is never
-//!   silently replayed against a different instance or encoding.
+//!   silently replayed against a different instance or encoding;
+//! * the **SBP vertex order** the ordered modes followed: learned clauses
+//!   are entailed only by the SBP clauses they were learned under, so a
+//!   resume whose rebuilt session follows another order keeps the bracket
+//!   and witness but imports none of them.
 //!
 //! The on-disk format is a zero-dependency hand-rolled little-endian
 //! binary layout: magic `SBGC`, a format version, the payload, and a
@@ -35,7 +39,7 @@ use std::path::Path;
 /// Magic prefix of every checkpoint file.
 const MAGIC: [u8; 4] = *b"SBGC";
 /// Current format version; bump on any layout change.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 /// Decode guard: refuse absurd element counts before allocating (a
 /// corrupted length prefix must not become a multi-gigabyte `Vec`).
 const MAX_ELEMENTS: u64 = 1 << 28;
@@ -95,6 +99,12 @@ pub struct SolveCheckpoint {
     /// clauses reference its variables, so a resume with a different
     /// ceiling drops them.
     pub ceiling: u64,
+    /// The vertex order the dead solve's SBP construction followed
+    /// (`order[i]` is the vertex at position i; empty for modes that
+    /// follow none).
+    /// Its learned clauses are entailed only under those SBP clauses, so a
+    /// resume with a different order drops them.
+    pub sbp_order: Vec<u64>,
     /// Proven lower chromatic bound.
     pub lower: u64,
     /// Proven (witnessed) upper chromatic bound.
@@ -123,7 +133,8 @@ pub enum CheckpointError {
     },
     /// The file does not start with the `SBGC` magic — not a checkpoint.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads (an
+    /// older or a newer layout).
     UnsupportedVersion(u32),
     /// The CRC-32 trailer does not match the payload: bit rot, a flipped
     /// byte, or a truncated tail.
@@ -168,7 +179,10 @@ impl fmt::Display for CheckpointError {
                 write!(f, "not a checkpoint file (missing SBGC magic)")
             }
             CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint format version {v} (this build reads ≤ {FORMAT_VERSION})")
+                write!(
+                    f,
+                    "unsupported checkpoint format version {v} (this build reads only version {FORMAT_VERSION})"
+                )
             }
             CheckpointError::ChecksumMismatch { stored, computed } => {
                 write!(
@@ -209,6 +223,10 @@ impl SolveCheckpoint {
         put_u64(&mut buf, self.fingerprint.edge_hash);
         put_bytes(&mut buf, self.sbp.as_bytes());
         put_u64(&mut buf, self.ceiling);
+        put_u64(&mut buf, self.sbp_order.len() as u64);
+        for &v in &self.sbp_order {
+            put_u64(&mut buf, v);
+        }
         put_u64(&mut buf, self.lower);
         put_u64(&mut buf, self.upper);
         match &self.witness {
@@ -243,7 +261,8 @@ impl SolveCheckpoint {
     /// # Errors
     ///
     /// [`CheckpointError::BadMagic`] when the prefix is wrong,
-    /// [`CheckpointError::UnsupportedVersion`] for future formats,
+    /// [`CheckpointError::UnsupportedVersion`] for any format version but
+    /// the current one,
     /// [`CheckpointError::ChecksumMismatch`] when the CRC trailer
     /// disagrees with the payload (corruption, truncation), and
     /// [`CheckpointError::Malformed`] for structural damage the CRC
@@ -251,8 +270,8 @@ impl SolveCheckpoint {
     /// an inverted bracket).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         // Magic and version are checked before the CRC so the caller
-        // learns "not a checkpoint at all" and "newer format" distinctly;
-        // both checks read only fixed offsets.
+        // learns "not a checkpoint at all" and "another format version"
+        // distinctly; both checks read only fixed offsets.
         if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
@@ -275,6 +294,11 @@ impl SolveCheckpoint {
             GraphFingerprint { vertices: r.u64()?, edges: r.u64()?, edge_hash: r.u64()? };
         let sbp = r.string()?;
         let ceiling = r.u64()?;
+        let order_len = r.len(fingerprint.vertices)?;
+        let mut sbp_order = Vec::with_capacity(order_len);
+        for _ in 0..order_len {
+            sbp_order.push(r.u64()?);
+        }
         let lower = r.u64()?;
         let upper = r.u64()?;
         if lower > upper {
@@ -320,6 +344,7 @@ impl SolveCheckpoint {
             fingerprint,
             sbp,
             ceiling,
+            sbp_order,
             lower,
             upper,
             witness,
@@ -451,8 +476,9 @@ mod tests {
         let lit = |code: usize| Lit::from_code(code);
         SolveCheckpoint {
             fingerprint: GraphFingerprint { vertices: 36, edges: 290, edge_hash: 0xDEAD_BEEF },
-            sbp: "nu".to_string(),
+            sbp: "ValPrec".to_string(),
             ceiling: 8,
+            sbp_order: (0..36).rev().collect(),
             lower: 6,
             upper: 8,
             witness: Some((0..36).map(|v| v % 8).collect()),
@@ -468,6 +494,7 @@ mod tests {
         assert_eq!(SolveCheckpoint::from_bytes(&bytes).unwrap(), ckpt);
         // And without optional parts.
         let bare = SolveCheckpoint {
+            sbp_order: Vec::new(),
             witness: None,
             worker_seeds: Vec::new(),
             clauses: Vec::new(),
@@ -516,6 +543,35 @@ mod tests {
     }
 
     #[test]
+    fn version_1_files_are_refused_truthfully() {
+        // A genuine version-1 layout: no SBP-order field, CRC intact.
+        let ckpt = SolveCheckpoint { sbp_order: Vec::new(), ..sample() };
+        let v2 = ckpt.to_bytes();
+        let order_at = 4 + 4 + 24 + 8 + ckpt.sbp.len() + 8;
+        assert_eq!(v2[order_at..order_at + 8], 0u64.to_le_bytes(), "empty order length");
+        let mut v1 = [&v2[..order_at], &v2[order_at + 8..v2.len() - 4]].concat();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&v1);
+        put_u32(&mut v1, crc);
+        let err = SolveCheckpoint::from_bytes(&v1).unwrap_err();
+        assert_eq!(err, CheckpointError::UnsupportedVersion(1));
+        assert_eq!(
+            err.to_string(),
+            "unsupported checkpoint format version 1 (this build reads only version 2)"
+        );
+    }
+
+    #[test]
+    fn order_longer_than_the_graph_is_malformed() {
+        let mut ckpt = sample();
+        ckpt.sbp_order = (0..37).collect();
+        match SolveCheckpoint::from_bytes(&ckpt.to_bytes()) {
+            Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("exceeds bound 36")),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn absurd_length_prefix_does_not_allocate() {
         // Hand-craft a payload whose seed count claims 2^60 entries; the
         // decoder must reject the length, not try to reserve it.
@@ -524,9 +580,9 @@ mod tests {
         let mut bytes = ckpt.to_bytes();
         let crc_at = bytes.len() - 4;
         // Seed-count field sits right after the witness tag: magic (4) +
-        // version (4) + fingerprint (24) + sbp (8 + len) + ceiling/lower/
-        // upper (24) + witness tag (1).
-        let seeds_at = 4 + 4 + 24 + 8 + ckpt.sbp.len() + 24 + 1;
+        // version (4) + fingerprint (24) + sbp (8 + len) + ceiling (8) +
+        // order (8 + 8 per vertex) + lower/upper (16) + witness tag (1).
+        let seeds_at = 4 + 4 + 24 + 8 + ckpt.sbp.len() + 8 + 8 + 8 * 36 + 16 + 1;
         bytes[seeds_at..seeds_at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         let fixed = crc32(&bytes[..crc_at]);
         bytes[crc_at..].copy_from_slice(&fixed.to_le_bytes());

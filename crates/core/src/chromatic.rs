@@ -39,9 +39,17 @@ pub struct ChromaticBounds {
 /// Computes the clique lower bound and DSATUR upper bound — step 1 of the
 /// paper's per-instance K-selection procedure (Section 4.1).
 pub fn bounds(graph: &Graph) -> ChromaticBounds {
+    bounds_with_clique(graph).0
+}
+
+/// [`bounds`] together with the greedy clique behind its lower bound, for
+/// callers that also hand the clique to the session's SBP vertex order —
+/// one DSATUR run and one clique search per solve.
+pub(crate) fn bounds_with_clique(graph: &Graph) -> (ChromaticBounds, Vec<usize>) {
     let witness = algo::dsatur(graph);
-    let lower = algo::greedy_clique(graph).len().max(usize::from(graph.num_vertices() > 0));
-    ChromaticBounds { lower, upper: witness.num_colors(), witness }
+    let clique = algo::greedy_clique(graph);
+    let lower = clique.len().max(usize::from(graph.num_vertices() > 0));
+    (ChromaticBounds { lower, upper: witness.num_colors(), witness }, clique)
 }
 
 /// The one-shot greedy [`bounds`], tightened by running the heuristic
@@ -229,7 +237,11 @@ pub fn chromatic_number_outcome(
         return Err(SolveError::ZeroColorBound);
     }
     let incremental = ColoringSession::supports(options);
-    let b = if incremental { bounds(graph) } else { initial_bounds(graph, options)? };
+    let (b, clique) = if incremental {
+        bounds_with_clique(graph)
+    } else {
+        (initial_bounds(graph, options)?, Vec::new())
+    };
     if b.lower >= b.upper {
         // The bracket is already collapsed (DSATUR met the clique bound,
         // or the fallback's heuristic race closed the gap): provably
@@ -244,7 +256,7 @@ pub fn chromatic_number_outcome(
     }
     let bracket = Bracket::new(graph, &b);
     let ladder = || {
-        let mut session = ColoringSession::new(graph, options)?;
+        let mut session = ColoringSession::new_with(graph, options, 0, b.upper, &clique)?;
         // One wall-clock for the whole ladder: arming the deadline here (it
         // arms once) makes every step share it.
         let budget = options.budget.started();

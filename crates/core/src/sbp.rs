@@ -20,10 +20,25 @@
 //! ValuePrec all force the canonical first-occurrence representative —
 //! identical solution sets, wildly different encodings (see
 //! `EXPERIMENTS.md` for how much the encoding choice matters).
+//!
+//! # The vertex order of the complete post-paper constructions
+//!
+//! A first-occurrence form is defined along a vertex sequence, and the
+//! sequence is part of the encoding. The paper's LI follows vertex
+//! indices. LI-prefix, Orbitope and ValuePrec instead follow one order
+//! computed from the graph: the greedy clique first, then every other
+//! vertex by descending degree, ties broken by index. With the clique in
+//! front, propagation alone forces its `q` vertices onto colors `0..q`,
+//! so one complete construction also does what SC's pins do. "Vertex i"
+//! in those three constructions means "the vertex at position i of the
+//! order". The paper's NU, CA, LI, SC, NU+SC and SC-clique keep their
+//! printed formulas.
 
 use crate::encode::ColoringEncoding;
 use sbgc_formula::{Lit, PbConstraint, Var};
+use sbgc_graph::algo::greedy_clique;
 use sbgc_graph::Graph;
+use std::cmp::Reverse;
 use std::fmt;
 
 /// The instance-independent SBP constructions evaluated in the paper,
@@ -66,29 +81,33 @@ pub enum SbpMode {
     /// colors for all three vertices in it"). Not part of the paper's
     /// evaluated grid; used by the ablation benches.
     ScClique,
-    /// Extension: the same lowest-index ordering as [`SbpMode::Li`], but
-    /// in a modern tight prefix-variable encoding
-    /// (`P[i][k] ⇔ x[i][k] ∨ P[i-1][k]`, strict ordering
-    /// `P[i][k+1] ⇒ P[i-1][k]`) that propagates strongly and breaks the
-    /// instance-independent symmetries *completely*. Not part of the
-    /// paper's grid — notably, it *reverses* the paper's LI conclusion
-    /// (see EXPERIMENTS.md).
+    /// Extension: the lowest-position ordering of [`SbpMode::Li`] in a
+    /// modern tight prefix-variable encoding
+    /// (`P[i][k] ⇔ x[vᵢ][k] ∨ P[i-1][k]`, strict ordering
+    /// `P[i][k+1] ⇒ P[i-1][k]`, where `vᵢ` is the vertex at position i of
+    /// the clique-first order — see the module docs) that propagates
+    /// strongly and breaks the instance-independent symmetries
+    /// *completely*. Not part of the paper's grid — notably, it
+    /// *reverses* the paper's LI conclusion (see EXPERIMENTS.md).
     LiPrefix,
     /// Partitioning-orbitope column-lexicographic ordering
     /// (Kaibel–Pfetsch). Views the encoding exactly as the paper does —
-    /// an n×K 0/1 matrix `x[v][c]` whose columns can be permuted — and
-    /// keeps only the lex-max column order via the standard
-    /// prefix-sum/shifted-column encoding: unit clauses zero the upper
-    /// triangle (`¬x[i][c]` for `c > i`), column-prefix variables
-    /// `P[i][c] ⇔ x[i][c] ∨ P[i−1][c]` track first use, and shifted-column
-    /// links `x[i][c] ⇒ P[i−1][c−1]` force color c to open strictly after
-    /// color c−1. Complete (exactly one representative per color-orbit
-    /// survives); `nK` aux vars, `≈4nK` clauses. Not in the paper's grid.
+    /// an n×K 0/1 matrix `x[v][c]` whose columns can be permuted — with
+    /// its rows in the clique-first vertex order (`vᵢ` is the vertex at
+    /// position i; see the module docs), and keeps only the lex-max column
+    /// order via the standard prefix-sum/shifted-column encoding: unit
+    /// clauses zero the upper triangle (`¬x[vᵢ][c]` for `c > i`),
+    /// column-prefix variables `P[i][c] ⇔ x[vᵢ][c] ∨ P[i−1][c]` track
+    /// first use, and shifted-column links `x[vᵢ][c] ⇒ P[i−1][c−1]` force
+    /// color c to open strictly after color c−1. Complete (exactly one
+    /// representative per color-orbit survives); `nK` aux vars, `≈4nK`
+    /// clauses. Not in the paper's grid.
     Orbitope,
-    /// Walsh-style value precedence: color `c` may be used by vertex `i`
-    /// only if color `c−1` is already used by some vertex `j < i`, in the
-    /// direct aux-free decomposition (`¬x[i][c] ∨ x[0][c−1] ∨ … ∨
-    /// x[i−1][c−1]`) plus the Narodytska–Walsh-style implied usage
+    /// Walsh-style value precedence along the clique-first vertex order
+    /// `v₀, v₁, …` (see the module docs): color `c` may be used by `vᵢ`
+    /// only if color `c−1` is already used by some `vⱼ`, `j < i`, in the
+    /// direct aux-free decomposition (`¬x[vᵢ][c] ∨ x[v₀][c−1] ∨ … ∨
+    /// x[vᵢ₋₁][c−1]`) plus the Narodytska–Walsh-style implied usage
     /// ordering `y[c+1] ⇒ y[c]`. Complete, zero auxiliary variables,
     /// `(K−1)(n+1)` clauses — but the long clauses propagate late, the
     /// same weakness the paper found in LI. Not in the paper's grid.
@@ -197,6 +216,14 @@ impl SbpMode {
             _ => return None,
         })
     }
+
+    /// Whether the construction follows the clique-first vertex order of
+    /// the module docs (LI-prefix, Orbitope and ValuePrec) rather than
+    /// vertex indices (the paper's LI keeps its printed index order) or no
+    /// order at all.
+    pub(crate) fn is_ordered(self) -> bool {
+        matches!(self, SbpMode::LiPrefix | SbpMode::Orbitope | SbpMode::ValuePrec)
+    }
 }
 
 impl fmt::Display for SbpMode {
@@ -234,8 +261,9 @@ pub struct SbpSizeStats {
 
 /// Appends the chosen instance-independent SBPs to the encoding's formula.
 ///
-/// `graph` is needed only by the SC construction (degree information); the
-/// other constructions are pure functions of the encoding.
+/// `graph` gives SC and SC-clique their pinned vertices and LI-prefix,
+/// Orbitope and ValuePrec their clique-first vertex order (see the module
+/// docs); the other constructions are pure functions of the encoding.
 ///
 /// # Examples
 ///
@@ -257,7 +285,26 @@ pub fn add_instance_independent_sbps(
     graph: &Graph,
     mode: SbpMode,
 ) -> SbpSizeStats {
+    let clique = if mode.is_ordered() { greedy_clique(graph) } else { Vec::new() };
+    add_sbps_with_clique(encoding, graph, mode, &clique).0
+}
+
+/// [`add_instance_independent_sbps`] with the graph's greedy clique
+/// supplied by a caller that already computed it. Also returns the vertex
+/// order the construction followed ([`vertex_order`]), empty for modes
+/// that follow none.
+///
+/// # Panics
+///
+/// Panics if `graph` does not match the encoding's vertex count.
+pub(crate) fn add_sbps_with_clique(
+    encoding: &mut ColoringEncoding,
+    graph: &Graph,
+    mode: SbpMode,
+    clique: &[usize],
+) -> (SbpSizeStats, Vec<usize>) {
     assert_eq!(graph.num_vertices(), encoding.num_vertices(), "graph/encoding mismatch");
+    let order = if mode.is_ordered() { vertex_order(graph, clique) } else { Vec::new() };
     let before = encoding.formula().stats();
     let before_vars = encoding.formula().num_vars();
     match mode {
@@ -271,16 +318,30 @@ pub fn add_instance_independent_sbps(
             add_sc(encoding, graph);
         }
         SbpMode::ScClique => add_sc_clique(encoding, graph),
-        SbpMode::LiPrefix => add_li_prefix(encoding),
-        SbpMode::Orbitope => add_orbitope(encoding),
-        SbpMode::ValuePrec => add_value_prec(encoding),
+        SbpMode::LiPrefix => add_li_prefix(encoding, &order),
+        SbpMode::Orbitope => add_orbitope(encoding, &order),
+        SbpMode::ValuePrec => add_value_prec(encoding, &order),
     }
     let after = encoding.formula().stats();
-    SbpSizeStats {
+    let stats = SbpSizeStats {
         aux_vars: encoding.formula().num_vars() - before_vars,
         clauses: after.clauses - before.clauses,
         pb_constraints: after.pb_constraints() - before.pb_constraints(),
+    };
+    (stats, order)
+}
+
+/// The vertex order of the ordered modes: `clique` first, as given, then
+/// every other vertex by descending degree, ties broken by index.
+/// `order[i]` is the vertex at position i.
+fn vertex_order(graph: &Graph, clique: &[usize]) -> Vec<usize> {
+    let mut in_clique = vec![false; graph.num_vertices()];
+    for &v in clique {
+        in_clique[v] = true;
     }
+    let mut rest: Vec<usize> = (0..graph.num_vertices()).filter(|&v| !in_clique[v]).collect();
+    rest.sort_by_key(|&v| (Reverse(graph.degree(v)), v));
+    clique.iter().copied().chain(rest).collect()
 }
 
 /// NU — null-color elimination: `y[k+1] ⇒ y[k]` for `1 ≤ k < K`.
@@ -364,19 +425,38 @@ fn add_li(encoding: &mut ColoringEncoding) {
     }
 }
 
-/// LI-prefix — the extension encoding: prefix variables
-/// `P[i][k] ⇔ x[i][k] ∨ P[i-1][k]` ("some vertex ≤ i uses color k") and
-/// the strict ordering `P[i][k+1] ⇒ P[i-1][k]` (with `P[-1][k] = false`),
-/// which forces the lowest-index vertex of color k+1 to come after that of
-/// color k. Complete — no instance-independent symmetry survives — and,
-/// unlike the paper's LI, built from short strongly-propagating clauses.
-fn add_li_prefix(encoding: &mut ColoringEncoding) {
-    let (n, k) = (encoding.num_vertices(), encoding.num_colors());
-    if n == 0 {
+/// LI-prefix — the extension encoding, along the vertex order `order`
+/// (`vᵢ = order[i]`): prefix variables `P[i][k] ⇔ x[vᵢ][k] ∨ P[i-1][k]`
+/// ("some vertex at position ≤ i uses color k") and the strict ordering
+/// `P[i][k+1] ⇒ P[i-1][k]` (with `P[-1][k] = false`), which forces the
+/// first vertex of color k+1 to come after that of color k. Complete — no
+/// instance-independent symmetry survives — and, unlike the paper's LI,
+/// built from short strongly-propagating clauses.
+fn add_li_prefix(encoding: &mut ColoringEncoding, order: &[usize]) {
+    let k = encoding.num_colors();
+    let Some(p) = add_column_prefixes(encoding, order) else {
         return;
+    };
+    // Strict first-position ordering between consecutive colors.
+    for j in 0..k.saturating_sub(1) {
+        // v₀ can only start color 0: P[0][j+1] must be false.
+        encoding.formula_mut().add_unit(p[0][j + 1].negative());
+        for i in 1..order.len() {
+            encoding.formula_mut().add_clause([p[i][j + 1].negative(), p[i - 1][j].positive()]);
+        }
     }
-    // Allocate P[i][k] prefix variables.
-    let mut p = vec![vec![Var::from_index(0); k]; n];
+}
+
+/// The column-prefix variables LI-prefix and Orbitope share, along
+/// `order` (`vᵢ = order[i]`): `P[i][c] ⇔ x[vᵢ][c] ∨ P[i−1][c]` ("some
+/// vertex at position ≤ i uses color c"), `nK` aux vars allocated row by
+/// row and `K(3n − 1)` defining clauses. `None` for an empty graph.
+fn add_column_prefixes(encoding: &mut ColoringEncoding, order: &[usize]) -> Option<Vec<Vec<Var>>> {
+    let k = encoding.num_colors();
+    if order.is_empty() {
+        return None;
+    }
+    let mut p = vec![vec![Var::from_index(0); k]; order.len()];
     for row in p.iter_mut() {
         for slot in row.iter_mut() {
             *slot = encoding.formula_mut().new_var();
@@ -384,11 +464,11 @@ fn add_li_prefix(encoding: &mut ColoringEncoding) {
     }
     #[allow(clippy::needless_range_loop)] // column-major access of `p`
     for j in 0..k {
-        for i in 0..n {
-            let x = encoding.x(i, j).positive();
+        for (i, &v) in order.iter().enumerate() {
+            let x = encoding.x(v, j).positive();
             let pij = p[i][j].positive();
             if i == 0 {
-                // P[0][j] ⇔ x[0][j].
+                // P[0][j] ⇔ x[v₀][j].
                 encoding.formula_mut().add_implication(x, pij);
                 encoding.formula_mut().add_implication(pij, x);
             } else {
@@ -399,25 +479,20 @@ fn add_li_prefix(encoding: &mut ColoringEncoding) {
             }
         }
     }
-    // Strict lowest-index ordering between consecutive colors.
-    for j in 0..k.saturating_sub(1) {
-        // Vertex 0 can only start color 1 (index 0): P[0][j+1] must be false.
-        encoding.formula_mut().add_unit(p[0][j + 1].negative());
-        for i in 1..n {
-            encoding.formula_mut().add_clause([p[i][j + 1].negative(), p[i - 1][j].positive()]);
-        }
-    }
+    Some(p)
 }
 
 /// Orbitope — Kaibel–Pfetsch partitioning-orbitope column-lex ordering in
-/// the standard prefix-sum/shifted-column encoding:
+/// the standard prefix-sum/shifted-column encoding, with the matrix rows
+/// taken in the vertex order `order` (`vᵢ = order[i]`):
 ///
-/// * **triangle fixings** — in the lex-max representative vertex `i` can
-///   only use colors `0..=i`, so `¬x[i][c]` for every `c > i`
-///   (`≈K(K−1)/2` unit clauses, independent of n for `n ≥ K`);
-/// * **column prefixes** — `P[i][c] ⇔ x[i][c] ∨ P[i−1][c]` ("some vertex
-///   `≤ i` uses color c"), `nK` aux vars and `≈3nK` defining clauses;
-/// * **shifted-column ordering** — `x[i][c] ⇒ P[i−1][c−1]` for `c ≥ 1`:
+/// * **triangle fixings** — in the lex-max representative the vertex at
+///   position `i` can only use colors `0..=i`, so `¬x[vᵢ][c]` for every
+///   `c > i` (`≈K(K−1)/2` unit clauses, independent of n for `n ≥ K`);
+/// * **column prefixes** — `P[i][c] ⇔ x[vᵢ][c] ∨ P[i−1][c]` ("some
+///   vertex at position `≤ i` uses color c"), `nK` aux vars and `≈3nK`
+///   defining clauses;
+/// * **shifted-column ordering** — `x[vᵢ][c] ⇒ P[i−1][c−1]` for `c ≥ 1`:
 ///   a vertex may use color c only if column c−1 already started strictly
 ///   above (`≈nK` binary clauses). Row `i = 0` is covered by the triangle.
 ///
@@ -427,58 +502,36 @@ fn add_li_prefix(encoding: &mut ColoringEncoding) {
 /// first-occurrence (staircase) form. Complete, like LI-prefix, but with
 /// the ordering carried by the x-variables themselves plus hard triangle
 /// units that shrink the search space before any propagation happens.
-fn add_orbitope(encoding: &mut ColoringEncoding) {
-    let (n, k) = (encoding.num_vertices(), encoding.num_colors());
-    if n == 0 {
-        return;
-    }
+fn add_orbitope(encoding: &mut ColoringEncoding, order: &[usize]) {
+    let k = encoding.num_colors();
     // Triangle fixings: column c cannot start before row c.
-    for i in 0..n {
+    for (i, &v) in order.iter().enumerate() {
         for j in (i + 1)..k {
-            let lit = encoding.x(i, j).negative();
+            let lit = encoding.x(v, j).negative();
             encoding.formula_mut().add_unit(lit);
         }
     }
-    // Column-prefix variables P[i][c] ⇔ x[i][c] ∨ P[i−1][c].
-    let mut p = vec![vec![Var::from_index(0); k]; n];
-    for row in p.iter_mut() {
-        for slot in row.iter_mut() {
-            *slot = encoding.formula_mut().new_var();
-        }
-    }
-    #[allow(clippy::needless_range_loop)] // column-major access of `p`
-    for j in 0..k {
-        for i in 0..n {
-            let x = encoding.x(i, j).positive();
-            let pij = p[i][j].positive();
-            if i == 0 {
-                // P[0][j] ⇔ x[0][j].
-                encoding.formula_mut().add_implication(x, pij);
-                encoding.formula_mut().add_implication(pij, x);
-            } else {
-                let prev = p[i - 1][j].positive();
-                encoding.formula_mut().add_clause([!x, pij]);
-                encoding.formula_mut().add_clause([!prev, pij]);
-                encoding.formula_mut().add_clause([!pij, x, prev]);
-            }
-        }
-    }
-    // Shifted-column ordering: x[i][c] ⇒ P[i−1][c−1].
+    let Some(p) = add_column_prefixes(encoding, order) else {
+        return;
+    };
+    // Shifted-column ordering: x[vᵢ][c] ⇒ P[i−1][c−1].
     for j in 1..k {
-        for i in 1..n {
-            let x = encoding.x(i, j).negative();
+        for (i, &v) in order.iter().enumerate().skip(1) {
+            let x = encoding.x(v, j).negative();
             encoding.formula_mut().add_clause([x, p[i - 1][j - 1].positive()]);
         }
     }
 }
 
 /// ValuePrec — Walsh-style value precedence between every adjacent color
-/// pair, in the direct aux-free decomposition:
+/// pair along the vertex order `order` (`vᵢ = order[i]`), in the direct
+/// aux-free decomposition:
 ///
-/// * `¬x[0][c]` for `c ≥ 1` — vertex 0 opens color 0 (`K−1` units);
-/// * `¬x[i][c] ∨ x[0][c−1] ∨ … ∨ x[i−1][c−1]` for `i, c ≥ 1` — vertex i
-///   may use color c only if c−1 is used strictly earlier
-///   (`(n−1)(K−1)` long clauses, `O(n²K)` literals);
+/// * `¬x[v₀][c]` for `c ≥ 1` — the first vertex opens color 0 (`K−1`
+///   units);
+/// * `¬x[vᵢ][c] ∨ x[v₀][c−1] ∨ … ∨ x[vᵢ₋₁][c−1]` for `i, c ≥ 1` — the
+///   vertex at position i may use color c only if c−1 is used strictly
+///   earlier (`(n−1)(K−1)` long clauses, `O(n²K)` literals);
 /// * `y[c+1] ⇒ y[c]` — the Narodytska–Walsh-style implied usage ordering,
 ///   logically redundant given the above but cheap and early-propagating
 ///   (`K−1` binary clauses; exactly the NU chain).
@@ -487,22 +540,24 @@ fn add_orbitope(encoding: &mut ColoringEncoding) {
 /// orbit — the same solution set as LI-prefix and Orbitope — with *zero*
 /// auxiliary variables, at the price of long clauses whose propagation
 /// fires only once `i−1` candidates are eliminated: the same structural
-/// weakness the paper diagnosed in its LI construction.
-fn add_value_prec(encoding: &mut ColoringEncoding) {
-    let (n, k) = (encoding.num_vertices(), encoding.num_colors());
-    if n == 0 {
+/// weakness the paper diagnosed in its LI construction. When `order`
+/// starts with a clique, propagation alone puts the clique on colors
+/// `0, 1, …` in order.
+fn add_value_prec(encoding: &mut ColoringEncoding, order: &[usize]) {
+    let k = encoding.num_colors();
+    let Some(&first) = order.first() else {
         return;
-    }
-    // Vertex 0 anchors color 0.
+    };
+    // The first vertex anchors color 0.
     for j in 1..k {
-        let lit = encoding.x(0, j).negative();
+        let lit = encoding.x(first, j).negative();
         encoding.formula_mut().add_unit(lit);
     }
-    // Precedence: vertex i uses color c ⇒ some vertex j < i uses c−1.
+    // Precedence: vᵢ uses color c ⇒ some vⱼ, j < i, uses c−1.
     for j in 1..k {
-        for i in 1..n {
-            let mut clause: Vec<Lit> = vec![encoding.x(i, j).negative()];
-            clause.extend((0..i).map(|l| encoding.x(l, j - 1).positive()));
+        for (i, &v) in order.iter().enumerate().skip(1) {
+            let mut clause: Vec<Lit> = vec![encoding.x(v, j).negative()];
+            clause.extend(order[..i].iter().map(|&u| encoding.x(u, j - 1).positive()));
             encoding.formula_mut().add_clause(clause);
         }
     }
@@ -764,6 +819,168 @@ mod tests {
         let admitted: Vec<Coloring> =
             proper_colorings(&g, k).into_iter().filter(|c| admits(&enc, c)).collect();
         assert_eq!(admitted, figure1_canonical_forms());
+    }
+
+    /// The Figure 1 graph relabelled so its triangle is {1, 2, 3} and the
+    /// pendant vertex is 0: the clique-first order is 1, 2, 3, 0.
+    fn relabelled_figure1_graph() -> Graph {
+        figure1_graph().relabel(&[1, 3, 2, 0])
+    }
+
+    /// `coloring` with its colors renumbered by first appearance along
+    /// `order` — the one member of its color orbit an ordered complete
+    /// construction admits.
+    fn first_occurrence_along(coloring: &Coloring, order: &[usize]) -> Coloring {
+        let mut map = vec![None; coloring.max_color_bound()];
+        let mut next = 0;
+        for &v in order {
+            map[coloring.color(v)].get_or_insert_with(|| {
+                next += 1;
+                next - 1
+            });
+        }
+        Coloring::new(
+            coloring.colors().iter().map(|&c| map[c].expect("every color seen")).collect(),
+        )
+    }
+
+    /// Whether the SBP-extended `encoding` admits `coloring`: some
+    /// completion of the auxiliary variables satisfies the formula once
+    /// every x-literal is fixed, decided by solving with those literals as
+    /// assumptions.
+    fn admits_by_solving(
+        engine: &mut sbgc_pb::PbEngine,
+        encoding: &ColoringEncoding,
+        coloring: &Coloring,
+    ) -> bool {
+        let (n, k) = (encoding.num_vertices(), encoding.num_colors());
+        let assumptions: Vec<Lit> = (0..n)
+            .flat_map(|v| {
+                (0..k).map(move |c| {
+                    let x = encoding.x(v, c);
+                    if coloring.color(v) == c {
+                        x.positive()
+                    } else {
+                        x.negative()
+                    }
+                })
+            })
+            .collect();
+        let budget = sbgc_pb::Budget::unlimited();
+        matches!(
+            engine.solve_with_assumptions(&assumptions, &budget),
+            sbgc_pb::SolveOutcome::Sat(_)
+        )
+    }
+
+    /// Under every ordered mode, each color orbit of `g`'s proper
+    /// K-colorings keeps exactly one admitted member, and it is the
+    /// first-occurrence form along the clique-first vertex order.
+    fn assert_one_admitted_member_per_orbit(name: &str, g: &Graph, k: usize) {
+        let colorings = proper_colorings(g, k);
+        for mode in [SbpMode::ValuePrec, SbpMode::LiPrefix, SbpMode::Orbitope] {
+            let mut enc = ColoringEncoding::new(g, k);
+            let (_, order) = add_sbps_with_clique(&mut enc, g, mode, &greedy_clique(g));
+            let mut engine =
+                sbgc_pb::PbEngine::from_formula(enc.formula(), sbgc_pb::EngineConfig::default());
+            // Orbit (keyed by the index-order canonical form) → admitted
+            // members.
+            let mut admitted: std::collections::BTreeMap<Vec<usize>, Vec<Coloring>> =
+                Default::default();
+            for c in &colorings {
+                let slot = admitted.entry(c.compacted().colors().to_vec()).or_default();
+                let ok = if mode == SbpMode::ValuePrec {
+                    // Aux-free: a direct assignment decides it.
+                    admits(&enc, c)
+                } else {
+                    admits_by_solving(&mut engine, &enc, c)
+                };
+                if ok {
+                    slot.push(c.clone());
+                }
+            }
+            assert!(!admitted.is_empty(), "{name}: no proper {k}-coloring");
+            for (orbit, members) in &admitted {
+                assert_eq!(
+                    members.len(),
+                    1,
+                    "{name} under {mode}: orbit {orbit:?} admits {members:?}"
+                );
+                let expected = first_occurrence_along(&members[0], &order);
+                assert_eq!(members[0], expected, "{name} under {mode}: order {order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_modes_follow_the_clique_first_order() {
+        let g = relabelled_figure1_graph();
+        assert_eq!(vertex_order(&g, &greedy_clique(&g)), vec![1, 2, 3, 0]);
+        // The rest follow by descending degree, ties by index.
+        let g = Graph::from_edges(6, [(0, 1), (2, 3), (2, 4), (3, 4), (4, 5), (5, 0), (5, 1)]);
+        assert_eq!(greedy_clique(&g), vec![2, 3, 4]);
+        assert_eq!(vertex_order(&g, &[2, 3, 4]), vec![2, 3, 4, 5, 0, 1]);
+        // Unordered modes follow none.
+        let mut enc = ColoringEncoding::new(&g, 3);
+        assert!(add_sbps_with_clique(&mut enc, &g, SbpMode::Li, &[2, 3, 4]).1.is_empty());
+    }
+
+    #[test]
+    fn value_prec_pins_the_leading_clique() {
+        // With the triangle {1, 2, 3} first in the order, ValuePrec forces
+        // it onto colors 0, 1, 2 in order: any other color for one of its
+        // vertices is unsatisfiable.
+        let g = relabelled_figure1_graph();
+        let mut enc = ColoringEncoding::new(&g, 4);
+        let _ = add_instance_independent_sbps(&mut enc, &g, SbpMode::ValuePrec);
+        let mut engine =
+            sbgc_pb::PbEngine::from_formula(enc.formula(), sbgc_pb::EngineConfig::default());
+        let budget = sbgc_pb::Budget::unlimited();
+        for (v, c) in [(1, 0), (2, 1), (3, 2)] {
+            let wrong: Vec<Lit> = vec![enc.x(v, c).negative()];
+            assert!(
+                matches!(
+                    engine.solve_with_assumptions(&wrong, &budget),
+                    sbgc_pb::SolveOutcome::Unsat
+                ),
+                "vertex {v} must take color {c}"
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_modes_admit_one_member_per_orbit_of_a_relabelled_figure1() {
+        let g = relabelled_figure1_graph();
+        assert_one_admitted_member_per_orbit("relabelled figure 1", &g, 4);
+        // The admitted forms follow the order 1, 2, 3, 0, not the index
+        // order: the triangle takes 0, 1, 2 and vertex 0 (≁ 1, 3) any
+        // color but vertex 2's.
+        let mut enc = ColoringEncoding::new(&g, 4);
+        let _ = add_instance_independent_sbps(&mut enc, &g, SbpMode::ValuePrec);
+        let admitted: Vec<Coloring> =
+            proper_colorings(&g, 4).into_iter().filter(|c| admits(&enc, c)).collect();
+        assert_eq!(
+            admitted,
+            vec![
+                Coloring::new(vec![0, 0, 1, 2]),
+                Coloring::new(vec![2, 0, 1, 2]),
+                Coloring::new(vec![3, 0, 1, 2]),
+            ]
+        );
+    }
+
+    #[test]
+    fn ordered_modes_admit_one_member_per_orbit_of_small_random_graphs() {
+        let mut reordered = 0;
+        for (n, p, k) in [(6, 0.5, 4), (6, 0.3, 3), (5, 0.6, 4), (6, 0.7, 4)] {
+            for seed in 1..=3 {
+                let g = sbgc_graph::gen::gnp(n, p, seed);
+                let order = vertex_order(&g, &greedy_clique(&g));
+                reordered += usize::from(order != (0..n).collect::<Vec<_>>());
+                assert_one_admitted_member_per_orbit(&format!("G({n}, {p}) #{seed}"), &g, k);
+            }
+        }
+        assert!(reordered >= 6, "most inputs must leave index order: {reordered} of 12");
     }
 
     #[test]

@@ -35,18 +35,21 @@
 //! indices — and whenever such a coloring exists, its low-index
 //! representative survives both the SBPs and the assumptions. So "UNSAT
 //! under the suffix assumptions" really means "not `target`-colorable",
-//! for every SBP mode. A new mode must keep this property: one that
+//! for every SBP mode. The argument never uses *which* vertex sequence a
+//! first-occurrence form follows, so it holds for the clique-first order
+//! the `LI-pfx`, `Orbitope` and `ValuePrec` constructions follow as for
+//! any other fixed order. A new mode must keep this property: one that
 //! preferred high color indices would have to be routed to per-k
 //! re-encoding by [`ColoringSession::supports`]. Instance-dependent
 //! (Shatter) SBPs carry no such guarantee — their lex-leader predicates
 //! mention arbitrary detected symmetries, not the color-index order —
 //! which is why `supports` excludes them.
 
-use crate::chromatic::bounds;
+use crate::chromatic::bounds_with_clique;
 use crate::encode::ColoringEncoding;
 use crate::error::SolveError;
 use crate::flow::{SolveOptions, SymmetryHandling};
-use crate::sbp::add_instance_independent_sbps;
+use crate::sbp::add_sbps_with_clique;
 use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_obs::{Phase, Recorder};
@@ -118,6 +121,9 @@ pub struct ColoringSession<'g> {
     /// been committed false as permanent unit clauses (see
     /// [`ColoringSession::commit_upper_bound`]). Starts at `k`.
     ceiling: usize,
+    /// The vertex order the SBP construction followed (empty for modes
+    /// that follow none).
+    sbp_order: Vec<usize>,
 }
 
 impl<'g> ColoringSession<'g> {
@@ -162,11 +168,14 @@ impl<'g> ColoringSession<'g> {
     /// degenerate inputs, [`SolveError::UnsupportedIncremental`] when
     /// [`ColoringSession::supports`] is false for `options`.
     pub fn new(graph: &'g Graph, options: &SolveOptions) -> Result<Self, SolveError> {
-        Self::new_with(graph, options, 0)
+        let (b, clique) = bounds_with_clique(graph);
+        Self::new_with(graph, options, 0, b.upper, &clique)
     }
 
-    /// [`ColoringSession::new`] plus a worker **seed offset** — the
-    /// supervisor's rebuild interface.
+    /// [`ColoringSession::new`] from bounds the caller already computed —
+    /// the one-shot DSATUR bound `dsatur_upper` that sets the encoding
+    /// width and the greedy `clique` that starts the SBP vertex order —
+    /// plus a worker **seed offset**, the supervisor's rebuild interface.
     ///
     /// A retry after a watchdog trip rebuilds the session with a non-zero
     /// `seed_offset`, shifting every backend engine's diversification seed
@@ -176,6 +185,8 @@ impl<'g> ColoringSession<'g> {
         graph: &'g Graph,
         options: &SolveOptions,
         seed_offset: u64,
+        dsatur_upper: usize,
+        clique: &[usize],
     ) -> Result<Self, SolveError> {
         if graph.num_vertices() == 0 {
             return Err(SolveError::EmptyGraph);
@@ -192,7 +203,7 @@ impl<'g> ColoringSession<'g> {
         // so no query ever asks for it), clamped by the caller's cap. An
         // extra color layer would cost variables, conflict clauses and
         // SBP rows on every single query.
-        let k = bounds(graph).upper.saturating_sub(1).max(1).min(options.k);
+        let k = dsatur_upper.saturating_sub(1).max(1).min(options.k);
         let mut encoding = {
             let _span = recorder.span(Phase::Encode);
             ColoringEncoding::new(graph, k)
@@ -200,10 +211,10 @@ impl<'g> ColoringSession<'g> {
         // The ladder asks decision queries; the `MIN Σ yᵢ` objective is
         // replaced by the suffix assumptions.
         encoding.formula_mut().clear_objective();
-        {
+        let (_, sbp_order) = {
             let _span = recorder.span(Phase::Sbp);
-            let _ = add_instance_independent_sbps(&mut encoding, graph, options.sbp_mode);
-        }
+            add_sbps_with_clique(&mut encoding, graph, options.sbp_mode, clique)
+        };
         let backend = match options.portfolio_workers() {
             Some(n) => {
                 let configs: Vec<_> = portfolio_configs(n)
@@ -223,7 +234,7 @@ impl<'g> ColoringSession<'g> {
                 SessionBackend::Sequential(Box::new(engine))
             }
         };
-        Ok(ColoringSession { backend, encoding, graph, recorder, k, ceiling: k })
+        Ok(ColoringSession { backend, encoding, graph, recorder, k, ceiling: k, sbp_order })
     }
 
     /// Informs the session that a `upper`-coloring has been witnessed, so
@@ -279,6 +290,14 @@ impl<'g> ColoringSession<'g> {
     /// part of the color suffix.
     pub fn ceiling(&self) -> usize {
         self.ceiling
+    }
+
+    /// The vertex order the session's SBP construction follows
+    /// (`order[i]` is the vertex at position i; empty for modes that follow
+    /// none). Learned clauses are only valid under the SBP clauses they
+    /// were learned with, so checkpoints persist it beside the width.
+    pub(crate) fn sbp_order(&self) -> &[usize] {
+        &self.sbp_order
     }
 
     /// Workers still alive in the backend (always 1 for sequential).

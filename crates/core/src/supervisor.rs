@@ -21,7 +21,10 @@
 //!    plus the bounds committed when it was learned. The bracket's upper
 //!    bound only falls, so the one stored beside the clauses is at most
 //!    every bound committed before they were learned, and committing it
-//!    first makes the import sound.
+//!    first makes the import sound. The encoding must also be the same
+//!    one: clauses are imported only into a session of the stored width
+//!    whose SBP construction follows the stored vertex order; otherwise
+//!    the bracket and witness still seed the solve and no clause is.
 //! 3. **Watchdog + retries.** A wall-clock watchdog thread samples the
 //!    recorder's conflict counter; if no conflict progress happens for
 //!    the configured window, the attempt's cancel token is tripped
@@ -36,7 +39,9 @@
 //! for the operational story and the chaos tests that pin it down.
 
 use crate::checkpoint::{CheckpointError, GraphFingerprint, SolveCheckpoint};
-use crate::chromatic::{bounds, run_ladder, ChromaticBounds, ChromaticOutcome, LadderEnd};
+use crate::chromatic::{
+    bounds_with_clique, run_ladder, ChromaticBounds, ChromaticOutcome, LadderEnd,
+};
 use crate::error::SolveError;
 use crate::flow::SolveOptions;
 use crate::heuristics::{race_alongside, Bracket};
@@ -233,13 +238,16 @@ pub fn solve_supervised(
     }
 
     // Establish the starting bracket: a validated checkpoint with the
-    // clauses it carries, or the greedy bounds.
+    // clauses it carries, or the greedy bounds. Every session is built at
+    // the width the fresh DSATUR bound gives, whatever a checkpoint says.
+    let (fresh, clique) = bounds_with_clique(graph);
+    let dsatur_upper = fresh.upper;
     let (seed, carried, resume) = match &config.resume_from {
         Some(path) => {
-            let (seed, carried, telemetry) = restore(graph, &options, path)?;
+            let (seed, carried, telemetry) = restore(graph, &options, path, fresh)?;
             (seed, carried, Some(telemetry))
         }
-        None => (bounds(graph), Carried::default(), None),
+        None => (fresh, Carried::default(), None),
     };
     let bracket = Bracket::new(graph, &seed);
     let mut supervision = Supervision {
@@ -249,6 +257,8 @@ pub fn solve_supervised(
         final_escalation: 1,
         config,
         resumed: resume.is_some(),
+        dsatur_upper,
+        clique: &clique,
     };
 
     if seed.lower >= seed.upper {
@@ -270,11 +280,36 @@ pub fn solve_supervised(
 
 /// Learned clauses carried into the next attempt's session (restored from
 /// a checkpoint, or exported by the attempt that ran out), with the
-/// encoding width `k()` of the session that learned them.
+/// encoding width `k()` and the SBP vertex order of the session that
+/// learned them.
 #[derive(Default)]
 struct Carried {
     width: u64,
+    sbp_order: Vec<u64>,
     clauses: Vec<(Vec<Lit>, u32)>,
+}
+
+impl Carried {
+    /// What `session` learned, to carry into the next attempt.
+    fn from_session(session: &ColoringSession<'_>) -> Self {
+        Carried {
+            width: session.k() as u64,
+            sbp_order: order_u64(session),
+            clauses: session.export_learned(),
+        }
+    }
+
+    /// Whether `session` encodes what these clauses were learned under:
+    /// the same width (the clauses name its variables) and the same SBP
+    /// vertex order (they are entailed only by those SBP clauses).
+    fn fits(&self, session: &ColoringSession<'_>) -> bool {
+        self.width == session.k() as u64 && self.sbp_order == order_u64(session)
+    }
+}
+
+/// `session`'s SBP vertex order as the checkpoint stores it.
+fn order_u64(session: &ColoringSession<'_>) -> Vec<u64> {
+    session.sbp_order().iter().map(|&v| v as u64).collect()
 }
 
 /// Supervision bookkeeping shared by every exit path.
@@ -286,6 +321,11 @@ struct Supervision<'a> {
     config: &'a SupervisorConfig,
     /// Whether the solve started from a restored checkpoint.
     resumed: bool,
+    /// The graph's one-shot DSATUR bound: every attempt's session width.
+    dsatur_upper: usize,
+    /// The graph's greedy clique: every attempt's SBP vertex order starts
+    /// with it.
+    clique: &'a [usize],
 }
 
 impl Supervision<'_> {
@@ -329,18 +369,22 @@ impl Supervision<'_> {
             // Reseed: shift every engine seed per attempt (and once more
             // for a resume, diversifying away from the dead run's seeds).
             let seed_offset = SEED_STRIDE.wrapping_mul(attempt - 1 + u64::from(self.resumed));
-            let mut session = ColoringSession::new_with(graph, attempt_options, seed_offset)?;
+            let mut session = ColoringSession::new_with(
+                graph,
+                attempt_options,
+                seed_offset,
+                self.dsatur_upper,
+                self.clique,
+            )?;
             // Order matters: committing the bracket's upper bound first
             // makes every carried clause entailed by the strengthened
             // formula, so the import below is sound. Clauses name the
-            // encoding variables of the session that learned them, so only
-            // a session of the same width may take them.
+            // encoding variables of the session that learned them and rest
+            // on its SBP clauses, so only a session of the same width and
+            // SBP vertex order may take them.
             session.commit_upper_bound(bracket.bounds().1);
-            let imported = if carried.width == session.k() as u64 {
-                session.import_learned(&carried.clauses)
-            } else {
-                0
-            };
+            let imported =
+                if carried.fits(&session) { session.import_learned(&carried.clauses) } else { 0 };
             if let Some(telemetry) = resume.take() {
                 recorder.record_resume(ResumeTelemetry {
                     clauses_imported: imported as u64,
@@ -371,7 +415,7 @@ impl Supervision<'_> {
                 self.write_checkpoint(graph, options, bracket, Some(&session))?;
                 return end.outcome(bracket);
             }
-            carried = Carried { width: session.k() as u64, clauses: session.export_learned() };
+            carried = Carried::from_session(&session);
         }
     }
 
@@ -398,6 +442,7 @@ impl Supervision<'_> {
             fingerprint: GraphFingerprint::of(graph),
             sbp: options.sbp_mode.display_name().to_string(),
             ceiling: session.map(ColoringSession::k).unwrap_or(0) as u64,
+            sbp_order: session.map(order_u64).unwrap_or_default(),
             lower: lower as u64,
             upper: upper as u64,
             witness: Some(result.witness().colors().iter().map(|&c| c as u64).collect()),
@@ -430,13 +475,15 @@ impl Supervision<'_> {
 }
 
 /// Loads `path` and re-validates everything the checkpoint claims at the
-/// trust boundary. Returns the restored bracket, the clauses it carries,
-/// and the resume telemetry (its `clauses_imported` is filled in once the
-/// first session accepts the clauses).
+/// trust boundary, against the graph's `fresh` greedy bounds. Returns the
+/// restored bracket, the clauses it carries, and the resume telemetry (its
+/// `clauses_imported` is filled in once the first session accepts the
+/// clauses).
 fn restore(
     graph: &Graph,
     options: &SolveOptions,
     path: &std::path::Path,
+    fresh: ChromaticBounds,
 ) -> Result<(ChromaticBounds, Carried, ResumeTelemetry), SolveError> {
     let ckpt = SolveCheckpoint::load(path)?;
     let resuming = GraphFingerprint::of(graph);
@@ -501,10 +548,9 @@ fn restore(
             Some(coloring.compacted())
         }
     };
-    // The greedy bounds are recomputed from the graph, so the resumed
-    // bracket can only be as good as or better than a fresh start —
-    // never worse, and never below a provable clique bound.
-    let fresh = bounds(graph);
+    // The greedy bounds come from the graph, so the resumed bracket can
+    // only be as good as or better than a fresh start — never worse, and
+    // never below a provable clique bound.
     let stored_lower = usize::try_from(ckpt.lower)
         .map_err(|_| CheckpointError::Malformed("lower bound exceeds usize".to_string()))?;
     let lower = stored_lower.max(fresh.lower);
@@ -529,7 +575,7 @@ fn restore(
         clauses_imported: 0,
         rungs_skipped: fresh.upper.saturating_sub(upper) as u64,
     };
-    let carried = Carried { width: ckpt.ceiling, clauses: ckpt.clauses };
+    let carried = Carried { width: ckpt.ceiling, sbp_order: ckpt.sbp_order, clauses: ckpt.clauses };
     Ok((ChromaticBounds { lower, upper, witness }, carried, telemetry))
 }
 

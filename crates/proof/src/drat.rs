@@ -139,14 +139,16 @@ impl DratProof {
         out
     }
 
-    /// Parses the textual DRAT format produced by [`DratProof::to_dimacs`]
-    /// (comment lines starting with `c` are skipped). The additions carry
-    /// no hints.
+    /// Parses the textual DRAT format produced by [`DratProof::to_dimacs`]:
+    /// one step per line, its literals ended by a `0` (comment lines
+    /// starting with `c` are skipped). The additions carry no hints.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending line on malformed input
-    /// (non-integer token, missing `0` terminator, or a `0` literal).
+    /// Returns a message naming the offending line on malformed input: a
+    /// non-integer token, a missing `0` terminator, or any token after the
+    /// terminator (a second step on the same line is refused, never
+    /// dropped).
     pub fn from_dimacs(text: &str) -> Result<Self, String> {
         let mut proof = DratProof::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -159,8 +161,9 @@ impl DratProof {
                 None => (false, line),
             };
             let mut lits = Vec::new();
+            let mut tokens = rest.split_whitespace();
             let mut terminated = false;
-            for tok in rest.split_whitespace() {
+            for tok in tokens.by_ref() {
                 let n: i64 =
                     tok.parse().map_err(|_| format!("line {}: bad literal {tok:?}", lineno + 1))?;
                 if n == 0 {
@@ -171,6 +174,9 @@ impl DratProof {
             }
             if !terminated {
                 return Err(format!("line {}: missing 0 terminator", lineno + 1));
+            }
+            if let Some(tok) = tokens.next() {
+                return Err(format!("line {}: token {tok:?} after the 0 terminator", lineno + 1));
             }
             if delete {
                 proof.push_delete(&lits);
@@ -470,5 +476,13 @@ mod tests {
         assert!(bad_token.contains("line 3") && bad_token.contains("-x"), "{bad_token}");
         let unterminated = DratProof::from_dimacs("1 0\nd 1 2\n").unwrap_err();
         assert!(unterminated.contains("line 2: missing 0 terminator"), "{unterminated}");
+    }
+
+    #[test]
+    fn from_dimacs_refuses_a_second_step_on_one_line() {
+        let two_steps = DratProof::from_dimacs("1 0 2 0\n").unwrap_err();
+        assert!(two_steps.contains("line 1: token \"2\" after the 0 terminator"), "{two_steps}");
+        let trailing = DratProof::from_dimacs("c ok\nd 1 0 0\n").unwrap_err();
+        assert!(trailing.contains("line 2"), "{trailing}");
     }
 }

@@ -10,13 +10,26 @@
 //! must agree with the one-shot path under the new modes, and exact
 //! results produced under them must still pass the SBP-free DRAT
 //! certification.
+//!
+//! LI-pfx, Orbitope and ValPrec follow a clique-first vertex order
+//! computed from the graph, so they are also checked on randomly
+//! relabelled graphs against an SBP-free exact search, and the order's
+//! search savings on the benchmark's ladder graphs are pinned by a
+//! conflict-count guard.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use sbgc_core::{
-    chromatic_number_certified, chromatic_number_outcome, ColoringSession, Graph, SbpMode,
-    SessionAnswer, SolveOptions,
+    chromatic_number_certified, chromatic_number_outcome, ColoringSession, Counter, Graph,
+    Recorder, SbpMode, SessionAnswer, SolveOptions,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
+use sbgc_heur::{backtracking_dsatur, BdsaturResult};
 use sbgc_pb::{Budget, SolverKind};
+
+/// The three constructions that follow the clique-first vertex order.
+const ORDERED_MODES: [SbpMode; 3] = [SbpMode::ValuePrec, SbpMode::LiPrefix, SbpMode::Orbitope];
 
 fn quick_graphs() -> Vec<(&'static str, Graph, usize)> {
     // (name, graph, χ) — same suite the incremental-session tests pin.
@@ -137,4 +150,64 @@ fn exact_results_under_new_modes_still_certify() {
             mode.display_name()
         );
     }
+}
+
+/// `graph` with its vertices shuffled by a permutation drawn from `seed`.
+fn relabelled(graph: &Graph, seed: u64) -> Graph {
+    let mut perm: Vec<usize> = (0..graph.num_vertices()).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    graph.relabel(&perm)
+}
+
+#[test]
+fn ordered_modes_agree_with_backtracking_dsatur_on_relabelled_graphs() {
+    // The vertex order comes from the graph, so a relabelling moves the
+    // clique and the degree ranks to other indices; χ must not move.
+    let mut graphs: Vec<(String, Graph)> = (1..=4)
+        .map(|seed| (format!("G(20, 0.4) #{seed}"), relabelled(&gnp(20, 0.4, seed), seed)))
+        .collect();
+    for (steps, seed) in [(3, 5), (4, 6)] {
+        graphs.push((format!("myciel{steps}"), relabelled(&mycielski(steps), seed)));
+    }
+    for (name, graph) in &graphs {
+        let chi = match backtracking_dsatur(graph, u64::MAX) {
+            BdsaturResult::Exact { chromatic_number, .. } => chromatic_number,
+            other => panic!("{name}: backtracking DSATUR must finish, got {other:?}"),
+        };
+        for mode in ORDERED_MODES {
+            for workers in [1, 2] {
+                let opts = SolveOptions::new(20)
+                    .with_sbp_mode(mode)
+                    .with_parallelism(workers)
+                    .without_heuristics();
+                let out = chromatic_number_outcome(graph, &opts).expect("valid");
+                let label = format!("{name} under {mode}, {workers} worker(s)");
+                assert_eq!(out.exact(), Some(chi), "{label}");
+                assert!(out.witness().is_proper(graph), "{label}: improper witness");
+                assert_eq!(out.witness().num_colors(), chi, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn clique_first_value_precedence_keeps_the_ladder_search_small() {
+    // Three of the benchmark's pinned `ladder-seq` anchors, through the
+    // sequential ValPrec ladder with heuristics off (deterministic). The
+    // clique-first order took 3,020 conflicts in total when this bound
+    // was set; the index order took 28,806. The bound leaves 2.5× of
+    // headroom and stays far below the index-order count.
+    let mut conflicts = 0;
+    for seed in [13, 22, 23] {
+        let graph = gnp(55, 0.35, seed);
+        let recorder = Recorder::new();
+        let opts = SolveOptions::new(30)
+            .with_sbp_mode(SbpMode::ValuePrec)
+            .without_heuristics()
+            .with_recorder(recorder.clone());
+        let out = chromatic_number_outcome(&graph, &opts).expect("valid");
+        assert_eq!(out.exact(), Some(8), "G(55, 0.35) #{seed}");
+        conflicts += recorder.counter(Counter::Conflicts);
+    }
+    assert!(conflicts <= 7_500, "{conflicts} conflicts on the three anchors");
 }

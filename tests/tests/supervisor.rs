@@ -13,14 +13,18 @@
 //!   watchdog, cancelled, and restarted with an escalated budget — and
 //!   the retried race still completes;
 //! * a resume re-imports the checkpoint's learned clauses exactly when it
-//!   rebuilds the encoding width they were learned at;
+//!   rebuilds the encoding width and the SBP vertex order they were
+//!   learned under;
 //! * with the heuristic race running beside the ladder, a killed solve
 //!   still resumes to the same χ;
 //! * on random G(n,p) instances, killing the solve at a scheduled ladder
 //!   rung and resuming agrees exactly with the uninterrupted solve
 //!   (seeded and deterministic, so failures replay).
 
-use sbgc_core::{solve_supervised, CheckpointError, SolveError, SolveOptions, SupervisorConfig};
+use sbgc_core::{
+    solve_supervised, CheckpointError, SbpMode, SolveCheckpoint, SolveError, SolveOptions,
+    SupervisorConfig,
+};
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_obs::{FaultPlan, Recorder, RunReport};
 use std::panic::AssertUnwindSafe;
@@ -116,6 +120,46 @@ fn resume_reimports_clauses_only_at_the_same_encoding_width() {
     let telemetry = rec.resume().expect("resume telemetry recorded");
     assert!(telemetry.clauses_offered > 0);
     assert_eq!(telemetry.clauses_imported, 0, "{telemetry:?}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn resume_reimports_clauses_only_under_the_same_sbp_vertex_order() {
+    // ValPrec follows a vertex order computed from the graph; clauses
+    // learned under it rest on its SBP clauses. A checkpoint that names
+    // another order keeps its bracket and witness but gives no clause.
+    let graph = queens(6, 6);
+    let path = scratch("queen66-order");
+    let options = SolveOptions::new(9).with_sbp_mode(SbpMode::ValuePrec).without_heuristics();
+    kill_queen6_6_at(&options, 1, &path);
+    let stored = SolveCheckpoint::load(&path).expect("checkpoint on disk");
+    assert_eq!(stored.sbp_order.len(), graph.num_vertices(), "ValPrec stores its order");
+    let resume = SupervisorConfig::new().with_resume_from(&path);
+
+    // The stored order: the clauses are imported (all but those the
+    // rebuilt root level already satisfies).
+    let rec = Recorder::new();
+    let out = solve_supervised(&graph, &options.clone().with_recorder(rec.clone()), &resume)
+        .expect("checkpoint accepted");
+    assert_eq!(out.outcome.exact(), Some(7));
+    let telemetry = rec.resume().expect("resume telemetry recorded");
+    assert!(telemetry.clauses_offered > 0, "rung 0 learned clauses: {telemetry:?}");
+    assert!(telemetry.clauses_imported > 0, "{telemetry:?}");
+
+    // Another order at the same width: nothing is imported, and the
+    // restored bracket still leads to the same χ.
+    let mut reordered = stored.clone();
+    reordered.sbp_order.reverse();
+    reordered.save(&path, None).expect("rewrite the checkpoint");
+    let rec = Recorder::new();
+    let out = solve_supervised(&graph, &options.clone().with_recorder(rec.clone()), &resume)
+        .expect("checkpoint accepted");
+    assert_eq!(out.outcome.exact(), Some(7));
+    assert!(out.outcome.witness().is_proper(&graph));
+    let telemetry = rec.resume().expect("resume telemetry recorded");
+    assert_eq!(telemetry.clauses_offered, stored.clauses.len() as u64);
+    assert_eq!(telemetry.clauses_imported, 0, "{telemetry:?}");
+    assert_eq!(telemetry.upper as u64, stored.upper, "the bracket is still restored");
     std::fs::remove_file(&path).unwrap();
 }
 
