@@ -26,18 +26,19 @@
 //!
 //! With `--certify` the binaries additionally re-derive each instance's
 //! chromatic number on the SBP-free pure-CNF decision encoding, replay the
-//! DRAT refutation of χ−1 through the independent checker of `sbgc-proof`,
-//! and exit non-zero unless every instance certifies ([`run_certification`]);
-//! `--proof DIR` writes each proof as `DIR/<instance>.drat` next to the
-//! formula it refutes, `DIR/<instance>.cnf`.
+//! DRAT refutation of χ−1 under a greedy clique's pins through the
+//! independent checker of `sbgc-proof`, and exit non-zero unless every
+//! instance certifies ([`run_certification`]); `--proof DIR` writes each
+//! proof as `DIR/<instance>.drat` next to the formula it refutes,
+//! `DIR/<instance>.cnf` (with one unit clause per pin).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sbgc_core::{
-    certify_result_parallel, chromatic_number_certified, cnf_decision_formula, solve_coloring,
-    ChromaticResult, ColoringOutcome, OptimalityCertificate, PreparedColoring, ProofStatus,
-    Recorder, SbpMode, SolveOptions, SolverKind, SupervisorConfig, SymmetryHandling,
+    certify_result_parallel, chromatic_number_certified, cnf_decision_formula, cnf_pins,
+    solve_coloring, ChromaticResult, ColoringOutcome, OptimalityCertificate, PreparedColoring,
+    ProofStatus, Recorder, SbpMode, SolveOptions, SolverKind, SupervisorConfig, SymmetryHandling,
 };
 use sbgc_graph::suite::{self, Instance};
 use sbgc_graph::Graph;
@@ -80,8 +81,9 @@ pub struct HarnessConfig {
     pub report: Option<String>,
     /// With `--certify`, re-derive every instance's chromatic number on the
     /// SBP-free pure-CNF decision encoding and check the DRAT refutation of
-    /// χ−1 with the independent checker; the binary exits non-zero if any
-    /// certificate fails (see [`run_certification`]).
+    /// χ−1 under a greedy clique's pins with the independent checker; the
+    /// binary exits non-zero if any certificate fails (see
+    /// [`run_certification`]).
     pub certify: bool,
     /// With `--proof DIR`, certification writes each DRAT proof to
     /// `DIR/<instance>.drat` and its formula to `DIR/<instance>.cnf`
@@ -160,8 +162,9 @@ impl HarnessConfig {
     /// # Errors
     ///
     /// The message [`HarnessConfig::from_args`] prints above its usage
-    /// line: an unknown flag, a missing or malformed value, `--k 0`, or
-    /// seconds that are negative, NaN or too large for a [`Duration`].
+    /// line: an unknown flag, a missing or malformed value, `--k 0`, an
+    /// `--instances` name outside the suite (the message lists the suite),
+    /// or seconds that are negative, NaN or too large for a [`Duration`].
     pub fn parse(
         args: &[String],
         default_k: usize,
@@ -185,6 +188,13 @@ impl HarnessConfig {
                 "--instances" => {
                     let list = value("a list")?;
                     config.instances = list.split(',').map(|s| s.trim().to_string()).collect();
+                    let known = |name: &str| suite::SUITE.iter().any(|m| m.name == name);
+                    if let Some(name) = config.instances.iter().find(|name| !known(name)) {
+                        return Err(format!(
+                            "unknown instance `{name}` (try one of: {})",
+                            suite::SUITE.map(|m| m.name).join(", ")
+                        ));
+                    }
                 }
                 "--full" => {
                     config.instances = suite::SUITE.iter().map(|m| m.name.to_string()).collect();
@@ -475,6 +485,7 @@ pub fn certificate_stats(cert: &OptimalityCertificate) -> CertificateStats {
     let mut stats = CertificateStats {
         chromatic_number: cert.chromatic_number,
         witness_verified: cert.witness_verified,
+        clique_pins: cert.clique.clone(),
         ..CertificateStats::default()
     };
     match &cert.unsat {
@@ -504,11 +515,13 @@ pub fn certificate_stats(cert: &OptimalityCertificate) -> CertificateStats {
 }
 
 /// Runs the `--certify` pass: re-derives each configured instance's
-/// chromatic number on the SBP-free pure-CNF decision encoding, checks the
-/// DRAT refutation of χ−1 with the independent checker in `sbgc-proof`,
-/// and prints one line per instance. With `--proof DIR` each produced
-/// proof is also written to `DIR/<instance>.drat` in text DRAT, next to
-/// the formula it refutes in DIMACS CNF, `DIR/<instance>.cnf`.
+/// chromatic number, refutes χ−1 on the SBP-free pure-CNF decision
+/// encoding with a greedy clique pinned to the first colors, checks the
+/// DRAT derivation with the independent checker in `sbgc-proof`, and
+/// prints one line per instance with the number of pins. With `--proof
+/// DIR` each produced proof is also written to `DIR/<instance>.drat` in
+/// text DRAT, next to the formula it refutes in DIMACS CNF,
+/// `DIR/<instance>.cnf` (the plain CNF plus one unit clause per pin).
 ///
 /// Exits the process with status 1 if any instance fails to certify — a
 /// rejected proof, an unverified witness, a budget-truncated proof, or a
@@ -531,7 +544,9 @@ pub fn run_certification(config: &HarnessConfig) {
             proof_dir = None;
         }
     }
-    println!("\nCertification (SBP-free CNF decision encoding, independent DRAT check):");
+    println!(
+        "\nCertification (SBP-free CNF decision encoding, clique pinned, independent DRAT check):"
+    );
     let mut failures = 0usize;
     for inst in config.build_instances() {
         // NU+SC speeds up the (untrusted) chi search; the certificate
@@ -557,8 +572,11 @@ pub fn run_certification(config: &HarnessConfig) {
         };
         let witness = if cert.witness_verified { "witness ok" } else { "WITNESS BAD" };
         println!(
-            "  {:<12} chi = {:<3} {witness}, unsat {}",
-            inst.meta.name, cert.chromatic_number, cert.unsat
+            "  {:<12} chi = {:<3} {witness}, unsat {}, {} clique pins",
+            inst.meta.name,
+            cert.chromatic_number,
+            cert.unsat,
+            cert.clique.len()
         );
         if let Some(dir) = &proof_dir {
             archive_proof(dir, inst.meta.name, &inst.graph, &cert);
@@ -575,20 +593,42 @@ pub fn run_certification(config: &HarnessConfig) {
 }
 
 /// Writes `cert`'s refutation to `DIR/<name>.drat` in text DRAT and the
-/// formula it refutes — the SBP-free (χ−1)-coloring CNF of `graph` — to
-/// `DIR/<name>.cnf` in DIMACS, a pair any DRAT checker (drat-trim among
-/// them) can check on its own. Does nothing for a certificate without a
-/// proof; a failed write prints a warning and leaves that file out.
+/// formula it refutes to `DIR/<name>.cnf` in DIMACS: the SBP-free
+/// (χ−1)-coloring CNF of `graph`, then one unit clause per clique pin
+/// under a `c` comment naming the clique in pin order ([`pinned_cnf`]).
+/// Every lemma is RUP against the plain CNF, so any DRAT checker
+/// (drat-trim among them) can check the pair on its own. Does nothing for
+/// a certificate without a proof; a failed write prints a warning and
+/// leaves that file out.
 fn archive_proof(dir: &str, name: &str, graph: &Graph, cert: &OptimalityCertificate) {
     let Some(proof) = &cert.proof else { return };
-    let (num_vars, clauses) = cnf_decision_formula(graph, cert.chromatic_number - 1);
-    let cnf = sbgc_proof::dimacs_cnf(num_vars, &clauses);
+    let cnf = pinned_cnf(graph, cert.chromatic_number - 1, &cert.clique);
     for (ext, text) in [("cnf", cnf), ("drat", proof.to_dimacs())] {
         let path = format!("{dir}/{name}.{ext}");
         if let Err(err) = sbgc_obs::write_atomic(path.as_ref(), text.as_bytes()) {
             eprintln!("warning: could not write {path}: {err}; proof not archived");
         }
     }
+}
+
+/// The `colors`-coloring CNF of `graph` in DIMACS with `clique` pinned: the
+/// plain [`cnf_decision_formula`], a `c` line naming the clique's vertices
+/// (0-based) in pin order, and the unit clause of each pin ([`cnf_pins`]).
+fn pinned_cnf(graph: &Graph, colors: usize, clique: &[usize]) -> String {
+    let (num_vars, clauses) = cnf_decision_formula(graph, colors);
+    let pins = cnf_pins(colors, clique);
+    let plain = sbgc_proof::dimacs_cnf(num_vars, &clauses);
+    let (_, body) = plain.split_once('\n').expect("a DIMACS header line");
+    let names: Vec<String> = clique.iter().map(usize::to_string).collect();
+    let mut cnf = format!(
+        "p cnf {num_vars} {}\n{body}c clique pins in color order (0-based vertices): {}\n",
+        clauses.len() + pins.len(),
+        names.join(" ")
+    );
+    for pin in pins {
+        cnf.push_str(&format!("{} 0\n", pin.to_dimacs()));
+    }
+    cnf
 }
 
 /// Runs one fully instrumented end-to-end solve of `inst` and assembles
@@ -879,7 +919,10 @@ mod tests {
     #[test]
     fn archived_proof_pair_checks_without_hints() {
         // The .cnf/.drat pair --proof writes must stand alone: both parse
-        // back, and the hint-free text proof checks against the text CNF.
+        // back; the .cnf is the χ−1 CNF, a comment naming the clique and
+        // one unit per pin; the hint-free text proof derives "not every
+        // pin holds" from the plain CNF, and so refutes the whole file as
+        // a DRAT checker reads it.
         let dir = std::env::temp_dir().join(format!("sbgc_proofs_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let dir_str = dir.to_str().expect("utf-8 temp path");
@@ -889,16 +932,32 @@ mod tests {
         archive_proof(dir_str, "myciel3", &graph, &cert);
 
         let read = |ext: &str| std::fs::read_to_string(dir.join(format!("myciel3.{ext}")));
-        let formula = sbgc_formula::parse_dimacs_cnf(&read("cnf").expect(".cnf written"))
-            .expect("the archived CNF parses");
+        let text = read("cnf").expect(".cnf written");
+        let formula = sbgc_formula::parse_dimacs_cnf(&text).expect("the archived CNF parses");
         let proof = sbgc_proof::DratProof::from_dimacs(&read("drat").expect(".drat written"))
             .expect("the archived proof parses");
         assert_eq!(proof.steps(), cert.proof.as_ref().expect("proof").steps());
         let clauses: Vec<Vec<_>> =
             formula.clauses().iter().map(|c| c.literals().to_vec()).collect();
-        let stats = sbgc_proof::check_drat(formula.num_vars(), &clauses, &proof)
-            .expect("the archived pair checks");
+        let colors = cert.chromatic_number - 1;
+        let (num_vars, plain) = cnf_decision_formula(&graph, colors);
+        let pins = cnf_pins(colors, &cert.clique);
+        assert_eq!(pins.len(), 2, "myciel3 is triangle-free: an edge is pinned");
+        assert_eq!(formula.num_vars(), num_vars);
+        assert_eq!(clauses[..plain.len()], plain[..]);
+        let units: Vec<Vec<_>> = pins.iter().map(|&pin| vec![pin]).collect();
+        assert_eq!(clauses[plain.len()..], units[..], "one unit clause per pin, in order");
+        let names: Vec<String> = cert.clique.iter().map(usize::to_string).collect();
+        assert!(text.contains(&format!(
+            "c clique pins in color order (0-based vertices): {}\n",
+            names.join(" ")
+        )));
+
+        let goal: Vec<_> = pins.iter().map(|&pin| !pin).collect();
+        let stats = sbgc_proof::check_derivation(num_vars, &plain, &proof, &goal)
+            .expect("the archived proof derives the goal");
         assert_eq!((stats.chained, stats.searched), (0, stats.adds), "text DRAT has no hints");
+        sbgc_proof::check_drat(num_vars, &clauses, &proof).expect("the archived pair checks");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -916,9 +975,8 @@ mod tests {
         let cert = cert.expect("exact result yields a certificate");
         archive_proof(dir.to_str().expect("utf-8 temp path"), "myciel3", &graph, &cert);
 
-        let (num_vars, clauses) = cnf_decision_formula(&graph, cert.chromatic_number - 1);
         let cnf = std::fs::read_to_string(dir.join("myciel3.cnf")).expect(".cnf written");
-        assert_eq!(cnf, sbgc_proof::dimacs_cnf(num_vars, &clauses));
+        assert_eq!(cnf, pinned_cnf(&graph, cert.chromatic_number - 1, &cert.clique));
         let entries: Vec<_> = std::fs::read_dir(&blocker)
             .expect("the blocking directory is still a directory")
             .map(|e| e.expect("dir entry").file_name())
@@ -958,8 +1016,8 @@ mod tests {
 
         let read = |ext: &str| std::fs::read_to_string(dir.join(format!("myciel3.{ext}")));
         assert_eq!(read("drat").expect(".drat written"), cert.proof.expect("proof").to_dimacs());
-        let (num_vars, clauses) = cnf_decision_formula(&graph, cert.chromatic_number - 1);
-        assert_eq!(read("cnf").expect(".cnf written"), sbgc_proof::dimacs_cnf(num_vars, &clauses));
+        let cnf = pinned_cnf(&graph, cert.chromatic_number - 1, &cert.clique);
+        assert_eq!(read("cnf").expect(".cnf written"), cnf);
         assert!(!dir.join("myciel3.drat.tmp").exists(), "no temp file left behind");
         assert!(!dir.join("myciel3.cnf.tmp").exists(), "no temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1024,9 +1082,11 @@ mod tests {
         assert_eq!(cert.chromatic_number, 4);
         assert!(cert.witness_verified);
         assert!(cert.proof_steps > 0);
+        assert_eq!(cert.clique_pins.len(), 2, "myciel3 is triangle-free: an edge is pinned");
         assert!(cert.is_verified());
         let json = report.to_json(0);
         assert!(json.contains("\"status\": \"checked\""));
+        assert!(json.contains(&format!("\"clique_pins\": {:?}", cert.clique_pins)), "{json}");
     }
 
     #[test]
@@ -1165,6 +1225,9 @@ mod tests {
             (&["--min-speedup", "nan"], "--min-speedup"),
             (&["--retries", "0"], "--retries"),
             (&["--sbp", "bogus"], "ValPrec"),
+            (&["--instances", "bogus"], "unknown instance `bogus`"),
+            (&["--instances", "myciel3,queen8_8"], "queen8_12"),
+            (&["--instances", "myciel3,"], "unknown instance ``"),
             (&["--bogus"], "unknown flag"),
         ] {
             let err = parse(args).expect_err(&format!("{args:?} must be rejected"));

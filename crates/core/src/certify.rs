@@ -4,19 +4,41 @@
 //!
 //! 1. **Feasibility** — a proper k-coloring of `G`, verified syntactically
 //!    against the edge list ([`Coloring::is_proper`]);
-//! 2. **Optimality** — a refutation of (k−1)-colorability, verified by
-//!    replaying a DRAT proof against the *pure-CNF decision encoding*
-//!    ([`crate::encode::cnf_decision_formula`]) with the independent
-//!    checker in `sbgc-proof`.
+//! 2. **Optimality** — a refutation of (k−1)-colorability. The certifier
+//!    takes the greedy clique `c₀, …, c_{q−1}` of `G`, verifies that its
+//!    vertices are pairwise adjacent, and refutes the *pure-CNF decision
+//!    encoding* ([`crate::encode::cnf_decision_formula`]) with k−1 colors
+//!    under the *pins* "`cᵢ` has color `i`" (for `i < min(q, k−1)`) as
+//!    assumptions. The independent checker in `sbgc-proof` then replays
+//!    the logged lemmas against the unmodified CNF and checks that they
+//!    derive the goal "not every pin holds" ([`check_derivation`]).
 //!
-//! The refutation is always produced on a formula with no symmetry-breaking
-//! predicates and no PB constraints, whatever encoding and solver produced
-//! the result: SBP soundness and the PB inference rules are exactly what a
-//! certificate must not take on faith. [`certify_result_parallel`] is the
-//! one refutation path (sequential for one worker, a clause-sharing race
-//! otherwise). When it cannot finish — the budget runs out, or every
-//! racing worker dies — the certificate says [`ProofStatus::Unchecked`]
-//! and names what stopped it rather than pretending.
+//! The pins are sound by one lemma: a clique's vertices get distinct
+//! colors in every coloring, so permuting the colors of any
+//! (k−1)-coloring turns it into one that meets the pins. The CNF is
+//! therefore satisfiable iff it is satisfiable under the pins, and a
+//! derived "not every pin holds" leaves it no model. Pinning a clique is
+//! the first q steps of value precedence and the idea behind the paper's
+//! SC and SC-clique constructions; without it the refutation must rule
+//! out every permutation of the colors, which is what made the SBP-free
+//! re-solve slow.
+//!
+//! The pins are assumptions, not unit clauses. Every logged lemma is then
+//! RUP against the plain CNF, so a caller that archives the proof can
+//! write the CNF plus one unit clause per pin and any DRAT checker verifies
+//! the pair; and the in-memory check replays the lemmas instead of letting
+//! its own propagation of the pins refute the formula before the first
+//! step.
+//!
+//! Apart from the pins, the refutation is produced on a formula with no
+//! symmetry-breaking predicates and no PB constraints, whatever encoding
+//! and solver produced the result: SBP soundness and the PB inference
+//! rules are exactly what a certificate must not take on faith.
+//! [`certify_result_parallel`] is the one refutation path (sequential for
+//! one worker, a clause-sharing race otherwise). When it cannot finish —
+//! the budget runs out, or every racing worker dies — the certificate says
+//! [`ProofStatus::Unchecked`] and names what stopped it rather than
+//! pretending.
 //!
 //! The proof travels in memory, in [`OptimalityCertificate::proof`], and is
 //! checked before anyone can archive it: a caller that keeps proofs on
@@ -25,29 +47,35 @@
 //! verdict.
 //!
 //! The incremental ladder changes nothing here, deliberately. A ladder
-//! step's UNSAT is *assumption-relative* (the formula refutes
-//! `¬y[target..K]`, not `⊥`) and is solved against an SBP-augmented,
-//! possibly unit-committed formula — none of which a DRAT refutation of
-//! the original instance may rely on. So certification ignores the
-//! session's clause database entirely and re-derives the χ−1 refutation
-//! from scratch on the SBP-free pure-CNF encoding below.
+//! step's UNSAT is relative to the assumptions `¬y[target..K]` and is
+//! solved against an SBP-augmented, possibly unit-committed formula — none
+//! of which a derivation from the original instance may rely on. So
+//! certification ignores the session's clause database entirely and
+//! re-derives the χ−1 refutation from scratch on the pure-CNF encoding
+//! below.
 
 use crate::chromatic::{chromatic_number, ChromaticResult};
-use crate::encode::cnf_decision_formula;
+use crate::encode::{cnf_decision_formula, cnf_pins};
 use crate::flow::SolveOptions;
 use sbgc_formula::{Lit, PbFormula};
+use sbgc_graph::algo::greedy_clique;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_pb::{
     Budget, EngineConfig, ExhaustReason, PbEngine, PortfolioSession, SolveOutcome, SolverKind,
 };
-use sbgc_proof::{check_drat, DratProof, ProofLogger, SharedProof};
+use sbgc_proof::{check_derivation, DratProof, ProofLogger, SharedProof};
 use std::time::Instant;
 
 /// Outcome of the UNSAT half of a certificate.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProofStatus {
-    /// A DRAT refutation was produced and accepted by the independent
-    /// checker.
+    /// The independent checker accepted the logged derivation of "not
+    /// every pin holds" from the (χ−1)-coloring CNF, and the pinned
+    /// vertices ([`OptimalityCertificate::clique`]) were verified to be
+    /// pairwise adjacent. Sound by one lemma: a clique's vertices get
+    /// distinct colors, so permuting colors turns any (χ−1)-coloring into
+    /// one that meets the pins — the CNF has no model. With no pins the
+    /// goal is the empty clause: a plain DRAT refutation.
     Checked {
         /// Proof steps replayed (additions + deletions).
         steps: usize,
@@ -76,18 +104,21 @@ pub enum ProofStatus {
         /// What stopped the refutation.
         reason: String,
     },
-    /// A proof was produced but the checker rejected it, or the certifying
-    /// solve contradicted the claimed optimum. This indicates a solver or
-    /// logger bug and must fail loudly downstream.
+    /// A proof was produced but the checker rejected it, the pins are not
+    /// a clique that fits in χ−1 colors, or the certifying solve
+    /// contradicted the claimed optimum. This indicates a solver or logger
+    /// bug and must fail loudly downstream.
     Rejected {
-        /// The checker's error, or the contradiction found.
+        /// The checker's error, the pins' defect, or the contradiction
+        /// found.
         error: String,
     },
 }
 
 impl ProofStatus {
     /// `true` when optimality is established without trusting any solver:
-    /// either an accepted DRAT refutation or a by-definition case.
+    /// either an accepted derivation from a verified clique's pins or a
+    /// by-definition case.
     pub fn is_verified(&self) -> bool {
         matches!(self, ProofStatus::Checked { .. } | ProofStatus::Trivial { .. })
     }
@@ -119,9 +150,14 @@ pub struct OptimalityCertificate {
     pub witness_verified: bool,
     /// Status of the (χ−1)-uncolorability proof.
     pub unsat: ProofStatus,
-    /// The DRAT refutation itself, when the certifying solve answered
+    /// The pinned clique: index `i` holds the vertex pinned to color `i`
+    /// of the (χ−1)-coloring CNF ([`crate::encode::cnf_pins`]). At most
+    /// χ−1 vertices of the graph's greedy clique; empty when χ ≤ 1.
+    pub clique: Vec<usize>,
+    /// The DRAT derivation itself, when the certifying solve answered
     /// UNSAT (checked, or rejected by the checker). `None` for trivial and
-    /// unchecked certificates, and when a model disproved the claim.
+    /// unchecked certificates, and when a model disproved the claim or the
+    /// pins were refused.
     pub proof: Option<DratProof>,
 }
 
@@ -154,24 +190,27 @@ fn certifier(num_vars: usize, clauses: &[Vec<Lit>], logger: Box<dyn ProofLogger>
 
 /// Maps a certifying solve's `outcome` on `clauses`, the (`chi`−1)-coloring
 /// CNF, to a status and the proof it keeps. An UNSAT answer's logged
-/// `proof` is replayed through the independent checker and kept; a model
-/// disproves the claimed `chi`; an undecided solve is unchecked, keeps no
-/// proof and names what stopped it — the engine's or the session's
-/// `exhaust` reason, or, when there is none, the death of every racing
-/// worker (an engine always names its exhaustion).
+/// `proof` is replayed through the independent checker, which must find
+/// that it derives `goal` (the negated pins; `[]` for a plain refutation),
+/// and is kept; a model disproves the claimed `chi`; an undecided solve is
+/// unchecked, keeps no proof and names what stopped it — the engine's or
+/// the session's `exhaust` reason, or, when there is none, the death of
+/// every racing worker (an engine always names its exhaustion).
+#[allow(clippy::too_many_arguments)]
 fn check_outcome(
     outcome: SolveOutcome,
     exhaust: Option<ExhaustReason>,
     chi: usize,
     num_vars: usize,
     clauses: &[Vec<Lit>],
+    goal: &[Lit],
     proof: DratProof,
     solve_seconds: f64,
 ) -> (ProofStatus, Option<DratProof>) {
     match outcome {
         SolveOutcome::Unsat => {
             let check_start = Instant::now();
-            let checked = check_drat(num_vars, clauses, &proof);
+            let checked = check_derivation(num_vars, clauses, &proof, goal);
             let check_seconds = check_start.elapsed().as_secs_f64();
             let status = match checked {
                 Ok(stats) => ProofStatus::Checked {
@@ -201,9 +240,36 @@ fn check_outcome(
     }
 }
 
-/// Refutes (`chi`−1)-colorability of `graph` on its SBP-free pure-CNF
-/// decision encoding, then replays the logged proof through the
-/// independent checker.
+/// Why `clique` cannot be pinned to the first colors of a `colors`-coloring
+/// of `graph`, or `None` when it can: it names at most `colors` vertices
+/// of the graph, none twice, every two adjacent.
+fn pin_defect(graph: &Graph, colors: usize, clique: &[usize]) -> Option<String> {
+    if clique.len() > colors {
+        return Some(format!("{} clique pins outnumber the {colors} colors", clique.len()));
+    }
+    let n = graph.num_vertices();
+    for (i, &v) in clique.iter().enumerate() {
+        if v >= n {
+            return Some(format!("pin {i} names vertex {v}, but the graph has {n} vertices"));
+        }
+        for &u in &clique[..i] {
+            if u == v {
+                return Some(format!("vertex {v} is pinned twice"));
+            }
+            if !graph.has_edge(u, v) {
+                return Some(format!("pinned vertices {u} and {v} are not adjacent"));
+            }
+        }
+    }
+    None
+}
+
+/// Refutes (`chi`−1)-colorability of `graph` on its pure-CNF decision
+/// encoding under the pins of `clique` ([`cnf_pins`]) as assumptions, then
+/// checks that the logged proof derives "not every pin holds" from the
+/// unmodified CNF. Pins that are not a clique fitting in `chi`−1 colors
+/// are [`ProofStatus::Rejected`] before any solve: they could hide a
+/// coloring.
 ///
 /// With `workers > 1` this races that many [`certifier_config`] engines
 /// as a one-query [`PortfolioSession::with_proof`], sharing learned
@@ -214,15 +280,21 @@ fn check_outcome(
 fn refute_and_check(
     graph: &Graph,
     chi: usize,
+    clique: &[usize],
     budget: &Budget,
     workers: usize,
 ) -> (ProofStatus, Option<DratProof>) {
-    let (num_vars, clauses) = cnf_decision_formula(graph, chi - 1);
+    let colors = chi - 1;
+    if let Some(defect) = pin_defect(graph, colors, clique) {
+        return (ProofStatus::Rejected { error: format!("clique pins refused: {defect}") }, None);
+    }
+    let (num_vars, clauses) = cnf_decision_formula(graph, colors);
+    let pins = cnf_pins(colors, clique);
     let shared = SharedProof::new();
     let solve_start = Instant::now();
     let (outcome, exhaust) = if workers <= 1 {
         let mut engine = certifier(num_vars, &clauses, Box::new(shared.clone()));
-        let outcome = engine.solve_with_budget(budget);
+        let outcome = engine.solve_with_assumptions(&pins, budget);
         (outcome, engine.stats().exhaust)
     } else {
         let mut formula = PbFormula::with_vars(num_vars);
@@ -232,20 +304,22 @@ fn refute_and_check(
         let configs: Vec<_> = (0..workers).map(certifier_config).collect();
         let answer = PortfolioSession::with_proof(&formula, &configs, &shared)
             .expect("workers > 1")
-            .query(&[], budget);
+            .query(&pins, budget);
         (answer.outcome, answer.stats.exhaust)
     };
     let solve_seconds = solve_start.elapsed().as_secs_f64();
-    check_outcome(outcome, exhaust, chi, num_vars, &clauses, shared.take(), solve_seconds)
+    let goal: Vec<Lit> = pins.iter().map(|&p| !p).collect();
+    check_outcome(outcome, exhaust, chi, num_vars, &clauses, &goal, shared.take(), solve_seconds)
 }
 
 /// Certifies an exact chromatic-number result.
 ///
 /// Returns `None` when `result` is only a bound (there is no optimum to
 /// certify). For an exact result this verifies the witness syntactically
-/// and attempts a checked refutation of (χ−1)-colorability on the SBP-free
-/// pure-CNF decision encoding — independent of whatever encoding and solver
-/// produced `result`.
+/// and attempts a checked refutation of (χ−1)-colorability on the pure-CNF
+/// decision encoding, with the graph's greedy clique pinned to the first
+/// colors (see the module docs) — independent of whatever encoding and
+/// solver produced `result`.
 ///
 /// A [`ProofStatus::Rejected`] status (checker refused the proof, or the
 /// certifying solver *satisfied* the χ−1 formula) means the claimed optimum
@@ -279,19 +353,23 @@ pub fn certify_result_parallel(
         ChromaticResult::Bounded { .. } => return None,
     };
     let witness_verified = witness.is_proper(graph) && witness.num_colors() == chi;
-    let (unsat, proof) = if chi <= 1 {
+    let (unsat, proof, clique) = if chi <= 1 {
         let status = ProofStatus::Trivial {
             reason: "χ ≤ 1: there is no smaller color count to refute".into(),
         };
-        (status, None)
+        (status, None, Vec::new())
     } else {
-        refute_and_check(graph, chi, budget, workers)
+        let mut clique = greedy_clique(graph);
+        clique.truncate(chi - 1);
+        let (status, proof) = refute_and_check(graph, chi, &clique, budget, workers);
+        (status, proof, clique)
     };
     Some(OptimalityCertificate {
         chromatic_number: chi,
         witness: witness.clone(),
         witness_verified,
         unsat,
+        clique,
         proof,
     })
 }
@@ -486,7 +564,7 @@ mod tests {
     /// exhaustion reason.
     fn check_triangle(outcome: SolveOutcome) -> (ProofStatus, Option<DratProof>) {
         let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
-        check_outcome(outcome, None, 3, num_vars, &clauses, DratProof::new(), 0.0)
+        check_outcome(outcome, None, 3, num_vars, &clauses, &[], DratProof::new(), 0.0)
     }
 
     #[test]
@@ -555,7 +633,8 @@ mod tests {
         let outcome = engine.solve_with_budget(&Budget::unlimited());
         assert!(matches!(outcome, SolveOutcome::Unsat), "{outcome:?}");
         let log = shared.take();
-        let (status, proof) = check_outcome(outcome, None, 4, num_vars, &clauses, log.clone(), 0.5);
+        let (status, proof) =
+            check_outcome(outcome, None, 4, num_vars, &clauses, &[], log.clone(), 0.5);
         match status {
             ProofStatus::Checked { steps, adds, deletes, literals, solve_seconds, .. } => {
                 assert!(adds > 0 && steps == adds + deletes, "{steps} = {adds} + {deletes}");
@@ -614,6 +693,19 @@ mod tests {
     }
 
     #[test]
+    fn a_caller_witness_with_a_huge_color_is_counted() {
+        // Colors are only labels: {0, 1, usize::MAX} 3-colors a triangle.
+        let claim = ChromaticResult::Exact {
+            chromatic_number: 3,
+            witness: Coloring::new(vec![0, usize::MAX, 1]),
+        };
+        let cert =
+            certify_result(&Graph::complete(3), &claim, &Budget::unlimited()).expect("exact");
+        assert!(cert.witness_verified);
+        assert!(cert.is_certified(), "{}", cert.unsat);
+    }
+
+    #[test]
     fn status_display_names_each_outcome() {
         // These are the words table1 --certify prints after "unsat".
         let checked = ProofStatus::Checked {
@@ -635,6 +727,51 @@ mod tests {
         let verified: Vec<bool> =
             [checked, trivial, unchecked, rejected].iter().map(ProofStatus::is_verified).collect();
         assert_eq!(verified, [true, true, false, false]);
+    }
+
+    #[test]
+    fn pins_that_could_hide_a_coloring_are_rejected() {
+        // The path 0 − 1 − 2 is 2-colorable, so the claim χ = 3 is false.
+        // Pins on the non-adjacent ends or on one vertex twice would make
+        // the 2-coloring CNF UNSAT under them, and three pins need a third
+        // color: each is refused before any solve, by either certifier.
+        let path = Graph::from_edges(3, [(0, 1), (1, 2)]);
+        for (pins, defect) in [
+            (&[0, 2][..], "pinned vertices 0 and 2 are not adjacent"),
+            (&[1, 1], "vertex 1 is pinned twice"),
+            (&[0, 1, 2], "3 clique pins outnumber the 2 colors"),
+            (&[0, 3], "pin 1 names vertex 3, but the graph has 3 vertices"),
+        ] {
+            for workers in [1, 3] {
+                let (status, proof) =
+                    refute_and_check(&path, 3, pins, &Budget::unlimited(), workers);
+                match status {
+                    ProofStatus::Rejected { error } => assert!(error.contains(defect), "{error}"),
+                    other => panic!("{pins:?}, workers={workers}: expected Rejected, got {other}"),
+                }
+                assert!(proof.is_none(), "{pins:?}, workers={workers}");
+            }
+        }
+        // Pinning a real clique, an edge, the solver finds the 2-coloring.
+        let (status, _) = refute_and_check(&path, 3, &[1, 2], &Budget::unlimited(), 1);
+        match status {
+            ProofStatus::Rejected { error } => assert!(error.contains("(2)-colorable"), "{error}"),
+            other => panic!("expected Rejected, got {other}"),
+        }
+    }
+
+    #[test]
+    fn certificate_names_its_pinned_clique() {
+        // K4 at three colors pins three of its four clique vertices, in
+        // color order; a certificate that needs no proof pins nothing.
+        let cert = certify(&Graph::complete(4), 6);
+        assert_eq!(cert.clique, [0, 1, 2]);
+        let g = queens(5, 5);
+        let cert = certify(&g, 6);
+        assert!(cert.is_certified(), "{}", cert.unsat);
+        assert_eq!(cert.clique.len(), 4, "queen5_5's 5-clique, cut to χ−1 = 4 pins");
+        assert_eq!(pin_defect(&g, 4, &cert.clique), None);
+        assert!(certify(&Graph::empty(3), 3).clique.is_empty());
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl ColoringEncoding {
 pub fn cnf_decision_formula(graph: &Graph, k: usize) -> (usize, Vec<Vec<Lit>>) {
     assert!(k > 0, "at least one color is required");
     let n = graph.num_vertices();
-    let x = |i: usize, j: usize| Var::from_index(i * k + j);
+    let x = |i: usize, j: usize| cnf_color_var(k, i, j);
     let mut clauses = Vec::with_capacity(n * (1 + k * (k - 1) / 2) + graph.num_edges() * k);
     for i in 0..n {
         clauses.push((0..k).map(|j| x(i, j).positive()).collect());
@@ -210,6 +210,28 @@ pub fn cnf_decision_formula(graph: &Graph, k: usize) -> (usize, Vec<Vec<Lit>>) {
         }
     }
     (n * k, clauses)
+}
+
+/// `x[vertex][color]` of [`cnf_decision_formula`] with `k` colors.
+fn cnf_color_var(k: usize, vertex: usize, color: usize) -> Var {
+    Var::from_index(vertex * k + color)
+}
+
+/// The clique pins of [`cnf_decision_formula`] with `k` colors: for each
+/// `i`, the literal "vertex `clique[i]` has color `i`".
+///
+/// When `clique` is a clique of at most `k` vertices, the formula is
+/// satisfiable iff it is satisfiable with every pin true: a clique's
+/// vertices get distinct colors, so permuting the colors of any k-coloring
+/// makes it meet the pins. The certifier refutes (χ−1)-colorability under
+/// these literals as assumptions.
+///
+/// # Panics
+///
+/// Panics if `clique` has more than `k` vertices (color `i` must exist).
+pub fn cnf_pins(k: usize, clique: &[usize]) -> Vec<Lit> {
+    assert!(clique.len() <= k, "{} pins need at least as many colors, not {k}", clique.len());
+    clique.iter().enumerate().map(|(color, &v)| cnf_color_var(k, v, color).positive()).collect()
 }
 
 #[cfg(test)]

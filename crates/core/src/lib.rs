@@ -33,8 +33,8 @@
 //!   re-validated at the trust boundary;
 //! * [`certify`] — verified optimality certificates: a syntactically
 //!   checked witness coloring at χ plus a DRAT refutation of
-//!   (χ−1)-colorability replayed through the independent checker of
-//!   `sbgc-proof`;
+//!   (χ−1)-colorability under a verified clique's pins, replayed through
+//!   the independent checker of `sbgc-proof`;
 //! * [`supervisor`] + [`checkpoint`] — resumable solves: versioned,
 //!   checksummed [`SolveCheckpoint`]s written atomically at ladder-rung
 //!   boundaries, resume with trust-boundary re-validation, and a
@@ -84,7 +84,7 @@ pub use chromatic::{
     bounds, chromatic_number, chromatic_number_outcome, ChromaticBounds, ChromaticOutcome,
     ChromaticResult,
 };
-pub use encode::{cnf_decision_formula, ColoringEncoding};
+pub use encode::{cnf_decision_formula, cnf_pins, ColoringEncoding};
 pub use error::SolveError;
 pub use flow::{
     solve_coloring, try_solve_coloring, ColoringOutcome, PreparedColoring, SolveOptions,

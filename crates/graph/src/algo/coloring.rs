@@ -1,6 +1,7 @@
 //! Vertex colorings and their verification.
 
 use crate::Graph;
+use std::collections::HashMap;
 use std::fmt;
 
 /// An assignment of a color (a small non-negative integer) to every vertex
@@ -51,10 +52,22 @@ impl Coloring {
     }
 
     /// Number of *distinct* colors used.
+    ///
+    /// Any color value is counted without a panic: colors below the vertex
+    /// count are marked in a table of at most that size, and a coloring
+    /// with a larger one (a corrupted or hostile input) is counted by
+    /// sorting a copy instead, never in a table sized by its largest color.
     pub fn num_colors(&self) -> usize {
+        let n = self.colors.len();
         let mut seen: Vec<bool> = Vec::new();
         for &c in &self.colors {
             if c >= seen.len() {
+                if c >= n {
+                    let mut distinct = self.colors.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    return distinct.len();
+                }
                 seen.resize(c + 1, false);
             }
             seen[c] = true;
@@ -62,9 +75,10 @@ impl Coloring {
         seen.iter().filter(|&&b| b).count()
     }
 
-    /// The largest color index used plus one (0 for the empty coloring).
+    /// The largest color index used plus one (0 for the empty coloring),
+    /// saturating at `usize::MAX`.
     pub fn max_color_bound(&self) -> usize {
-        self.colors.iter().max().map_or(0, |&c| c + 1)
+        self.colors.iter().max().map_or(0, |&c| c.saturating_add(1))
     }
 
     /// Returns `true` if no edge of `graph` is monochromatic and the
@@ -122,20 +136,25 @@ impl Coloring {
 
     /// Renumbers colors so they form a contiguous range `0..num_colors()`
     /// in order of first appearance.
+    ///
+    /// Any color value is renumbered without a panic: the map is a table
+    /// when every color is below the vertex count and a hash map otherwise,
+    /// never a table sized by the largest color.
     pub fn compacted(&self) -> Coloring {
-        let mut map: Vec<Option<usize>> = vec![None; self.max_color_bound()];
         let mut next = 0;
-        let colors = self
-            .colors
-            .iter()
-            .map(|&c| {
-                *map[c].get_or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                })
-            })
-            .collect();
+        let mut fresh = || {
+            let id = next;
+            next += 1;
+            id
+        };
+        let bound = self.max_color_bound();
+        let colors = if bound <= self.colors.len() {
+            let mut map: Vec<Option<usize>> = vec![None; bound];
+            self.colors.iter().map(|&c| *map[c].get_or_insert_with(&mut fresh)).collect()
+        } else {
+            let mut map: HashMap<usize, usize> = HashMap::new();
+            self.colors.iter().map(|&c| *map.entry(c).or_insert_with(&mut fresh)).collect()
+        };
         Coloring { colors }
     }
 }
@@ -186,6 +205,27 @@ mod tests {
     fn dot_export_checks_size() {
         let g = Graph::from_edges(3, [(0, 1)]);
         let _ = Coloring::new(vec![0]).to_dot(&g);
+    }
+
+    #[test]
+    fn colors_beyond_the_vertex_count_count_without_a_huge_table() {
+        // usize::MAX would wrap `c + 1`, and 2^40 would ask for a terabyte
+        // table; both are just distinct colors.
+        for huge in [usize::MAX, 1 << 40, 4] {
+            let c = Coloring::new(vec![3, huge, 0, 3]);
+            assert_eq!(c.num_colors(), 3, "{huge}");
+            assert_eq!(c.max_color_bound(), huge.saturating_add(1), "{huge}");
+            let d = c.compacted();
+            assert_eq!(d.colors(), &[0, 1, 2, 0], "{huge}");
+            assert_eq!((d.num_colors(), d.max_color_bound()), (3, 3), "{huge}");
+        }
+        let all_huge = Coloring::new(vec![usize::MAX, usize::MAX - 1, usize::MAX]);
+        assert_eq!(all_huge.num_colors(), 2);
+        assert_eq!(all_huge.max_color_bound(), usize::MAX);
+        assert_eq!(all_huge.compacted().colors(), &[0, 1, 0]);
+        let empty = Coloring::new(Vec::new());
+        assert_eq!((empty.num_colors(), empty.max_color_bound()), (0, 0));
+        assert!(empty.compacted().colors().is_empty());
     }
 
     #[test]

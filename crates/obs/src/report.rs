@@ -43,8 +43,11 @@ use crate::recorder::{
 /// v10 set the per-worker `query` of fixed-K portfolio runs: optimization
 /// races one session query per step, so it records one worker entry per
 /// step with the step index in `query` (previously one entry per worker
-/// with `query: null`).
-pub const SCHEMA_VERSION: u32 = 10;
+/// with `query: null`). v11 added the certificate's `clique_pins`: the
+/// vertices the χ−1 refutation pinned to colors 0, 1, … (its `proof_*`
+/// counts now describe a derivation of "not every pin holds" from the
+/// χ−1 CNF).
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// Identity and size of the graph instance a run solved.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -178,6 +181,9 @@ pub struct CertificateStats {
     pub chromatic_number: usize,
     /// Whether the witness coloring verified (proper, exactly χ colors).
     pub witness_verified: bool,
+    /// The clique pinned in the χ−1 refutation, in pin order: vertex
+    /// `clique_pins[i]` is assumed to have color `i`. Empty when χ ≤ 1.
+    pub clique_pins: Vec<usize>,
     /// Proof steps replayed by the checker (0 unless checked).
     pub proof_steps: usize,
     /// Lemma additions in the proof.
@@ -205,6 +211,7 @@ impl CertificateStats {
             .str("detail", &self.detail)
             .usize("chromatic_number", self.chromatic_number)
             .bool("witness_verified", self.witness_verified)
+            .raw("clique_pins", format!("{:?}", self.clique_pins))
             .usize("proof_steps", self.proof_steps)
             .usize("proof_adds", self.proof_adds)
             .usize("proof_deletes", self.proof_deletes)
@@ -571,7 +578,7 @@ mod tests {
             runs: vec![report],
         };
         let json = file.to_json();
-        assert!(json.contains("\"schema_version\": 10"));
+        assert!(json.contains("\"schema_version\": 11"));
         assert!(json.contains("\"heuristics\": null"));
         assert!(json.contains("\"supervisor\": null"));
         assert!(json.contains("\"resume\": null"));
@@ -724,6 +731,7 @@ mod tests {
             detail: String::new(),
             chromatic_number: 4,
             witness_verified: true,
+            clique_pins: vec![3, 0, 7],
             proof_steps: 12,
             proof_adds: 10,
             proof_deletes: 2,
@@ -737,6 +745,7 @@ mod tests {
         assert!(json.contains("\"status\": \"checked\""));
         assert!(json.contains("\"proof_steps\": 12"));
         assert!(json.contains("\"witness_verified\": true"));
+        assert!(json.contains("\"clique_pins\": [3, 0, 7]"), "{json}");
 
         let rejected = CertificateStats {
             status: "rejected".to_string(),

@@ -10,7 +10,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sbgc_formula::{Lit, Var};
 use sbgc_pb::{Budget, EngineConfig, PbEngine, SolveOutcome};
-use sbgc_proof::{check_drat, CheckError, CheckStats, DratProof, ProofStep, SharedProof};
+use sbgc_proof::{
+    check_derivation, check_drat, CheckError, CheckStats, DratProof, ProofStep, SharedProof,
+};
 
 /// PHP(holes+1, holes) as a raw clause list (UNSAT for every size).
 fn pigeonhole(holes: usize) -> (usize, Vec<Vec<Lit>>) {
@@ -259,18 +261,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Engine proofs of pigeonhole, random 3-SAT and G(n, p) (χ−1)-coloring
-    /// CNFs under the four diversified worker configurations, checked as
-    /// logged, with hints stripped and with hints corrupted: the verdict,
-    /// the adds and the deletes agree. Each proof is checked once more
-    /// against the formula with one clause weakened by a fresh literal,
-    /// which turns lemmas resolved on it into non-RUP ones that their
-    /// (now wrong) chains still name. Checked as logged against the
-    /// original clauses, every refutation closes each addition by its
-    /// chain: minimization's removed and intermediate literals included.
+    /// CNFs under the four diversified worker configurations, solved under
+    /// zero to two random assumptions and checked for the goal that negates
+    /// them (the empty clause without assumptions) as logged, with hints
+    /// stripped and with hints corrupted: the verdict, the adds and the
+    /// deletes agree. Each proof is checked once more against the formula
+    /// with one clause weakened by a fresh literal, which turns lemmas
+    /// resolved on it into non-RUP ones that their (now wrong) chains
+    /// still name. Checked as logged against the original clauses, every
+    /// derivation closes each addition by its chain: minimization's
+    /// removed and intermediate literals included.
     fn hints_never_change_a_verdict(
         family in 0usize..3,
         worker in 0usize..4,
         reduce in any::<bool>(),
+        assumed in 0usize..3,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -291,7 +296,12 @@ proptest! {
         for c in &clauses {
             engine.add_clause(c.iter().copied());
         }
-        engine.solve();
+        let mut vars: Vec<usize> = (0..num_vars).collect();
+        vars.shuffle(&mut rng);
+        let assumptions: Vec<Lit> =
+            vars[..assumed].iter().map(|&v| Var::from_index(v).lit(rng.gen_bool(0.5))).collect();
+        engine.solve_with_assumptions(&assumptions, &Budget::unlimited());
+        let goal: Vec<Lit> = assumptions.iter().map(|&a| !a).collect();
         let proof = shared.take();
         let stripped = rehinted(&proof, |_, _| Vec::new());
         let corrupt = corrupted(&proof, clauses.len(), &mut rng);
@@ -299,15 +309,21 @@ proptest! {
         let mut weakened = clauses.clone();
         let victim = rng.gen_range(0..weakened.len());
         weakened[victim].push(Var::from_index(num_vars).positive());
+        let check = |vars, formula: &[Vec<Lit>], proof| check_derivation(vars, formula, proof, &goal);
         for (formula, vars) in [(&clauses, num_vars), (&weakened, num_vars + 1)] {
-            let expected = verdict(check_drat(vars, formula, &stripped));
-            prop_assert_eq!(verdict(check_drat(vars, formula, &proof)), expected.clone());
-            prop_assert_eq!(verdict(check_drat(vars, formula, &corrupt)), expected);
+            let expected = verdict(check(vars, formula, &stripped));
+            prop_assert_eq!(verdict(check(vars, formula, &proof)), expected.clone());
+            prop_assert_eq!(verdict(check(vars, formula, &corrupt)), expected);
         }
-        if let Ok(stats) = check_drat(num_vars, &clauses, &stripped) {
+        if family != 1 {
+            // Pigeonhole and (χ−1)-coloring CNFs are UNSAT under any
+            // assumptions, so the goal is derived.
+            prop_assert!(check(num_vars, &clauses, &proof).is_ok());
+        }
+        if let Ok(stats) = check(num_vars, &clauses, &stripped) {
             prop_assert_eq!(stats.chained, 0);
         }
-        if let Ok(stats) = check_drat(num_vars, &clauses, &proof) {
+        if let Ok(stats) = check(num_vars, &clauses, &proof) {
             prop_assert_eq!(stats.searched, 0);
         }
     }

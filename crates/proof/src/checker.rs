@@ -12,6 +12,14 @@
 //! literal, and the proof is accepted once the database is refuted at the
 //! root (the empty clause, or a unit addition whose propagation conflicts).
 //!
+//! [`check_derivation`] generalizes the end condition to a *goal* clause:
+//! the proof is accepted when the formula plus the replayed lemmas make the
+//! goal RUP. A refutation is the goal `[]`, and [`check_drat`] is exactly
+//! that case. A solver that answered UNSAT under assumptions `a₁ … aₘ`
+//! logs lemmas after which the goal `¬a₁ ∨ … ∨ ¬aₘ` is RUP: its final trail
+//! derived the negation of an assumption by unit propagation over clauses
+//! the log holds.
+//!
 //! An addition's hint chain is tried before propagation: each hint must
 //! name an active clause that is unit under the negated addition, the root
 //! trail and the units the chain derived so far (a satisfied one is passed
@@ -60,12 +68,15 @@ pub enum CheckError {
         step: usize,
     },
     /// A literal at `step` references a variable outside the formula.
-    /// `step` is `None` when the literal is in the formula itself.
+    /// `step` is `None` when the literal is in the formula itself or in a
+    /// [`check_derivation`] goal.
     OutOfRangeLit {
         /// Index of the offending proof step, if any.
         step: Option<usize>,
     },
-    /// The proof ran out of steps without refuting the formula.
+    /// The proof ran out of steps without refuting the formula — or, for
+    /// [`check_derivation`] with a non-empty goal, without refuting it
+    /// under the goal's negation (the goal is not RUP).
     NotUnsat,
 }
 
@@ -415,21 +426,12 @@ impl Checker {
 }
 
 /// Checks a DRAT refutation of the clause list `formula` over variables
-/// `0..num_vars`.
+/// `0..num_vars`: [`check_derivation`] with the empty goal.
 ///
 /// Returns [`CheckStats`] when the proof is accepted — every addition is
 /// RUP (or RAT on its first literal) with respect to the formula plus the
 /// surviving earlier additions, every deletion names a present clause, and
 /// the final database is refuted by unit propagation.
-///
-/// Each addition's hint chain ([`DratProof::hints`]) is walked first, with
-/// formula clause `i` as ID `i` and addition `j` as ID `formula.len() + j`:
-/// every hint must name an active clause that is unit under the negated
-/// addition, the root trail and the chain's earlier units (a satisfied one
-/// is passed over), until one is falsified. A chain that closes proves the
-/// addition RUP; any other chain is ignored and the addition searched for
-/// as if it had none. Hints never change the result, only
-/// [`CheckStats::chained`] and [`CheckStats::searched`] and the time taken.
 ///
 /// # Errors
 ///
@@ -458,8 +460,60 @@ pub fn check_drat(
     formula: &[Vec<Lit>],
     proof: &DratProof,
 ) -> Result<CheckStats, CheckError> {
+    check_derivation(num_vars, formula, proof, &[])
+}
+
+/// Checks that `proof` derives the clause `goal` from the clause list
+/// `formula` over variables `0..num_vars`.
+///
+/// Every addition must be RUP (or RAT on its first literal) with respect
+/// to the formula plus the surviving earlier additions, and every deletion
+/// must name a present clause. Replay stops at the first refutation of the
+/// database (which derives every goal); otherwise, after the last step,
+/// `goal` must be RUP: assuming the negation of its literals and
+/// propagating over the final database must conflict. `goal = []` asks
+/// for a refutation, which is [`check_drat`].
+///
+/// Each addition's hint chain ([`DratProof::hints`]) is walked first, with
+/// formula clause `i` as ID `i` and addition `j` as ID `formula.len() + j`:
+/// every hint must name an active clause that is unit under the negated
+/// addition, the root trail and the chain's earlier units (a satisfied one
+/// is passed over), until one is falsified. A chain that closes proves the
+/// addition RUP; any other chain is ignored and the addition searched for
+/// as if it had none. Hints never change the result, only
+/// [`CheckStats::chained`] and [`CheckStats::searched`] and the time taken.
+///
+/// # Errors
+///
+/// Returns the first [`CheckError`] encountered: a literal of the formula
+/// or the goal out of range is [`CheckError::OutOfRangeLit`] with no step,
+/// and a replay that ends without making `goal` RUP is
+/// [`CheckError::NotUnsat`].
+///
+/// # Example
+///
+/// ```
+/// use sbgc_formula::Var;
+/// use sbgc_proof::{check_derivation, CheckError, DratProof};
+///
+/// // (¬a∨b)(¬b∨c)(¬c∨¬a): a cannot hold, yet the formula is satisfiable.
+/// let [a, b, c] = [0, 1, 2].map(|i| Var::from_index(i).positive());
+/// let formula = vec![vec![!a, b], vec![!b, c], vec![!c, !a]];
+/// let empty = DratProof::new();
+/// // The goal [¬a] is RUP without a single lemma…
+/// assert!(check_derivation(3, &formula, &empty, &[!a]).is_ok());
+/// // …but neither [a] nor the empty clause is derived.
+/// assert_eq!(check_derivation(3, &formula, &empty, &[a]), Err(CheckError::NotUnsat));
+/// assert_eq!(check_derivation(3, &formula, &empty, &[]), Err(CheckError::NotUnsat));
+/// ```
+pub fn check_derivation(
+    num_vars: usize,
+    formula: &[Vec<Lit>],
+    proof: &DratProof,
+    goal: &[Lit],
+) -> Result<CheckStats, CheckError> {
     let out_of_range = |lits: &[Lit]| lits.iter().any(|l| l.var().index() >= num_vars);
-    if formula.iter().any(|clause| out_of_range(clause)) {
+    if out_of_range(goal) || formula.iter().any(|clause| out_of_range(clause)) {
         return Err(CheckError::OutOfRangeLit { step: None });
     }
     let mut ck = Checker::new(num_vars);
@@ -502,7 +556,9 @@ pub fn check_drat(
             }
         }
     }
-    if !ck.refuted {
+    // A refuted database derives every goal; otherwise the goal must be
+    // RUP, which for the empty goal is exactly a refutation.
+    if !ck.is_rup(goal) {
         return Err(CheckError::NotUnsat);
     }
     stats.propagations = ck.propagations;
@@ -717,6 +773,90 @@ mod tests {
         proof.push_add(&[l(2)], &[1]);
         let stats = check_drat(2, &square(), &proof).unwrap();
         assert_eq!((stats.chained, stats.searched), (0, 1));
+    }
+
+    #[test]
+    fn an_underived_goal_is_refused() {
+        // (¬a∨b)(¬b∨c) is satisfiable: [¬a ∨ c] is RUP, but [¬c] and [a]
+        // are not, with or without a proof that derives [¬a ∨ c].
+        let formula = vec![vec![l(-1), l(2)], vec![l(-2), l(3)]];
+        let mut proof = DratProof::new();
+        proof.push_add(&[l(-1), l(3)], &[0, 1]);
+        for p in [DratProof::new(), proof] {
+            assert!(check_derivation(3, &formula, &p, &[l(-1), l(3)]).is_ok());
+            for goal in [&[l(-3)][..], &[l(1)], &[]] {
+                assert_eq!(
+                    check_derivation(3, &formula, &p, goal),
+                    Err(CheckError::NotUnsat),
+                    "{goal:?}"
+                );
+            }
+        }
+        // A goal over a variable outside the formula is refused up front.
+        assert_eq!(
+            check_derivation(3, &formula, &DratProof::new(), &[l(4)]),
+            Err(CheckError::OutOfRangeLit { step: None })
+        );
+    }
+
+    #[test]
+    fn a_goal_is_checked_after_the_whole_proof() {
+        // Under the assumption a, (¬a∨b)(¬a∨c)(¬b∨¬c∨d)(¬d∨e)(¬d∨¬e) has
+        // no model. The lemma [¬a ∨ d] leaves the goal [¬a] RUP; the
+        // lemmas replay in full (the database is never refuted), and a
+        // bad lemma anywhere still fails at its own step.
+        let formula = vec![
+            vec![l(-1), l(2)],
+            vec![l(-1), l(3)],
+            vec![l(-2), l(-3), l(4)],
+            vec![l(-4), l(5)],
+            vec![l(-4), l(-5)],
+        ];
+        let mut proof = DratProof::new();
+        proof.push_add(&[l(-1), l(4)], &[0, 1, 2]);
+        proof.push_add(&[l(-4)], &[3, 4]);
+        let stats = check_derivation(5, &formula, &proof, &[l(-1)]).expect("goal derived");
+        assert_eq!((stats.steps, stats.adds, stats.chained, stats.searched), (2, 2, 2, 0));
+        assert_eq!(check_drat(5, &formula, &proof), Err(CheckError::NotUnsat));
+        let mut bad = proof.clone();
+        bad.push_add(&[l(1)], &[]);
+        assert_eq!(
+            check_derivation(5, &formula, &bad, &[l(-1)]),
+            Err(CheckError::NotRup { step: 2 })
+        );
+    }
+
+    #[test]
+    fn the_empty_goal_asks_for_a_refutation() {
+        // Goal [] gives the verdicts check_drat gave before goals existed:
+        // a refutation is accepted with the same counts, and a non-RUP
+        // lemma, a missing deletion, an out-of-range literal or a replay
+        // that never refutes is refused with the same error.
+        let refuting = |hints: &[u32]| {
+            let mut proof = DratProof::new();
+            proof.push_add(&[l(2)], hints);
+            proof.push_add(&[], &[]);
+            proof
+        };
+        let mut deleted = DratProof::new();
+        deleted.push_delete(&[l(1), l(2)]);
+        deleted.push_add(&[l(2)], &[]);
+        let mut far = DratProof::new();
+        far.push_add(&[lit(7, false)], &[]);
+        let mut missing = DratProof::new();
+        missing.push_delete(&[l(1), l(2), l(-3)]);
+        let verdict = |num_vars, formula: &[Vec<Lit>], proof: &DratProof| {
+            let checked = check_derivation(num_vars, formula, proof, &[]);
+            assert_eq!(checked, check_drat(num_vars, formula, proof));
+            checked.map(|s| (s.steps, s.adds, s.deletes, s.chained, s.searched))
+        };
+        assert_eq!(verdict(2, &square(), &refuting(&[1, 0])), Ok((1, 1, 0, 1, 0)));
+        assert_eq!(verdict(2, &square(), &refuting(&[])), Ok((1, 1, 0, 0, 1)));
+        assert_eq!(verdict(2, &square(), &deleted), Err(CheckError::NotRup { step: 1 }));
+        assert_eq!(verdict(2, &square(), &far), Err(CheckError::OutOfRangeLit { step: Some(0) }));
+        assert_eq!(verdict(3, &square(), &missing), Err(CheckError::MissingDeletion { step: 0 }));
+        assert_eq!(verdict(2, &square(), &DratProof::new()), Err(CheckError::NotUnsat));
+        assert_eq!(verdict(1, &[vec![l(1)], vec![l(-1)]], &DratProof::new()), Ok((0, 0, 0, 0, 0)));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!   additions from 1UIP analysis, deletions from database reduction)
 //!   into memory: one engine's own [`DratProof`], or a [`SharedProof`]
 //!   that racing workers log into through [`AddsOnlyProofLogger`]s.
-//! * [`check_drat`] — a forward RUP/DRAT checker with its own
+//! * [`check_derivation`] — a forward RUP/DRAT checker with its own
 //!   watched-literal propagation that replays a proof against the original
-//!   clause list and accepts only genuine refutations.
+//!   clause list and accepts only when the formula plus the replayed
+//!   lemmas make a goal clause RUP. [`check_drat`] is its goal-`[]` case:
+//!   it accepts only genuine refutations.
 //!
 //! Each addition may carry a *hint chain*: the IDs of the clauses its
 //! derivation resolved on, in the order they become unit, ending with the
@@ -26,10 +28,11 @@
 //! and carries no hints.
 //!
 //! `sbgc-core` combines both into optimality certificates: a verified
-//! k-coloring at χ plus a checked UNSAT proof at χ−1. The proof is
-//! checked in memory; a caller that archives it renders the checked
-//! proof with [`DratProof::to_dimacs`] and the refuted formula with
-//! [`dimacs_cnf`] afterwards.
+//! k-coloring at χ plus a checked derivation, from the χ−1 coloring CNF,
+//! of the goal "not every clique pin holds" (a refutation of that CNF
+//! under the pins). The proof is checked in memory; a caller that
+//! archives it renders the checked proof with [`DratProof::to_dimacs`]
+//! and the formula with [`dimacs_cnf`] afterwards.
 //!
 //! # Example
 //!
@@ -58,5 +61,5 @@
 mod checker;
 mod drat;
 
-pub use checker::{check_drat, CheckError, CheckStats};
+pub use checker::{check_derivation, check_drat, CheckError, CheckStats};
 pub use drat::{dimacs_cnf, AddsOnlyProofLogger, DratProof, ProofLogger, ProofStep, SharedProof};

@@ -232,13 +232,14 @@ fn memory_exhausted_search_reports_memory_reason() {
 
 #[test]
 fn exhausted_certifier_names_every_budget_dimension() {
-    // Refuting 6-coloring queen6_6 takes far more than the 64 conflicts
-    // before the first budget check. Whichever dimension stops it, the
-    // sequential and the racing certifier leave the claim unchecked —
-    // never rejected — keep no proof, and name that dimension.
-    let g = queens(6, 6);
+    // Refuting 5-coloring myciel5 takes far more than the 64 conflicts
+    // before the first budget check, even with its clique pinned (tens of
+    // thousands of lemmas). Whichever dimension stops it, the sequential
+    // and the racing certifier leave the claim unchecked — never rejected
+    // — keep no proof, and name that dimension.
+    let g = mycielski(5);
     let claim = ChromaticResult::Exact {
-        chromatic_number: 7,
+        chromatic_number: 6,
         witness: Coloring::new(vec![0; g.num_vertices()]),
     };
     let cancelled = CancelToken::new();

@@ -173,8 +173,8 @@ fn ladder_telemetry_lands_in_v5_report() {
         ..Default::default()
     };
     assert!(
-        file.to_json().contains("\"schema_version\": 10"),
-        "ladder telemetry (v5) must survive the v10 schema bump"
+        file.to_json().contains("\"schema_version\": 11"),
+        "ladder telemetry (v5) must survive the v11 schema bump"
     );
 }
 

@@ -188,6 +188,44 @@ fn killed_solve_with_the_race_beside_it_resumes_to_chi() {
 }
 
 #[test]
+fn resume_from_a_witness_with_a_huge_color_reaches_chi() {
+    // A checkpoint re-saved with a valid CRC whose witness renames one
+    // color class to u64::MAX: still proper and no more colors, so the
+    // trust boundary must count and compact it — without wrapping
+    // `color + 1` or sizing a table by the color — and the resumed solve
+    // must reach χ. The stored lower bound is dropped (a weaker claim is
+    // still sound) so the resumed ladder has rungs left to run.
+    let graph = mycielski(3); // χ = 4
+    let path = scratch("huge-color");
+    let options = SolveOptions::new(6);
+    let config = SupervisorConfig::new().with_checkpoint_path(&path);
+    let out = solve_supervised(&graph, &options, &config).expect("a clean solve");
+    assert_eq!(out.outcome.exact(), Some(4));
+    let mut ckpt = SolveCheckpoint::load(&path).expect("checkpoint on disk");
+    let witness = ckpt.witness.as_mut().expect("the checkpoint keeps its witness");
+    let renamed = witness[0];
+    for c in witness.iter_mut().filter(|c| **c == renamed) {
+        *c = u64::MAX;
+    }
+    let mut distinct = witness.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    ckpt.lower = 1;
+    ckpt.save(&path, None).expect("rewrite the checkpoint");
+
+    let rec = Recorder::new();
+    let resume = SupervisorConfig::new().with_resume_from(&path);
+    let out = solve_supervised(&graph, &options.clone().with_recorder(rec.clone()), &resume)
+        .expect("the renamed witness is accepted");
+    assert!(out.resumed);
+    assert_eq!(out.outcome.exact(), Some(4));
+    assert!(out.outcome.witness().is_proper(&graph));
+    let restored = rec.resume().expect("resume telemetry recorded");
+    assert_eq!(restored.witness_colors, Some(distinct.len()), "counted, not rejected");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn bit_flipped_checkpoint_is_rejected_with_a_typed_error() {
     // The corruption is injected at write time (one flipped bit in the
     // payload), modeling storage rot between the save and the resume.
