@@ -593,12 +593,17 @@ pub fn run_certification(config: &HarnessConfig) {
 }
 
 /// Writes `cert`'s refutation to `DIR/<name>.drat` in text DRAT and the
-/// formula it refutes to `DIR/<name>.cnf` in DIMACS: the SBP-free
-/// (χ−1)-coloring CNF of `graph`, then one unit clause per clique pin
-/// under a `c` comment naming the clique in pin order ([`pinned_cnf`]).
+/// formula it refutes to `DIR/<name>.cnf` in DIMACS: `c` comments naming
+/// the clique in pin order, then the SBP-free (χ−1)-coloring CNF of
+/// `graph` and one unit clause per clique pin ([`pinned_cnf`]).
+///
 /// Every lemma is RUP against the plain CNF, so any DRAT checker
-/// (drat-trim among them) can check the pair on its own. Does nothing for
-/// a certificate without a proof; a failed write prints a warning and
+/// (drat-trim among them) checks that the pinned CNF has no model. That
+/// refutes the plain CNF, and so certifies χ, only if the pinned vertices
+/// are pairwise adjacent, which no DRAT checker looks at: an external
+/// verifier must also find, for every two pinned vertices, their edge
+/// clauses in the CNF (the comments say how to read them). Does nothing
+/// for a certificate without a proof; a failed write prints a warning and
 /// leaves that file out.
 fn archive_proof(dir: &str, name: &str, graph: &Graph, cert: &OptimalityCertificate) {
     let Some(proof) = &cert.proof else { return };
@@ -611,24 +616,25 @@ fn archive_proof(dir: &str, name: &str, graph: &Graph, cert: &OptimalityCertific
     }
 }
 
-/// The `colors`-coloring CNF of `graph` in DIMACS with `clique` pinned: the
-/// plain [`cnf_decision_formula`], a `c` line naming the clique's vertices
-/// (0-based) in pin order, and the unit clause of each pin ([`cnf_pins`]).
+/// The `colors`-coloring CNF of `graph` in DIMACS with `clique` pinned:
+/// `c` lines naming the clique's vertices (0-based) in pin order and the
+/// side condition a verifier must check, then the plain
+/// [`cnf_decision_formula`] and the unit clause of each pin
+/// ([`cnf_pins`]).
 fn pinned_cnf(graph: &Graph, colors: usize, clique: &[usize]) -> String {
-    let (num_vars, clauses) = cnf_decision_formula(graph, colors);
-    let pins = cnf_pins(colors, clique);
-    let plain = sbgc_proof::dimacs_cnf(num_vars, &clauses);
-    let (_, body) = plain.split_once('\n').expect("a DIMACS header line");
+    let (num_vars, mut clauses) = cnf_decision_formula(graph, colors);
+    clauses.extend(cnf_pins(colors, clique).into_iter().map(|pin| vec![pin]));
     let names: Vec<String> = clique.iter().map(usize::to_string).collect();
-    let mut cnf = format!(
-        "p cnf {num_vars} {}\n{body}c clique pins in color order (0-based vertices): {}\n",
-        clauses.len() + pins.len(),
-        names.join(" ")
-    );
-    for pin in pins {
-        cnf.push_str(&format!("{} 0\n", pin.to_dimacs()));
-    }
-    cnf
+    format!(
+        "c clique pins in color order (0-based vertices): {}\n\
+         c vertex v has color c as variable v*{colors}+c+1; the last {} unit clauses pin \
+         the vertex listed at position i (from 0) to color i\n\
+         c the pins are sound only if the listed vertices are pairwise adjacent: \
+         edge (u, v) gives -(u*{colors}+c+1) -(v*{colors}+c+1) for every color c\n{}",
+        names.join(" "),
+        clique.len(),
+        sbgc_proof::dimacs_cnf(num_vars, &clauses)
+    )
 }
 
 /// Runs one fully instrumented end-to-end solve of `inst` and assembles
@@ -919,10 +925,11 @@ mod tests {
     #[test]
     fn archived_proof_pair_checks_without_hints() {
         // The .cnf/.drat pair --proof writes must stand alone: both parse
-        // back; the .cnf is the χ−1 CNF, a comment naming the clique and
+        // back; the .cnf is comments naming the clique, the χ−1 CNF and
         // one unit per pin; the hint-free text proof derives "not every
         // pin holds" from the plain CNF, and so refutes the whole file as
-        // a DRAT checker reads it.
+        // a DRAT checker reads it; and the pinned vertices' edge clauses
+        // are in the CNF, as the comments tell a verifier to check.
         let dir = std::env::temp_dir().join(format!("sbgc_proofs_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let dir_str = dir.to_str().expect("utf-8 temp path");
@@ -948,10 +955,19 @@ mod tests {
         let units: Vec<Vec<_>> = pins.iter().map(|&pin| vec![pin]).collect();
         assert_eq!(clauses[plain.len()..], units[..], "one unit clause per pin, in order");
         let names: Vec<String> = cert.clique.iter().map(usize::to_string).collect();
-        assert!(text.contains(&format!(
+        assert!(text.starts_with(&format!(
             "c clique pins in color order (0-based vertices): {}\n",
             names.join(" ")
         )));
+        for (i, &u) in cert.clique.iter().enumerate() {
+            for &v in &cert.clique[..i] {
+                for c in 0..colors {
+                    let x = |w: usize| sbgc_formula::Var::from_index(w * colors + c).negative();
+                    let edge = [vec![x(u), x(v)], vec![x(v), x(u)]];
+                    assert!(edge.iter().any(|e| plain.contains(e)), "edge ({v}, {u}), color {c}");
+                }
+            }
+        }
 
         let goal: Vec<_> = pins.iter().map(|&pin| !pin).collect();
         let stats = sbgc_proof::check_derivation(num_vars, &plain, &proof, &goal)

@@ -26,9 +26,10 @@
 //! The pins are assumptions, not unit clauses. Every logged lemma is then
 //! RUP against the plain CNF, so a caller that archives the proof can
 //! write the CNF plus one unit clause per pin and any DRAT checker verifies
-//! the pair; and the in-memory check replays the lemmas instead of letting
-//! its own propagation of the pins refute the formula before the first
-//! step.
+//! the pair (the pins' adjacency is a side condition such a checker does
+//! not see, so the archive must name the clique); and the in-memory check
+//! replays the lemmas instead of letting its own propagation of the pins
+//! refute the formula before the first step.
 //!
 //! Apart from the pins, the refutation is produced on a formula with no
 //! symmetry-breaking predicates and no PB constraints, whatever encoding
@@ -79,7 +80,7 @@ pub enum ProofStatus {
     Checked {
         /// Proof steps replayed (additions + deletions).
         steps: usize,
-        /// Lemma additions verified RUP/RAT.
+        /// Lemma additions verified: RUP, or RAT in a pin-free refutation.
         adds: usize,
         /// Deletions applied.
         deletes: usize,

@@ -55,18 +55,16 @@ impl Coloring {
     ///
     /// Any color value is counted without a panic: colors below the vertex
     /// count are marked in a table of at most that size, and a coloring
-    /// with a larger one (a corrupted or hostile input) is counted by
-    /// sorting a copy instead, never in a table sized by its largest color.
+    /// with a larger one (a corrupted or hostile input) is counted through
+    /// [`Coloring::compacted`] instead, never in a table sized by its
+    /// largest color.
     pub fn num_colors(&self) -> usize {
         let n = self.colors.len();
         let mut seen: Vec<bool> = Vec::new();
         for &c in &self.colors {
             if c >= seen.len() {
                 if c >= n {
-                    let mut distinct = self.colors.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    return distinct.len();
+                    return self.compacted().max_color_bound();
                 }
                 seen.resize(c + 1, false);
             }

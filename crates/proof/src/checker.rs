@@ -9,8 +9,9 @@
 //! are persistent (a unit stays derived even if the clause that produced it
 //! is later deleted), each added clause must be RUP — assuming its negation
 //! and propagating must yield a conflict — with a RAT fallback on the first
-//! literal, and the proof is accepted once the database is refuted at the
-//! root (the empty clause, or a unit addition whose propagation conflicts).
+//! literal for a refutation, and the proof is accepted once the database is
+//! refuted at the root (the empty clause, or a unit addition whose
+//! propagation conflicts).
 //!
 //! [`check_derivation`] generalizes the end condition to a *goal* clause:
 //! the proof is accepted when the formula plus the replayed lemmas make the
@@ -19,6 +20,13 @@
 //! logs lemmas after which the goal `¬a₁ ∨ … ∨ ¬aₘ` is RUP: its final trail
 //! derived the negation of an assumption by unit propagation over clauses
 //! the log holds.
+//!
+//! Only the empty goal admits RAT additions. A RAT lemma keeps the formula
+//! satisfiable but not necessarily the formula together with the negated
+//! goal: over `(a∨b)` the unit `[a]` is vacuously RAT, after which the goal
+//! `[a]` is RUP although `a = false, b = true` is a model. With a non-empty
+//! goal every addition must therefore be RUP, so each one is implied by the
+//! formula and the derived goal is too.
 //!
 //! An addition's hint chain is tried before propagation: each hint must
 //! name an active clause that is unit under the negated addition, the root
@@ -57,7 +65,8 @@ pub struct CheckStats {
 /// Why a proof was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckError {
-    /// An added clause at `step` (0-based) is neither RUP nor RAT.
+    /// An added clause at `step` (0-based) is not RUP, nor RAT where the
+    /// goal admits RAT (only the empty goal does).
     NotRup {
         /// Index of the offending proof step.
         step: usize,
@@ -84,7 +93,7 @@ impl std::fmt::Display for CheckError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckError::NotRup { step } => {
-                write!(f, "proof step {step}: added clause is neither RUP nor RAT")
+                write!(f, "proof step {step}: added clause is not RUP (nor RAT, in a refutation)")
             }
             CheckError::MissingDeletion { step } => {
                 write!(f, "proof step {step}: deleted clause not in database")
@@ -466,9 +475,11 @@ pub fn check_drat(
 /// Checks that `proof` derives the clause `goal` from the clause list
 /// `formula` over variables `0..num_vars`.
 ///
-/// Every addition must be RUP (or RAT on its first literal) with respect
-/// to the formula plus the surviving earlier additions, and every deletion
-/// must name a present clause. Replay stops at the first refutation of the
+/// Every addition must be RUP with respect to the formula plus the
+/// surviving earlier additions — or, for the empty goal only, RAT on its
+/// first literal (a RAT lemma preserves satisfiability, not implication,
+/// so it cannot vouch for a non-empty goal) — and every deletion must name
+/// a present clause. Replay stops at the first refutation of the
 /// database (which derives every goal); otherwise, after the last step,
 /// `goal` must be RUP: assuming the negation of its literals and
 /// propagating over the final database must conflict. `goal = []` asks
@@ -516,6 +527,7 @@ pub fn check_derivation(
     if out_of_range(goal) || formula.iter().any(|clause| out_of_range(clause)) {
         return Err(CheckError::OutOfRangeLit { step: None });
     }
+    let rat_allowed = goal.is_empty();
     let mut ck = Checker::new(num_vars);
     for clause in formula {
         ck.insert(clause);
@@ -538,7 +550,7 @@ pub fn check_derivation(
                 stats.adds += 1;
                 if ck.closes_by_chain(lits, hints) {
                     stats.chained += 1;
-                } else if ck.is_rup(lits) || ck.is_rat(lits) {
+                } else if ck.is_rup(lits) || (rat_allowed && ck.is_rat(lits)) {
                     stats.searched += 1;
                 } else {
                     return Err(CheckError::NotRup { step });
@@ -708,6 +720,17 @@ mod tests {
         let mut proof = DratProof::new();
         proof.push_add(&[l(1)], &[]);
         assert_eq!(check_drat(2, &formula, &proof), Err(CheckError::NotUnsat));
+        // Only the empty goal admits RAT. a = false, b = true is a model,
+        // so [a] must not be derived; the implied goal [a∨b] refuses the
+        // RAT lemma all the same.
+        for goal in [&[l(1)][..], &[l(1), l(2)]] {
+            assert_eq!(
+                check_derivation(2, &formula, &proof, goal),
+                Err(CheckError::NotRup { step: 0 }),
+                "{goal:?}"
+            );
+        }
+        assert!(check_derivation(2, &formula, &DratProof::new(), &[l(1), l(2)]).is_ok());
     }
 
     #[test]

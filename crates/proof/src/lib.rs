@@ -13,8 +13,9 @@
 //! * [`check_derivation`] — a forward RUP/DRAT checker with its own
 //!   watched-literal propagation that replays a proof against the original
 //!   clause list and accepts only when the formula plus the replayed
-//!   lemmas make a goal clause RUP. [`check_drat`] is its goal-`[]` case:
-//!   it accepts only genuine refutations.
+//!   lemmas make a goal clause RUP. Every lemma of a derivation must be
+//!   RUP; a refutation may also add RAT lemmas. [`check_drat`] is its
+//!   goal-`[]` case: it accepts only genuine refutations.
 //!
 //! Each addition may carry a *hint chain*: the IDs of the clauses its
 //! derivation resolved on, in the order they become unit, ending with the
