@@ -77,10 +77,12 @@ fn main() {
     println!(
         "\nNotes: #S sums per-instance group orders, as in the paper (totals are\n\
          dominated by the largest instance). The complete constructions\n\
-         (LI, LI-pfx, Orbitope, ValPrec) should leave only the identity;\n\
-         SC should barely change #S. Rows below NU+SC are post-paper\n\
-         extensions (see docs/SBP.md). Run with --full --k 20 for the\n\
-         paper's exact parameters (slow)."
+         (LI, LI-pfx, Orbitope, ValPrec) should leave no color symmetry,\n\
+         and all but ValPrec only the identity: where ValPrec's clique pins\n\
+         leave no precedence clause open, it keeps the graph automorphisms\n\
+         that fix the pinned vertices. SC should barely change #S. Rows\n\
+         below NU+SC are post-paper extensions (see docs/SBP.md). Run with\n\
+         --full --k 20 for the paper's exact parameters (slow)."
     );
 
     sbgc_bench::run_certification(&config);

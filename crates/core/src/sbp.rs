@@ -28,11 +28,13 @@
 //! indices. LI-prefix, Orbitope and ValuePrec instead follow one order
 //! computed from the graph: the greedy clique first, then every other
 //! vertex by descending degree, ties broken by index. With the clique in
-//! front, propagation alone forces its `q` vertices onto colors `0..q`,
-//! so one complete construction also does what SC's pins do. "Vertex i"
-//! in those three constructions means "the vertex at position i of the
-//! order". The paper's NU, CA, LI, SC, NU+SC and SC-clique keep their
-//! printed formulas.
+//! front, its `q` vertices take colors `0..q` in every first-occurrence
+//! form, so one complete construction also does what SC's pins do:
+//! LI-prefix and Orbitope force them there by propagation, and ValuePrec
+//! pins them outright and leaves out the precedence clauses the pins
+//! decide. "Vertex i" in those three constructions means "the vertex at
+//! position i of the order". The paper's NU, CA, LI, SC, NU+SC and
+//! SC-clique keep their printed formulas.
 
 use crate::encode::ColoringEncoding;
 use sbgc_formula::{Lit, PbConstraint, Var};
@@ -105,12 +107,16 @@ pub enum SbpMode {
     Orbitope,
     /// Walsh-style value precedence along the clique-first vertex order
     /// `v₀, v₁, …` (see the module docs): color `c` may be used by `vᵢ`
-    /// only if color `c−1` is already used by some `vⱼ`, `j < i`, in the
-    /// direct aux-free decomposition (`¬x[vᵢ][c] ∨ x[v₀][c−1] ∨ … ∨
-    /// x[vᵢ₋₁][c−1]`) plus the Narodytska–Walsh-style implied usage
-    /// ordering `y[c+1] ⇒ y[c]`. Complete, zero auxiliary variables,
-    /// `(K−1)(n+1)` clauses — but the long clauses propagate late, the
-    /// same weakness the paper found in LI. Not in the paper's grid.
+    /// only if color `c−1` is already used by some `vⱼ`, `j < i`. The
+    /// order's leading clique, checked on the graph, is pinned to colors
+    /// `0, 1, …` (SC-clique's units, `p` of them), and only the direct
+    /// aux-free precedence clauses the pins leave open are emitted
+    /// (`¬x[vᵢ][c] ∨ x[v_p][c−1] ∨ … ∨ x[vᵢ₋₁][c−1]` for `c > p`,
+    /// `i ≥ p`), plus the Narodytska–Walsh-style implied usage ordering
+    /// `y[c+1] ⇒ y[c]`. Complete, zero auxiliary variables,
+    /// `p + (K−1−p)(n−p) + (K−1)` clauses — but the long clauses
+    /// propagate late, the same weakness the paper found in LI. Not in
+    /// the paper's grid.
     ValuePrec,
 }
 
@@ -246,7 +252,9 @@ impl fmt::Display for SbpMode {
 /// let mut enc = ColoringEncoding::new(&g, 3);
 /// let stats = add_instance_independent_sbps(&mut enc, &g, SbpMode::ValuePrec);
 /// assert_eq!(stats.aux_vars, 0); // ValuePrec is aux-free
-/// assert_eq!(stats.clauses, (3 - 1) * (3 + 1)); // (K−1)(n+1)
+/// // p + (K−1−p)(n−p) + (K−1): the triangle's p = 3 pins leave no
+/// // precedence clause open, so 3 pins and the K−1 usage-order clauses.
+/// assert_eq!(stats.clauses, 3 + 2);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SbpSizeStats {
@@ -292,7 +300,9 @@ pub fn add_instance_independent_sbps(
 /// [`add_instance_independent_sbps`] with the graph's greedy clique
 /// supplied by a caller that already computed it. Also returns the vertex
 /// order the construction followed ([`vertex_order`]), empty for modes
-/// that follow none.
+/// that follow none. ValuePrec pins only the prefix of that order it
+/// verifies to be a clique, so a `clique` that is not one costs pins, not
+/// soundness.
 ///
 /// # Panics
 ///
@@ -320,7 +330,7 @@ pub(crate) fn add_sbps_with_clique(
         SbpMode::ScClique => add_sc_clique(encoding, graph),
         SbpMode::LiPrefix => add_li_prefix(encoding, &order),
         SbpMode::Orbitope => add_orbitope(encoding, &order),
-        SbpMode::ValuePrec => add_value_prec(encoding, &order),
+        SbpMode::ValuePrec => add_value_prec(encoding, graph, &order),
     }
     let after = encoding.formula().stats();
     let stats = SbpSizeStats {
@@ -525,48 +535,56 @@ fn add_orbitope(encoding: &mut ColoringEncoding, order: &[usize]) {
 
 /// ValuePrec — Walsh-style value precedence between every adjacent color
 /// pair along the vertex order `order` (`vᵢ = order[i]`), in the direct
-/// aux-free decomposition:
+/// aux-free decomposition, with the order's leading clique pinned. Let `q`
+/// be the length of the longest prefix of `order` whose vertices are
+/// pairwise adjacent in `graph` (checked here, so a `clique` that is not
+/// one only shortens the prefix), and `p = min(q, K)`:
 ///
-/// * `¬x[v₀][c]` for `c ≥ 1` — the first vertex opens color 0 (`K−1`
-///   units);
-/// * `¬x[vᵢ][c] ∨ x[v₀][c−1] ∨ … ∨ x[vᵢ₋₁][c−1]` for `i, c ≥ 1` — the
-///   vertex at position i may use color c only if c−1 is used strictly
-///   earlier (`(n−1)(K−1)` long clauses, `O(n²K)` literals);
+/// * `x[vᵢ][i]` for `i < p` — the pins ([`add_clique_pins`], SC-clique's
+///   `p` units);
+/// * `¬x[vᵢ][c] ∨ x[v_p][c−1] ∨ … ∨ x[vᵢ₋₁][c−1]` for `p < c < K` and
+///   `i ≥ p` — past the pins, the vertex at position i may use color c
+///   only if c−1 is used strictly earlier (`(K−1−p)(n−p)` clauses,
+///   `O((n−p)²(K−p))` literals; row `i = p` is the units `¬x[v_p][c]`);
 /// * `y[c+1] ⇒ y[c]` — the Narodytska–Walsh-style implied usage ordering,
 ///   logically redundant given the above but cheap and early-propagating
 ///   (`K−1` binary clauses; exactly the NU chain).
 ///
-/// Admits exactly the first-occurrence representative of every color
-/// orbit — the same solution set as LI-prefix and Orbitope — with *zero*
-/// auxiliary variables, at the price of long clauses whose propagation
-/// fires only once `i−1` candidates are eliminated: the same structural
-/// weakness the paper diagnosed in its LI construction. When `order`
-/// starts with a clique, propagation alone puts the clique on colors
-/// `0, 1, …` in order.
-fn add_value_prec(encoding: &mut ColoringEncoding, order: &[usize]) {
+/// This is the full precedence formula (`¬x[v₀][c]` for `c ≥ 1` and
+/// `¬x[vᵢ][c] ∨ x[v₀][c−1] ∨ … ∨ x[vᵢ₋₁][c−1]` for `i, c ≥ 1`) with what
+/// the pins decide taken out. Under exactly-one the pins satisfy every
+/// clause left out (for `c ≤ p` by `x[v_{c−1}][c−1]`, or by `¬x[vᵢ][c]`
+/// when `i < c`; for `i < p` by `¬x[vᵢ][c]`) and falsify every literal
+/// left out (`x[vⱼ][c−1]` with `j < p < c`); conversely, the full formula
+/// derives the pins by unit propagation along the clique's edges. So both
+/// admit the same colorings — exactly the first-occurrence representative
+/// of every color orbit, the same solution set as LI-prefix and Orbitope —
+/// and a clause learned under either stays valid under the other. The
+/// long clauses still fire only once `i−p−1` candidates are eliminated:
+/// the same structural weakness the paper diagnosed in its LI
+/// construction.
+fn add_value_prec(encoding: &mut ColoringEncoding, graph: &Graph, order: &[usize]) {
     let k = encoding.num_colors();
-    let Some(&first) = order.first() else {
-        return;
-    };
-    // The first vertex anchors color 0.
-    for j in 1..k {
-        let lit = encoding.x(first, j).negative();
-        encoding.formula_mut().add_unit(lit);
-    }
-    // Precedence: vᵢ uses color c ⇒ some vⱼ, j < i, uses c−1.
-    for j in 1..k {
-        for (i, &v) in order.iter().enumerate().skip(1) {
+    let p = clique_prefix_len(graph, &order[..order.len().min(k)]);
+    add_clique_pins(encoding, &order[..p]);
+    // Precedence past the pins: vᵢ uses color c ⇒ some vⱼ, p ≤ j < i, uses c−1.
+    for j in (p + 1)..k {
+        for (i, &v) in order.iter().enumerate().skip(p) {
             let mut clause: Vec<Lit> = vec![encoding.x(v, j).negative()];
-            clause.extend(order[..i].iter().map(|&u| encoding.x(u, j - 1).positive()));
+            clause.extend(order[p..i].iter().map(|&u| encoding.x(u, j - 1).positive()));
             encoding.formula_mut().add_clause(clause);
         }
     }
     // Implied usage ordering (the NU chain) as strengthening.
-    for j in 0..k.saturating_sub(1) {
-        let a = encoding.y(j + 1).positive();
-        let b = encoding.y(j).positive();
-        encoding.formula_mut().add_implication(a, b);
-    }
+    add_nu(encoding);
+}
+
+/// The length of the longest prefix of `order` whose vertices are pairwise
+/// adjacent in `graph`.
+fn clique_prefix_len(graph: &Graph, order: &[usize]) -> usize {
+    (1..order.len())
+        .find(|&i| !order[..i].iter().all(|&u| graph.has_edge(u, order[i])))
+        .unwrap_or(order.len())
 }
 
 /// SC — selective coloring: pin the max-degree vertex to color 1 and its
@@ -599,7 +617,12 @@ fn add_sc(encoding: &mut ColoringEncoding, graph: &Graph) {
 /// permutation realizes the pinning: satisfiability and the optimum are
 /// preserved while up to `q` colors are fixed outright.
 fn add_sc_clique(encoding: &mut ColoringEncoding, graph: &Graph) {
-    let clique = sbgc_graph::algo::greedy_clique(graph);
+    add_clique_pins(encoding, &greedy_clique(graph));
+}
+
+/// The unit clauses `x[clique[i]][i]` for `i < min(|clique|, K)`: sound
+/// only if `clique`'s vertices are pairwise adjacent.
+fn add_clique_pins(encoding: &mut ColoringEncoding, clique: &[usize]) {
     for (color, &v) in clique.iter().take(encoding.num_colors()).enumerate() {
         let pin = encoding.x(v, color).positive();
         encoding.formula_mut().add_unit(pin);
@@ -806,7 +829,10 @@ mod tests {
         let mut enc = ColoringEncoding::new(&g, k);
         let stats = add_instance_independent_sbps(&mut enc, &g, SbpMode::ValuePrec);
         assert_eq!(stats.aux_vars, 0, "the direct decomposition is aux-free");
-        assert_eq!(stats.clauses, (k - 1) * (n + 1));
+        // p pins (the triangle), the precedence clauses they leave open,
+        // and the usage chain.
+        let p = 3;
+        assert_eq!(stats.clauses, p + (k - 1).saturating_sub(p) * (n - p) + (k - 1));
         assert_eq!(stats.pb_constraints, 0);
     }
 
@@ -875,12 +901,13 @@ mod tests {
 
     /// Under every ordered mode, each color orbit of `g`'s proper
     /// K-colorings keeps exactly one admitted member, and it is the
-    /// first-occurrence form along the clique-first vertex order.
-    fn assert_one_admitted_member_per_orbit(name: &str, g: &Graph, k: usize) {
+    /// first-occurrence form along the vertex order that puts `clique`
+    /// first.
+    fn assert_one_admitted_member_per_orbit(name: &str, g: &Graph, k: usize, clique: &[usize]) {
         let colorings = proper_colorings(g, k);
         for mode in [SbpMode::ValuePrec, SbpMode::LiPrefix, SbpMode::Orbitope] {
             let mut enc = ColoringEncoding::new(g, k);
-            let (_, order) = add_sbps_with_clique(&mut enc, g, mode, &greedy_clique(g));
+            let (_, order) = add_sbps_with_clique(&mut enc, g, mode, clique);
             let mut engine =
                 sbgc_pb::PbEngine::from_formula(enc.formula(), sbgc_pb::EngineConfig::default());
             // Orbit (keyed by the index-order canonical form) → admitted
@@ -949,9 +976,46 @@ mod tests {
     }
 
     #[test]
+    fn value_prec_pins_only_the_verified_clique_prefix() {
+        // Vertices 0 and 3 are not adjacent, so of the "clique" {0, 3} only
+        // vertex 0 is pinned: vertex 3 may still share its color.
+        let g = figure1_graph();
+        let (n, k, p) = (4usize, 4usize, 1usize);
+        let mut enc = ColoringEncoding::new(&g, k);
+        let (stats, order) = add_sbps_with_clique(&mut enc, &g, SbpMode::ValuePrec, &[0, 3]);
+        assert_eq!(order, vec![0, 3, 2, 1]);
+        assert_eq!(stats.clauses, p + (k - 1 - p) * (n - p) + (k - 1));
+        let units: Vec<Lit> = enc
+            .formula()
+            .clauses()
+            .iter()
+            .filter(|c| c.len() == 1)
+            .map(|c| c.literals()[0])
+            .collect();
+        assert!(units.contains(&enc.x(0, 0).positive()), "{units:?}");
+        assert!(!units.contains(&enc.x(3, 1).positive()), "{units:?}");
+        assert_one_admitted_member_per_orbit("figure 1, clique {0, 3}", &g, k, &[0, 3]);
+    }
+
+    #[test]
+    fn value_prec_refutes_a_clique_wider_than_k_at_the_root() {
+        // K4 at K = 3: three pins leave the fourth vertex no color, so
+        // root propagation refutes the formula before any decision.
+        let g = Graph::complete(4);
+        let mut enc = ColoringEncoding::new(&g, 3);
+        let stats = add_instance_independent_sbps(&mut enc, &g, SbpMode::ValuePrec);
+        assert_eq!(stats.clauses, 3 + 2, "three pins and the usage chain");
+        let mut engine =
+            sbgc_pb::PbEngine::from_formula(enc.formula(), sbgc_pb::EngineConfig::default());
+        let outcome = engine.solve_with_budget(&sbgc_pb::Budget::unlimited().with_max_conflicts(0));
+        assert!(matches!(outcome, sbgc_pb::SolveOutcome::Unsat), "{outcome:?}");
+        assert_eq!(engine.stats().decisions, 0);
+    }
+
+    #[test]
     fn ordered_modes_admit_one_member_per_orbit_of_a_relabelled_figure1() {
         let g = relabelled_figure1_graph();
-        assert_one_admitted_member_per_orbit("relabelled figure 1", &g, 4);
+        assert_one_admitted_member_per_orbit("relabelled figure 1", &g, 4, &greedy_clique(&g));
         // The admitted forms follow the order 1, 2, 3, 0, not the index
         // order: the triangle takes 0, 1, 2 and vertex 0 (≁ 1, 3) any
         // color but vertex 2's.
@@ -977,7 +1041,8 @@ mod tests {
                 let g = sbgc_graph::gen::gnp(n, p, seed);
                 let order = vertex_order(&g, &greedy_clique(&g));
                 reordered += usize::from(order != (0..n).collect::<Vec<_>>());
-                assert_one_admitted_member_per_orbit(&format!("G({n}, {p}) #{seed}"), &g, k);
+                let name = format!("G({n}, {p}) #{seed}");
+                assert_one_admitted_member_per_orbit(&name, &g, k, &greedy_clique(&g));
             }
         }
         assert!(reordered >= 6, "most inputs must leave index order: {reordered} of 12");

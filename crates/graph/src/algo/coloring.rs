@@ -89,8 +89,18 @@ impl Coloring {
     /// The color classes (independent sets): `classes()[c]` lists the
     /// vertices with color `c`. Empty classes for unused color indices are
     /// included up to [`Coloring::max_color_bound`].
+    ///
+    /// That table is sized by the largest color, so it is built only while
+    /// every color is at most the vertex count. A coloring with a larger
+    /// color (a corrupted or hostile input) gets the classes of
+    /// [`Coloring::compacted`] instead: the used classes only, in order of
+    /// first appearance.
     pub fn classes(&self) -> Vec<Vec<usize>> {
-        let mut classes = vec![Vec::new(); self.max_color_bound()];
+        let bound = self.max_color_bound();
+        if bound > self.colors.len() + 1 {
+            return self.compacted().classes();
+        }
+        let mut classes = vec![Vec::new(); bound];
         for (v, &c) in self.colors.iter().enumerate() {
             classes[c].push(v);
         }
@@ -98,7 +108,9 @@ impl Coloring {
     }
 
     /// The color-class cardinality vector `(n1, n2, …)` the paper uses to
-    /// denote assignments, ordered by color index.
+    /// denote assignments, ordered as [`Coloring::classes`] orders them: by
+    /// color index, or by first appearance once a color exceeds the vertex
+    /// count.
     pub fn class_sizes(&self) -> Vec<usize> {
         self.classes().iter().map(Vec::len).collect()
     }
@@ -224,6 +236,18 @@ mod tests {
         let empty = Coloring::new(Vec::new());
         assert_eq!((empty.num_colors(), empty.max_color_bound()), (0, 0));
         assert!(empty.compacted().colors().is_empty());
+    }
+
+    #[test]
+    fn classes_of_colors_beyond_the_vertex_count_need_no_huge_table() {
+        // usize::MAX would overflow the table's capacity and 2^40 would ask
+        // for terabytes: such colorings get the compacted coloring's classes.
+        let c = Coloring::new(vec![0, usize::MAX]);
+        assert_eq!(c.classes(), vec![vec![0], vec![1]]);
+        assert_eq!(c.class_sizes(), vec![1, 1]);
+        let c = Coloring::new(vec![3, 1 << 40, 0, 3]);
+        assert_eq!(c.classes(), vec![vec![0, 3], vec![1], vec![2]]);
+        assert_eq!(c.class_sizes(), vec![2, 1, 1]);
     }
 
     #[test]

@@ -13,15 +13,16 @@
 //!
 //! LI-pfx, Orbitope and ValPrec follow a clique-first vertex order
 //! computed from the graph, so they are also checked on randomly
-//! relabelled graphs against an SBP-free exact search, and the order's
-//! search savings on the benchmark's ladder graphs are pinned by a
-//! conflict-count guard.
+//! relabelled graphs against an SBP-free exact search (among them sparse
+//! graphs whose clique fills the session width, where ValPrec is only its
+//! pins), and the order's search savings on the benchmark's ladder graphs
+//! are pinned by a conflict-count guard.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sbgc_core::{
-    chromatic_number_certified, chromatic_number_outcome, ColoringSession, Counter, Graph,
+    bounds, chromatic_number_certified, chromatic_number_outcome, ColoringSession, Counter, Graph,
     Recorder, SbpMode, SessionAnswer, SolveOptions,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
@@ -168,6 +169,16 @@ fn ordered_modes_agree_with_backtracking_dsatur_on_relabelled_graphs() {
         .collect();
     for (steps, seed) in [(3, 5), (4, 6)] {
         graphs.push((format!("myciel{steps}"), relabelled(&mycielski(steps), seed)));
+    }
+    // Sparse graphs of the `hybrid` benchmark's shape: the greedy clique
+    // fills the session width (DSATUR bound − 1), so ValPrec emits only
+    // its clique pins and the usage chain. χ is 3 for seed 1 and 4 for
+    // seeds 3 and 4.
+    for seed in [1, 3, 4] {
+        let graph = relabelled(&gnp(40, 0.1, seed), seed);
+        let b = bounds(&graph);
+        assert_eq!(b.lower + 1, b.upper, "G(40, 0.1) #{seed}: the clique must fill the width");
+        graphs.push((format!("G(40, 0.1) #{seed}"), graph));
     }
     for (name, graph) in &graphs {
         let chi = match backtracking_dsatur(graph, u64::MAX) {
