@@ -623,7 +623,9 @@ fn archive_proof(dir: &str, name: &str, graph: &Graph, cert: &OptimalityCertific
 /// ([`cnf_pins`]).
 fn pinned_cnf(graph: &Graph, colors: usize, clique: &[usize]) -> String {
     let (num_vars, mut clauses) = cnf_decision_formula(graph, colors);
-    clauses.extend(cnf_pins(colors, clique).into_iter().map(|pin| vec![pin]));
+    for pin in cnf_pins(colors, clique) {
+        clauses.push([pin]);
+    }
     let names: Vec<String> = clique.iter().map(usize::to_string).collect();
     format!(
         "c clique pins in color order (0-based vertices): {}\n\
@@ -944,16 +946,15 @@ mod tests {
         let proof = sbgc_proof::DratProof::from_dimacs(&read("drat").expect(".drat written"))
             .expect("the archived proof parses");
         assert_eq!(proof.steps(), cert.proof.as_ref().expect("proof").steps());
-        let clauses: Vec<Vec<_>> =
-            formula.clauses().iter().map(|c| c.literals().to_vec()).collect();
+        let clauses = formula.clauses();
         let colors = cert.chromatic_number - 1;
         let (num_vars, plain) = cnf_decision_formula(&graph, colors);
         let pins = cnf_pins(colors, &cert.clique);
         assert_eq!(pins.len(), 2, "myciel3 is triangle-free: an edge is pinned");
         assert_eq!(formula.num_vars(), num_vars);
-        assert_eq!(clauses[..plain.len()], plain[..]);
-        let units: Vec<Vec<_>> = pins.iter().map(|&pin| vec![pin]).collect();
-        assert_eq!(clauses[plain.len()..], units[..], "one unit clause per pin, in order");
+        assert!(clauses.iter().take(plain.len()).eq(&plain), "the plain CNF comes first");
+        let units = pins.iter().map(std::slice::from_ref);
+        assert!(clauses.iter().skip(plain.len()).eq(units), "one unit clause per pin, in order");
         let names: Vec<String> = cert.clique.iter().map(usize::to_string).collect();
         assert!(text.starts_with(&format!(
             "c clique pins in color order (0-based vertices): {}\n",
@@ -963,8 +964,11 @@ mod tests {
             for &v in &cert.clique[..i] {
                 for c in 0..colors {
                     let x = |w: usize| sbgc_formula::Var::from_index(w * colors + c).negative();
-                    let edge = [vec![x(u), x(v)], vec![x(v), x(u)]];
-                    assert!(edge.iter().any(|e| plain.contains(e)), "edge ({v}, {u}), color {c}");
+                    let edge = [[x(u), x(v)], [x(v), x(u)]];
+                    assert!(
+                        plain.iter().any(|clause| edge.iter().any(|e| clause == e)),
+                        "edge ({v}, {u}), color {c}"
+                    );
                 }
             }
         }
@@ -973,7 +977,7 @@ mod tests {
         let stats = sbgc_proof::check_derivation(num_vars, &plain, &proof, &goal)
             .expect("the archived proof derives the goal");
         assert_eq!((stats.chained, stats.searched), (0, stats.adds), "text DRAT has no hints");
-        sbgc_proof::check_drat(num_vars, &clauses, &proof).expect("the archived pair checks");
+        sbgc_proof::check_drat(num_vars, clauses, &proof).expect("the archived pair checks");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

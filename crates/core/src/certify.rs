@@ -58,7 +58,7 @@
 use crate::chromatic::{chromatic_number, ChromaticResult};
 use crate::encode::{cnf_decision_formula, cnf_pins};
 use crate::flow::SolveOptions;
-use sbgc_formula::{Lit, PbFormula};
+use sbgc_formula::{ClauseList, Lit, PbFormula};
 use sbgc_graph::algo::greedy_clique;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_pb::{
@@ -178,14 +178,12 @@ fn certifier_config(worker: usize) -> EngineConfig {
 }
 
 /// Builds the sequential certifier's engine (worker 0), with `logger`
-/// attached before `clauses` are added so root simplifications enter the
-/// proof.
-fn certifier(num_vars: usize, clauses: &[Vec<Lit>], logger: Box<dyn ProofLogger>) -> PbEngine {
-    let mut engine = PbEngine::new(num_vars, certifier_config(0));
+/// attached before the clauses of `formula` are added so root
+/// simplifications enter the proof.
+fn certifier(formula: &PbFormula, logger: Box<dyn ProofLogger>) -> PbEngine {
+    let mut engine = PbEngine::new(formula.num_vars(), certifier_config(0));
     engine.set_proof_logger(logger);
-    for c in clauses {
-        engine.add_clause(c.iter().copied());
-    }
+    engine.add_formula(formula);
     engine
 }
 
@@ -203,7 +201,7 @@ fn check_outcome(
     exhaust: Option<ExhaustReason>,
     chi: usize,
     num_vars: usize,
-    clauses: &[Vec<Lit>],
+    clauses: &ClauseList,
     goal: &[Lit],
     proof: DratProof,
     solve_seconds: f64,
@@ -290,18 +288,15 @@ fn refute_and_check(
         return (ProofStatus::Rejected { error: format!("clique pins refused: {defect}") }, None);
     }
     let (num_vars, clauses) = cnf_decision_formula(graph, colors);
+    let formula = PbFormula::from_clauses(num_vars, clauses);
     let pins = cnf_pins(colors, clique);
     let shared = SharedProof::new();
     let solve_start = Instant::now();
     let (outcome, exhaust) = if workers <= 1 {
-        let mut engine = certifier(num_vars, &clauses, Box::new(shared.clone()));
+        let mut engine = certifier(&formula, Box::new(shared.clone()));
         let outcome = engine.solve_with_assumptions(&pins, budget);
         (outcome, engine.stats().exhaust)
     } else {
-        let mut formula = PbFormula::with_vars(num_vars);
-        for c in &clauses {
-            formula.add_clause(c.iter().copied());
-        }
         let configs: Vec<_> = (0..workers).map(certifier_config).collect();
         let answer = PortfolioSession::with_proof(&formula, &configs, &shared)
             .expect("workers > 1")
@@ -310,7 +305,8 @@ fn refute_and_check(
     };
     let solve_seconds = solve_start.elapsed().as_secs_f64();
     let goal: Vec<Lit> = pins.iter().map(|&p| !p).collect();
-    check_outcome(outcome, exhaust, chi, num_vars, &clauses, &goal, shared.take(), solve_seconds)
+    let clauses = formula.clauses();
+    check_outcome(outcome, exhaust, chi, num_vars, clauses, &goal, shared.take(), solve_seconds)
 }
 
 /// Certifies an exact chromatic-number result.
@@ -554,7 +550,8 @@ mod tests {
     #[test]
     fn certifier_worker_zero_runs_the_pbs2_preset() {
         let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(3), 2);
-        let engine = certifier(num_vars, &clauses, Box::new(SharedProof::new()));
+        let formula = PbFormula::from_clauses(num_vars, clauses);
+        let engine = certifier(&formula, Box::new(SharedProof::new()));
         assert_eq!(Some(engine.config()), SolverKind::PbsII.engine_config());
         assert_eq!(engine.num_vars(), num_vars);
         assert_ne!(certifier_config(1), engine.config(), "racing workers are diversified");
@@ -629,13 +626,14 @@ mod tests {
         // status reports the checker's counts and the proof's size, carries
         // the solve time through, and the proof is kept for archiving.
         let (num_vars, clauses) = cnf_decision_formula(&Graph::complete(4), 3);
+        let formula = PbFormula::from_clauses(num_vars, clauses);
         let shared = SharedProof::new();
-        let mut engine = certifier(num_vars, &clauses, Box::new(shared.clone()));
+        let mut engine = certifier(&formula, Box::new(shared.clone()));
         let outcome = engine.solve_with_budget(&Budget::unlimited());
         assert!(matches!(outcome, SolveOutcome::Unsat), "{outcome:?}");
         let log = shared.take();
         let (status, proof) =
-            check_outcome(outcome, None, 4, num_vars, &clauses, &[], log.clone(), 0.5);
+            check_outcome(outcome, None, 4, num_vars, formula.clauses(), &[], log.clone(), 0.5);
         match status {
             ProofStatus::Checked { steps, adds, deletes, literals, solve_seconds, .. } => {
                 assert!(adds > 0 && steps == adds + deletes, "{steps} = {adds} + {deletes}");

@@ -1,6 +1,6 @@
 //! The reduction of K-coloring to 0-1 ILP (paper Section 2.5).
 
-use sbgc_formula::{Assignment, Lit, Objective, PbFormula, Var};
+use sbgc_formula::{Assignment, ClauseList, Lit, Objective, PbFormula, Var};
 use sbgc_graph::{Coloring, Graph};
 
 /// The 0-1 ILP encoding of a K-coloring instance.
@@ -64,9 +64,7 @@ impl ColoringEncoding {
             for i in 0..n {
                 formula.add_implication(enc.x(i, j).positive(), y);
             }
-            let mut clause: Vec<Lit> = vec![!y];
-            clause.extend((0..n).map(|i| enc.x(i, j).positive()));
-            formula.add_clause(clause);
+            formula.add_clause(std::iter::once(!y).chain((0..n).map(|i| enc.x(i, j).positive())));
         }
         // Objective: minimize the number of used colors.
         formula.set_objective(Objective::minimize((0..k).map(|j| (1, enc.y(j).positive()))));
@@ -186,27 +184,31 @@ impl ColoringEncoding {
 /// breaking predicates of either kind — SBP soundness is exactly what a
 /// certificate must not assume.
 ///
-/// Returns `(num_vars, clauses)` with `num_vars = n·k`.
+/// Returns `(num_vars, clauses)` with `num_vars = n·k`, the clauses in one
+/// flat [`ClauseList`] sized up front: building it allocates twice, not
+/// once per clause.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`.
-pub fn cnf_decision_formula(graph: &Graph, k: usize) -> (usize, Vec<Vec<Lit>>) {
+pub fn cnf_decision_formula(graph: &Graph, k: usize) -> (usize, ClauseList) {
     assert!(k > 0, "at least one color is required");
     let n = graph.num_vertices();
     let x = |i: usize, j: usize| cnf_color_var(k, i, j);
-    let mut clauses = Vec::with_capacity(n * (1 + k * (k - 1) / 2) + graph.num_edges() * k);
+    let pairs = k * (k - 1) / 2;
+    let binary = n * pairs + graph.num_edges() * k;
+    let mut clauses = ClauseList::with_capacity(n + binary, n * k + 2 * binary);
     for i in 0..n {
-        clauses.push((0..k).map(|j| x(i, j).positive()).collect());
+        clauses.push((0..k).map(|j| x(i, j).positive()));
         for j1 in 0..k {
             for j2 in j1 + 1..k {
-                clauses.push(vec![x(i, j1).negative(), x(i, j2).negative()]);
+                clauses.push([x(i, j1).negative(), x(i, j2).negative()]);
             }
         }
     }
     for (a, b) in graph.edges() {
         for j in 0..k {
-            clauses.push(vec![x(a, j).negative(), x(b, j).negative()]);
+            clauses.push([x(a, j).negative(), x(b, j).negative()]);
         }
     }
     (n * k, clauses)

@@ -985,13 +985,8 @@ mod tests {
         let (stats, order) = add_sbps_with_clique(&mut enc, &g, SbpMode::ValuePrec, &[0, 3]);
         assert_eq!(order, vec![0, 3, 2, 1]);
         assert_eq!(stats.clauses, p + (k - 1 - p) * (n - p) + (k - 1));
-        let units: Vec<Lit> = enc
-            .formula()
-            .clauses()
-            .iter()
-            .filter(|c| c.len() == 1)
-            .map(|c| c.literals()[0])
-            .collect();
+        let units: Vec<Lit> =
+            enc.formula().clauses().iter().filter(|c| c.len() == 1).map(|c| c[0]).collect();
         assert!(units.contains(&enc.x(0, 0).positive()), "{units:?}");
         assert!(!units.contains(&enc.x(3, 1).positive()), "{units:?}");
         assert_one_admitted_member_per_orbit("figure 1, clique {0, 3}", &g, k, &[0, 3]);

@@ -1,6 +1,6 @@
 //! The mixed CNF + pseudo-Boolean formula container.
 
-use crate::{Assignment, Clause, Lit, Objective, PbConstraint, TruthValue, Var};
+use crate::{Assignment, ClauseList, Lit, Objective, PbConstraint, TruthValue, Var};
 use std::fmt;
 
 /// Size statistics of a [`PbFormula`], mirroring the columns of Table 2 in
@@ -27,6 +27,10 @@ impl FormulaStats {
 /// A 0-1 ILP problem: CNF clauses + pseudo-Boolean constraints + an optional
 /// linear minimization objective.
 ///
+/// The clauses are one flat [`ClauseList`]: adding a clause appends its
+/// literals to one vector, so a formula of `m` clauses holds no heap block
+/// per clause.
+///
 /// This is the object produced by the coloring encoder in `sbgc-core` and
 /// consumed by the solvers in `sbgc-pb` (or, when it is pure CNF, by
 /// `sbgc-sat`).
@@ -46,7 +50,7 @@ impl FormulaStats {
 #[derive(Clone, Default)]
 pub struct PbFormula {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    clauses: ClauseList,
     pb_constraints: Vec<PbConstraint>,
     objective: Option<Objective>,
 }
@@ -60,6 +64,14 @@ impl PbFormula {
     /// Creates an empty formula with `num_vars` pre-allocated variables.
     pub fn with_vars(num_vars: usize) -> Self {
         PbFormula { num_vars, ..Self::default() }
+    }
+
+    /// Creates a pure-CNF formula over at least `num_vars` variables (more
+    /// when a clause names a larger one) that takes `clauses` as its
+    /// clause list, without copying it.
+    pub fn from_clauses(num_vars: usize, clauses: ClauseList) -> Self {
+        let num_vars = num_vars.max(var_bound(clauses.literals().iter().copied()));
+        PbFormula { num_vars, clauses, ..Self::default() }
     }
 
     /// Allocates a fresh variable.
@@ -79,8 +91,8 @@ impl PbFormula {
         self.num_vars
     }
 
-    /// The CNF clauses.
-    pub fn clauses(&self) -> &[Clause] {
+    /// The CNF clauses, in the order they were added.
+    pub fn clauses(&self) -> &ClauseList {
         &self.clauses
     }
 
@@ -106,12 +118,12 @@ impl PbFormula {
         self.objective.take()
     }
 
-    /// Adds a CNF clause. Accepts anything convertible into a [`Clause`]
-    /// (e.g. an array or `Vec` of literals).
+    /// Adds a CNF clause: any iterator of literals (e.g. an array or a
+    /// `Vec`), kept in its order.
     pub fn add_clause(&mut self, clause: impl IntoIterator<Item = Lit>) {
-        let clause: Clause = clause.into_iter().collect();
-        self.grow_for_lits(clause.iter().copied());
         self.clauses.push(clause);
+        let added = &self.clauses[self.clauses.len() - 1];
+        self.num_vars = self.num_vars.max(var_bound(added.iter().copied()));
     }
 
     /// Adds a unit clause fixing `lit` to true.
@@ -155,7 +167,7 @@ impl PbFormula {
             vars: self.num_vars,
             clauses: self.clauses.len(),
             pb: self.pb_constraints.len(),
-            literal_occurrences: self.clauses.iter().map(Clause::len).sum::<usize>()
+            literal_occurrences: self.clauses.num_literals()
                 + self.pb_constraints.iter().map(PbConstraint::len).sum::<usize>(),
         }
     }
@@ -165,7 +177,7 @@ impl PbFormula {
     pub fn eval(&self, assignment: &Assignment) -> TruthValue {
         let mut unknown = false;
         for c in &self.clauses {
-            match c.eval(assignment) {
+            match eval_clause(c, assignment) {
                 TruthValue::False => return TruthValue::False,
                 TruthValue::Unknown => unknown = true,
                 TruthValue::True => {}
@@ -205,7 +217,9 @@ impl PbFormula {
     /// against the same variable numbering.
     pub fn absorb(&mut self, other: PbFormula) {
         self.num_vars = self.num_vars.max(other.num_vars);
-        self.clauses.extend(other.clauses);
+        for c in &other.clauses {
+            self.clauses.push(c.iter().copied());
+        }
         self.pb_constraints.extend(other.pb_constraints);
         if let Some(obj) = other.objective {
             self.objective = Some(obj);
@@ -213,13 +227,32 @@ impl PbFormula {
     }
 
     fn grow_for_lits(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        for l in lits {
-            let need = l.var().index() + 1;
-            if need > self.num_vars {
-                self.num_vars = need;
-            }
+        self.num_vars = self.num_vars.max(var_bound(lits));
+    }
+}
+
+/// Evaluates one clause: [`TruthValue::True`] if some literal is
+/// satisfied, [`TruthValue::False`] if all are falsified (so the empty
+/// clause is false), [`TruthValue::Unknown`] otherwise.
+fn eval_clause(lits: &[Lit], assignment: &Assignment) -> TruthValue {
+    let mut unknown = false;
+    for &lit in lits {
+        match assignment.lit_value(lit) {
+            TruthValue::True => return TruthValue::True,
+            TruthValue::Unknown => unknown = true,
+            TruthValue::False => {}
         }
     }
+    if unknown {
+        TruthValue::Unknown
+    } else {
+        TruthValue::False
+    }
+}
+
+/// One past the largest variable index among `lits` (0 for none).
+fn var_bound(lits: impl IntoIterator<Item = Lit>) -> usize {
+    lits.into_iter().map(|l| l.var().index() + 1).max().unwrap_or(0)
 }
 
 impl fmt::Debug for PbFormula {
@@ -308,12 +341,25 @@ mod tests {
     }
 
     #[test]
-    fn eval_partial() {
+    fn eval_partial_and_total() {
         let mut f = PbFormula::new();
         let a = f.new_var().positive();
         let b = f.new_var().positive();
         f.add_clause([a, b]);
-        let asg = Assignment::new(2);
+        let mut asg = Assignment::new(2);
         assert_eq!(f.eval(&asg), TruthValue::Unknown);
+        asg.assign(a.var(), false);
+        assert_eq!(f.eval(&asg), TruthValue::Unknown);
+        asg.assign(b.var(), false);
+        assert_eq!(f.eval(&asg), TruthValue::False);
+        asg.assign(b.var(), true);
+        assert_eq!(f.eval(&asg), TruthValue::True);
+    }
+
+    #[test]
+    fn empty_clause_is_false() {
+        let mut f = PbFormula::new();
+        f.add_clause([]);
+        assert_eq!(f.eval(&Assignment::new(0)), TruthValue::False);
     }
 }

@@ -1,10 +1,11 @@
 //! CNF and pseudo-Boolean (0-1 ILP) formula representation.
 //!
 //! This crate provides the shared logical substrate for the `sbgc` workspace:
-//! Boolean [`Var`]iables and [`Lit`]erals, CNF [`Clause`]s, normalized
-//! [`PbConstraint`]s (linear 0-1 inequalities), optimization objectives, and
-//! the mixed container [`PbFormula`] that the graph-coloring encoder produces
-//! and the solvers in `sbgc-sat` / `sbgc-pb` consume.
+//! Boolean [`Var`]iables and [`Lit`]erals, flat [`ClauseList`]s of CNF
+//! clauses, normalized [`PbConstraint`]s (linear 0-1 inequalities),
+//! optimization objectives, and the mixed container [`PbFormula`] that the
+//! graph-coloring encoder produces and the solvers in `sbgc-sat` /
+//! `sbgc-pb` consume.
 //!
 //! The representation follows the paper's conventions (Ramani, Aloul, Markov
 //! & Sakallah, *Breaking Instance-Independent Symmetries in Exact Graph
@@ -43,7 +44,7 @@
 #![warn(missing_docs)]
 
 mod assignment;
-mod clause;
+mod clause_list;
 mod formula;
 mod lit;
 mod objective;
@@ -51,7 +52,7 @@ mod opb;
 mod pb;
 
 pub use assignment::{Assignment, TruthValue};
-pub use clause::Clause;
+pub use clause_list::{ClauseIter, ClauseList};
 pub use formula::{FormulaStats, PbFormula};
 pub use lit::{Lit, Var};
 pub use objective::Objective;

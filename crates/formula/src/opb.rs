@@ -41,7 +41,7 @@ impl PbFormula {
             out.push_str(" ;\n");
         }
         for clause in self.clauses() {
-            for &l in clause.literals() {
+            for &l in clause {
                 let _ = write!(out, "+1 {} ", opb_lit(l));
             }
             out.push_str(">= 1 ;\n");
@@ -71,7 +71,7 @@ impl PbFormula {
         let mut out = String::new();
         let _ = writeln!(out, "p cnf {} {}", self.num_vars(), self.clauses().len());
         for clause in self.clauses() {
-            for &l in clause.literals() {
+            for &l in clause {
                 let _ = write!(out, "{} ", l.to_dimacs());
             }
             out.push_str("0\n");

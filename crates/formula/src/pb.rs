@@ -89,32 +89,33 @@ impl PbConstraint {
         )
     }
 
-    fn normalize(raw: Vec<(i64, Lit)>, mut bound: i64) -> Self {
-        use std::collections::BTreeMap;
-        // Net coefficient of the *positive* literal per variable.
-        let mut net: BTreeMap<u32, i64> = BTreeMap::new();
-        for (a, l) in raw {
-            if a == 0 {
-                continue;
+    /// Brings `Σ aᵢ·ℓᵢ ≥ bound` into normalized form: sorts the terms by
+    /// variable, merges each variable's run into one net coefficient of
+    /// its positive literal (`a·¬x = a − a·x`), turns a negative net into
+    /// a coefficient of the negative literal, drops zeros, and saturates.
+    fn normalize(mut raw: Vec<(i64, Lit)>, mut bound: i64) -> Self {
+        raw.sort_unstable_by_key(|&(_, l)| l.var());
+        let mut terms = Vec::with_capacity(raw.len());
+        let mut i = 0;
+        while i < raw.len() {
+            let var = raw[i].1.var();
+            let mut net = 0i64;
+            while i < raw.len() && raw[i].1.var() == var {
+                let (a, l) = raw[i];
+                if l.is_negated() {
+                    bound -= a;
+                    net -= a;
+                } else {
+                    net += a;
+                }
+                i += 1;
             }
-            let v = l.var().index() as u32;
-            if l.is_negated() {
-                // a * ~x = a * (1 - x) = a - a*x
-                bound -= a;
-                *net.entry(v).or_insert(0) -= a;
-            } else {
-                *net.entry(v).or_insert(0) += a;
-            }
-        }
-        let mut terms = Vec::with_capacity(net.len());
-        for (v, a) in net {
-            let var = crate::Var::from_index(v as usize);
-            match a.cmp(&0) {
-                std::cmp::Ordering::Greater => terms.push((a as u64, var.positive())),
+            match net.cmp(&0) {
+                std::cmp::Ordering::Greater => terms.push((net as u64, var.positive())),
                 std::cmp::Ordering::Less => {
                     // a*x with a<0: rewrite as |a|*~x - |a| on the lhs.
-                    bound += -a;
-                    terms.push(((-a) as u64, var.negative()));
+                    bound -= net;
+                    terms.push(((-net) as u64, var.negative()));
                 }
                 std::cmp::Ordering::Equal => {}
             }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sbgc_formula::{
-    parse_opb, Assignment, Clause, Lit, Objective, PbConstraint, PbFormula, TruthValue, Var,
+    parse_opb, Assignment, Lit, Objective, PbConstraint, PbFormula, TruthValue, Var,
 };
 
 fn lit_strategy(num_vars: usize) -> impl Strategy<Value = Lit> {
@@ -33,6 +33,71 @@ fn formula_strategy(num_vars: usize) -> impl Strategy<Value = PbFormula> {
 
 fn assignment_strategy(num_vars: usize) -> impl Strategy<Value = Assignment> {
     proptest::collection::vec(any::<bool>(), num_vars).prop_map(Assignment::from_bools)
+}
+
+/// The normalization `PbConstraint` used before it sorted and merged: one
+/// `BTreeMap` of net positive-literal coefficients per constraint. Kept as
+/// the oracle the sort-and-merge version must match term for term.
+fn btree_normalize(raw: &[(i64, Lit)], mut bound: i64) -> (Vec<(u64, Lit)>, u64) {
+    use std::collections::BTreeMap;
+    let mut net: BTreeMap<u32, i64> = BTreeMap::new();
+    for &(a, l) in raw {
+        if a == 0 {
+            continue;
+        }
+        let v = l.var().index() as u32;
+        if l.is_negated() {
+            bound -= a;
+            *net.entry(v).or_insert(0) -= a;
+        } else {
+            *net.entry(v).or_insert(0) += a;
+        }
+    }
+    let mut terms = Vec::with_capacity(net.len());
+    for (v, a) in net {
+        let var = Var::from_index(v as usize);
+        match a.cmp(&0) {
+            std::cmp::Ordering::Greater => terms.push((a as u64, var.positive())),
+            std::cmp::Ordering::Less => {
+                bound += -a;
+                terms.push(((-a) as u64, var.negative()));
+            }
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+    let rhs = if bound <= 0 { 0 } else { bound as u64 };
+    if rhs > 0 {
+        for t in &mut terms {
+            if t.0 > rhs {
+                t.0 = rhs;
+            }
+        }
+    }
+    (terms, rhs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Sort-and-merge normalization gives exactly the terms, in the same
+    /// order, and the right-hand side of the `BTreeMap` algorithm it
+    /// replaced — repeated and opposite literals, zero and negative
+    /// coefficients, any bound — for `at_least` and `at_most` alike.
+    #[test]
+    fn pb_normalization_matches_the_btree_oracle(
+        terms in proptest::collection::vec((-6i64..7, lit_strategy(7)), 0..12),
+        bound in -12i64..14,
+    ) {
+        let c = PbConstraint::at_least(terms.clone(), bound);
+        let (oracle_terms, oracle_rhs) = btree_normalize(&terms, bound);
+        prop_assert_eq!(c.terms(), &oracle_terms[..]);
+        prop_assert_eq!(c.rhs(), oracle_rhs);
+        let negated: Vec<(i64, Lit)> = terms.iter().map(|&(a, l)| (-a, l)).collect();
+        let c = PbConstraint::at_most(terms, bound);
+        let (oracle_terms, oracle_rhs) = btree_normalize(&negated, -bound);
+        prop_assert_eq!(c.terms(), &oracle_terms[..]);
+        prop_assert_eq!(c.rhs(), oracle_rhs);
+    }
 }
 
 proptest! {
@@ -93,15 +158,16 @@ proptest! {
         prop_assert_eq!(f.is_satisfied_by(&asg), g.is_satisfied_by(&asg));
     }
 
-    /// Clause evaluation is monotone: extending a partial assignment never
-    /// flips True to False or vice versa.
+    /// Clause evaluation (of a one-clause formula) is monotone: extending
+    /// a partial assignment never flips True to False or vice versa.
     #[test]
     fn clause_eval_is_monotone(
         lits in proptest::collection::vec(lit_strategy(5), 1..5),
         asg in assignment_strategy(5),
         hide in proptest::collection::vec(any::<bool>(), 5),
     ) {
-        let clause: Clause = lits.into_iter().collect();
+        let mut clause = PbFormula::new();
+        clause.add_clause(lits);
         let mut partial = asg.clone();
         for (i, &h) in hide.iter().enumerate() {
             if h {

@@ -79,7 +79,7 @@ impl BnbSolver {
             violations: 0,
         };
         for clause in formula.clauses() {
-            let terms: Vec<(u64, Lit)> = clause.literals().iter().map(|&l| (1, l)).collect();
+            let terms: Vec<(u64, Lit)> = clause.iter().map(|&l| (1, l)).collect();
             solver.add_constraint(terms, 1);
         }
         for pb in formula.pb_constraints() {

@@ -2,11 +2,13 @@
 
 use crate::config::{EngineConfig, RestartPolicy};
 use crate::explain::FalseTerm;
-use sbgc_formula::{Assignment, Clause, Lit, PbConstraint, PbFormula, Var};
+use sbgc_formula::{Assignment, Lit, PbConstraint, PbFormula, Var};
 use sbgc_obs::{Counter, Recorder, SearchCounters};
 use sbgc_proof::ProofLogger;
 use sbgc_sat::{Budget, ExhaustReason, GlueEma, Luby, SharingConfig, SharingHandle, SolveOutcome};
+use std::cmp::Ordering::Equal;
 use std::fmt;
+use std::ops::Range;
 
 /// Backjumps discarding more than this many decision levels are replaced
 /// by a single chronological step when `EngineConfig::chrono` is on.
@@ -95,6 +97,22 @@ impl PbStats {
 
 const NO_POS: usize = usize::MAX;
 
+/// `len` as the offset of the next item of a clause or term arena.
+///
+/// # Panics
+///
+/// Panics once an arena holds 2^32 items (16 GiB of clause literals).
+fn arena_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("an engine arena holds fewer than 2^32 items")
+}
+
+/// The arena range of an item stored at `start` with `len` entries.
+#[inline]
+fn arena_range(start: u32, len: u32) -> Range<usize> {
+    let start = start as usize;
+    start..start + len as usize
+}
+
 /// Proof clause ID of a clause with none: stored before a proof logger was
 /// attached, or past the 31-bit ID space. A chain naming it is not logged.
 const NO_ID: u32 = u32::MAX;
@@ -116,14 +134,30 @@ enum VarValue {
     False,
 }
 
-#[derive(Clone, Debug)]
-struct StoredClause {
-    lits: Vec<Lit>,
+/// The fixed-size header of a stored clause. Its literals are
+/// `arena[start..start + len]`: every clause's literals sit back to back
+/// in one vector, in clause order, so storing a clause allocates nothing
+/// of its own.
+#[derive(Clone, Copy, Debug)]
+struct ClauseHeader {
+    start: u32,
+    /// Two or more: units go to the trail, not the store.
+    len: u32,
+    /// LBD at learn/import time; 0 for original clauses.
+    lbd: u32,
     learned: bool,
     deleted: bool,
     activity: f64,
-    /// LBD at learn/import time; 0 for original clauses.
-    lbd: u32,
+}
+
+// docs/ROBUSTNESS.md states this size in its arena-byte estimate.
+const _: () = assert!(std::mem::size_of::<ClauseHeader>() == 24);
+
+impl ClauseHeader {
+    #[inline]
+    fn range(&self) -> Range<usize> {
+        arena_range(self.start, self.len)
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -132,13 +166,22 @@ struct Watcher {
     blocker: Lit,
 }
 
+/// A stored PB constraint; its terms are `pb_terms[start..start + len]`.
 #[derive(Clone, Debug)]
 struct StoredPb {
-    terms: Vec<(u64, Lit)>,
+    start: u32,
+    len: u32,
     rhs: u64,
     coeff_sum: u64,
     /// `Σ_{ℓ not false} aᵢ − rhs`; negative means violated.
     slack: i64,
+}
+
+impl StoredPb {
+    #[inline]
+    fn range(&self) -> Range<usize> {
+        arena_range(self.start, self.len)
+    }
 }
 
 /// Indexed max-heap over variable activities (VSIDS order).
@@ -233,9 +276,16 @@ impl ActivityHeap {
 pub struct PbEngine {
     config: EngineConfig,
     num_vars: usize,
-    clauses: Vec<StoredClause>,
+    /// One header per stored clause; a clause reference is an index here.
+    clauses: Vec<ClauseHeader>,
+    /// The literals of every stored clause, back to back in `clauses`
+    /// order. Propagation reorders a clause's literals within its range;
+    /// compaction moves live ranges down over dead ones.
+    arena: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
     pbs: Vec<StoredPb>,
+    /// The terms of every PB constraint, back to back in `pbs` order.
+    pb_terms: Vec<(u64, Lit)>,
     /// `occ[p.code()]` lists `(pb_index, coeff)` for constraints containing
     /// the literal `!p` — i.e. the constraints whose slack drops when `p`
     /// becomes true.
@@ -260,10 +310,6 @@ pub struct PbEngine {
     /// Physically reclaim tombstoned clauses after each reduce_db pass;
     /// disabled only by tests comparing against the lazy-deletion baseline.
     compact: bool,
-    /// Running estimate of the bytes held by the clause arena and the PB
-    /// store (slots + term buffers). Tombstoned clauses count until
-    /// compaction frees them; the PB store never shrinks.
-    arena_bytes: u64,
     stats: PbStats,
     recorder: Recorder,
     /// Stats snapshot already flushed to the recorder.
@@ -278,6 +324,14 @@ pub struct PbEngine {
     inputs: u32,
     /// Hint chain of the lemma being derived, reused across conflicts.
     chain: Vec<u32>,
+    /// The lemma `analyze` derived last (asserting literal first), reused.
+    learnt: Vec<Lit>,
+    /// A clause being added or imported, simplified in place; reused.
+    scratch: Vec<Lit>,
+    /// `reduce_db`'s deletion candidates, reused.
+    candidates: Vec<u32>,
+    /// `compact_db`'s old-to-new clause references, reused.
+    remap: Vec<u32>,
     /// The lemma's resolved literals as (trail position, reason hint):
     /// those its 1UIP analysis resolved away and those minimization
     /// removed or passed through; reused.
@@ -313,8 +367,10 @@ impl PbEngine {
             config,
             num_vars,
             clauses: Vec::new(),
+            arena: Vec::new(),
             watches: vec![Vec::new(); 2 * num_vars],
             pbs: Vec::new(),
+            pb_terms: Vec::new(),
             occ: vec![Vec::new(); 2 * num_vars],
             vals: vec![VarValue::Undef; 2 * num_vars],
             level: vec![0; num_vars],
@@ -331,7 +387,6 @@ impl PbEngine {
             max_learnts: 0.0,
             ok: true,
             compact: true,
-            arena_bytes: 0,
             stats: PbStats::default(),
             recorder: Recorder::disabled(),
             flushed: PbStats::default(),
@@ -339,6 +394,10 @@ impl PbEngine {
             clause_ids: Vec::new(),
             inputs: 0,
             chain: Vec::new(),
+            learnt: Vec::new(),
+            scratch: Vec::new(),
+            candidates: Vec::new(),
+            remap: Vec::new(),
             resolved: Vec::new(),
             seen: vec![false; num_vars],
             to_clear: Vec::new(),
@@ -387,13 +446,55 @@ impl PbEngine {
     /// use [`crate::optimize`] for optimization).
     pub fn from_formula(formula: &PbFormula, config: EngineConfig) -> Self {
         let mut engine = PbEngine::new(formula.num_vars(), config);
-        for clause in formula.clauses() {
-            engine.add_clause(clause.literals().iter().copied());
+        engine.add_formula(formula);
+        engine
+    }
+
+    /// Adds every clause of `formula`, then every PB constraint, in order,
+    /// as [`add_clause`](PbEngine::add_clause) and
+    /// [`add_pb`](PbEngine::add_pb) would (the objective is ignored). Each
+    /// watch and occurrence list grows once, to the count of its literal
+    /// in the formula, and the clause arena once, to the formula's
+    /// literal count. Attach a proof logger first to have root
+    /// simplifications logged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal references a variable `>= num_vars`.
+    pub fn add_formula(&mut self, formula: &PbFormula) {
+        let clauses = formula.clauses();
+        let mut watched = vec![0usize; self.watches.len()];
+        for &l in clauses.literals() {
+            if let Some(n) = watched.get_mut(l.code()) {
+                *n += 1;
+            }
+        }
+        let mut occurring = vec![0usize; self.occ.len()];
+        let mut terms = 0;
+        for pb in formula.pb_constraints() {
+            terms += pb.len();
+            for &(_, l) in pb.terms() {
+                if let Some(n) = occurring.get_mut((!l).code()) {
+                    *n += 1;
+                }
+            }
+        }
+        for (list, n) in self.watches.iter_mut().zip(watched) {
+            list.reserve(n);
+        }
+        for (list, n) in self.occ.iter_mut().zip(occurring) {
+            list.reserve(n);
+        }
+        self.clauses.reserve(clauses.len());
+        self.arena.reserve(clauses.num_literals());
+        self.pbs.reserve(formula.pb_constraints().len());
+        self.pb_terms.reserve(terms);
+        for clause in clauses {
+            self.add_clause(clause.iter().copied());
         }
         for pb in formula.pb_constraints() {
-            engine.add_pb(pb.clone());
+            self.add_pb_constraint(pb);
         }
-        engine
     }
 
     /// Number of variables.
@@ -488,25 +589,40 @@ impl PbEngine {
         self.max_learnts = max_learnts;
     }
 
-    /// Total `StoredClause` slots in the arena, live or tombstoned. With
-    /// compaction enabled this tracks [`PbEngine::live_clauses`].
+    /// Stored clauses, live or tombstoned. With compaction enabled this
+    /// tracks [`PbEngine::live_clauses`].
     pub fn arena_clauses(&self) -> usize {
         self.clauses.len()
     }
 
-    /// Estimated bytes held by the clause arena and the PB store (slot
-    /// metadata plus literal/term buffers). Compared against
+    /// Bytes held by the clause store and the PB store: one fixed-size
+    /// header per stored clause plus the literal arena, and one record per
+    /// PB constraint plus the term arena. Tombstoned clauses count until
+    /// compaction frees them; the PB store never shrinks. Compared against
     /// [`Budget::with_max_memory`] on the stride-64 budget path.
     pub fn arena_bytes(&self) -> u64 {
-        self.arena_bytes
+        use std::mem::size_of_val;
+        (size_of_val(&self.clauses[..])
+            + size_of_val(&self.arena[..])
+            + size_of_val(&self.pbs[..])
+            + size_of_val(&self.pb_terms[..])) as u64
     }
 
-    fn clause_bytes(lits: &[Lit]) -> u64 {
-        (std::mem::size_of::<StoredClause>() + std::mem::size_of_val(lits)) as u64
+    /// The literals of stored clause `cref`.
+    #[inline]
+    fn clause_lits(&self, cref: usize) -> &[Lit] {
+        &self.arena[self.clauses[cref].range()]
     }
 
-    fn pb_bytes(terms: &[(u64, Lit)]) -> u64 {
-        (std::mem::size_of::<StoredPb>() + std::mem::size_of_val(terms)) as u64
+    /// Whether stored clause `cref` is the reason of a literal on the
+    /// trail. A reason clause's implied literal is always its first: it
+    /// is enqueued from position 0, and propagation moves position 0 only
+    /// when it holds the literal just falsified, never a true one.
+    #[inline]
+    fn locked(&self, cref: u32) -> bool {
+        let first = self.arena[self.clauses[cref as usize].start as usize];
+        self.lit_value(first) == VarValue::True
+            && self.reason[first.var().index()] == Reason::Clause(cref)
     }
 
     /// Logs an addition with its hint chain — dropped whole when a link
@@ -590,8 +706,17 @@ impl PbEngine {
         if !self.ok {
             return;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        for l in &lits {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend(lits);
+        self.add_simplified(&mut scratch, id);
+        self.scratch = scratch;
+    }
+
+    /// [`add_clause`](PbEngine::add_clause)'s body on the literals in
+    /// `lits`, which it sorts and simplifies in place.
+    fn add_simplified(&mut self, lits: &mut Vec<Lit>, mut id: u32) {
+        for l in lits.iter() {
             assert!(l.var().index() < self.num_vars, "literal {l} out of range");
         }
         lits.sort_unstable();
@@ -608,7 +733,7 @@ impl PbEngine {
             // The simplified clause is a derived (RUP) clause: its dropped
             // literals are root-falsified by earlier unit propagation, so
             // the input clause is falsified under its negation.
-            id = self.proof_add(&lits, &[id]);
+            id = self.proof_add(lits, &[id]);
         }
         match lits.len() {
             0 => self.ok = false,
@@ -633,6 +758,11 @@ impl PbEngine {
     ///
     /// Panics if a literal references a variable `>= num_vars`.
     pub fn add_pb(&mut self, constraint: PbConstraint) {
+        self.add_pb_constraint(&constraint);
+    }
+
+    /// [`add_pb`](PbEngine::add_pb) on a borrowed constraint.
+    fn add_pb_constraint(&mut self, constraint: &PbConstraint) {
         self.backtrack_to(0);
         if !self.ok {
             return;
@@ -661,9 +791,11 @@ impl PbEngine {
                 slack -= a as i64;
             }
         }
-        self.arena_bytes += Self::pb_bytes(constraint.terms());
+        let start = arena_offset(self.pb_terms.len());
+        self.pb_terms.extend_from_slice(constraint.terms());
         self.pbs.push(StoredPb {
-            terms: constraint.terms().to_vec(),
+            start,
+            len: constraint.len() as u32,
             rhs: constraint.rhs(),
             coeff_sum,
             slack,
@@ -672,17 +804,12 @@ impl PbEngine {
             self.ok = false;
             return;
         }
-        // Root-level propagations implied by the new constraint.
-        let forced: Vec<Lit> = self.pbs[idx as usize]
-            .terms
-            .iter()
-            .filter(|&&(a, l)| {
-                self.lit_value(l) == VarValue::Undef && a as i64 > self.pbs[idx as usize].slack
-            })
-            .map(|&(_, l)| l)
-            .collect();
-        for l in forced {
-            if self.lit_value(l) == VarValue::Undef {
+        // Root-level propagations implied by the new constraint. Each
+        // term has a variable of its own, so enqueueing one changes
+        // neither this constraint's slack nor another term's value.
+        for k in self.pbs[idx as usize].range() {
+            let (a, l) = self.pb_terms[k];
+            if self.lit_value(l) == VarValue::Undef && a as i64 > slack {
                 self.enqueue(l, Reason::Pb(idx));
             }
         }
@@ -693,7 +820,7 @@ impl PbEngine {
 
     /// Stores a clause of two or more literals with proof ID `id` (kept
     /// only while a proof logger is attached) and watches it.
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool, id: u32) -> u32 {
+    fn attach_clause(&mut self, lits: &[Lit], learned: bool, id: u32) -> u32 {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len() as u32;
         if self.proof.is_some() {
@@ -701,8 +828,16 @@ impl PbEngine {
         }
         self.watches[lits[0].code()].push(Watcher { clause: cref, blocker: lits[1] });
         self.watches[lits[1].code()].push(Watcher { clause: cref, blocker: lits[0] });
-        self.arena_bytes += Self::clause_bytes(&lits);
-        self.clauses.push(StoredClause { lits, learned, deleted: false, activity: 0.0, lbd: 0 });
+        let start = arena_offset(self.arena.len());
+        self.arena.extend_from_slice(lits);
+        self.clauses.push(ClauseHeader {
+            start,
+            len: lits.len() as u32,
+            lbd: 0,
+            learned,
+            deleted: false,
+            activity: 0.0,
+        });
         cref
     }
 
@@ -770,29 +905,27 @@ impl PbEngine {
                 i += 1;
                 continue;
             }
-            let cref = w.clause as usize;
-            if self.clauses[cref].deleted {
+            let header = &self.clauses[w.clause as usize];
+            if header.deleted {
                 ws.swap_remove(i);
                 continue;
             }
-            {
-                let c = &mut self.clauses[cref];
-                if c.lits[0] == false_lit {
-                    c.lits.swap(0, 1);
-                }
+            let lits = header.range();
+            let (s, end) = (lits.start, lits.end);
+            if self.arena[s] == false_lit {
+                self.arena.swap(s, s + 1);
             }
-            let first = self.clauses[cref].lits[0];
+            let first = self.arena[s];
             if self.lit_value(first) == VarValue::True {
                 ws[i].blocker = first;
                 i += 1;
                 continue;
             }
-            let len = self.clauses[cref].lits.len();
             let mut moved = false;
-            for k in 2..len {
-                let cand = self.clauses[cref].lits[k];
+            for k in s + 2..end {
+                let cand = self.arena[k];
                 if self.lit_value(cand) != VarValue::False {
-                    self.clauses[cref].lits.swap(1, k);
+                    self.arena.swap(s + 1, k);
                     self.watches[cand.code()].push(Watcher { clause: w.clause, blocker: first });
                     ws.swap_remove(i);
                     moved = true;
@@ -817,23 +950,20 @@ impl PbEngine {
     fn propagate_pbs(&mut self, p: Lit) -> Option<Reason> {
         // Slacks were already updated in `enqueue`; here we detect
         // violations and propagate forced literals in the constraints
-        // containing !p.
-        let affected: Vec<u32> = self.occ[p.code()].iter().map(|&(idx, _)| idx).collect();
-        for idx in affected {
-            let idx_usize = idx as usize;
-            let slack = self.pbs[idx_usize].slack;
+        // containing !p. Propagation never adds to an occurrence list.
+        for j in 0..self.occ[p.code()].len() {
+            let idx = self.occ[p.code()][j].0;
+            let pb = &self.pbs[idx as usize];
+            let slack = pb.slack;
             if slack < 0 {
                 return Some(Reason::Pb(idx));
             }
-            // Propagate unassigned literals with coefficient > slack.
-            let mut forced: Vec<Lit> = Vec::new();
-            for &(coeff, l) in &self.pbs[idx_usize].terms {
+            // Propagate unassigned literals with coefficient > slack. Each
+            // term has a variable of its own, so enqueueing one changes
+            // neither this constraint's slack nor another term's value.
+            for k in pb.range() {
+                let (coeff, l) = self.pb_terms[k];
                 if coeff as i64 > slack && self.lit_value(l) == VarValue::Undef {
-                    forced.push(l);
-                }
-            }
-            for l in forced {
-                if self.lit_value(l) == VarValue::Undef {
                     self.enqueue(l, Reason::Pb(idx));
                 }
             }
@@ -895,7 +1025,7 @@ impl PbEngine {
     fn reason_lits(&self, reason: Reason) -> &[Lit] {
         match reason {
             Reason::Decision => unreachable!("a decision has no reason"),
-            Reason::Clause(cref) => &self.clauses[cref as usize].lits,
+            Reason::Clause(cref) => self.clause_lits(cref as usize),
             Reason::Pb(_) => &self.expl,
         }
     }
@@ -909,7 +1039,7 @@ impl PbEngine {
         let cutoff = implied.map_or(usize::MAX, |l| self.trail_pos[l.var().index()]);
         self.false_terms.clear();
         let mut propagated_coeff = 0;
-        for &(a, l) in &pb.terms {
+        for &(a, l) in &self.pb_terms[pb.range()] {
             if Some(l) == implied {
                 propagated_coeff = a;
                 continue;
@@ -934,7 +1064,8 @@ impl PbEngine {
 
     /// First-UIP conflict analysis of `confl` followed by recursive
     /// minimization; returns the learned clause (asserting literal first)
-    /// and the backjump level.
+    /// and the backjump level. The clause is the `learnt` scratch buffer,
+    /// which the caller hands back once it has stored it.
     ///
     /// A PB conflict's explanation must already be in `expl`: the caller
     /// builds it *before* any chronological pre-backtrack, because PB
@@ -944,7 +1075,9 @@ impl PbEngine {
     /// the conflict.
     fn analyze(&mut self, confl: Reason) -> (Vec<Lit>, u32) {
         let current = self.decision_level();
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)];
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0));
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -1110,85 +1243,88 @@ impl PbEngine {
     fn reduce_db(&mut self) {
         // Tiered mode protects the "core" tier (glue clauses, LBD ≤ 2)
         // from deletion entirely and ranks the rest worst-first by
-        // (LBD desc, activity asc); classic mode is pure activity.
+        // (LBD desc, activity asc); classic mode is pure activity. Ties
+        // keep clause order: the index is the last key, so the sort needs
+        // no stable merge and no buffer of its own.
         let tiered = self.config.tiered_reduce;
-        let mut candidates: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learned && !c.deleted && c.lits.len() > 2 && !(tiered && c.lbd <= CORE_LBD)
-            })
-            .collect();
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend((0..self.clauses.len() as u32).filter(|&i| {
+            let c = &self.clauses[i as usize];
+            c.learned && !c.deleted && c.len > 2 && !(tiered && c.lbd <= CORE_LBD)
+        }));
+        let activity = |a: &ClauseHeader, b: &ClauseHeader| {
+            a.activity.partial_cmp(&b.activity).unwrap_or(Equal)
+        };
         if tiered {
-            candidates.sort_by(|&a, &b| {
-                let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
-                cb.lbd.cmp(&ca.lbd).then(
-                    ca.activity.partial_cmp(&cb.activity).unwrap_or(std::cmp::Ordering::Equal),
-                )
+            candidates.sort_unstable_by(|&a, &b| {
+                let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
+                cb.lbd.cmp(&ca.lbd).then(activity(ca, cb)).then(a.cmp(&b))
             });
         } else {
-            candidates.sort_by(|&a, &b| {
-                self.clauses[a]
-                    .activity
-                    .partial_cmp(&self.clauses[b].activity)
-                    .unwrap_or(std::cmp::Ordering::Equal)
+            candidates.sort_unstable_by(|&a, &b| {
+                activity(&self.clauses[a as usize], &self.clauses[b as usize]).then(a.cmp(&b))
             });
         }
-        let locked: std::collections::HashSet<u32> = self
-            .trail
-            .iter()
-            .filter_map(|l| match self.reason[l.var().index()] {
-                Reason::Clause(c) => Some(c),
-                _ => None,
-            })
-            .collect();
         let half = candidates.len() / 2;
         for &i in candidates.iter().take(half) {
-            if locked.contains(&(i as u32)) {
+            if self.locked(i) {
                 continue;
             }
+            let range = self.clauses[i as usize].range();
             if let Some(p) = self.proof.as_mut() {
-                p.log_delete(&self.clauses[i].lits);
+                p.log_delete(&self.arena[range]);
             }
-            self.clauses[i].deleted = true;
+            self.clauses[i as usize].deleted = true;
             self.stats.deleted += 1;
         }
+        self.candidates = candidates;
         self.stats.reductions += 1;
         if self.compact {
             self.compact_db();
         }
     }
 
-    /// Physically removes tombstoned clauses, remapping the clause
-    /// references held by watch lists and trail reasons. Runs right after
-    /// `reduce_db` (propagation at fixpoint; locked clauses were kept, so
-    /// every `Reason::Clause` on the trail stays live). PB constraints are
-    /// unaffected — `Reason::Pb` indexes a separate store that never
-    /// shrinks.
+    /// Physically removes tombstoned clauses: moves every live clause's
+    /// literals down over the dead ones, in place and in order, and remaps
+    /// the clause references held by watch lists and trail reasons. Runs
+    /// right after `reduce_db` (propagation at fixpoint; locked clauses
+    /// were kept, so every `Reason::Clause` on the trail stays live). PB
+    /// constraints are unaffected — `Reason::Pb` indexes a separate store
+    /// that never shrinks.
     fn compact_db(&mut self) {
         const DEAD: u32 = u32::MAX;
-        let mut remap = vec![DEAD; self.clauses.len()];
-        let mut next = 0u32;
-        for (i, c) in self.clauses.iter().enumerate() {
-            if !c.deleted {
-                remap[i] = next;
-                next += 1;
-            }
-        }
-        let dead = self.clauses.len() - next as usize;
+        let dead = self.clauses.iter().filter(|c| c.deleted).count();
         if dead == 0 {
             return;
         }
         self.stats.reclaimed += dead as u64;
-        self.clauses.retain(|c| !c.deleted);
-        if !self.clause_ids.is_empty() {
-            let mut old = 0;
-            self.clause_ids.retain(|_| {
-                old += 1;
-                remap[old - 1] != DEAD
-            });
+        let mut remap = std::mem::take(&mut self.remap);
+        remap.clear();
+        let (mut next, mut write) = (0usize, 0usize);
+        for i in 0..self.clauses.len() {
+            let header = self.clauses[i];
+            if header.deleted {
+                remap.push(DEAD);
+                continue;
+            }
+            remap.push(next as u32);
+            // Live ranges ascend, so a range only ever moves down.
+            if header.start as usize != write {
+                self.arena.copy_within(header.range(), write);
+            }
+            self.clauses[next] = ClauseHeader { start: write as u32, ..header };
+            if !self.clause_ids.is_empty() {
+                self.clause_ids[next] = self.clause_ids[i];
+            }
+            write += header.len as usize;
+            next += 1;
         }
-        self.arena_bytes = self.clauses.iter().map(|c| Self::clause_bytes(&c.lits)).sum::<u64>()
-            + self.pbs.iter().map(|p| Self::pb_bytes(&p.terms)).sum::<u64>();
+        self.clauses.truncate(next);
+        self.arena.truncate(write);
+        if !self.clause_ids.is_empty() {
+            self.clause_ids.truncate(next);
+        }
         for ws in &mut self.watches {
             ws.retain_mut(|w| {
                 let m = remap[w.clause as usize];
@@ -1203,6 +1339,7 @@ impl PbEngine {
                 self.reason[v] = Reason::Clause(remap[r as usize]);
             }
         }
+        self.remap = remap;
     }
 
     /// Debug sweep of the clause-database invariants: every watcher
@@ -1211,6 +1348,13 @@ impl PbEngine {
     /// literal. Intended for tests.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        let mut end = 0;
+        for (cref, c) in self.clauses.iter().enumerate() {
+            assert!(c.len >= 2, "clause {cref} has {} literals", c.len);
+            assert!(c.start as usize >= end, "clause {cref} overlaps the clause before it");
+            end = c.range().end;
+        }
+        assert!(end <= self.arena.len(), "the last clause ends past the arena");
         for (code, ws) in self.watches.iter().enumerate() {
             let watched = Lit::from_code(code);
             for w in ws {
@@ -1218,8 +1362,9 @@ impl PbEngine {
                 if c.deleted {
                     continue; // lazily dropped on the next propagation visit
                 }
+                let lits = self.clause_lits(w.clause as usize);
                 assert!(
-                    c.lits[0] == watched || c.lits[1] == watched,
+                    lits[0] == watched || lits[1] == watched,
                     "watcher for {watched} does not watch clause {}",
                     w.clause
                 );
@@ -1227,9 +1372,10 @@ impl PbEngine {
         }
         for &l in &self.trail {
             if let Reason::Clause(r) = self.reason[l.var().index()] {
-                let c = &self.clauses[r as usize];
-                assert!(!c.deleted, "trail reason {r} is deleted");
-                assert!(c.lits.contains(&l), "reason clause {r} lacks implied literal {l}");
+                assert!(!self.clauses[r as usize].deleted, "trail reason {r} is deleted");
+                let first = self.clause_lits(r as usize)[0];
+                assert_eq!(first, l, "reason clause {r} does not imply {l} from its first literal");
+                assert!(self.locked(r), "reason clause {r} of {l} is not locked");
             }
         }
     }
@@ -1251,7 +1397,7 @@ impl PbEngine {
             if !self.ok {
                 return;
             }
-            self.import_clause(lits, lbd);
+            self.import_clause(&lits, lbd);
         }
     }
 
@@ -1259,27 +1405,30 @@ impl PbEngine {
     /// are skipped, root-falsified literals stripped, units enqueued and
     /// propagated. The (possibly strengthened) clause is logged as a DRAT
     /// addition — see [`PbEngine::set_sharing`] for why that is sound.
-    fn import_clause(&mut self, mut lits: Vec<Lit>, lbd: u32) {
+    fn import_clause(&mut self, lits: &[Lit], lbd: u32) {
         if lits.iter().any(|&l| self.lit_value(l) == VarValue::True) {
             return;
         }
-        lits.retain(|&l| self.lit_value(l) != VarValue::False);
+        let mut kept = std::mem::take(&mut self.scratch);
+        kept.clear();
+        kept.extend(lits.iter().copied().filter(|&l| self.lit_value(l) != VarValue::False));
         self.stats.imported += 1;
-        let id = self.proof_add(&lits, &[]);
-        match lits.len() {
+        let id = self.proof_add(&kept, &[]);
+        match kept.len() {
             0 => self.ok = false,
             1 => {
-                self.enqueue(lits[0], Reason::Decision);
+                self.enqueue(kept[0], Reason::Decision);
                 if let Some(confl) = self.propagate() {
                     self.proof_refute(confl);
                     self.ok = false;
                 }
             }
             _ => {
-                let cref = self.attach_clause(lits, true, id);
+                let cref = self.attach_clause(&kept, true, id);
                 self.clauses[cref as usize].lbd = lbd;
             }
         }
+        self.scratch = kept;
     }
 
     /// Rephasing schedule (splr/CaDiCaL style): at widening conflict
@@ -1493,12 +1642,12 @@ impl PbEngine {
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], Reason::Decision);
                 } else {
-                    let asserting = learnt[0];
-                    let cref = self.attach_clause(learnt, true, id);
+                    let cref = self.attach_clause(&learnt, true, id);
                     self.clauses[cref as usize].lbd = lbd;
                     self.bump_clause(cref as usize);
-                    self.enqueue(asserting, Reason::Clause(cref));
+                    self.enqueue(learnt[0], Reason::Clause(cref));
                 }
+                self.learnt = learnt;
                 self.var_inc /= self.config.var_decay;
                 self.cla_inc /= 0.999;
 
@@ -1506,7 +1655,7 @@ impl PbEngine {
                 if budget_check >= 64 {
                     budget_check = 0;
                     if let Some(reason) =
-                        budget.exhaust_reason(self.stats.conflicts, self.arena_bytes)
+                        budget.exhaust_reason(self.stats.conflicts, self.arena_bytes())
                     {
                         self.stats.exhaust = Some(reason);
                         return SolveOutcome::Unknown;
@@ -1637,12 +1786,11 @@ impl PbEngine {
             .filter(|c| {
                 c.learned
                     && !c.deleted
-                    && !c.lits.is_empty()
-                    && c.lits.len() <= config.max_len
+                    && c.len as usize <= config.max_len
                     && c.lbd >= 1
                     && c.lbd <= config.max_lbd
             })
-            .map(|c| (c.lits.clone(), c.lbd))
+            .map(|c| (self.arena[c.range()].to_vec(), c.lbd))
             .collect()
     }
 
@@ -1659,7 +1807,7 @@ impl PbEngine {
             if !self.ok {
                 return;
             }
-            self.import_clause(lits.clone(), *lbd);
+            self.import_clause(lits, *lbd);
         }
     }
 }
@@ -1676,10 +1824,6 @@ impl fmt::Debug for PbEngine {
         )
     }
 }
-
-// Re-export Clause usage for doctests.
-#[doc(hidden)]
-pub type _ClauseAlias = Clause;
 
 #[cfg(test)]
 mod tests {
@@ -2346,6 +2490,78 @@ mod tests {
         assert_eq!(st.reclaimed, st.deleted, "every tombstone must be reclaimed");
         assert_eq!(e.arena_clauses(), e.live_clauses());
         e.check_invariants();
+    }
+
+    #[test]
+    fn arena_compaction_keeps_invariants_and_hint_chains() {
+        use sbgc_proof::SharedProof;
+        // Solve in slices of 50 conflicts with a tiny learned-clause
+        // limit, so the arena is reduced and compacted many times while a
+        // proof logger numbers every clause.
+        let (n, clauses) = clausal_pigeonhole(6);
+        let shared = SharedProof::new();
+        let mut e = PbEngine::new(n, EngineConfig::default());
+        e.set_proof_logger(Box::new(shared.clone()));
+        for c in &clauses {
+            e.add_clause(c.iter().copied());
+        }
+        e.set_max_learnts(20.0);
+        let slice = |e: &PbEngine| Budget::unlimited().with_max_conflicts(e.stats().conflicts + 50);
+        let outcome = loop {
+            let outcome = e.solve_with_budget(&slice(&e));
+            e.check_invariants();
+            if !matches!(outcome, SolveOutcome::Unknown) {
+                break outcome;
+            }
+        };
+        assert!(outcome.is_unsat());
+        let st = e.stats();
+        assert!(st.reductions >= 3, "{} reductions", st.reductions);
+        assert_eq!(st.reclaimed, st.deleted, "every tombstone must be reclaimed");
+
+        // Deletions name the clauses' literals as the arena holds them,
+        // and every lemma's chain names clauses by their proof IDs across
+        // the compactions: the checker finds each deleted clause and
+        // closes every addition by its chain alone.
+        let proof = shared.take();
+        assert_eq!(proof.num_deletes() as u64, st.deleted);
+        let checked = sbgc_proof::check_drat(n, &clauses, &proof).expect("the proof checks");
+        assert_eq!((checked.chained, checked.searched), (checked.adds, 0));
+
+        // The arena holds the live clauses' headers and literals, nothing
+        // more.
+        let live: Vec<&ClauseHeader> = e.clauses.iter().filter(|c| !c.deleted).collect();
+        let literals: usize = live.iter().map(|c| c.len as usize).sum();
+        assert_eq!(live.len(), e.arena_clauses());
+        assert_eq!(
+            e.arena_bytes() as usize,
+            live.len() * std::mem::size_of::<ClauseHeader>()
+                + literals * std::mem::size_of::<Lit>()
+        );
+    }
+
+    #[test]
+    fn reduction_breaks_ranking_ties_by_clause_order() {
+        // Six learned clauses of equal LBD and activity: as a stable sort
+        // of the candidates would, reduction deletes the older half, in
+        // classic and tiered mode alike.
+        for tiered_reduce in [false, true] {
+            let mut e = PbEngine::new(8, EngineConfig { tiered_reduce, ..EngineConfig::default() });
+            for i in 0..6 {
+                let cref =
+                    e.attach_clause(&[lit(i, false), lit(i + 1, true), lit(7, false)], true, NO_ID);
+                e.clauses[cref as usize].lbd = 4;
+            }
+            e.reduce_db();
+            let firsts: Vec<Lit> = (0..e.arena_clauses()).map(|c| e.clause_lits(c)[0]).collect();
+            assert_eq!(
+                firsts,
+                [lit(3, false), lit(4, false), lit(5, false)],
+                "tiered {tiered_reduce}"
+            );
+            assert_eq!(e.stats().deleted, 3);
+            e.check_invariants();
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::bnb::BnbSolver;
 use crate::config::SolverKind;
 use crate::engine::PbEngine;
-use sbgc_formula::{Assignment, PbConstraint, PbFormula};
+use sbgc_formula::{Assignment, Objective, PbConstraint, PbFormula};
 use sbgc_obs::Recorder;
 use sbgc_sat::{Budget, SolveOutcome};
 
@@ -76,7 +76,9 @@ impl OptOutcome {
 /// to the branch-and-bound baseline.
 pub struct Optimizer {
     engine: PbEngine,
-    formula: PbFormula,
+    /// The formula's objective: all the search loop reads of it once the
+    /// engine holds its constraints.
+    objective: Objective,
 }
 
 impl Optimizer {
@@ -91,8 +93,8 @@ impl Optimizer {
         let config = kind
             .engine_config()
             .expect("Optimizer requires a CDCL solver kind; use BnbSolver for Cplex");
-        assert!(formula.objective().is_some(), "formula must carry an objective");
-        Optimizer { engine: PbEngine::from_formula(formula, config), formula: formula.clone() }
+        let objective = formula.objective().expect("formula must carry an objective").clone();
+        Optimizer { engine: PbEngine::from_formula(formula, config), objective }
     }
 
     /// Runs linear-search minimization under `budget`.
@@ -100,7 +102,7 @@ impl Optimizer {
         // Arm once here so every decision query of the strengthening loop
         // shares the same wall-clock deadline.
         let budget = budget.started();
-        let objective = self.formula.objective().expect("checked in new").clone();
+        let objective = &self.objective;
         let mut best: Option<(u64, Assignment)> = None;
         loop {
             match self.engine.solve_with_budget(&budget) {
@@ -215,7 +217,7 @@ pub fn solve_decision(formula: &PbFormula, kind: SolverKind, budget: &Budget) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbgc_formula::{Lit, Objective, Var};
+    use sbgc_formula::{Lit, Var};
 
     fn setup() -> PbFormula {
         // minimize y0 + y1 + y2 s.t. y0 + y1 >= 1, y1 + y2 >= 1, y0 + y2 >= 1

@@ -458,12 +458,7 @@ fn worker_engine(
         if let Some(proof) = proof {
             engine.set_proof_logger(Box::new(AddsOnlyProofLogger::new(proof)));
         }
-        for clause in formula.clauses() {
-            engine.add_clause(clause.literals().iter().copied());
-        }
-        for pb in formula.pb_constraints() {
-            engine.add_pb(pb.clone());
-        }
+        engine.add_formula(formula);
         engine.set_recorder(recorder);
         engine.set_sharing(sharing);
         engine

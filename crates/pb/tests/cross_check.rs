@@ -334,7 +334,7 @@ fn learned_clauses_are_entailed_through_pb_minimization() {
         let mut engine = PbEngine::new(f.num_vars(), config);
         engine.set_proof_logger(Box::new(shared.clone()));
         for c in f.clauses() {
-            engine.add_clause(c.literals().iter().copied());
+            engine.add_clause(c.iter().copied());
         }
         for pb in f.pb_constraints() {
             engine.add_pb(pb.clone());

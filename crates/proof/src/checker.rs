@@ -118,31 +118,46 @@ const FALSE: i8 = -1;
 /// End of a [`CheckedClause::same_key`] list.
 const NO_CLAUSE: u32 = u32::MAX;
 
+/// A database clause: its literals are `Checker::lits[start..start + len]`.
 struct CheckedClause {
-    /// Literal order is internal: positions 0 and 1 are the watched
-    /// literals of attached clauses.
-    lits: Vec<Lit>,
+    start: usize,
+    len: usize,
     active: bool,
     /// Root-satisfied and unit clauses are never attached to watch lists;
     /// their effect is already frozen into the persistent root trail.
     attached: bool,
     /// The previously inserted clause whose normalized literal set has the
-    /// same hash, or [`NO_CLAUSE`].
+    /// same hash, or [`NO_CLAUSE`]. Set when the deletion index is built.
     same_key: u32,
 }
 
+impl CheckedClause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
 struct Checker {
+    /// One record per clause, the formula's first, then the additions in
+    /// order: a clause's index is its ID.
     clauses: Vec<CheckedClause>,
+    /// The literals of every clause back to back, in `clauses` order.
+    /// Literal order within a clause is internal: positions 0 and 1 are
+    /// the watched literals of attached clauses.
+    lits: Vec<Lit>,
     /// `watches[l.code()]` lists clauses watching literal `l`.
     watches: Vec<Vec<usize>>,
     values: Vec<i8>,
     trail: Vec<Lit>,
     qhead: usize,
-    /// Hash of a normalized literal set → the last clause inserted with
-    /// that hash; earlier ones follow [`CheckedClause::same_key`]. Deletion
-    /// compares each candidate's literal set, so a collision costs a
-    /// comparison, never a wrong match — and no clause is stored twice.
-    by_key: HashMap<u64, u32>,
+    /// The deletion index, built when the first deletion step arrives
+    /// (a proof without deletions never hashes a clause) and kept up to
+    /// date from then on: hash of a normalized literal set → the last
+    /// clause inserted with that hash; earlier ones follow
+    /// [`CheckedClause::same_key`]. Deletion compares each candidate's
+    /// literal set, so a collision costs a comparison, never a wrong
+    /// match — and no clause is stored twice.
+    by_key: Option<HashMap<u64, u32>>,
     /// Scratch for normalized literal sets.
     key: Vec<Lit>,
     candidate: Vec<Lit>,
@@ -169,11 +184,12 @@ impl Checker {
     fn new(num_vars: usize) -> Self {
         Checker {
             clauses: Vec::new(),
+            lits: Vec::new(),
             watches: vec![Vec::new(); 2 * num_vars],
             values: vec![UNDEF; num_vars],
             trail: Vec::new(),
             qhead: 0,
-            by_key: HashMap::new(),
+            by_key: None,
             key: Vec::new(),
             candidate: Vec::new(),
             refuted: false,
@@ -209,24 +225,26 @@ impl Checker {
             let mut i = 0;
             while i < ws.len() {
                 let ci = ws[i];
-                if !self.clauses[ci].active {
+                let clause = &self.clauses[ci];
+                if !clause.active {
                     ws.swap_remove(i);
                     continue;
                 }
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let (s, end) = (clause.start, clause.start + clause.len);
+                if self.lits[s] == false_lit {
+                    self.lits.swap(s, s + 1);
                 }
-                let other = self.clauses[ci].lits[0];
+                let other = self.lits[s];
                 if self.lit_value(other) == TRUE {
                     i += 1;
                     continue;
                 }
                 // Find a replacement watch among the tail literals.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let cand = self.clauses[ci].lits[k];
+                for k in s + 2..end {
+                    let cand = self.lits[k];
                     if self.lit_value(cand) != FALSE {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.lits.swap(s + 1, k);
                         self.watches[cand.code()].push(ci);
                         ws.swap_remove(i);
                         moved = true;
@@ -248,15 +266,26 @@ impl Checker {
         false
     }
 
+    /// Files clause `ci` under its literal set's hash in the deletion
+    /// index.
+    fn index(by_key: &mut HashMap<u64, u32>, key: &mut Vec<Lit>, lits: &[Lit], ci: usize) -> u32 {
+        normalize(lits, key);
+        by_key.insert(key_hash(key), ci as u32).unwrap_or(NO_CLAUSE)
+    }
+
     /// Inserts a clause into the database, assuming it was already
     /// verified (or comes from the original formula). Root-unit and
     /// root-falsified clauses are folded into the persistent trail.
     fn insert(&mut self, lits: &[Lit]) {
         let ci = self.clauses.len();
-        normalize(lits, &mut self.key);
-        let same_key = self.by_key.insert(key_hash(&self.key), ci as u32).unwrap_or(NO_CLAUSE);
+        let same_key = match self.by_key.as_mut() {
+            Some(by_key) => Self::index(by_key, &mut self.key, lits, ci),
+            None => NO_CLAUSE,
+        };
+        let start = self.lits.len();
+        self.lits.extend_from_slice(lits);
         let mut stored =
-            CheckedClause { lits: lits.to_vec(), active: true, attached: false, same_key };
+            CheckedClause { start, len: lits.len(), active: true, attached: false, same_key };
         if self.refuted {
             self.clauses.push(stored);
             return;
@@ -264,11 +293,11 @@ impl Checker {
         // Partition: move (up to two) non-false literals to the front.
         let mut free = 0usize;
         let mut satisfied = false;
-        for k in 0..stored.lits.len() {
-            match self.lit_value(stored.lits[k]) {
+        for k in stored.range() {
+            match self.lit_value(self.lits[k]) {
                 TRUE => satisfied = true,
                 UNDEF => {
-                    stored.lits.swap(free, k);
+                    self.lits.swap(start + free, k);
                     free += 1;
                 }
                 _ => {}
@@ -286,7 +315,7 @@ impl Checker {
                 self.clauses.push(stored);
             }
             1 => {
-                let unit = stored.lits[0];
+                let unit = self.lits[start];
                 self.clauses.push(stored);
                 self.assign(unit);
                 if self.propagate() {
@@ -294,8 +323,8 @@ impl Checker {
                 }
             }
             _ => {
-                self.watches[stored.lits[0].code()].push(ci);
-                self.watches[stored.lits[1].code()].push(ci);
+                self.watches[self.lits[start].code()].push(ci);
+                self.watches[self.lits[start + 1].code()].push(ci);
                 stored.attached = true;
                 self.clauses.push(stored);
             }
@@ -364,7 +393,7 @@ impl Checker {
                 return false;
             }
             let mut unit = None;
-            for &l in &clause.lits {
+            for &l in &self.lits[clause.range()] {
                 match self.lit_value(l) {
                     // A satisfied clause derives nothing. In a racing log a
                     // peer's root unit, logged before the lemma's author
@@ -390,13 +419,14 @@ impl Checker {
             return false;
         };
         for ci in 0..self.clauses.len() {
-            if !self.clauses[ci].active || !self.clauses[ci].lits.contains(&!pivot) {
+            let range = self.clauses[ci].range();
+            if !self.clauses[ci].active || !self.lits[range.clone()].contains(&!pivot) {
                 continue;
             }
             let mut resolvent: Vec<Lit> = lits.iter().copied().filter(|&l| l != pivot).collect();
             let mut tautology = false;
-            for k in 0..self.clauses[ci].lits.len() {
-                let q = self.clauses[ci].lits[k];
+            for k in range {
+                let q = self.lits[k];
                 if q == !pivot {
                     continue;
                 }
@@ -414,14 +444,25 @@ impl Checker {
     }
 
     /// Deletes the last inserted active database clause with the given
-    /// literal set; `false` if none matches.
+    /// literal set; `false` if none matches. The first deletion builds the
+    /// index over every clause inserted so far, in insertion order, so
+    /// its lists are the ones that indexing each insertion would have
+    /// built.
     fn delete(&mut self, lits: &[Lit]) -> bool {
+        let by_key = self.by_key.get_or_insert_with(|| {
+            let mut by_key = HashMap::with_capacity(self.clauses.len());
+            for (ci, clause) in self.clauses.iter_mut().enumerate() {
+                let lits = &self.lits[clause.range()];
+                clause.same_key = Self::index(&mut by_key, &mut self.key, lits, ci);
+            }
+            by_key
+        });
         normalize(lits, &mut self.key);
-        let mut ci = self.by_key.get(&key_hash(&self.key)).copied().unwrap_or(NO_CLAUSE);
+        let mut ci = by_key.get(&key_hash(&self.key)).copied().unwrap_or(NO_CLAUSE);
         while ci != NO_CLAUSE {
             let clause = &self.clauses[ci as usize];
             if clause.active {
-                normalize(&clause.lits, &mut self.candidate);
+                normalize(&self.lits[clause.range()], &mut self.candidate);
                 if self.candidate == self.key {
                     // Watch lists drop the index lazily during propagation.
                     self.clauses[ci as usize].active = false;
@@ -464,9 +505,9 @@ impl Checker {
 /// let stats = check_drat(2, &formula, &proof).expect("valid refutation");
 /// assert_eq!((stats.chained, stats.searched), (1, 0));
 /// ```
-pub fn check_drat(
+pub fn check_drat<C: AsRef<[Lit]>>(
     num_vars: usize,
-    formula: &[Vec<Lit>],
+    formula: impl IntoIterator<Item = C>,
     proof: &DratProof,
 ) -> Result<CheckStats, CheckError> {
     check_derivation(num_vars, formula, proof, &[])
@@ -474,6 +515,14 @@ pub fn check_drat(
 
 /// Checks that `proof` derives the clause `goal` from the clause list
 /// `formula` over variables `0..num_vars`.
+///
+/// `formula` is any list of clauses: a
+/// [`ClauseList`](sbgc_formula::ClauseList), or a slice of literal
+/// vectors. The checker copies it into one flat database, every
+/// clause's literals back to back, and appends each verified addition
+/// there too. It builds the index that deletions look clauses up in only
+/// when the first deletion step arrives, so a proof without deletions
+/// hashes no clause.
 ///
 /// Every addition must be RUP with respect to the formula plus the
 /// surviving earlier additions — or, for the empty goal only, RAT on its
@@ -517,22 +566,27 @@ pub fn check_drat(
 /// assert_eq!(check_derivation(3, &formula, &empty, &[a]), Err(CheckError::NotUnsat));
 /// assert_eq!(check_derivation(3, &formula, &empty, &[]), Err(CheckError::NotUnsat));
 /// ```
-pub fn check_derivation(
+pub fn check_derivation<C: AsRef<[Lit]>>(
     num_vars: usize,
-    formula: &[Vec<Lit>],
+    formula: impl IntoIterator<Item = C>,
     proof: &DratProof,
     goal: &[Lit],
 ) -> Result<CheckStats, CheckError> {
     let out_of_range = |lits: &[Lit]| lits.iter().any(|l| l.var().index() >= num_vars);
-    if out_of_range(goal) || formula.iter().any(|clause| out_of_range(clause)) {
+    if out_of_range(goal) {
         return Err(CheckError::OutOfRangeLit { step: None });
     }
     let rat_allowed = goal.is_empty();
     let mut ck = Checker::new(num_vars);
+    // Every formula clause is range-checked; those after a root
+    // refutation need not be stored, as the replay below stops at once.
     for clause in formula {
-        ck.insert(clause);
-        if ck.refuted {
-            break;
+        let clause = clause.as_ref();
+        if out_of_range(clause) {
+            return Err(CheckError::OutOfRangeLit { step: None });
+        }
+        if !ck.refuted {
+            ck.insert(clause);
         }
     }
     let mut stats = CheckStats::default();
@@ -580,7 +634,7 @@ pub fn check_derivation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbgc_formula::Var;
+    use sbgc_formula::{ClauseList, Var};
 
     fn lit(i: usize, neg: bool) -> Lit {
         Var::from_index(i).lit(neg)
@@ -600,7 +654,7 @@ mod tests {
         let mut proof = DratProof::new();
         proof.push_add(&[l(2)], &[]);
         proof.push_add(&[], &[]);
-        let stats = check_drat(2, &square(), &proof).unwrap();
+        let stats = check_drat(2, square(), &proof).unwrap();
         assert_eq!(stats.adds, 1, "refuted before the empty clause is reached");
     }
 
@@ -608,7 +662,7 @@ mod tests {
     fn accepts_refutation_without_explicit_empty_clause() {
         let mut proof = DratProof::new();
         proof.push_add(&[l(2)], &[]);
-        assert!(check_drat(2, &square(), &proof).is_ok());
+        assert!(check_drat(2, square(), &proof).is_ok());
     }
 
     #[test]
@@ -638,14 +692,14 @@ mod tests {
     #[test]
     fn rejects_truncated_proof() {
         let proof = DratProof::new();
-        assert_eq!(check_drat(2, &square(), &proof), Err(CheckError::NotUnsat));
+        assert_eq!(check_drat(2, square(), &proof), Err(CheckError::NotUnsat));
     }
 
     #[test]
     fn rejects_missing_deletion() {
         let mut proof = DratProof::new();
         proof.push_delete(&[l(1), l(2), l(-3)]);
-        assert_eq!(check_drat(3, &square(), &proof), Err(CheckError::MissingDeletion { step: 0 }));
+        assert_eq!(check_drat(3, square(), &proof), Err(CheckError::MissingDeletion { step: 0 }));
     }
 
     #[test]
@@ -654,7 +708,7 @@ mod tests {
         // (failure mode would be MissingDeletion, not NotUnsat).
         let mut proof = DratProof::new();
         proof.push_delete(&[l(2), l(1)]);
-        assert_eq!(check_drat(2, &square(), &proof), Err(CheckError::NotUnsat));
+        assert_eq!(check_drat(2, square(), &proof), Err(CheckError::NotUnsat));
     }
 
     #[test]
@@ -668,7 +722,7 @@ mod tests {
         proof.push_delete(&[l(1), l(2)]);
         proof.push_add(&[l(2)], &[]);
         proof.push_add(&[], &[]);
-        assert_eq!(check_drat(2, &square(), &proof), Err(CheckError::NotRup { step: 1 }));
+        assert_eq!(check_drat(2, square(), &proof), Err(CheckError::NotRup { step: 1 }));
     }
 
     #[test]
@@ -689,11 +743,11 @@ mod tests {
         let mut proof = DratProof::new();
         proof.push_add(&[lit(7, false)], &[]);
         assert_eq!(
-            check_drat(2, &square(), &proof),
+            check_drat(2, square(), &proof),
             Err(CheckError::OutOfRangeLit { step: Some(0) })
         );
         assert_eq!(
-            check_drat(1, &square(), &DratProof::new()),
+            check_drat(1, square(), &DratProof::new()),
             Err(CheckError::OutOfRangeLit { step: None })
         );
     }
@@ -707,7 +761,7 @@ mod tests {
     #[test]
     fn empty_formula_is_not_refutable() {
         let proof = DratProof::new();
-        assert_eq!(check_drat(1, &[], &proof), Err(CheckError::NotUnsat));
+        assert_eq!(check_drat(1, &ClauseList::new(), &proof), Err(CheckError::NotUnsat));
     }
 
     #[test]
@@ -739,7 +793,7 @@ mod tests {
         proof.push_add(&[l(1), l(2)], &[]);
         proof.push_delete(&[l(1), l(-5)]);
         assert_eq!(
-            check_drat(2, &square(), &proof),
+            check_drat(2, square(), &proof),
             Err(CheckError::OutOfRangeLit { step: Some(1) })
         );
     }
@@ -757,16 +811,102 @@ mod tests {
         assert_eq!(check_drat(2, &formula, &proof), Err(CheckError::MissingDeletion { step: 2 }));
     }
 
+    /// Replays `ops` — `Ok(clause)` inserts, `Err(clause)` deletes — on a
+    /// checker over 8 variables next to the rule the index must keep:
+    /// a deletion removes the last inserted active clause with the same
+    /// literal set, whatever the literal order and repetition. Returns
+    /// each deletion's result.
+    fn replay_deletions(ops: &[Result<Vec<Lit>, Vec<Lit>>]) -> Vec<bool> {
+        let set = |lits: &[Lit]| {
+            let mut key = Vec::new();
+            normalize(lits, &mut key);
+            key
+        };
+        let mut ck = Checker::new(8);
+        let mut model: Vec<(Vec<Lit>, bool)> = Vec::new();
+        let mut results = Vec::new();
+        for op in ops {
+            match op {
+                Ok(lits) => {
+                    ck.insert(lits);
+                    model.push((set(lits), true));
+                }
+                Err(lits) => {
+                    let target =
+                        model.iter().rposition(|(key, active)| *active && *key == set(lits));
+                    if let Some(i) = target {
+                        model[i].1 = false;
+                    }
+                    assert_eq!(ck.delete(lits), target.is_some(), "deleting {lits:?}");
+                    results.push(target.is_some());
+                }
+            }
+            let active: Vec<bool> = ck.clauses.iter().map(|c| c.active).collect();
+            let expected: Vec<bool> = model.iter().map(|&(_, active)| active).collect();
+            assert_eq!(active, expected, "after {op:?}");
+        }
+        results
+    }
+
+    #[test]
+    fn lazily_built_deletion_index_deletes_the_last_matching_copy() {
+        let (a, b, c, d) = (l(1), l(2), l(-3), l(4));
+        // Duplicates in permuted literal orders, one with a repeated
+        // literal, all inserted before the first deletion builds the index.
+        let before = vec![
+            Ok(vec![a, b, c]),
+            Ok(vec![c, d]),
+            Ok(vec![b, c, a]),
+            Ok(vec![c, a, b, b]),
+            Ok(vec![d, c]),
+        ];
+        let mut ops = before.clone();
+        ops.extend([Err(vec![c, b, a]), Err(vec![a, b, c]), Ok(vec![a, c, b]), Ok(vec![d, a])]);
+        // After more additions the index is kept up to date: the newest
+        // copy goes first, then the oldest remaining one, then none.
+        ops.extend([
+            Err(vec![b, a, c]),
+            Err(vec![a, d]),
+            Err(vec![c, a, b]),
+            Err(vec![a, b, c]),
+            Err(vec![d, c]),
+            Err(vec![c, d]),
+            Err(vec![c, d]),
+        ]);
+        let results = replay_deletions(&ops);
+        assert_eq!(results, [true, true, true, true, true, false, true, true, false]);
+        // A deletion of a set no clause has, first or later, finds none.
+        let mut absent = before.clone();
+        absent.extend([Err(vec![a, b]), Err(vec![a, b, c]), Err(vec![a, b, c, d])]);
+        assert_eq!(replay_deletions(&absent), [false, true, false]);
+    }
+
+    #[test]
+    fn deleting_an_absent_clause_is_missing_after_the_index_exists() {
+        // The first deletion builds the index; a later absent or already
+        // deleted clause is still a MissingDeletion at its own step.
+        let mut proof = DratProof::new();
+        proof.push_delete(&[l(-2), l(-1)]);
+        proof.push_add(&[l(1), l(2), l(3)], &[]); // RUP by (a∨b)
+        proof.push_delete(&[l(3), l(2), l(1)]);
+        proof.push_delete(&[l(-1), l(-2)]);
+        assert_eq!(check_drat(3, square(), &proof), Err(CheckError::MissingDeletion { step: 3 }));
+        let mut proof = DratProof::new();
+        proof.push_delete(&[l(-1), l(-2)]);
+        proof.push_delete(&[l(1), l(-2), l(3)]);
+        assert_eq!(check_drat(3, square(), &proof), Err(CheckError::MissingDeletion { step: 1 }));
+    }
+
     #[test]
     fn a_closing_chain_counts_as_chained() {
         let mut proof = DratProof::new();
         proof.push_add(&[l(2)], &[1, 0]);
-        let stats = check_drat(2, &square(), &proof).unwrap();
+        let stats = check_drat(2, square(), &proof).unwrap();
         assert_eq!((stats.adds, stats.chained, stats.searched), (1, 1, 0));
         // The same lemma without hints is searched, with the same verdict.
         let mut bare = DratProof::new();
         bare.push_add(&[l(2)], &[]);
-        let stats = check_drat(2, &square(), &bare).unwrap();
+        let stats = check_drat(2, square(), &bare).unwrap();
         assert_eq!((stats.adds, stats.chained, stats.searched), (1, 0, 1));
     }
 
@@ -794,7 +934,7 @@ mod tests {
         // reaches a conflict: it falls through to search, which accepts.
         let mut proof = DratProof::new();
         proof.push_add(&[l(2)], &[1]);
-        let stats = check_drat(2, &square(), &proof).unwrap();
+        let stats = check_drat(2, square(), &proof).unwrap();
         assert_eq!((stats.chained, stats.searched), (0, 1));
     }
 

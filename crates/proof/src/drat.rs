@@ -306,12 +306,19 @@ impl<L: ProofLogger> ProofLogger for AddsOnlyProofLogger<L> {
     fn log_delete(&mut self, _lits: &[Lit]) {}
 }
 
-/// Renders a clause list in DIMACS CNF format (for dumping certified
-/// formulas next to their `.drat` proofs).
-pub fn dimacs_cnf(num_vars: usize, clauses: &[Vec<Lit>]) -> String {
+/// Renders a clause list — a [`ClauseList`](sbgc_formula::ClauseList) or
+/// a slice of literal vectors — in DIMACS CNF format (for dumping
+/// certified formulas next to their `.drat` proofs).
+pub fn dimacs_cnf<I, C>(num_vars: usize, clauses: I) -> String
+where
+    I: IntoIterator<Item = C>,
+    I::IntoIter: ExactSizeIterator,
+    C: AsRef<[Lit]>,
+{
+    let clauses = clauses.into_iter();
     let mut out = format!("p cnf {} {}\n", num_vars, clauses.len());
     for clause in clauses {
-        for l in clause {
+        for l in clause.as_ref() {
             let _ = write!(out, "{} ", l.to_dimacs());
         }
         out.push_str("0\n");
@@ -436,8 +443,7 @@ mod tests {
         let clauses = vec![vec![lit(0, false), lit(2, true)], vec![lit(1, true)], vec![]];
         let formula = sbgc_formula::parse_dimacs_cnf(&dimacs_cnf(4, &clauses)).unwrap();
         assert_eq!(formula.num_vars(), 4);
-        let parsed: Vec<Vec<Lit>> =
-            formula.clauses().iter().map(|c| c.literals().to_vec()).collect();
+        let parsed: Vec<Vec<Lit>> = formula.clauses().iter().map(<[Lit]>::to_vec).collect();
         assert_eq!(parsed, clauses);
     }
 

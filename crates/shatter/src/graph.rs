@@ -72,8 +72,7 @@ pub fn formula_graph(formula: &PbFormula) -> FormulaGraph {
     }
 
     // Clauses.
-    for clause in formula.clauses() {
-        let lits = clause.literals();
+    for lits in formula.clauses() {
         match lits.len() {
             0 => {}
             1 => {

@@ -38,10 +38,10 @@ impl FormulaIndex {
         let num_vars = formula.num_vars();
         let mut clauses = Classes::new(num_vars, formula.clauses().len());
         for c in formula.clauses() {
-            let mut form: Vec<u32> = c.literals().iter().map(|l| l.code() as u32).collect();
+            let mut form: Vec<u32> = c.iter().map(|l| l.code() as u32).collect();
             form.sort_unstable();
             form.dedup();
-            clauses.insert(form, c.literals().iter().map(|l| l.var()));
+            clauses.insert(form, c.iter().map(|l| l.var()));
         }
         let mut pbs = Classes::new(num_vars, formula.pb_constraints().len());
         for c in formula.pb_constraints() {

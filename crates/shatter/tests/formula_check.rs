@@ -26,8 +26,8 @@ fn rebuild_oracle(p: &LitPermutation, formula: &PbFormula) -> bool {
     };
     let mut clauses: BTreeMap<Vec<u32>, isize> = BTreeMap::new();
     for c in formula.clauses() {
-        *clauses.entry(canon_clause(c.literals())).or_insert(0) += 1;
-        let mapped: Vec<Lit> = c.literals().iter().map(|&l| p.apply(l)).collect();
+        *clauses.entry(canon_clause(c)).or_insert(0) += 1;
+        let mapped: Vec<Lit> = c.iter().map(|&l| p.apply(l)).collect();
         *clauses.entry(canon_clause(&mapped)).or_insert(0) -= 1;
     }
     if clauses.values().any(|&v| v != 0) {
@@ -122,7 +122,7 @@ fn close_under(formula: &PbFormula, p: &LitPermutation, near_miss: bool) -> PbFo
     for (k, q) in powers.iter().enumerate() {
         let perturb = |i: usize| near_miss && k == 1 && i == 0;
         for (i, c) in formula.clauses().iter().enumerate() {
-            let image: Vec<Lit> = c.literals().iter().map(|&l| q.apply(l)).collect();
+            let image: Vec<Lit> = c.iter().map(|&l| q.apply(l)).collect();
             if perturb(i) {
                 closed.add_clause(image.iter().copied());
             }
