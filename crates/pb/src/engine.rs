@@ -453,8 +453,9 @@ impl PbEngine {
     /// Adds every clause of `formula`, then every PB constraint, in order,
     /// as [`add_clause`](PbEngine::add_clause) and
     /// [`add_pb`](PbEngine::add_pb) would (the objective is ignored). Each
-    /// watch and occurrence list grows once, to the count of its literal
-    /// in the formula, and the clause arena once, to the formula's
+    /// watch list grows once, to the number of clauses that watch its
+    /// literal, each occurrence list once, to the count of its literal in
+    /// the PB constraints, and the clause arena once, to the formula's
     /// literal count. Attach a proof logger first to have root
     /// simplifications logged.
     ///
@@ -463,12 +464,25 @@ impl PbEngine {
     /// Panics if a literal references a variable `>= num_vars`.
     pub fn add_formula(&mut self, formula: &PbFormula) {
         let clauses = formula.clauses();
+        // `add_simplified` sorts and deduplicates a clause and watches its
+        // first two literals; a unit or a tautology is never watched.
         let mut watched = vec![0usize; self.watches.len()];
-        for &l in clauses.literals() {
-            if let Some(n) = watched.get_mut(l.code()) {
-                *n += 1;
+        let mut sorted = std::mem::take(&mut self.scratch);
+        for clause in clauses {
+            sorted.clear();
+            sorted.extend_from_slice(clause);
+            sorted.sort_unstable();
+            sorted.dedup();
+            if sorted.len() < 2 || sorted.windows(2).any(|w| w[0].var() == w[1].var()) {
+                continue;
+            }
+            for l in &sorted[..2] {
+                if let Some(n) = watched.get_mut(l.code()) {
+                    *n += 1;
+                }
             }
         }
+        self.scratch = sorted;
         let mut occurring = vec![0usize; self.occ.len()];
         let mut terms = 0;
         for pb in formula.pb_constraints() {
