@@ -212,20 +212,6 @@ impl PbFormula {
         self.eval(assignment) == TruthValue::True
     }
 
-    /// Appends all constraints (and variables) of `other` into `self`,
-    /// keeping variable identities. Both formulas must have been built
-    /// against the same variable numbering.
-    pub fn absorb(&mut self, other: PbFormula) {
-        self.num_vars = self.num_vars.max(other.num_vars);
-        for c in &other.clauses {
-            self.clauses.push(c.iter().copied());
-        }
-        self.pb_constraints.extend(other.pb_constraints);
-        if let Some(obj) = other.objective {
-            self.objective = Some(obj);
-        }
-    }
-
     fn grow_for_lits(&mut self, lits: impl IntoIterator<Item = Lit>) {
         self.num_vars = self.num_vars.max(var_bound(lits));
     }
@@ -325,19 +311,6 @@ mod tests {
         assert_eq!(s.clauses, 1);
         assert_eq!(s.pb_constraints(), 1);
         assert_eq!(s.literal_occurrences, 6);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut f = PbFormula::new();
-        let a = f.new_var().positive();
-        f.add_unit(a);
-        let mut g = PbFormula::with_vars(1);
-        let b = Var::from_index(1).positive();
-        g.add_clause([b]);
-        f.absorb(g);
-        assert_eq!(f.num_vars(), 2);
-        assert_eq!(f.clauses().len(), 2);
     }
 
     #[test]
