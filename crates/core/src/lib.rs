@@ -65,6 +65,7 @@ pub mod applications;
 pub mod certify;
 pub mod checkpoint;
 pub mod chromatic;
+mod cubes;
 pub mod encode;
 pub mod error;
 pub mod flow;

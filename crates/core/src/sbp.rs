@@ -581,7 +581,7 @@ fn add_value_prec(encoding: &mut ColoringEncoding, graph: &Graph, order: &[usize
 
 /// The length of the longest prefix of `order` whose vertices are pairwise
 /// adjacent in `graph`.
-fn clique_prefix_len(graph: &Graph, order: &[usize]) -> usize {
+pub(crate) fn clique_prefix_len(graph: &Graph, order: &[usize]) -> usize {
     (1..order.len())
         .find(|&i| !order[..i].iter().all(|&u| graph.has_edge(u, order[i])))
         .unwrap_or(order.len())

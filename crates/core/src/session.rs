@@ -44,12 +44,49 @@
 //! (Shatter) SBPs carry no such guarantee — their lex-leader predicates
 //! mention arbitrary detected symmetries, not the color-index order —
 //! which is why `supports` excludes them.
+//!
+//! # Why the prefix split is sound
+//!
+//! A sequential query under `LI-pfx`, `Orbitope` or `ValuePrec` whose
+//! SBP order starts with a clique shorter than the target, and that is
+//! still open after a fixed number of conflicts, is split into cubes
+//! (cube-and-conquer on one incremental engine, with the symmetry
+//! breaking choosing the cubes): one query per proper restricted-growth
+//! coloring with colors below `target` of the longest prefix of the order
+//! that has at most a fixed number of them (`crate::cubes`), each the
+//! suffix assumptions plus one positive `x[v][c]` per prefix vertex.
+//!
+//! * **The cubes cover every admitted coloring.** These three modes admit
+//!   exactly the first-occurrence forms along the session's SBP order,
+//!   and under the suffix assumptions every admitted coloring uses only
+//!   colors below `target`. Restricted to the prefix, such a coloring is
+//!   proper and restricted-growth, so it is exactly one cube: if every
+//!   cube is refuted, no admitted coloring exists, and the target is
+//!   refuted as the unsplit query would refute it.
+//! * **Only ordered modes qualify.** `NU`, `CA`, `LI`, `SC`, `NU+SC` and
+//!   `SC-clq` admit colorings that are not first-occurrence forms along
+//!   the session's order (the paper's `LI` follows vertex indices, the
+//!   others keep a whole color orbit apart from a few pins). A cube fixes
+//!   the prefix's colors in first-occurrence form, so under those modes
+//!   the cubes could miss the only model their formula admits.
+//! * **The core is the whole suffix.** The cubes cover the colorings
+//!   whose colors are all below `target`, the ones the whole suffix
+//!   admits. A cube's own core may leave out some `¬y[j]`, but the cubes
+//!   say nothing about colorings that use color `j`, so no union of cube
+//!   cores is a core of the query: a split refutation reports every
+//!   assumption of its live suffix.
+//!
+//! A satisfiable cube's model is decoded and re-validated like any
+//! other, and the first cube that ends undecided (a deadline, the
+//! caller's conflict cap or a race's cancel token) ends the query as
+//! [`SessionAnswer::Unknown`]. The portfolio backend never splits.
 
 use crate::chromatic::bounds_with_clique;
+use crate::cubes::PrefixCubes;
 use crate::encode::ColoringEncoding;
 use crate::error::SolveError;
 use crate::flow::{SolveOptions, SymmetryHandling};
-use crate::sbp::add_sbps_with_clique;
+use crate::sbp::{add_sbps_with_clique, clique_prefix_len};
 use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_obs::{Phase, Recorder};
@@ -92,7 +129,27 @@ pub struct SessionStep {
     /// Which budget dimension stopped an `Unknown` query; `None` for
     /// decided queries.
     pub exhaust: Option<ExhaustReason>,
+    /// How many value-precedence prefix cubes the query solved (see the
+    /// module docs): every cube of the prefix when the split refuted the
+    /// target, up to the first satisfiable or undecided one otherwise; 0
+    /// when the query was not split.
+    pub cubes: usize,
 }
+
+/// Conflicts a query spends whole before it splits into prefix cubes.
+/// Measured on the benchmark's workloads while choosing it: splitting
+/// from the first conflict read 0.135 s `wall_s` on `ladder-seq` (0.155 s
+/// at 128), but on `certify` it also split SAT rungs at χ, which the
+/// heuristic race then answered after about 7 ms each; splitting after
+/// 64 conflicts split myciel4's 86-conflict rung, and `certify` read 6%
+/// more `wall_s`, slower in 4 of 4 pairs.
+const SPLIT_AFTER_CONFLICTS: u64 = 128;
+
+/// The most cubes a split solves: it takes the longest prefix of the SBP
+/// order with at most this many. On a probe over 14 ladder graphs, caps
+/// of 300–1,000 cubes summed to 0.17–0.18 s against 0.27 s unsplit, and
+/// a cap of 2,000 read 0.21–0.23 s.
+const MAX_CUBES: usize = 256;
 
 enum SessionBackend {
     /// One long-lived [`PbEngine`].
@@ -124,6 +181,11 @@ pub struct ColoringSession<'g> {
     /// The vertex order the SBP construction followed (empty for modes
     /// that follow none).
     sbp_order: Vec<usize>,
+    /// The length of `sbp_order`'s pairwise-adjacent prefix when the SBP
+    /// mode is ordered (it admits exactly the first-occurrence forms along
+    /// `sbp_order`), `None` otherwise. A sequential query may split into
+    /// prefix cubes only when this is below its target.
+    ordered_clique: Option<usize>,
 }
 
 impl<'g> ColoringSession<'g> {
@@ -215,6 +277,8 @@ impl<'g> ColoringSession<'g> {
             let _span = recorder.span(Phase::Sbp);
             add_sbps_with_clique(&mut encoding, graph, options.sbp_mode, clique)
         };
+        let ordered_clique =
+            options.sbp_mode.is_ordered().then(|| clique_prefix_len(graph, &sbp_order));
         let backend = match options.portfolio_workers() {
             Some(n) => {
                 let configs: Vec<_> = portfolio_configs(n)
@@ -234,7 +298,16 @@ impl<'g> ColoringSession<'g> {
                 SessionBackend::Sequential(Box::new(engine))
             }
         };
-        Ok(ColoringSession { backend, encoding, graph, recorder, k, ceiling: k, sbp_order })
+        Ok(ColoringSession {
+            backend,
+            encoding,
+            graph,
+            recorder,
+            k,
+            ceiling: k,
+            sbp_order,
+            ordered_clique,
+        })
     }
 
     /// Informs the session that a `upper`-coloring has been witnessed, so
@@ -360,6 +433,12 @@ impl<'g> ColoringSession<'g> {
     /// indicate an encoding bug) degrades to [`SessionAnswer::Unknown`]
     /// rather than returning a wrong answer.
     ///
+    /// On the sequential backend, under an ordered SBP mode whose order
+    /// starts with a clique shorter than `target`, a query that has not
+    /// ended after 128 conflicts of its own is split into value-precedence
+    /// prefix cubes, each solved in turn on the same engine (see the
+    /// module docs); [`SessionStep::cubes`] counts them.
+    ///
     /// # Panics
     ///
     /// Panics if `target` is 0 or exceeds [`ColoringSession::ceiling`]
@@ -378,19 +457,29 @@ impl<'g> ColoringSession<'g> {
         let assumptions: Vec<Lit> =
             (target..self.ceiling).map(|j| self.encoding.y(j).negative()).collect();
         let recorder = self.recorder.clone();
-        let (outcome, core, retained, workers, exhaust) = match &mut self.backend {
+        let (outcome, core, retained, workers, exhaust, cubes) = match &mut self.backend {
             SessionBackend::Sequential(engine) => {
                 let retained = engine.live_learned() as u64;
-                let outcome = {
+                let (outcome, core, cubes) = {
                     let _span = recorder.span(Phase::Solve);
-                    engine.solve_with_assumptions(&assumptions, budget)
-                };
-                let core = match outcome {
-                    SolveOutcome::Unsat => engine.assumption_core().to_vec(),
-                    _ => Vec::new(),
+                    match self.ordered_clique {
+                        Some(q) if q < target => {
+                            let split = Split {
+                                graph: self.graph,
+                                encoding: &self.encoding,
+                                order: &self.sbp_order,
+                                target,
+                            };
+                            split.solve(engine, &assumptions, budget)
+                        }
+                        _ => {
+                            let (outcome, core) = solve_plain(engine, &assumptions, budget);
+                            (outcome, core, 0)
+                        }
+                    }
                 };
                 let exhaust = engine.stats().exhaust;
-                (outcome, core, retained, 1, exhaust)
+                (outcome, core, retained, 1, exhaust, cubes)
             }
             SessionBackend::Portfolio(session) => {
                 let out = {
@@ -399,7 +488,7 @@ impl<'g> ColoringSession<'g> {
                 };
                 let workers = session.alive_workers();
                 let exhaust = out.stats.exhaust;
-                (out.outcome, out.core, out.retained_clauses, workers, exhaust)
+                (out.outcome, out.core, out.retained_clauses, workers, exhaust, 0)
             }
         };
         let (answer, exhaust) = match outcome {
@@ -413,7 +502,80 @@ impl<'g> ColoringSession<'g> {
             SolveOutcome::Unsat => (SessionAnswer::NotColorable { core }, None),
             SolveOutcome::Unknown => (SessionAnswer::Unknown, exhaust),
         };
-        SessionStep { answer, retained_clauses: retained, workers, exhaust }
+        SessionStep { answer, retained_clauses: retained, workers, exhaust, cubes }
+    }
+}
+
+/// One query on the sequential engine: its outcome and, on UNSAT, the
+/// engine's assumption core.
+fn solve_plain(
+    engine: &mut PbEngine,
+    assumptions: &[Lit],
+    budget: &Budget,
+) -> (SolveOutcome, Vec<Lit>) {
+    let outcome = engine.solve_with_assumptions(assumptions, budget);
+    let core = match outcome {
+        SolveOutcome::Unsat => engine.assumption_core().to_vec(),
+        _ => Vec::new(),
+    };
+    (outcome, core)
+}
+
+/// A sequential query that may split into the value-precedence prefix
+/// cubes of `order` with colors below `target` (see the module docs).
+struct Split<'a> {
+    graph: &'a Graph,
+    encoding: &'a ColoringEncoding,
+    order: &'a [usize],
+    target: usize,
+}
+
+impl Split<'_> {
+    /// Runs the query whole for [`SPLIT_AFTER_CONFLICTS`] conflicts. If
+    /// that cap alone stopped it, solves one query per cube, each the
+    /// suffix `assumptions` plus the cube's `x[v][c]`: the first cube
+    /// that is not refuted answers, and when all are, the query is UNSAT
+    /// with the whole suffix as its core. A prefix without a proper
+    /// coloring has no cubes; the query then runs whole under `budget`.
+    /// Returns the outcome, the core and the number of cubes solved.
+    fn solve(
+        &self,
+        engine: &mut PbEngine,
+        assumptions: &[Lit],
+        budget: &Budget,
+    ) -> (SolveOutcome, Vec<Lit>, usize) {
+        // One deadline for the whole query, however many solves it takes.
+        let budget = budget.started();
+        let cap = engine.stats().conflicts.saturating_add(SPLIT_AFTER_CONFLICTS);
+        let capped =
+            budget.clone().with_max_conflicts(budget.max_conflicts().map_or(cap, |m| m.min(cap)));
+        let (outcome, core) = solve_plain(engine, assumptions, &capped);
+        let cap_alone = matches!(outcome, SolveOutcome::Unknown)
+            && budget.exhaust_reason(engine.stats().conflicts, engine.arena_bytes()).is_none();
+        if !cap_alone {
+            return (outcome, core, 0);
+        }
+        let cubes = PrefixCubes::enumerate(self.graph, self.order, self.target, MAX_CUBES);
+        if cubes.is_empty() {
+            let (outcome, core) = solve_plain(engine, assumptions, &budget);
+            return (outcome, core, 0);
+        }
+        let prefix = &self.order[..cubes.prefix_len()];
+        let mut lits = assumptions.to_vec();
+        let mut solved = 0;
+        for cube in cubes.iter() {
+            lits.truncate(assumptions.len());
+            let pins = prefix.iter().zip(cube);
+            lits.extend(pins.map(|(&v, &c)| self.encoding.x(v, c as usize).positive()));
+            solved += 1;
+            match engine.solve_with_assumptions(&lits, &budget) {
+                SolveOutcome::Unsat => {}
+                outcome => return (outcome, Vec::new(), solved),
+            }
+        }
+        // The cubes cover only colorings below `target`: the core is the
+        // whole suffix (module docs).
+        (SolveOutcome::Unsat, assumptions.to_vec(), solved)
     }
 }
 

@@ -92,15 +92,15 @@ impl<'g> Searcher<'g> {
     }
 
     fn search(&mut self, remaining: usize, used: usize) {
-        if remaining == 0 {
-            // Complete proper coloring with `used` colors; the color cap in
-            // the branching loop guarantees used < best_k.
-            debug_assert!(used < self.best_k);
-            self.best_k = used;
-            self.best.copy_from_slice(&self.col);
+        // Checked before the leaf: a sibling branch may have lowered
+        // `best_k` to `used` since the caller's loop admitted this child.
+        if used >= self.best_k {
             return;
         }
-        if used >= self.best_k {
+        if remaining == 0 {
+            // Complete proper coloring with `used < best_k` colors.
+            self.best_k = used;
+            self.best.copy_from_slice(&self.col);
             return;
         }
         if self.nodes_left == 0 {
@@ -213,6 +213,22 @@ mod tests {
                 }
                 other => panic!("{name}: expected exact, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_leaf_that_only_ties_the_best_is_pruned() {
+        // A branch improved the best coloring while its parent's color
+        // loop was still running; the parent's next child completed a
+        // coloring that merely tied it, and the leaf used to assert that
+        // it improved.
+        let graph = gen::gnp(10, 0.5, 35);
+        match backtracking_dsatur(&graph, u64::MAX) {
+            BdsaturResult::Exact { chromatic_number, witness } => {
+                assert!(witness.is_proper(&graph));
+                assert_eq!(witness.num_colors(), chromatic_number);
+            }
+            other => panic!("expected exact, got {other:?}"),
         }
     }
 

@@ -25,9 +25,11 @@ use sbgc_core::{
     bounds, chromatic_number_certified, chromatic_number_outcome, ColoringSession, Counter, Graph,
     Recorder, SbpMode, SessionAnswer, SolveOptions,
 };
+use sbgc_graph::algo::greedy_clique;
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_heur::{backtracking_dsatur, BdsaturResult};
 use sbgc_pb::{Budget, SolverKind};
+use std::cmp::Reverse;
 
 /// The three constructions that follow the clique-first vertex order.
 const ORDERED_MODES: [SbpMode; 3] = [SbpMode::ValuePrec, SbpMode::LiPrefix, SbpMode::Orbitope];
@@ -198,6 +200,134 @@ fn ordered_modes_agree_with_backtracking_dsatur_on_relabelled_graphs() {
                 assert_eq!(out.witness().num_colors(), chi, "{label}");
             }
         }
+    }
+}
+
+/// The clique-first vertex order of the ordered modes (`docs/SBP.md`):
+/// the greedy clique, then every other vertex by descending degree, ties
+/// broken by index.
+fn clique_first_order(graph: &Graph) -> Vec<usize> {
+    let clique = greedy_clique(graph);
+    let mut rest: Vec<usize> = (0..graph.num_vertices()).filter(|v| !clique.contains(v)).collect();
+    rest.sort_by_key(|&v| (Reverse(graph.degree(v)), v));
+    clique.into_iter().chain(rest).collect()
+}
+
+/// The proper colorings of `prefix` with colors below `colors` in which
+/// each vertex's color is at most one more than the largest before it,
+/// counted by depth-first search up to `limit`.
+fn restricted_growth_colorings(
+    graph: &Graph,
+    prefix: &[usize],
+    colors: usize,
+    limit: usize,
+) -> usize {
+    fn extend(
+        graph: &Graph,
+        prefix: &[usize],
+        colors: usize,
+        limit: usize,
+        partial: &mut Vec<usize>,
+        count: &mut usize,
+    ) {
+        let i = partial.len();
+        if *count >= limit {
+            return;
+        }
+        if i == prefix.len() {
+            *count += 1;
+            return;
+        }
+        let open = partial.iter().max().map_or(0, |&c| c + 1);
+        for c in 0..colors.min(open + 1) {
+            if (0..i).all(|j| partial[j] != c || !graph.has_edge(prefix[j], prefix[i])) {
+                partial.push(c);
+                extend(graph, prefix, colors, limit, partial, count);
+                partial.pop();
+            }
+        }
+    }
+    let mut count = 0;
+    extend(graph, prefix, colors, limit, &mut Vec::new(), &mut count);
+    count
+}
+
+/// How many cubes a sequential query that refutes `target` by splitting
+/// must solve: every proper restricted-growth coloring of the longest
+/// prefix of the clique-first order that has at most 256 of them (the
+/// session's cap).
+fn split_size(graph: &Graph, target: usize) -> usize {
+    let order = clique_first_order(graph);
+    let mut size = 1;
+    for m in 1..=order.len() {
+        match restricted_growth_colorings(graph, &order[..m], target, 257) {
+            count if count > 256 => break,
+            count => size = count,
+        }
+    }
+    size
+}
+
+#[test]
+fn ordered_modes_split_hard_rungs_into_every_prefix_cube() {
+    // Graphs whose χ or χ−1 rung runs past the conflicts after which a
+    // sequential query under an ordered mode splits into value-precedence
+    // prefix cubes (myciel4's rungs end before it, so it never splits).
+    // On G(50, 0.5) #14 one cube of the χ rung has every model.
+    let mut graphs =
+        vec![("myciel4".to_string(), mycielski(4)), ("myciel5".to_string(), mycielski(5))];
+    for (n, p, seed) in [
+        (24, 0.5, 3),
+        (45, 0.35, 2),
+        (45, 0.35, 3),
+        (45, 0.35, 4),
+        (50, 0.4, 1),
+        (50, 0.4, 3),
+        (50, 0.5, 14),
+        (55, 0.35, 2),
+        (55, 0.35, 3),
+    ] {
+        graphs.push((format!("G({n}, {p}) #{seed}"), gnp(n, p, seed)));
+    }
+    let chis: Vec<usize> = graphs
+        .iter()
+        .map(|(name, graph)| match backtracking_dsatur(graph, u64::MAX) {
+            BdsaturResult::Exact { chromatic_number, .. } => chromatic_number,
+            other => panic!("{name}: backtracking DSATUR must finish, got {other:?}"),
+        })
+        .collect();
+    for mode in ORDERED_MODES {
+        let mut splits = 0;
+        for ((name, graph), &chi) in graphs.iter().zip(&chis) {
+            let opts =
+                SolveOptions::new(30).with_sbp_mode(mode).with_parallelism(1).without_heuristics();
+            let out = chromatic_number_outcome(graph, &opts).expect("valid");
+            assert_eq!(out.exact(), Some(chi), "{name} under {mode}");
+            assert!(out.witness().is_proper(graph), "{name} under {mode}: improper witness");
+            // A fresh session asked χ (when below the DSATUR bound) and
+            // χ−1 first, with nothing learned from higher rungs.
+            let mut session = ColoringSession::new(graph, &opts).expect("supported");
+            for target in (chi - 1..=chi.min(session.ceiling())).rev() {
+                let label = format!("{name} under {mode}, target {target}");
+                let step = session.query(target, &Budget::unlimited());
+                match step.answer {
+                    SessionAnswer::Colorable(c) => {
+                        assert!(target >= chi, "{label}: colorable below χ");
+                        assert!(c.is_proper(graph) && c.num_colors() <= target, "{label}");
+                    }
+                    SessionAnswer::NotColorable { core } => {
+                        assert!(target < chi, "{label}: refuted at χ or above");
+                        if step.cubes > 0 {
+                            assert_eq!(step.cubes, split_size(graph, target), "{label}");
+                            assert_eq!(core.len(), session.ceiling() - target, "{label}: core");
+                        }
+                    }
+                    SessionAnswer::Unknown => panic!("{label}: unlimited query undecided"),
+                }
+                splits += usize::from(step.cubes > 0);
+            }
+        }
+        assert!(splits > 0, "{mode}: no query split into cubes");
     }
 }
 
