@@ -113,6 +113,27 @@ fn arena_range(start: u32, len: u32) -> Range<usize> {
     start..start + len as usize
 }
 
+/// The literals a clause is first watched on: `add_simplified` sorts and
+/// deduplicates it and watches its first two, the two smallest distinct
+/// literals, found here in one pass without a copy. `None` for a clause
+/// of fewer than two distinct literals, or whose two smallest are
+/// complementary; both are never watched. A tautology whose complementary
+/// pair is elsewhere still yields a pair: a reservation for it is only
+/// spare capacity.
+fn watched_pair(clause: &[Lit]) -> Option<(Lit, Lit)> {
+    let (mut a, mut b): (Option<Lit>, Option<Lit>) = (None, None);
+    for &l in clause {
+        if a.is_none_or(|a| l < a) {
+            b = a;
+            a = Some(l);
+        } else if a != Some(l) && b.is_none_or(|b| l < b) {
+            b = Some(l);
+        }
+    }
+    let (a, b) = (a?, b?);
+    (a.var() != b.var()).then_some((a, b))
+}
+
 /// Proof clause ID of a clause with none: stored before a proof logger was
 /// attached, or past the 31-bit ID space. A chain naming it is not logged.
 const NO_ID: u32 = u32::MAX;
@@ -464,25 +485,15 @@ impl PbEngine {
     /// Panics if a literal references a variable `>= num_vars`.
     pub fn add_formula(&mut self, formula: &PbFormula) {
         let clauses = formula.clauses();
-        // `add_simplified` sorts and deduplicates a clause and watches its
-        // first two literals; a unit or a tautology is never watched.
         let mut watched = vec![0usize; self.watches.len()];
-        let mut sorted = std::mem::take(&mut self.scratch);
         for clause in clauses {
-            sorted.clear();
-            sorted.extend_from_slice(clause);
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() < 2 || sorted.windows(2).any(|w| w[0].var() == w[1].var()) {
-                continue;
-            }
-            for l in &sorted[..2] {
+            let Some((a, b)) = watched_pair(clause) else { continue };
+            for l in [a, b] {
                 if let Some(n) = watched.get_mut(l.code()) {
                     *n += 1;
                 }
             }
         }
-        self.scratch = sorted;
         let mut occurring = vec![0usize; self.occ.len()];
         let mut terms = 0;
         for pb in formula.pb_constraints() {
@@ -1877,6 +1888,27 @@ mod tests {
                 assert!(m.satisfies(!lits[2]));
             }
             other => panic!("expected SAT, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn watched_pair_is_the_first_two_of_the_sorted_clause() {
+        // Every clause of up to four literals over three variables, with
+        // repeats: the one-pass pair must be the first two literals of the
+        // sorted, deduplicated clause, except where those are complementary.
+        let lits: Vec<Lit> = (0..6).map(Lit::from_code).collect();
+        for len in 0..=4u32 {
+            for index in 0..6usize.pow(len) {
+                let clause: Vec<Lit> = (0..len).map(|i| lits[index / 6usize.pow(i) % 6]).collect();
+                let mut sorted = clause.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                let expected = match sorted[..] {
+                    [a, b, ..] if a.var() != b.var() => Some((a, b)),
+                    _ => None,
+                };
+                assert_eq!(watched_pair(&clause), expected, "{clause:?}");
+            }
         }
     }
 
