@@ -96,7 +96,7 @@ pub struct HarnessConfig {
     pub min_speedup: Option<f64>,
     /// With `--sbp MODE`, override the instance-independent SBP
     /// construction used by the binary's canonical runs (`table1` rows,
-    /// the `--report` instrumented runs). Accepts any
+    /// the `--certify` χ search, the `--report` instrumented runs). Accepts any
     /// [`SbpMode::parse`] spelling (`nu+sc`, `orbitope`, `li-pfx`, …);
     /// `None` keeps each binary's default (NU+SC). Grid binaries that
     /// already sweep every mode (`table2`–`table5`, `bench_json`'s
@@ -549,12 +549,14 @@ pub fn run_certification(config: &HarnessConfig) {
     );
     let mut failures = 0usize;
     for inst in config.build_instances() {
-        // NU+SC speeds up the (untrusted) chi search; the certificate
-        // re-derives optimality on an SBP-free formula regardless. With
-        // --jobs N (N > 1) both the search and the refutation race that
-        // many clause-sharing workers.
+        // The SBPs (NU+SC unless --sbp names another mode) speed up the
+        // untrusted chi search; the certificate re-derives optimality on
+        // an SBP-free formula regardless. With --jobs N (N > 1) both the
+        // search and the refutation race that many clause-sharing
+        // workers, and an ordered mode's hard rungs split into cubes the
+        // workers share.
         let opts = SolveOptions::new(config.k)
-            .with_sbp_mode(SbpMode::NuSc)
+            .with_sbp_mode(config.sbp.unwrap_or(SbpMode::NuSc))
             .with_budget(config.budget())
             .with_parallelism(config.jobs);
         let (result, cert) = chromatic_number_certified(&inst.graph, &opts);

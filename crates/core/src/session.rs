@@ -47,14 +47,15 @@
 //!
 //! # Why the prefix split is sound
 //!
-//! A sequential query under `LI-pfx`, `Orbitope` or `ValuePrec` whose
-//! SBP order starts with a clique shorter than the target, and that is
-//! still open after a fixed number of conflicts, is split into cubes
-//! (cube-and-conquer on one incremental engine, with the symmetry
-//! breaking choosing the cubes): one query per proper restricted-growth
-//! coloring with colors below `target` of the longest prefix of the order
-//! that has at most a fixed number of them (`crate::cubes`), each the
-//! suffix assumptions plus one positive `x[v][c]` per prefix vertex.
+//! A query under `LI-pfx`, `Orbitope` or `ValuePrec` whose SBP order
+//! starts with a clique shorter than the target, and that an engine has
+//! not ended after 128 conflicts of its own, is split into cubes
+//! (cube-and-conquer on the incremental engines, with the symmetry
+//! breaking choosing the cubes; [`sbgc_pb::solve_split`] is the loop): one
+//! query per proper restricted-growth coloring with colors below `target`
+//! of the longest prefix of the order that has at most a fixed number of
+//! them (`crate::cubes`), each the suffix assumptions plus one positive
+//! `x[v][c]` per prefix vertex.
 //!
 //! * **The cubes cover every admitted coloring.** These three modes admit
 //!   exactly the first-occurrence forms along the session's SBP order,
@@ -77,9 +78,18 @@
 //!   assumption of its live suffix.
 //!
 //! A satisfiable cube's model is decoded and re-validated like any
-//! other, and the first cube that ends undecided (a deadline, the
-//! caller's conflict cap or a race's cancel token) ends the query as
-//! [`SessionAnswer::Unknown`]. The portfolio backend never splits.
+//! other. The sequential engine solves the cubes in order from a list of
+//! its own, enumerated only once its whole phase stops at the cap, and
+//! the first cube that ends undecided (a deadline or the caller's conflict
+//! cap) ends the query as [`SessionAnswer::Unknown`]. The portfolio
+//! backend enumerates the list before it dispatches the query, and its
+//! workers take the cubes from one shared cursor
+//! ([`PortfolioSession::query_split`]): the first satisfiable cube
+//! answers, the query is refuted (and the race cancelled) once the
+//! workers' replies count every cube refuted, and a cube that a dead or
+//! cancelled worker did not finish is never counted, so the query is
+//! then [`SessionAnswer::Unknown`]. Either way one query is one command
+//! to each worker and one telemetry row from it.
 
 use crate::chromatic::bounds_with_clique;
 use crate::cubes::PrefixCubes;
@@ -91,9 +101,10 @@ use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_obs::{Phase, Recorder};
 use sbgc_pb::{
-    portfolio_configs, Budget, ExhaustReason, PbEngine, PortfolioSession, SharingConfig,
-    SolveOutcome, SolverKind,
+    portfolio_configs, solve_split, solve_whole, Budget, CubeList, ExhaustReason, PbEngine,
+    PortfolioSession, SharingConfig, SolveOutcome, SolverKind,
 };
+use std::sync::Arc;
 
 /// What one ladder query established.
 #[derive(Clone, Debug)]
@@ -129,21 +140,14 @@ pub struct SessionStep {
     /// Which budget dimension stopped an `Unknown` query; `None` for
     /// decided queries.
     pub exhaust: Option<ExhaustReason>,
-    /// How many value-precedence prefix cubes the query solved (see the
-    /// module docs): every cube of the prefix when the split refuted the
-    /// target, up to the first satisfiable or undecided one otherwise; 0
-    /// when the query was not split.
+    /// How many value-precedence prefix cubes the query took from its
+    /// cursor (see the module docs): every cube of the prefix when the
+    /// split refuted the target. The sequential engine takes them in
+    /// order, up to the first satisfiable or undecided one; for the
+    /// portfolio this counts the cubes any worker took from the shared
+    /// cursor. 0 when the query was not split.
     pub cubes: usize,
 }
-
-/// Conflicts a query spends whole before it splits into prefix cubes.
-/// Measured on the benchmark's workloads while choosing it: splitting
-/// from the first conflict read 0.135 s `wall_s` on `ladder-seq` (0.155 s
-/// at 128), but on `certify` it also split SAT rungs at χ, which the
-/// heuristic race then answered after about 7 ms each; splitting after
-/// 64 conflicts split myciel4's 86-conflict rung, and `certify` read 6%
-/// more `wall_s`, slower in 4 of 4 pairs.
-const SPLIT_AFTER_CONFLICTS: u64 = 128;
 
 /// The most cubes a split solves: it takes the longest prefix of the SBP
 /// order with at most this many. On a probe over 14 ladder graphs, caps
@@ -183,8 +187,8 @@ pub struct ColoringSession<'g> {
     sbp_order: Vec<usize>,
     /// The length of `sbp_order`'s pairwise-adjacent prefix when the SBP
     /// mode is ordered (it admits exactly the first-occurrence forms along
-    /// `sbp_order`), `None` otherwise. A sequential query may split into
-    /// prefix cubes only when this is below its target.
+    /// `sbp_order`), `None` otherwise. A query may split into prefix cubes
+    /// only when this is below its target.
     ordered_clique: Option<usize>,
 }
 
@@ -433,11 +437,12 @@ impl<'g> ColoringSession<'g> {
     /// indicate an encoding bug) degrades to [`SessionAnswer::Unknown`]
     /// rather than returning a wrong answer.
     ///
-    /// On the sequential backend, under an ordered SBP mode whose order
-    /// starts with a clique shorter than `target`, a query that has not
-    /// ended after 128 conflicts of its own is split into value-precedence
-    /// prefix cubes, each solved in turn on the same engine (see the
-    /// module docs); [`SessionStep::cubes`] counts them.
+    /// Under an ordered SBP mode whose order starts with a clique shorter
+    /// than `target`, a query that an engine has not ended after 128
+    /// conflicts of its own is split into value-precedence prefix cubes:
+    /// the sequential engine solves them in turn, and portfolio workers
+    /// share them through one cursor (see the module docs).
+    /// [`SessionStep::cubes`] counts the cubes taken.
     ///
     /// # Panics
     ///
@@ -457,38 +462,45 @@ impl<'g> ColoringSession<'g> {
         let assumptions: Vec<Lit> =
             (target..self.ceiling).map(|j| self.encoding.y(j).negative()).collect();
         let recorder = self.recorder.clone();
-        let (outcome, core, retained, workers, exhaust, cubes) = match &mut self.backend {
+        let splits = self.ordered_clique.is_some_and(|q| q < target);
+        let cubes = || prefix_cubes(self.graph, &self.encoding, &self.sbp_order, target);
+        let (outcome, core, retained, workers, exhaust, taken) = match &mut self.backend {
             SessionBackend::Sequential(engine) => {
                 let retained = engine.live_learned() as u64;
-                let (outcome, core, cubes) = {
-                    let _span = recorder.span(Phase::Solve);
-                    match self.ordered_clique {
-                        Some(q) if q < target => {
-                            let split = Split {
-                                graph: self.graph,
-                                encoding: &self.encoding,
-                                order: &self.sbp_order,
-                                target,
-                            };
-                            split.solve(engine, &assumptions, budget)
-                        }
-                        _ => {
-                            let (outcome, core) = solve_plain(engine, &assumptions, budget);
-                            (outcome, core, 0)
-                        }
-                    }
+                let _span = recorder.span(Phase::Solve);
+                // A private list, enumerated only once the whole phase
+                // stops at its cap.
+                let mut list = None;
+                let run = if splits {
+                    solve_split(engine, &assumptions, budget, || {
+                        list = cubes().map(Arc::new);
+                        list.clone()
+                    })
+                } else {
+                    solve_whole(engine, &assumptions, budget)
                 };
-                let exhaust = engine.stats().exhaust;
-                (outcome, core, retained, 1, exhaust, cubes)
+                let taken = list.as_ref().map_or(0, |c| c.taken());
+                let (outcome, core) = if list.is_some_and(|c| run.refuted == c.count()) {
+                    // The cubes cover only colorings below `target`: the
+                    // core is the whole suffix (module docs).
+                    (SolveOutcome::Unsat, assumptions)
+                } else {
+                    (run.outcome, run.core)
+                };
+                (outcome, core, retained, 1, run.exhaust, taken)
             }
             SessionBackend::Portfolio(session) => {
                 let out = {
                     let _span = recorder.span(Phase::Solve);
-                    session.query(&assumptions, budget)
+                    // The shared list travels in the query's one command.
+                    match splits.then(cubes).flatten() {
+                        Some(list) => session.query_split(&assumptions, list, budget),
+                        None => session.query(&assumptions, budget),
+                    }
                 };
                 let workers = session.alive_workers();
                 let exhaust = out.stats.exhaust;
-                (out.outcome, out.core, out.retained_clauses, workers, exhaust, 0)
+                (out.outcome, out.core, out.retained_clauses, workers, exhaust, out.cubes)
             }
         };
         let (answer, exhaust) = match outcome {
@@ -502,81 +514,28 @@ impl<'g> ColoringSession<'g> {
             SolveOutcome::Unsat => (SessionAnswer::NotColorable { core }, None),
             SolveOutcome::Unknown => (SessionAnswer::Unknown, exhaust),
         };
-        SessionStep { answer, retained_clauses: retained, workers, exhaust, cubes }
+        SessionStep { answer, retained_clauses: retained, workers, exhaust, cubes: taken }
     }
 }
 
-/// One query on the sequential engine: its outcome and, on UNSAT, the
-/// engine's assumption core.
-fn solve_plain(
-    engine: &mut PbEngine,
-    assumptions: &[Lit],
-    budget: &Budget,
-) -> (SolveOutcome, Vec<Lit>) {
-    let outcome = engine.solve_with_assumptions(assumptions, budget);
-    let core = match outcome {
-        SolveOutcome::Unsat => engine.assumption_core().to_vec(),
-        _ => Vec::new(),
-    };
-    (outcome, core)
-}
-
-/// A sequential query that may split into the value-precedence prefix
-/// cubes of `order` with colors below `target` (see the module docs).
-struct Split<'a> {
-    graph: &'a Graph,
-    encoding: &'a ColoringEncoding,
-    order: &'a [usize],
+/// The value-precedence prefix cubes of `order` with colors below
+/// `target` (module docs), as one flat list of `x[v][c]` literals, one
+/// per prefix vertex; `None` when the prefix has no proper coloring.
+fn prefix_cubes(
+    graph: &Graph,
+    encoding: &ColoringEncoding,
+    order: &[usize],
     target: usize,
-}
-
-impl Split<'_> {
-    /// Runs the query whole for [`SPLIT_AFTER_CONFLICTS`] conflicts. If
-    /// that cap alone stopped it, solves one query per cube, each the
-    /// suffix `assumptions` plus the cube's `x[v][c]`: the first cube
-    /// that is not refuted answers, and when all are, the query is UNSAT
-    /// with the whole suffix as its core. A prefix without a proper
-    /// coloring has no cubes; the query then runs whole under `budget`.
-    /// Returns the outcome, the core and the number of cubes solved.
-    fn solve(
-        &self,
-        engine: &mut PbEngine,
-        assumptions: &[Lit],
-        budget: &Budget,
-    ) -> (SolveOutcome, Vec<Lit>, usize) {
-        // One deadline for the whole query, however many solves it takes.
-        let budget = budget.started();
-        let cap = engine.stats().conflicts.saturating_add(SPLIT_AFTER_CONFLICTS);
-        let capped =
-            budget.clone().with_max_conflicts(budget.max_conflicts().map_or(cap, |m| m.min(cap)));
-        let (outcome, core) = solve_plain(engine, assumptions, &capped);
-        let cap_alone = matches!(outcome, SolveOutcome::Unknown)
-            && budget.exhaust_reason(engine.stats().conflicts, engine.arena_bytes()).is_none();
-        if !cap_alone {
-            return (outcome, core, 0);
-        }
-        let cubes = PrefixCubes::enumerate(self.graph, self.order, self.target, MAX_CUBES);
-        if cubes.is_empty() {
-            let (outcome, core) = solve_plain(engine, assumptions, &budget);
-            return (outcome, core, 0);
-        }
-        let prefix = &self.order[..cubes.prefix_len()];
-        let mut lits = assumptions.to_vec();
-        let mut solved = 0;
-        for cube in cubes.iter() {
-            lits.truncate(assumptions.len());
-            let pins = prefix.iter().zip(cube);
-            lits.extend(pins.map(|(&v, &c)| self.encoding.x(v, c as usize).positive()));
-            solved += 1;
-            match engine.solve_with_assumptions(&lits, &budget) {
-                SolveOutcome::Unsat => {}
-                outcome => return (outcome, Vec::new(), solved),
-            }
-        }
-        // The cubes cover only colorings below `target`: the core is the
-        // whole suffix (module docs).
-        (SolveOutcome::Unsat, assumptions.to_vec(), solved)
+) -> Option<CubeList> {
+    let cubes = PrefixCubes::enumerate(graph, order, target, MAX_CUBES);
+    let prefix = &order[..cubes.prefix_len()];
+    if cubes.is_empty() || prefix.is_empty() {
+        return None;
     }
+    let lits = cubes.iter().flat_map(|cube| {
+        prefix.iter().zip(cube).map(|(&v, &c)| encoding.x(v, c as usize).positive())
+    });
+    Some(CubeList::new(lits.collect(), prefix.len()))
 }
 
 impl std::fmt::Debug for ColoringSession<'_> {

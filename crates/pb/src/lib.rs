@@ -51,6 +51,7 @@ mod engine;
 mod explain;
 mod optimize;
 mod portfolio;
+mod split;
 
 pub use bnb::BnbSolver;
 pub use config::{EngineConfig, RestartPolicy, SolverKind};
@@ -61,6 +62,7 @@ pub use portfolio::{
     optimize_portfolio, portfolio_configs, PortfolioError, PortfolioOptOutcome, PortfolioSession,
     SessionQueryOutcome,
 };
+pub use split::{solve_split, solve_whole, CubeList, SplitRun};
 
 pub use sbgc_obs::{FaultPlan, Recorder, WorkerTelemetry};
 pub use sbgc_sat::{

@@ -20,7 +20,9 @@
 //!   each step races one query, and the winner's model of value `v`
 //!   commits the cut `obj ≤ v − 1` to every worker before the next step;
 //! * `sbgc-core`'s chromatic ladder races assumption queries and commits
-//!   the color suffixes it will never query again;
+//!   the color suffixes it will never query again; a hard rung it splits
+//!   into cubes ([`PortfolioSession::query_split`]) is conquered by the
+//!   workers together instead of raced;
 //! * `sbgc-core`'s racing certifier is a one-query session whose workers
 //!   log into one shared DRAT proof ([`PortfolioSession::with_proof`]).
 //!
@@ -51,6 +53,7 @@
 use crate::config::{EngineConfig, RestartPolicy, SolverKind};
 use crate::engine::{PbEngine, PbStats};
 use crate::optimize::OptOutcome;
+use crate::split::{solve_split, solve_whole, CubeList, SplitRun};
 use sbgc_formula::{Assignment, Lit, PbConstraint, PbFormula};
 use sbgc_obs::{FaultPlan, Recorder, SearchCounters, WorkerTelemetry};
 use sbgc_proof::{AddsOnlyProofLogger, SharedProof};
@@ -376,8 +379,10 @@ fn stats_delta(before: PbStats, after: PbStats) -> PbStats {
 /// A command sent to a persistent session worker. Shutdown is signalled by
 /// dropping the sender, not by a variant.
 enum Command {
-    /// Answer one assumption query against the worker's long-lived engine.
-    Query { id: u64, assumptions: Vec<Lit>, budget: Budget },
+    /// Answer one assumption query against the worker's long-lived engine,
+    /// split into the shared `cubes` when there are any (see
+    /// [`solve_split`]).
+    Query { id: u64, assumptions: Vec<Lit>, budget: Budget, cubes: Option<Arc<CubeList>> },
     /// Permanently add each literal as a unit clause before the next
     /// query. Fire-and-forget: the channel's ordering guarantees every
     /// worker applies the commit before it starts any later query, and
@@ -395,14 +400,14 @@ enum ReplyBody {
     /// The query ran (possibly to `Unknown`); the engine survives and the
     /// worker is ready for the next query.
     Answered {
-        outcome: SolveOutcome,
-        /// Failed-assumption core; non-empty only for assumption-relative
-        /// `Unsat` answers.
-        core: Vec<Lit>,
+        /// The worker's part of the query: its outcome, its core of a
+        /// whole-query refutation, and the shared cubes it refuted.
+        run: SplitRun,
         /// The engine's counter *delta* since the worker's previous reply
         /// (the engine's counters are cumulative across the session): the
         /// query plus any construction or commits before it, so a
-        /// worker's deltas sum to its engine's totals.
+        /// worker's deltas sum to its engine's totals. Its exhaustion
+        /// reason is the run's.
         delta: PbStats,
         /// Live learned clauses in the engine when the query started —
         /// state retained from earlier queries (0 on the first).
@@ -496,8 +501,8 @@ fn session_worker(
     // Engine counters as of the previous reply.
     let mut reported = PbStats::default();
     while let Ok(command) = rx.recv() {
-        let (id, assumptions, budget) = match command {
-            Command::Query { id, assumptions, budget } => (id, assumptions, budget),
+        let (id, assumptions, budget, cubes) = match command {
+            Command::Query { id, assumptions, budget, cubes } => (id, assumptions, budget, cubes),
             Command::Commit { units } => {
                 commit(&mut engine, |eng| {
                     for &lit in &units {
@@ -536,26 +541,29 @@ fn session_worker(
                 while !budget.exhausted(0) {
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                return (SolveOutcome::Unknown, Vec::new());
+                let exhaust = budget.exhaust_reason(0, 0);
+                return SplitRun {
+                    outcome: SolveOutcome::Unknown,
+                    core: Vec::new(),
+                    refuted: 0,
+                    exhaust,
+                };
             }
-            let outcome = eng.solve_with_assumptions(&assumptions, &budget);
-            let core = match outcome {
-                SolveOutcome::Unsat => eng.assumption_core().to_vec(),
-                _ => Vec::new(),
-            };
-            (outcome, core)
+            match cubes {
+                Some(cubes) => solve_split(eng, &assumptions, &budget, || Some(cubes)),
+                None => solve_whole(eng, &assumptions, &budget),
+            }
         }));
         let finish = Instant::now();
         match solved {
-            Ok((outcome, core)) => {
+            Ok(run) => {
                 if recorder.is_enabled() {
                     eng.flush_recorder();
                 }
                 let stats = eng.stats();
                 let body = ReplyBody::Answered {
-                    outcome,
-                    core,
-                    delta: stats_delta(reported, stats),
+                    delta: PbStats { exhaust: run.exhaust, ..stats_delta(reported, stats) },
+                    run,
                     retained,
                     run_time: finish.duration_since(run_start),
                     finish,
@@ -575,14 +583,53 @@ fn session_worker(
     }
 }
 
-/// Result of one [`PortfolioSession::query`].
+/// A query's answer as its workers' replies come in.
+struct Verdict<'a> {
+    assumptions: &'a [Lit],
+    /// The split query's shared list, if it was split.
+    cubes: Option<&'a CubeList>,
+    /// Cubes the replies so far counted refuted.
+    refuted: usize,
+    /// The answer, its winner (`None` for a split refutation) and core.
+    decided: Option<(Option<usize>, SolveOutcome, Vec<Lit>)>,
+}
+
+impl<'a> Verdict<'a> {
+    fn new(assumptions: &'a [Lit], cubes: Option<&'a CubeList>) -> Self {
+        Verdict { assumptions, cubes, refuted: 0, decided: None }
+    }
+
+    /// Counts `worker`'s run and returns whether it won the query: the
+    /// first `Sat` or `Unsat` run decides it, and so do the refuted cubes
+    /// once they number the whole list. That refutation has no winner, and
+    /// its core is every assumption.
+    fn count(&mut self, worker: usize, run: SplitRun) -> bool {
+        self.refuted += run.refuted;
+        if self.decided.is_some() {
+            return false;
+        }
+        if matches!(run.outcome, SolveOutcome::Sat(_) | SolveOutcome::Unsat) {
+            self.decided = Some((Some(worker), run.outcome, run.core));
+            return true;
+        }
+        if self.cubes.is_some_and(|c| self.refuted == c.count()) {
+            self.decided = Some((None, SolveOutcome::Unsat, self.assumptions.to_vec()));
+        }
+        false
+    }
+}
+
+/// Result of one [`PortfolioSession::query`] or
+/// [`PortfolioSession::query_split`].
 #[derive(Clone, Debug)]
 pub struct SessionQueryOutcome {
-    /// The decision answer under the query's assumptions (first definitive
-    /// reply, else `Unknown`).
+    /// The decision answer under the query's assumptions (the first
+    /// definitive reply, or `Unsat` once the replies count every cube of a
+    /// split query refuted, else `Unknown`).
     pub outcome: SolveOutcome,
     /// Index and configuration of the worker that produced the definitive
-    /// answer, when there was one.
+    /// answer, when one did; `None` for a split refutation, which the
+    /// workers reach together.
     pub winner: Option<(usize, EngineConfig)>,
     /// Search statistics summed over all workers, as *deltas* for this
     /// query only — the work this query cost, not the session's lifetime
@@ -597,8 +644,12 @@ pub struct SessionQueryOutcome {
     pub retained_clauses: u64,
     /// The winner's failed-assumption core when `outcome` is `Unsat` under
     /// non-empty assumptions: a subset of the query's assumptions whose
-    /// conjunction the formula already refutes. Empty otherwise.
+    /// conjunction the formula already refutes; every assumption for a
+    /// split refutation. Empty otherwise.
     pub core: Vec<Lit>,
+    /// Cubes the workers took from a split query's cursor (0 when the
+    /// query was not split).
+    pub cubes: usize,
 }
 
 /// A persistent portfolio: one long-lived worker thread per
@@ -619,6 +670,10 @@ pub struct SessionQueryOutcome {
 /// axioms), so everything retained or shared is entailed by the formula
 /// plus what every worker has committed, and stays valid for every later
 /// query, whatever its assumptions.
+///
+/// A hard query can instead be split into cubes
+/// ([`query_split`](PortfolioSession::query_split)): the workers then
+/// share one cube list and one cursor, and refute the cubes between them.
 ///
 /// A worker that panics dies alone (its possibly-corrupt engine is never
 /// reused), later queries race the survivors, and a session whose workers
@@ -752,6 +807,38 @@ impl PortfolioSession {
     /// `with_max_conflicts` budget caps the session's total work, not each
     /// query's.
     pub fn query(&mut self, assumptions: &[Lit], budget: &Budget) -> SessionQueryOutcome {
+        self.race(assumptions, None, budget)
+    }
+
+    /// [`query`](PortfolioSession::query), split into `cubes`: every
+    /// worker runs [`solve_split`] on the one list, which travels in the
+    /// query's single command, so the workers that reach their cube phase
+    /// take the cubes from one cursor.
+    ///
+    /// The first satisfiable cube or whole-query model answers `Sat`, and
+    /// a whole-query refutation answers `Unsat` with its core, as in a
+    /// race. The query is also `Unsat` once the replies count every cube
+    /// refuted; the race is cancelled then, so no worker still in its
+    /// whole phase, or stalled, holds the answer up. That refutation has
+    /// no winner, and its core is every assumption: the caller answers
+    /// for the cubes covering every model the assumptions admit. A cube
+    /// that a dead or cancelled worker did not finish is never counted,
+    /// so the query is then `Unknown`.
+    pub fn query_split(
+        &mut self,
+        assumptions: &[Lit],
+        cubes: CubeList,
+        budget: &Budget,
+    ) -> SessionQueryOutcome {
+        self.race(assumptions, Some(Arc::new(cubes)), budget)
+    }
+
+    fn race(
+        &mut self,
+        assumptions: &[Lit],
+        cubes: Option<Arc<CubeList>>,
+        budget: &Budget,
+    ) -> SessionQueryOutcome {
         let id = self.next_query;
         self.next_query += 1;
         let budget = budget.started();
@@ -761,12 +848,13 @@ impl PortfolioSession {
             id,
             assumptions: assumptions.to_vec(),
             budget: budget.clone().with_cancel_token(race.clone()),
+            cubes: cubes.clone(),
         });
 
         let mut stats = PbStats::default();
         let mut retained_clauses = 0u64;
         let mut failed_workers = 0usize;
-        let mut winner: Option<(usize, SolveOutcome, Vec<Lit>)> = None;
+        let mut verdict = Verdict::new(assumptions, cubes.as_deref());
         while pending > 0 {
             // `recv` can only fail when every worker thread has exited, in
             // which case each pending worker already sent its `Died`.
@@ -788,17 +876,14 @@ impl PortfolioSession {
                         });
                     }
                 }
-                ReplyBody::Answered { outcome, core, delta, retained, run_time, finish } => {
+                ReplyBody::Answered { run, delta, retained, run_time, finish } => {
                     add_stats(&mut stats, delta);
                     retained_clauses += retained;
-                    let mut won = false;
-                    if winner.is_none()
-                        && matches!(outcome, SolveOutcome::Sat(_) | SolveOutcome::Unsat)
-                    {
-                        winner = Some((reply.worker, outcome, core));
+                    let open = verdict.decided.is_none();
+                    let won = verdict.count(reply.worker, run);
+                    if open && verdict.decided.is_some() {
                         cancel_mark.stamp();
                         race.cancel();
-                        won = true;
                     }
                     if self.recorder.is_enabled() {
                         self.recorder.record_worker(WorkerTelemetry {
@@ -812,9 +897,9 @@ impl PortfolioSession {
             }
         }
 
-        let (winner, outcome, core) = match winner {
+        let (winner, outcome, core) = match verdict.decided {
             Some((index, outcome, core)) => {
-                (Some((index, self.workers[index].config)), outcome, core)
+                (index.map(|i| (i, self.workers[i].config)), outcome, core)
             }
             None => (None, SolveOutcome::Unknown, Vec::new()),
         };
@@ -823,7 +908,16 @@ impl PortfolioSession {
             // the outcome's exhaustion.
             stats.exhaust = None;
         }
-        SessionQueryOutcome { outcome, winner, stats, failed_workers, retained_clauses, core }
+        let cubes = cubes.map_or(0, |c| c.taken());
+        SessionQueryOutcome {
+            outcome,
+            winner,
+            stats,
+            failed_workers,
+            retained_clauses,
+            core,
+            cubes,
+        }
     }
 
     /// Permanently adds each literal in `units` as a unit clause in every
@@ -920,6 +1014,7 @@ impl std::fmt::Debug for PortfolioSession {
 mod tests {
     use super::*;
     use sbgc_formula::{Lit, Objective, Var};
+    use sbgc_sat::ExhaustReason;
 
     fn covering() -> PbFormula {
         // minimize y0 + y1 + y2 s.t. pairwise covers; optimum 2.
@@ -1288,6 +1383,117 @@ mod tests {
             }
         }
         (f, gate)
+    }
+
+    /// Pigeon `p`'s literal for hole `h` in `gated_pigeonhole(holes)`,
+    /// whose variable 0 is the gate.
+    fn pigeon(p: usize, h: usize, holes: usize) -> Lit {
+        Var::from_index(1 + p * holes + h).positive()
+    }
+
+    #[test]
+    fn split_query_is_refuted_when_every_cube_is() {
+        // Under the closed gate (and pigeon 6 kept out of hole 0, so that
+        // a cube's core would not be every assumption) the pigeonhole runs
+        // worker 0 past its whole phase. The cubes put pigeon 0 in each
+        // hole, so they cover every model. Worker 1 stalls: a live peer
+        // could refute the query whole with the cube lemmas worker 0
+        // shares, and this test is about the count.
+        let holes = 6;
+        let (f, gate) = gated_pigeonhole(holes);
+        let assumptions = [!gate, !pigeon(holes, 0, holes)];
+        let cubes = CubeList::new((0..holes).map(|h| pigeon(0, h, holes)).collect(), 1);
+        let rec = Recorder::new();
+        let plan = FaultPlan::new(0).with_stalled_worker(1, 0);
+        let mut session = PortfolioSession::new(&f, &portfolio_configs(2), &rec, &plan)
+            .expect("non-empty portfolio");
+        let out = session.query_split(&assumptions, cubes, &Budget::unlimited());
+        assert!(matches!(out.outcome, SolveOutcome::Unsat), "{:?}", out.outcome);
+        assert_eq!(out.core, assumptions, "a split refutation's core is every assumption");
+        assert!(out.winner.is_none(), "the workers refute the cubes together");
+        assert_eq!(out.cubes, holes);
+        let rows = rec.workers();
+        assert_eq!(rows.len(), 2, "one row per worker for the one command");
+        assert!(rows.iter().all(|w| !w.won));
+        let stalled = rows.iter().find(|w| w.index == 1).expect("worker 1 replied");
+        assert!(stalled.cancel_latency.is_some(), "the count cancels the stalled worker");
+    }
+
+    #[test]
+    fn split_query_answers_from_its_satisfiable_cube() {
+        // Every model opens the gate, so of the cubes "closed" and "open"
+        // only the second is satisfiable, and every model satisfies it.
+        let holes = 6;
+        let (f, gate) = gated_pigeonhole(holes);
+        let mut session = PortfolioSession::new(
+            &f,
+            &portfolio_configs(2),
+            &Recorder::disabled(),
+            &FaultPlan::default(),
+        )
+        .expect("non-empty portfolio");
+        let cubes = CubeList::new(vec![!gate, gate], 1);
+        let out = session.query_split(&[], cubes, &Budget::unlimited());
+        match out.outcome {
+            SolveOutcome::Sat(ref model) => {
+                assert!(f.is_satisfied_by(model));
+                assert!(model.satisfies(gate), "the model is in the satisfiable cube");
+            }
+            ref other => panic!("expected a model, got {other:?}"),
+        }
+        assert!(out.winner.is_some());
+        assert!(out.cubes <= 2);
+    }
+
+    #[test]
+    fn split_query_under_a_cancelled_budget_is_unknown() {
+        let holes = 6;
+        let (f, gate) = gated_pigeonhole(holes);
+        let mut session = PortfolioSession::new(
+            &f,
+            &portfolio_configs(2),
+            &Recorder::disabled(),
+            &FaultPlan::default(),
+        )
+        .expect("non-empty portfolio");
+        let token = CancelToken::new();
+        token.cancel();
+        let cubes = CubeList::new((0..holes).map(|h| pigeon(0, h, holes)).collect(), 1);
+        let budget = Budget::unlimited().with_cancel_token(token);
+        let out = session.query_split(&[!gate], cubes, &budget);
+        assert!(matches!(out.outcome, SolveOutcome::Unknown));
+        assert!(out.winner.is_none());
+        assert_eq!(out.cubes, 0, "every engine stops before its cube phase");
+        assert_eq!(out.stats.exhaust, Some(ExhaustReason::Cancelled));
+    }
+
+    #[test]
+    fn split_refutation_waits_for_every_cube_to_be_counted() {
+        // Three cubes, all taken: worker 0 refuted two and ran the cursor
+        // dry while worker 1 still held the third.
+        let cubes = CubeList::new((0..3).map(|v| Var::from_index(v).positive()).collect(), 1);
+        while cubes.take().is_some() {}
+        let assumptions = [Var::from_index(3).negative()];
+        let run = |refuted, exhaust| SplitRun {
+            outcome: SolveOutcome::Unknown,
+            core: Vec::new(),
+            refuted,
+            exhaust,
+        };
+        let mut verdict = Verdict::new(&assumptions, Some(&cubes));
+        assert!(!verdict.count(0, run(2, None)));
+        assert!(verdict.decided.is_none(), "worker 1's cube is not refuted yet");
+        // Cancelled mid-cube, worker 1 never counts it.
+        assert!(!verdict.count(1, run(0, Some(ExhaustReason::Cancelled))));
+        assert!(verdict.decided.is_none());
+
+        let mut verdict = Verdict::new(&assumptions, Some(&cubes));
+        verdict.count(0, run(2, None));
+        assert!(!verdict.count(1, run(1, None)), "a split refutation has no winner");
+        match verdict.decided {
+            Some((None, SolveOutcome::Unsat, ref core)) => assert_eq!(core, &assumptions),
+            ref other => panic!("expected a split refutation, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,17 +12,18 @@
 
 use sbgc_core::{
     certify_result_parallel, chromatic_number_outcome, try_solve_coloring, ChromaticResult,
-    Coloring, ColoringEncoding, ColoringOutcome, ProofStatus, SolveOptions,
+    Coloring, ColoringEncoding, ColoringOutcome, ColoringSession, ProofStatus, SbpMode,
+    SessionAnswer, SolveOptions,
 };
 use sbgc_formula::PbFormula;
-use sbgc_graph::gen::{gnp, mycielski, queens};
+use sbgc_graph::gen::{mycielski, queens};
 use sbgc_graph::Graph;
 use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_pb::{
     optimize_portfolio, portfolio_configs, Budget, CancelToken, ExhaustReason, OptOutcome,
     PortfolioSession, SolveOutcome,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn coloring_formula(graph: &Graph, k: usize) -> PbFormula {
     ColoringEncoding::new(graph, k).formula().clone()
@@ -153,22 +154,46 @@ fn killing_the_only_worker_degrades_to_unknown() {
 
 #[test]
 fn fault_plan_on_solve_options_reaches_the_portfolio_ladder() {
-    // χ(gnp(24, 0.5, 3)) = 7 with DSATUR 8 and clique 6. With heuristics
-    // off the ladder asks target 7 (query 0) and then refutes 6 (query
-    // 1); worker 1 dies at query 1 and the survivors must still prove χ.
-    let g = gnp(24, 0.5, 3);
+    // χ(myciel5) = 6 with DSATUR 6 and a one-edge clique. With heuristics
+    // off the ladder's only query (query 0) refutes 5, and under ValPrec
+    // that rung splits into prefix cubes; worker 1 dies at that query, so
+    // the survivors conquer the cubes without it and must still prove χ.
+    let g = mycielski(5);
     let rec = Recorder::new();
     let opts = SolveOptions::new(20)
+        .with_sbp_mode(SbpMode::ValuePrec)
         .with_parallelism(4)
         .with_recorder(rec.clone())
         .without_heuristics()
-        .with_fault_plan(FaultPlan::new(0).with_worker_panic(1, 1));
+        .with_fault_plan(FaultPlan::new(0).with_worker_panic(1, 0));
     let out = chromatic_number_outcome(&g, &opts).expect("valid inputs");
-    assert_eq!(out.exact(), Some(7), "the survivors prove χ");
+    assert_eq!(out.exact(), Some(6), "the survivors prove χ");
     let dead: Vec<_> = rec.workers().into_iter().filter(|w| w.failed.is_some()).collect();
     assert_eq!(dead.len(), 1, "exactly one worker died: {dead:?}");
     assert_eq!(dead[0].index, 1);
-    assert_eq!(dead[0].query, Some(1), "the death is attributed to ladder query 1");
+    assert_eq!(dead[0].query, Some(0), "the death is attributed to ladder query 0");
+}
+
+#[test]
+fn split_refutation_does_not_wait_for_a_stalled_worker() {
+    // myciel5's χ−1 rung under ValPrec splits into 86 prefix cubes.
+    // Worker 1 stalls from the first query on, so worker 0 refutes every
+    // cube alone; the completed count must cancel the stall and answer
+    // long before the deadline.
+    let g = mycielski(5);
+    let opts = SolveOptions::new(20)
+        .with_sbp_mode(SbpMode::ValuePrec)
+        .with_parallelism(2)
+        .without_heuristics()
+        .with_fault_plan(FaultPlan::new(0).with_stalled_worker(1, 0));
+    let mut session = ColoringSession::new(&g, &opts).expect("supported");
+    let deadline = Duration::from_secs(60);
+    let start = Instant::now();
+    let step = session.query(5, &Budget::unlimited().with_timeout(deadline));
+    let elapsed = start.elapsed();
+    assert!(matches!(step.answer, SessionAnswer::NotColorable { .. }), "{:?}", step.answer);
+    assert_eq!(step.cubes, 86, "every cube taken");
+    assert!(elapsed < deadline / 6, "answered after {elapsed:?}");
 }
 
 #[test]

@@ -270,10 +270,11 @@ fn split_size(graph: &Graph, target: usize) -> usize {
 
 #[test]
 fn ordered_modes_split_hard_rungs_into_every_prefix_cube() {
-    // Graphs whose χ or χ−1 rung runs past the conflicts after which a
-    // sequential query under an ordered mode splits into value-precedence
-    // prefix cubes (myciel4's rungs end before it, so it never splits).
-    // On G(50, 0.5) #14 one cube of the χ rung has every model.
+    // Graphs whose χ or χ−1 rung runs past the conflicts after which an
+    // engine under an ordered mode splits the query into value-precedence
+    // prefix cubes (myciel4's rungs end before it, so it never splits
+    // sequentially). On G(50, 0.5) #14 one cube of the χ rung has every
+    // model. Two workers share one cube list.
     let mut graphs =
         vec![("myciel4".to_string(), mycielski(4)), ("myciel5".to_string(), mycielski(5))];
     for (n, p, seed) in [
@@ -296,19 +297,28 @@ fn ordered_modes_split_hard_rungs_into_every_prefix_cube() {
             other => panic!("{name}: backtracking DSATUR must finish, got {other:?}"),
         })
         .collect();
-    for mode in ORDERED_MODES {
+    for (parallelism, mode) in [1, 2].into_iter().flat_map(|p| ORDERED_MODES.map(|m| (p, m))) {
         let mut splits = 0;
         for ((name, graph), &chi) in graphs.iter().zip(&chis) {
-            let opts =
-                SolveOptions::new(30).with_sbp_mode(mode).with_parallelism(1).without_heuristics();
+            let opts = SolveOptions::new(30)
+                .with_sbp_mode(mode)
+                .with_parallelism(parallelism)
+                .without_heuristics();
+            let label = format!("{name} under {mode} at parallelism {parallelism}");
             let out = chromatic_number_outcome(graph, &opts).expect("valid");
-            assert_eq!(out.exact(), Some(chi), "{name} under {mode}");
-            assert!(out.witness().is_proper(graph), "{name} under {mode}: improper witness");
+            assert_eq!(out.exact(), Some(chi), "{label}");
+            assert!(out.witness().is_proper(graph), "{label}: improper witness");
             // A fresh session asked χ (when below the DSATUR bound) and
-            // χ−1 first, with nothing learned from higher rungs.
-            let mut session = ColoringSession::new(graph, &opts).expect("supported");
-            for target in (chi - 1..=chi.min(session.ceiling())).rev() {
-                let label = format!("{name} under {mode}, target {target}");
+            // χ−1 first, with nothing learned from higher rungs. Its
+            // telemetry tells a split refutation, which has no winner,
+            // from one portfolio worker refuting the target whole while
+            // another takes cubes.
+            let recorder = Recorder::new();
+            let mut session = ColoringSession::new(graph, &opts.with_recorder(recorder.clone()))
+                .expect("supported");
+            let targets = (chi - 1..=chi.min(session.ceiling())).rev();
+            for (query, target) in (0u64..).zip(targets) {
+                let label = format!("{label}, target {target}");
                 let step = session.query(target, &Budget::unlimited());
                 match step.answer {
                     SessionAnswer::Colorable(c) => {
@@ -317,7 +327,9 @@ fn ordered_modes_split_hard_rungs_into_every_prefix_cube() {
                     }
                     SessionAnswer::NotColorable { core } => {
                         assert!(target < chi, "{label}: refuted at χ or above");
-                        if step.cubes > 0 {
+                        let won =
+                            recorder.workers().iter().any(|w| w.query == Some(query) && w.won);
+                        if step.cubes > 0 && !won {
                             assert_eq!(step.cubes, split_size(graph, target), "{label}");
                             assert_eq!(core.len(), session.ceiling() - target, "{label}: core");
                         }
@@ -327,7 +339,7 @@ fn ordered_modes_split_hard_rungs_into_every_prefix_cube() {
                 splits += usize::from(step.cubes > 0);
             }
         }
-        assert!(splits > 0, "{mode}: no query split into cubes");
+        assert!(splits > 0, "{mode} at parallelism {parallelism}: no query split into cubes");
     }
 }
 
