@@ -528,10 +528,10 @@ fn prefix_cubes(
     target: usize,
 ) -> Option<CubeList> {
     let cubes = PrefixCubes::enumerate(graph, order, target, MAX_CUBES);
-    let prefix = &order[..cubes.prefix_len()];
-    if cubes.is_empty() || prefix.is_empty() {
+    if cubes.is_empty() {
         return None;
     }
+    let prefix = &order[..cubes.prefix_len()];
     let lits = cubes.iter().flat_map(|cube| {
         prefix.iter().zip(cube).map(|(&v, &c)| encoding.x(v, c as usize).positive())
     });
