@@ -22,6 +22,11 @@
 //!   isolation. A one-shot decision race is one query without
 //!   assumptions, and [`optimize_portfolio`] is the linear-search
 //!   optimization loop run over one session.
+//! * [`solve_split`] — cube-and-conquer on one assumption query: run it
+//!   whole for a fixed number of conflicts, then solve the cubes taken
+//!   from a [`CubeList`]'s cursor. A sequential engine keeps a list of
+//!   its own; [`PortfolioSession::query_split`] hands one list to every
+//!   worker, so they refute its cubes between them.
 //!
 //! # Example
 //!
